@@ -30,8 +30,7 @@ import sys
 from cmath import exp as cexp
 from dataclasses import dataclass, replace
 
-from .errors import PolyLandauError
-from .errors import DomainError
+from .errors import DomainError, PolyLandauError
 from .extremal import (
     ExtremalSpec,
     bounded_deriv_component,
@@ -293,7 +292,7 @@ def _reject_foreign_flags(cfg: RunConfig) -> None:
             raise DomainError(f"theorem {cfg.theorem} is parameterized by {wanted}; --{flag} does not apply")
 
 
-def _resolve_order(cfg: RunConfig, listed: int | None, offset: int, flag: str) -> int:
+def _resolve_order(cfg: RunConfig, listed: int | None, offset: int) -> int:
     if cfg.order is not None:
         if cfg.order < 1:
             raise DomainError(f"order must be a positive integer, got {cfg.order}")
@@ -321,7 +320,7 @@ def _build_profile(cfg: RunConfig) -> tuple[BoundProfile, tuple[float, ...] | No
             raise DomainError(f"theorem {t} needs --lambda0, the leading derivative bound above 1")
         lam0 = _float(cfg.lambda0, "--lambda0")
         listed = _float_list(cfg.lambdas, "--lambdas") if cfg.lambdas is not None else None
-        p = _resolve_order(cfg, None if listed is None else len(listed), 1, "--lambdas")
+        p = _resolve_order(cfg, None if listed is None else len(listed), 1)
         if p == 1:
             if listed:
                 raise DomainError(f"theorem {t} with one component takes no --lambdas")
@@ -332,7 +331,7 @@ def _build_profile(cfg: RunConfig) -> tuple[BoundProfile, tuple[float, ...] | No
 
     if t in (2, 6):
         listed = _float_list(cfg.lambdas, "--lambdas") if cfg.lambdas is not None else None
-        p = _resolve_order(cfg, None if listed is None else len(listed), 1, "--lambdas")
+        p = _resolve_order(cfg, None if listed is None else len(listed), 1)
         if p == 1:
             if listed:
                 raise DomainError(f"theorem {t} with one component takes no --lambdas")
@@ -345,14 +344,14 @@ def _build_profile(cfg: RunConfig) -> tuple[BoundProfile, tuple[float, ...] | No
         if cfg.ms is None:
             raise DomainError("theorem 3 needs --ms, the component modulus bounds")
         listed = _float_list(cfg.ms, "--ms")
-        p = _resolve_order(cfg, len(listed), 0, "--ms")
+        p = _resolve_order(cfg, len(listed), 0)
         return ModulusAll(_broadcast(listed, p, "--ms")), None
 
     if t == 7:
         if cfg.mstars is None:
             raise DomainError("theorem 7 needs --mstars, the factor modulus bounds above 1")
         listed = _float_list(cfg.mstars, "--mstars")
-        p = _resolve_order(cfg, len(listed), 0, "--mstars")
+        p = _resolve_order(cfg, len(listed), 0)
         mstars = _broadcast(listed, p, "--mstars")
         from .radii import log_bound_from_modulus
 
@@ -367,7 +366,7 @@ def _build_profile(cfg: RunConfig) -> tuple[BoundProfile, tuple[float, ...] | No
     if raw is None:
         raise DomainError(f"theorem {t} needs {flag}, the bounds on components 1..p-1")
     listed = _float_list(raw, flag)
-    p = _resolve_order(cfg, len(listed), 1, flag)
+    p = _resolve_order(cfg, len(listed), 1)
     if p < 2:
         raise DomainError(f"theorem {t} needs at least two components, got order {p}")
     values = _broadcast(listed, p - 1, flag)

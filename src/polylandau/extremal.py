@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import BracketError, DomainError
 from .polyfunc import PolyAnalyticFn
 from .radii import DerivAll, DerivNormalized, _bisect_decreasing, deriv_radii
-from .series import DEFAULT_DEGREE, TruncatedTaylorSeries, principal_log
+from .series import DEFAULT_DEGREE, TruncatedTaylorSeries, _require_in_disk, principal_log
 
 FAMILIES = ("deriv", "normalized", "unit_modulus", "classical", "coeff")
 
@@ -59,13 +59,6 @@ class ExtremalSpec:
             raise DomainError("the coeff family needs a power n >= 2")
 
 
-def _check_disk(z: complex) -> complex:
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-9:
-        raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {abs(z):.6g}")
-    return z
-
-
 def _deriv_value(b: DerivAll, z: complex) -> complex:
     lam0 = b.lambda0
     acc = lam0 * lam0 * z + (lam0**3 - lam0) * principal_log(1.0 - z / lam0)
@@ -104,7 +97,7 @@ def _bounded_ratio_value(m: float, n: int, z: complex) -> complex:
 
 def extremal_eval(spec: ExtremalSpec, z: complex) -> complex:
     """Closed-form value of the selected extremal at z, |z| <= 1."""
-    z = _check_disk(z)
+    z = _require_in_disk(z)
     if spec.family == "deriv":
         return _deriv_value(spec.profile, z)
     if spec.family == "normalized":

@@ -9,6 +9,9 @@ the value at z is sum_k conj(z)^k A_k(z).  The structural derivatives
 come straight from the component series; numerical differencing exists
 only as a test oracle.  Sense preservation is exposed through the sign of
 the Jacobian |F_z|^2 - |F_zbar|^2.
+
+``poly_eval`` and ``logp_eval`` evaluate at one point; their ``_array``
+forms evaluate a whole array of points at once and serve the grid checks.
 """
 
 from __future__ import annotations
@@ -16,8 +19,18 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .series import TruncatedTaylorSeries, _require_in_disk, series_derivative, series_eval
+from .series import (
+    TruncatedTaylorSeries,
+    _cmul,
+    _require_in_disk,
+    _require_in_disk_array,
+    series_derivative,
+    series_eval,
+    series_eval_array,
+)
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,18 @@ def poly_eval(F: PolyAnalyticFn, z: complex) -> complex:
     return acc
 
 
+def poly_eval_array(F: PolyAnalyticFn, z) -> np.ndarray:
+    """``poly_eval`` at every point of an array, with the same roundings."""
+    z = _require_in_disk_array(z)
+    zbar = z.conj()
+    acc = np.zeros_like(z)
+    power = np.ones_like(z)
+    for comp in F.components:
+        acc += _cmul(power, series_eval_array(comp, z))
+        power = _cmul(power, zbar)
+    return acc
+
+
 def wirtinger_z(F: PolyAnalyticFn, z: complex) -> complex:
     """d/dz derivative: differentiates components, leaves conj(z)^k alone."""
     z = _require_in_disk(z)
@@ -125,3 +150,8 @@ def lambda_small(F: PolyAnalyticFn, z: complex) -> float:
 
 def logp_eval(f: LogPAnalyticFn, z: complex) -> complex:
     return cmath.exp(poly_eval(f.log_part, z))
+
+
+def logp_eval_array(f: LogPAnalyticFn, z) -> np.ndarray:
+    """``logp_eval`` at every point of an array; np.exp may round the last bit unlike cmath.exp."""
+    return np.exp(poly_eval_array(f.log_part, z))

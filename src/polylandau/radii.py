@@ -56,6 +56,15 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
+def _require_cube_finite(lam: float, what: str) -> float:
+    # sigma and the derivative extremal weight a logarithm by lam**3 - lam
+    try:
+        lam**3
+    except OverflowError:
+        raise DomainError(f"{what} = {lam:g} is too large: {what}**3 overflows a float") from None
+    return lam
+
+
 def _bound_tuple(values, what: str, minimum: float) -> tuple[float, ...]:
     out = tuple(_require_finite(v, what) for v in values)
     if any(v < minimum for v in out):
@@ -74,7 +83,7 @@ class DerivAll:
         lam0 = _require_finite(self.lambda0, "lambda0")
         if not lam0 > 1.0:
             raise DomainError(f"lambda0 must exceed 1 (strict derivative bound), got {lam0:g}")
-        object.__setattr__(self, "lambda0", lam0)
+        object.__setattr__(self, "lambda0", _require_cube_finite(lam0, "lambda0"))
         object.__setattr__(self, "lambdas", _bound_tuple(self.lambdas, "lambda_k", 0.0))
 
     @property
@@ -124,7 +133,7 @@ class MixedDerivModulus:
         lam = _require_finite(self.lam, "lambda")
         if not lam > 1.0:
             raise DomainError(f"lambda must exceed 1 (strict derivative bound), got {lam:g}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _require_cube_finite(lam, "lambda"))
         object.__setattr__(self, "ms", _bound_tuple(self.ms, "modulus bound M_k", 1.0))
 
     @property
@@ -408,6 +417,7 @@ def bianalytic_deriv_baseline(lam1: float, lam2: float) -> tuple[float, float]:
         raise DomainError(f"lambda1 must be nonnegative, got {lam1:g}")
     if not lam2 > 1.0:
         raise DomainError(f"lambda2 must exceed 1, got {lam2:g}")
+    _require_cube_finite(lam2, "lambda2")
     s = lam2 * (2.0 * lam1 + lam2)
     r1 = 2.0 * lam2 / (s + math.sqrt(s * s - 8.0 * lam1 * lam2))
     big_r1 = lam2 * lam2 * r1 + (lam2**3 - lam2) * math.log(1.0 - r1 / lam2) - lam1 * r1 * r1

@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .polyfunc import PolyAnalyticFn
+from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, logp_eval_array, poly_eval_array
 from .radii import BoundProfile, DerivAll, DerivNormalized, MixedDerivModulus, ModulusAll
-from .series import TruncatedTaylorSeries
+from .series import TruncatedTaylorSeries, series_derivative, series_eval_array
 
 _PAIR_BLOCK = 256
 
@@ -61,6 +61,11 @@ def _disk_grid(r: float, grid: GridSpec) -> np.ndarray:
 
 
 def _eval_at(fn: Callable[[complex], complex], pts: np.ndarray) -> np.ndarray:
+    """fn at every point: one array pass for package functions, a loop for plain callables."""
+    if isinstance(fn, PolyAnalyticFn):
+        return poly_eval_array(fn, pts)
+    if isinstance(fn, LogPAnalyticFn):
+        return logp_eval_array(fn, pts)
     return np.array([fn(complex(z)) for z in pts], dtype=complex)
 
 
@@ -74,7 +79,8 @@ def univalence_grid_check(
 
     Measures min |F(z) - F(w)| / |z - w| over all grid pairs; passes iff
     that ratio stays at or above the grid margin.  extra_points join the
-    grid, which lets a caller plant a suspected collision.
+    grid, which lets a caller plant a suspected collision.  Pairs closer
+    than 1e-15 are skipped; a grid with no other pair is a DomainError.
     """
     if not 0.0 < r:
         raise DomainError(f"univalence check needs r > 0, got {r:g}")
@@ -85,21 +91,28 @@ def univalence_grid_check(
     n = len(pts)
     best = np.inf
     best_pair = (pts[0], pts[0])
+    compared = False
     for start in range(0, n, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n)
-        dz = np.abs(pts[start:stop, None] - pts[None, :])
-        dv = np.abs(vals[start:stop, None] - vals[None, :])
+        # columns before start pair with earlier rows only, so this block skips them
+        dz = np.abs(pts[start:stop, None] - pts[None, start:])
+        dv = np.abs(vals[start:stop, None] - vals[None, start:])
         # keep the global upper triangle only, and skip near-coincident nodes
-        cols = np.arange(n)[None, :]
+        cols = np.arange(start, n)[None, :]
         rows = np.arange(start, stop)[:, None]
         mask = (cols > rows) & (dz > 1e-15)
         if not mask.any():
             continue
+        compared = True
         ratio = np.where(mask, dv / np.where(dz > 0, dz, 1.0), np.inf)
         idx = np.unravel_index(np.argmin(ratio), ratio.shape)
         if ratio[idx] < best:
             best = float(ratio[idx])
-            best_pair = (complex(pts[start + idx[0]]), complex(pts[idx[1]]))
+            best_pair = (complex(pts[start + idx[0]]), complex(pts[start + idx[1]]))
+    if not compared:
+        raise DomainError(
+            f"univalence grid collapsed: all {n} nodes in |z| < {r:.6g} lie within 1e-15 of each other"
+        )
     passed = bool(best >= grid.margin)
     return VerificationReport(
         check_name="univalence-grid",
@@ -151,11 +164,9 @@ def deriv_bound_check(
     """Checks |series'(z)| < bound on a grid approaching |z| = 1."""
     if not bound > 0.0:
         raise DomainError(f"derivative bound must be positive, got {bound:g}")
-    from .series import series_derivative, series_eval
-
     deriv = series_derivative(series)
     pts = _disk_grid(1.0 - 1e-3, grid)
-    vals = np.abs(np.array([series_eval(deriv, complex(z)) for z in pts]))
+    vals = np.abs(series_eval_array(deriv, pts))
     k = int(np.argmax(vals))
     worst = float(vals[k])
     measured = bound - worst
@@ -321,14 +332,16 @@ def monotonicity_check(
     )
 
 
-def _component_checks(b: BoundProfile, fn: PolyAnalyticFn, grid: GridSpec) -> list[str]:
-    from .series import series_eval
+def _max_modulus(comp: TruncatedTaylorSeries, grid: GridSpec) -> float:
+    return float(np.max(np.abs(series_eval_array(comp, _disk_grid(1.0 - 1e-3, grid)))))
 
+
+def _component_checks(b: BoundProfile, fn: PolyAnalyticFn, grid: GridSpec) -> list[str]:
     problems: list[str] = []
     if isinstance(b, DerivAll):
         for k, (comp, bound) in enumerate(zip(fn.components, (b.lambda0, *b.lambdas))):
             if bound == 0.0:
-                worst = max(abs(series_eval(comp, complex(z))) for z in _disk_grid(1.0 - 1e-3, grid))
+                worst = _max_modulus(comp, grid)
                 if worst > grid.margin:
                     problems.append(f"component {k} should vanish, max modulus {worst:.3g}")
                 continue
@@ -352,7 +365,7 @@ def _component_checks(b: BoundProfile, fn: PolyAnalyticFn, grid: GridSpec) -> li
                 if not report.passed:
                     problems.append(f"component 0 derivative exceeds {bound:g} by {-report.measured_margin:.3g}")
                 continue
-            worst = max(abs(series_eval(comp, complex(z))) for z in _disk_grid(1.0 - 1e-3, grid))
+            worst = _max_modulus(comp, grid)
             if worst > bound + grid.margin:
                 problems.append(f"component {k} modulus exceeds {bound:g} by {worst - bound:.3g}")
     return problems

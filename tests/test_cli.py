@@ -84,6 +84,28 @@ def test_exit_2_names_violated_hypothesis(capsys):
     assert "must exceed 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("radii", "--theorem", "1", "--lambda0", "1e200"),
+        ("radii", "--theorem", "4", "--lambda0", "1e200", "--ms", "2"),
+        ("baseline", "--name", "bianalytic-deriv", "--lambda0", "1e200", "--lambda1", "1"),
+    ],
+)
+def test_exit_2_when_derivative_bound_cube_overflows(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "too large" in err and "overflows" in err
+
+
+def test_verify_exit_2_on_collapsed_grid(capsys):
+    # rho is below 1e-60 here, so the whole univalence grid lies within 1e-15
+    code, _, err = run(capsys, "verify", "--theorem", "3", "--ms", "1e200")
+    assert code == EXIT_USAGE
+    assert "univalence grid collapsed" in err
+
+
 def test_exit_2_on_foreign_profile_flag(capsys):
     code, _, err = run(capsys, "radii", "--theorem", "1", "--lambda0", "2", "--ms", "2")
     assert code == EXIT_USAGE

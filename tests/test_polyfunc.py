@@ -4,7 +4,9 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polylandau import (
     DomainError,
@@ -15,7 +17,9 @@ from polylandau import (
     lambda_big,
     lambda_small,
     logp_eval,
+    logp_eval_array,
     poly_eval,
+    poly_eval_array,
     wirtinger_z,
     wirtinger_zbar,
 )
@@ -133,3 +137,27 @@ def test_log_product_unit_lambda_at_origin():
 def test_poly_eval_rejects_points_outside_disk():
     with pytest.raises(DomainError):
         poly_eval(_schwarz_pair(), 2.0)
+
+
+_component = st.lists(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=7,
+).map(lambda cs: TruncatedTaylorSeries((0j, *cs)))  # c0 = 0, so exp(F) equals 1 at the origin
+_log_parts = st.lists(_component, min_size=1, max_size=4).map(lambda comps: PolyAnalyticFn(tuple(comps)))
+_disk_points = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=16,
+)
+
+
+@given(_log_parts, _disk_points)
+def test_array_eval_matches_scalar_oracle(F, zs):
+    pts = np.array(zs, dtype=complex)
+    assert poly_eval_array(F, pts).tolist() == [poly_eval(F, z) for z in zs]
+    f = LogPAnalyticFn(F)
+    # np.exp and cmath.exp may round the last bit differently
+    for got, z in zip(logp_eval_array(f, pts).tolist(), zs):
+        want = logp_eval(f, z)
+        assert abs(got - want) <= 1e-15 * abs(want)

@@ -3,10 +3,19 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polylandau import DomainError, TruncatedTaylorSeries, principal_log, series_derivative, series_eval
+from polylandau import (
+    DomainError,
+    TruncatedTaylorSeries,
+    bounded_deriv_component,
+    principal_log,
+    series_derivative,
+    series_eval,
+    series_eval_array,
+)
 
 
 def test_eval_cubic_at_half():
@@ -75,6 +84,32 @@ def test_derivative_matches_differencing(coeffs, z):
     exact = series_eval(series_derivative(s), z)
     scale = max(1.0, abs(exact))
     assert abs(fd - exact) < 1e-4 * scale
+
+
+_disk_points = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=16,
+)
+
+
+@given(_coeffs, _disk_points)
+def test_array_eval_matches_scalar_oracle_exactly(coeffs, zs):
+    s = TruncatedTaylorSeries(tuple(coeffs))
+    assert series_eval_array(s, np.array(zs, dtype=complex)).tolist() == [series_eval(s, z) for z in zs]
+
+
+def test_array_eval_matches_scalar_oracle_on_long_series():
+    s = bounded_deriv_component(1.001)  # degree 4096
+    rng = np.random.default_rng(0)
+    zs = 0.999 * np.sqrt(rng.uniform(size=64)) * np.exp(2j * np.pi * rng.uniform(size=64))
+    assert series_eval_array(s, zs).tolist() == [series_eval(s, complex(z)) for z in zs]
+
+
+def test_array_eval_rejects_points_outside_disk():
+    s = TruncatedTaylorSeries((0, 1))
+    with pytest.raises(DomainError):
+        series_eval_array(s, np.array([0.5, 1.5j]))
 
 
 @given(

@@ -1,5 +1,6 @@
 """Oracle checks: they must pass on honest inputs and fail with witnesses."""
 
+import cmath
 import math
 
 import pytest
@@ -81,6 +82,55 @@ def test_univalence_fails_on_injected_collision():
     )
     assert not report.passed
     assert report.measured_margin < 1e-9
+
+
+def _polar_grid(r, grid):
+    return [
+        r * k / grid.radial_count * cmath.exp(1j * (2.0 * math.pi * j / grid.angular_count))
+        for k in range(1, grid.radial_count + 1)
+        for j in range(grid.angular_count)
+    ]
+
+
+def _pair_scan(fn, pts):
+    """Pure-Python O(n^2) scan: first minimum of |fn(z) - fn(w)| / |z - w| over pairs i < j."""
+    vals = [fn(z) for z in pts]
+    best, pair = math.inf, None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dz = abs(pts[i] - pts[j])
+            if dz > 1e-15:
+                ratio = abs(vals[i] - vals[j]) / dz
+                if ratio < best:
+                    best, pair = ratio, (pts[i], pts[j])
+    return best, pair
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # both planted points sit in the last block of rows
+        (-0.6 + 0.1j, -0.65 - 0.1j + 1e-6),
+        # pairs with the grid node -0.5625 (row 228, first block)
+        (-0.6875 + 1e-6,),
+    ],
+)
+def test_univalence_scan_matches_pure_python_pair_loop(extra):
+    # z + 0.8 z^2 identifies z and w exactly when z + w = -1.25
+    fn = PolyAnalyticFn((TruncatedTaylorSeries((0, 1, 0.8)),))
+    grid = GridSpec(radial_count=16, angular_count=24, margin=1e-6)  # 384 nodes: two row blocks
+    report = univalence_grid_check(fn, 0.9, grid, extra_points=extra)
+    best, pair = _pair_scan(fn, _polar_grid(0.9, grid) + list(extra))
+    assert best == pytest.approx(8e-7, rel=1e-6)
+    assert not report.passed
+    assert report.measured_margin == pytest.approx(best, rel=1e-12)
+    assert report.witness == pytest.approx(pair, abs=1e-15)
+
+
+def test_univalence_rejects_collapsed_grid():
+    # every node pair closer than 1e-15: nothing is compared, so nothing may pass
+    with pytest.raises(DomainError, match="collapsed"):
+        univalence_grid_check(lambda z: z, 1e-200, SMALL_GRID)
 
 
 def test_coverage_identity_margin():
