@@ -28,19 +28,12 @@ import math
 import os
 import sys
 from cmath import exp as cexp
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 from .errors import DomainError, PolyLandauError
-from .extremal import (
-    ExtremalSpec,
-    bounded_deriv_component,
-    collision_pair,
-    deriv_extremal_fn,
-    extremal_eval,
-    normalized_extremal_fn,
-    unit_modulus_extremal_fn,
-)
-from .polyfunc import LogPAnalyticFn, PolyAnalyticFn
+from .extremal import ExtremalSpec, collision_pair, extremal_eval, extremal_fn
+from .polyfunc import LogPAnalyticFn
 from .radii import (
     BoundProfile,
     DerivAll,
@@ -52,20 +45,13 @@ from .radii import (
     bianalytic_deriv_baseline,
     classical_landau,
     deriv_radii,
-    log_deriv_radii,
-    log_mixed_radii,
-    log_modulus_radii,
-    log_normalized_radii,
-    mixed_radii,
+    log_bound_from_modulus,
+    log_variant,
     modulus_radii,
-    normalized_radii,
     poly_modulus_baseline,
-    univalence_margin_deriv,
-    univalence_margin_mixed,
-    univalence_margin_modulus,
-    univalence_margin_normalized,
+    radii,
+    univalence_margin,
 )
-from .series import TruncatedTaylorSeries
 from .verify import (
     GridSpec,
     VerificationReport,
@@ -209,47 +195,39 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_CONFIG_INT_KEYS = {"theorem", "order", "digits", "seed", "boundary_samples", "mc_samples"}
-_CONFIG_FLOAT_KEYS = {"radius", "margin", "tol"}
+def _converter(hint):
+    """``int`` or ``float`` for a numeric RunConfig field; other config values stay strings."""
+    for kind in (int, float):
+        if hint is kind or kind in get_args(hint):
+            return kind
+    return None
+
+
+_CONVERTERS = {name: _converter(hint) for name, hint in get_type_hints(RunConfig).items()}
+_DERIVED_FIELDS = ("command", "radial_count", "angular_count")  # set from the subcommand and --grid
 
 
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     file_entries = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
-    values: dict[str, object] = {"command": ns.command}
-    fields = {
-        "theorem", "order", "lambda0", "lambdas", "ms", "mstars", "lambda1", "m",
-        "name", "orders", "radius", "output_format", "digits", "seed", "grid",
-        "margin", "boundary_samples", "mc_samples", "tol",
-    }
-    unknown = set(file_entries) - fields
+    keys = {f.name: f for f in fields(RunConfig) if f.name not in _DERIVED_FIELDS}
+    unknown = set(file_entries) - set(keys) - {"grid"}
     if unknown:
         raise DomainError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    def pick(key: str, default):
+    def pick(key: str, default, convert=None):
         flag = getattr(ns, key, None)
         if flag is not None:
             return flag
         if key in file_entries:
             raw = file_entries[key]
-            if key in _CONFIG_INT_KEYS:
-                return int(raw)
-            if key in _CONFIG_FLOAT_KEYS:
-                return float(raw)
-            return raw
+            return convert(raw) if convert else raw
         return default
 
-    for key, default in (
-        ("theorem", None), ("order", None), ("lambda0", None), ("lambdas", None),
-        ("ms", None), ("mstars", None), ("lambda1", None), ("m", None),
-        ("name", None), ("orders", None), ("radius", 1.0),
-        ("output_format", "text"), ("digits", 12),
-        ("margin", 1e-9), ("boundary_samples", 512), ("mc_samples", 10000),
-        ("tol", 1e-10),
-    ):
-        values[key] = pick(key, default)
-
     env_seed = os.environ.get("LANDAU_SEED")
-    values["seed"] = pick("seed", int(env_seed) if env_seed is not None else 0)
+    defaults = {"seed": int(env_seed) if env_seed is not None else 0}
+    values: dict[str, object] = {"command": ns.command}
+    for key, f in keys.items():
+        values[key] = pick(key, defaults.get(key, f.default), _CONVERTERS[key])
 
     grid = pick("grid", "32x64")
     try:
@@ -310,89 +288,46 @@ def _require_theorem(cfg: RunConfig) -> int:
     return cfg.theorem
 
 
-def _build_profile(cfg: RunConfig) -> tuple[BoundProfile, tuple[float, ...] | None]:
-    """Returns (profile, raw factor bounds m* or None) for the selected theorem."""
+def _build_profile(cfg: RunConfig) -> BoundProfile:
+    """The selected theorem's profile; factor bounds m* (theorems 7 and 8) become log bounds here."""
     t = _require_theorem(cfg)
     _reject_foreign_flags(cfg)
+    base = t - 4 if t > 4 else t
 
-    if t in (1, 5):
+    lam0 = None
+    if base in (1, 4):
         if cfg.lambda0 is None:
             raise DomainError(f"theorem {t} needs --lambda0, the leading derivative bound above 1")
         lam0 = _float(cfg.lambda0, "--lambda0")
+
+    if base in (1, 2):
         listed = _float_list(cfg.lambdas, "--lambdas") if cfg.lambdas is not None else None
         p = _resolve_order(cfg, None if listed is None else len(listed), 1)
-        if p == 1:
-            if listed:
-                raise DomainError(f"theorem {t} with one component takes no --lambdas")
-            return DerivAll(lam0, ()), None
-        if listed is None:
+        if p == 1 and listed:
+            raise DomainError(f"theorem {t} with one component takes no --lambdas")
+        if p > 1 and listed is None:
             raise DomainError(f"theorem {t} with {p} components needs --lambdas ({p - 1} values)")
-        return DerivAll(lam0, _broadcast(listed, p - 1, "--lambdas")), None
+        lambdas = _broadcast(listed, p - 1, "--lambdas") if p > 1 else ()
+        return DerivAll(lam0, lambdas) if base == 1 else DerivNormalized(lambdas)
 
-    if t in (2, 6):
-        listed = _float_list(cfg.lambdas, "--lambdas") if cfg.lambdas is not None else None
-        p = _resolve_order(cfg, None if listed is None else len(listed), 1)
-        if p == 1:
-            if listed:
-                raise DomainError(f"theorem {t} with one component takes no --lambdas")
-            return DerivNormalized(()), None
-        if listed is None:
-            raise DomainError(f"theorem {t} with {p} components needs --lambdas ({p - 1} values)")
-        return DerivNormalized(_broadcast(listed, p - 1, "--lambdas")), None
-
-    if t == 3:
-        if cfg.ms is None:
-            raise DomainError("theorem 3 needs --ms, the component modulus bounds")
-        listed = _float_list(cfg.ms, "--ms")
-        p = _resolve_order(cfg, len(listed), 0)
-        return ModulusAll(_broadcast(listed, p, "--ms")), None
-
-    if t == 7:
-        if cfg.mstars is None:
-            raise DomainError("theorem 7 needs --mstars, the factor modulus bounds above 1")
-        listed = _float_list(cfg.mstars, "--mstars")
-        p = _resolve_order(cfg, len(listed), 0)
-        mstars = _broadcast(listed, p, "--mstars")
-        from .radii import log_bound_from_modulus
-
-        return ModulusAll(tuple(log_bound_from_modulus(v) for v in mstars)), mstars
-
-    # theorems 4 and 8: a leading derivative bound plus modulus bounds above
-    if cfg.lambda0 is None:
-        raise DomainError(f"theorem {t} needs --lambda0, the leading derivative bound above 1")
-    lam = _float(cfg.lambda0, "--lambda0")
-    flag = "--ms" if t == 4 else "--mstars"
-    raw = cfg.ms if t == 4 else cfg.mstars
+    flag, raw = ("--ms", cfg.ms) if t < 5 else ("--mstars", cfg.mstars)
     if raw is None:
-        raise DomainError(f"theorem {t} needs {flag}, the bounds on components 1..p-1")
+        what = {3: "the component modulus bounds", 7: "the factor modulus bounds above 1"}
+        raise DomainError(f"theorem {t} needs {flag}, {what.get(t, 'the bounds on components 1..p-1')}")
     listed = _float_list(raw, flag)
-    p = _resolve_order(cfg, len(listed), 1)
-    if p < 2:
+    offset = 0 if base == 3 else 1
+    p = _resolve_order(cfg, len(listed), offset)
+    if p < 2 and base == 4:
         raise DomainError(f"theorem {t} needs at least two components, got order {p}")
-    values = _broadcast(listed, p - 1, flag)
-    if t == 4:
-        return MixedDerivModulus(lam, values), None
-    from .radii import log_bound_from_modulus
-
-    return MixedDerivModulus(lam, tuple(log_bound_from_modulus(v) for v in values)), values
+    values = _broadcast(listed, p - offset, flag)
+    if t > 4:
+        values = tuple(log_bound_from_modulus(v) for v in values)
+    return ModulusAll(values) if base == 3 else MixedDerivModulus(lam0, values)
 
 
-def _compute_radii(theorem: int, profile: BoundProfile, mstars: tuple[float, ...] | None) -> RadiiResult:
-    if theorem == 1:
-        return deriv_radii(profile)
-    if theorem == 2:
-        return normalized_radii(profile)
-    if theorem == 3:
-        return modulus_radii(profile)
-    if theorem == 4:
-        return mixed_radii(profile)
-    if theorem == 5:
-        return log_deriv_radii(profile)
-    if theorem == 6:
-        return log_normalized_radii(profile)
-    if theorem == 7:
-        return log_modulus_radii(mstars)
-    return log_mixed_radii(profile.lam, mstars)
+def _compute_radii(theorem: int, profile: BoundProfile) -> RadiiResult:
+    res = radii(profile)
+    return log_variant(res) if theorem >= 5 else res
 
 
 def _q(x: float, digits: int) -> float:
@@ -448,8 +383,8 @@ def _result_doc(res: RadiiResult, digits: int) -> dict:
 
 
 def cmd_radii(cfg: RunConfig) -> int:
-    profile, mstars = _build_profile(cfg)
-    res = _compute_radii(cfg.theorem, profile, mstars)
+    profile = _build_profile(cfg)
+    res = _compute_radii(cfg.theorem, profile)
     if cfg.output_format == "json":
         _emit_json(_result_doc(res, cfg.digits), cfg.digits)
     elif cfg.output_format == "csv":
@@ -541,43 +476,25 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK if all_positive else EXIT_CHECK_FAILED
 
 
-def _witness_fn(theorem: int, profile: BoundProfile) -> PolyAnalyticFn:
-    if isinstance(profile, DerivAll):
-        return deriv_extremal_fn(profile)
-    if isinstance(profile, DerivNormalized):
-        return normalized_extremal_fn(profile)
-    if isinstance(profile, ModulusAll):
-        return unit_modulus_extremal_fn(profile.order)
-    comps = [bounded_deriv_component(profile.lam)]
-    comps.extend(TruncatedTaylorSeries((0j, 1 + 0j)) for _ in profile.ms)
-    return PolyAnalyticFn.normalized(comps)
-
-
 def _margin_fn(profile: BoundProfile):
-    """Margin function, sampling interval, and whether the margin is constant."""
-    if isinstance(profile, DerivAll):
-        return (lambda r: univalence_margin_deriv(r, profile)), 0.0, 1.0 / profile.lambda0, False
-    if isinstance(profile, DerivNormalized):
-        constant = all(v == 0.0 for v in profile.lambdas)
-        return (lambda r: univalence_margin_normalized(r, profile)), 0.0, 1.0, constant
-    if isinstance(profile, ModulusAll):
-        constant = profile.order == 1 and profile.ms[0] == 1.0
-        return (lambda r: univalence_margin_modulus(r, profile)), 0.0, 1.0 - 1e-6, constant
-    return (lambda r: univalence_margin_mixed(r, profile)), 0.0, min(1.0 / profile.lam, 1.0 - 1e-6), False
+    """Margin function, right end of its sampling interval, and whether the margin is constant."""
+    t = profile.terms
+    constant = t.lead is None and not (t.deriv or t.excess or t.identity)
+    return (lambda r: univalence_margin(r, profile)), t.upper(1.0 - 1e-6), constant
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    profile, mstars = _build_profile(cfg)
-    res = _compute_radii(cfg.theorem, profile, mstars)
+    profile = _build_profile(cfg)
+    res = _compute_radii(cfg.theorem, profile)
     grid = GridSpec(cfg.radial_count, cfg.angular_count, cfg.margin)
-    witness = _witness_fn(cfg.theorem, profile)
+    witness = extremal_fn(profile)
     is_log = cfg.theorem >= 5
 
     reports: list[VerificationReport] = [hypothesis_audit(witness, profile, grid)]
 
-    margin_fn, lo, hi, constant = _margin_fn(profile)
+    margin_fn, hi, constant = _margin_fn(profile)
     if not constant:
-        reports.append(monotonicity_check(margin_fn, lo, hi, samples=1000))
+        reports.append(monotonicity_check(margin_fn, 0.0, hi, samples=1000))
 
     target = witness if not is_log else LogPAnalyticFn(witness)
     reports.append(univalence_grid_check(target, 0.99 * res.rho, grid))
@@ -626,7 +543,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sharpness(cfg: RunConfig) -> int:
     if cfg.theorem not in (1, 5):
         raise DomainError("sharpness demonstration applies to theorems 1 and 5 only")
-    profile, _ = _build_profile(cfg)
+    profile = _build_profile(cfg)
     res = deriv_radii(profile)
     x1, x2 = collision_pair(profile, cfg.radius)
     spec = ExtremalSpec("deriv", profile=profile)
@@ -691,8 +608,7 @@ def cmd_table(cfg: RunConfig) -> int:
     rows: list[list[object]] = []
     for value in values:
         point = replace(cfg, **{flag: repr(value)})
-        profile, mstars = _build_profile(point)
-        res = _compute_radii(cfg.theorem, profile, mstars)
+        res = _compute_radii(cfg.theorem, _build_profile(point))
         row: list[object] = [value, res.rho, res.sigma]
         if is_log:
             row.extend([res.w, res.r])

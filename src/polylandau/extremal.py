@@ -10,12 +10,18 @@ x1 slightly beyond rho shares its value with a mirror point x2 < rho.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import BracketError, DomainError
 from .polyfunc import PolyAnalyticFn
-from .radii import DerivAll, DerivNormalized, _bisect_decreasing, deriv_radii
+from .radii import (
+    BoundProfile,
+    DerivAll,
+    DerivNormalized,
+    ModulusAll,
+    _bisect_decreasing,
+    deriv_radii,
+)
 from .series import DEFAULT_DEGREE, TruncatedTaylorSeries, _require_in_disk, principal_log
 
 FAMILIES = ("deriv", "normalized", "unit_modulus", "classical", "coeff")
@@ -59,33 +65,17 @@ class ExtremalSpec:
             raise DomainError("the coeff family needs a power n >= 2")
 
 
-def _deriv_value(b: DerivAll, z: complex) -> complex:
-    lam0 = b.lambda0
-    acc = lam0 * lam0 * z + (lam0**3 - lam0) * principal_log(1.0 - z / lam0)
+def _profile_value(b: BoundProfile, z: complex) -> complex:
+    """The extremal of ``extremal_fn(b)`` in closed form, the leading log kept exact."""
+    lam0 = b.terms.lead
+    acc = complex(z) if lam0 is None else lam0 * lam0 * z + (lam0**3 - lam0) * principal_log(1.0 - z / lam0)
     zbar = z.conjugate()
     power = zbar
-    for lam in b.lambdas:
-        acc -= lam * power * z
-        power *= zbar
-    return acc
-
-
-def _normalized_value(b: DerivNormalized, z: complex) -> complex:
-    acc = complex(z)
-    zbar = z.conjugate()
-    power = zbar
-    for lam in b.lambdas:
-        acc -= lam * power * z
-        power *= zbar
-    return acc
-
-
-def _unit_modulus_value(p: int, z: complex) -> complex:
-    acc = complex(z)
-    zbar = z.conjugate()
-    power = zbar
-    for _ in range(1, p):
-        acc += power * z
+    for kind, bound in b.terms.components[1:]:
+        if kind == "modulus":
+            acc += power * z
+        else:
+            acc -= bound * power * z
         power *= zbar
     return acc
 
@@ -98,12 +88,10 @@ def _bounded_ratio_value(m: float, n: int, z: complex) -> complex:
 def extremal_eval(spec: ExtremalSpec, z: complex) -> complex:
     """Closed-form value of the selected extremal at z, |z| <= 1."""
     z = _require_in_disk(z)
-    if spec.family == "deriv":
-        return _deriv_value(spec.profile, z)
-    if spec.family == "normalized":
-        return _normalized_value(spec.profile, z)
+    if spec.family in ("deriv", "normalized"):
+        return _profile_value(spec.profile, z)
     if spec.family == "unit_modulus":
-        return _unit_modulus_value(spec.order, z)
+        return _profile_value(ModulusAll((1.0,) * spec.order), z)
     if spec.family == "classical":
         return _bounded_ratio_value(spec.bound, 2, z)
     return _bounded_ratio_value(spec.bound, spec.power, z)
@@ -139,26 +127,32 @@ def bounded_deriv_component(lam0: float, tol: float = 1e-13) -> TruncatedTaylorS
     return TruncatedTaylorSeries(tuple(coeffs))
 
 
-def deriv_extremal_fn(b: DerivAll, tol: float = 1e-13) -> PolyAnalyticFn:
-    """Series materialization of the deriv-family extremal."""
-    comps = [bounded_deriv_component(b.lambda0, tol=tol)]
-    comps.extend(TruncatedTaylorSeries((0j, complex(-lam))) for lam in b.lambdas)
+def extremal_fn(b: BoundProfile, tol: float = 1e-13) -> PolyAnalyticFn:
+    """Series witness of any profile, one component per term.
+
+    A derivative lead gives ``bounded_deriv_component``, a derivative
+    bound L_k above it the extremal -L_k z, and the identity and every
+    modulus term the identity series (the M = 1 map).
+    """
+    comps = []
+    for k, (kind, bound) in enumerate(b.terms.components):
+        if kind != "deriv":
+            comps.append(TruncatedTaylorSeries((0j, 1 + 0j)))
+        elif k == 0:
+            comps.append(bounded_deriv_component(bound, tol=tol))
+        else:
+            comps.append(TruncatedTaylorSeries((0j, complex(-bound))))
     return PolyAnalyticFn.normalized(comps)
 
 
-def normalized_extremal_fn(b: DerivNormalized) -> PolyAnalyticFn:
-    """Series materialization of the Schwarz-case extremal z - sum L_k conj(z)^k z."""
-    comps = [TruncatedTaylorSeries((0j, 1 + 0j))]
-    comps.extend(TruncatedTaylorSeries((0j, complex(-lam))) for lam in b.lambdas)
-    return PolyAnalyticFn.normalized(comps)
+deriv_extremal_fn = normalized_extremal_fn = extremal_fn
 
 
 def unit_modulus_extremal_fn(p: int) -> PolyAnalyticFn:
     """Series materialization of z + |z|^2 (1 + conj(z) + ... + conj(z)^(p-2))."""
     if p < 1:
         raise DomainError(f"order must be a positive integer, got {p}")
-    comps = [TruncatedTaylorSeries((0j, 1 + 0j)) for _ in range(p)]
-    return PolyAnalyticFn.normalized(comps)
+    return extremal_fn(ModulusAll((1.0,) * p))
 
 
 def coeff_extremal_series(m: float, n: int, degree: int = DEFAULT_DEGREE) -> TruncatedTaylorSeries:
@@ -200,7 +194,7 @@ def real_profile(x: float, b: DerivAll) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"profile argument must lie in [0, 1], got {x:g}")
-    return _deriv_value(b, complex(x)).real
+    return _profile_value(b, complex(x)).real
 
 
 def real_profile_derivative(x: float, b: DerivAll) -> float:

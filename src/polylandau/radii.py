@@ -16,14 +16,32 @@ Profile families
     |A_0'| < L with L > 1 on the leading component, modulus bounds
     M_k >= 1 on components 1..p-1, all components normalized.
 
-For each family a strictly decreasing univalence margin m(r) certifies
-injectivity of every admissible function on the disk of radius r while
-m(r) > 0, so the univalence radius rho is the unique zero of the margin.
-The covered-disk radius sigma comes from the matching boundary
-minimum-modulus bound.  The log-analytic-product variants (theorem ids
-5 through 8) keep the same rho and upgrade the covered disk to center
-cosh(sigma) and radius sinh(sigma); factor modulus bounds m* enter
-through M = log(m*) + pi.
+Term model
+----------
+Every profile is a leading term plus one term per higher component k
+(``Terms``).  The leading term is a derivative bound L > 1, the identity,
+or a modulus bound M >= 1; each higher component has a derivative bound
+L_k >= 0 or a modulus bound M_k >= 1.  With g = M - 1/M, a modulus term is
+the identity term plus an excess term, so that
+
+    m(r) = lead_m(r) - sum (k+1) L_k r^k
+                     - sum g_k r^(k+1) (2 - r + k(1-r)) / (1-r)^2
+                     - sum (k+1) r^k
+    s(r) = lead_s(r) - sum L_k r^(k+1) - sum r^(k+1) - sum g_k r^(k+2) / (1-r)
+
+summed in that order, where the first sums run over derivative terms,
+the excess sums over modulus terms (k = 0 for a modulus lead) and the
+(k+1) r^k and r^(k+1) sums over higher modulus components.  A derivative
+lead has lead_m = L (1 - L r)/(L - r) and lead_s = L^2 r + (L^3 - L)
+log(1 - r/L); the identity and a modulus lead have lead_m = 1, lead_s = r.
+
+The strictly decreasing margin m certifies injectivity of every
+admissible function on the disk of radius r while m(r) > 0, so the
+univalence radius rho is its unique zero; sigma = s(rho) is the matching
+boundary minimum-modulus bound.  The log-analytic-product variants
+(theorem ids 5 through 8) keep the same rho and upgrade the covered disk
+to center cosh(sigma) and radius sinh(sigma); factor modulus bounds m*
+enter through M = log(m*) + pi.
 
 Numerics
 --------
@@ -33,20 +51,22 @@ iterations.  Radius computations bisect until the float spacing is
 exhausted so that the reported residual |m(rho)| stays far below the
 1e-12 result contract even for steep margins; ``find_root_monotone``
 keeps the documented 1e-13 interval tolerance as its public default.
-The logarithm in sigma is evaluated log1p-style to avoid cancellation
-for small rho / L0.
+The two terms of lead_s cancel to about r/2 while each has size L^2 r, so
+for small r/L they are summed analytically (``_lead_sigma``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .errors import BracketError, DegenerateResultError, DomainError
 
 _MAX_ITER = 200
 _ROOT_TOL = 0.0  # internal: bisect until the bracket cannot shrink
 _CLAMP = 1.0 - 1e-9  # upper bracket for margins with a pole at r = 1
+_SERIES_X = 2.0**-8  # r/L below which lead_s is summed as a series
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -65,6 +85,13 @@ def _require_cube_finite(lam: float, what: str) -> float:
     return lam
 
 
+def _lead_bound(value: float, what: str) -> float:
+    lam = _require_finite(value, what)
+    if not lam > 1.0:
+        raise DomainError(f"{what} must exceed 1 (strict derivative bound), got {lam:g}")
+    return _require_cube_finite(lam, what)
+
+
 def _bound_tuple(values, what: str, minimum: float) -> tuple[float, ...]:
     out = tuple(_require_finite(v, what) for v in values)
     if any(v < minimum for v in out):
@@ -73,42 +100,97 @@ def _bound_tuple(values, what: str, minimum: float) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class DerivAll:
+class Terms:
+    """A profile as one (kind, bound) term per component, with its weights.
+
+    ``components[0]`` is the leading term: ("deriv", L), ("identity", 1.0)
+    or ("modulus", M); each higher component is ("deriv", L_k) or
+    ("modulus", M_k).  The other fields are the weights of the margin and
+    sigma sums (module docstring), computed once; zero weights are left out.
+    """
+
+    components: tuple[tuple[str, float], ...]
+    lead: float | None  # L of a derivative lead, None for the identity or a modulus lead
+    deriv: tuple[tuple[int, float, float], ...]  # (k, (k+1) L_k, L_k) for L_k > 0
+    excess: tuple[tuple[int, float], ...]  # (k, M_k - 1/M_k) for M_k > 1
+    identity: tuple[tuple[int, float], ...]  # (k, k+1) for modulus components k >= 1
+    modulus: bool  # a modulus term puts a (1 - r)^2 pole at r = 1
+
+    @classmethod
+    def of(cls, components) -> Terms:
+        deriv, excess, identity = [], [], []
+        for k, (kind, bound) in enumerate(components):
+            if kind == "modulus":
+                if k:
+                    identity.append((k, k + 1.0))
+                if bound > 1.0:
+                    excess.append((k, bound - 1.0 / bound))
+            elif kind == "deriv" and k and bound > 0.0:
+                weight = (k + 1) * bound
+                if not math.isfinite(weight):
+                    raise DomainError(f"lambda_{k} = {bound:g} is too large: {k + 1} * lambda_{k} overflows a float")
+                deriv.append((k, weight, bound))
+        lead_kind, lead_bound = components[0]
+        return cls(
+            tuple(components),
+            lead_bound if lead_kind == "deriv" else None,
+            tuple(deriv),
+            tuple(excess),
+            tuple(identity),
+            any(kind == "modulus" for kind, _ in components),
+        )
+
+    def upper(self, clamp: float) -> float:
+        """1/L for a derivative lead, else 1; min(., clamp) below the pole of a modulus term."""
+        hi = 1.0 if self.lead is None else 1.0 / self.lead
+        return min(hi, clamp) if self.modulus else hi
+
+
+class _Profile:
+    """What the four profile classes share: their ``Terms`` and the theorem they state."""
+
+    theorem: ClassVar[int]
+    terms: Terms
+
+    def _set_terms(self, lead: tuple[str, float], kind: str, bounds) -> None:
+        object.__setattr__(self, "terms", Terms.of((lead, *((kind, v) for v in bounds))))
+
+    @property
+    def order(self) -> int:
+        return len(self.terms.components)
+
+
+@dataclass(frozen=True)
+class DerivAll(_Profile):
     """Derivative bounds L0 > 1 on A_0 and L_k >= 0 on components 1..p-1."""
 
+    theorem: ClassVar[int] = 1
     lambda0: float
     lambdas: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        lam0 = _require_finite(self.lambda0, "lambda0")
-        if not lam0 > 1.0:
-            raise DomainError(f"lambda0 must exceed 1 (strict derivative bound), got {lam0:g}")
-        object.__setattr__(self, "lambda0", _require_cube_finite(lam0, "lambda0"))
+        object.__setattr__(self, "lambda0", _lead_bound(self.lambda0, "lambda0"))
         object.__setattr__(self, "lambdas", _bound_tuple(self.lambdas, "lambda_k", 0.0))
-
-    @property
-    def order(self) -> int:
-        return 1 + len(self.lambdas)
+        self._set_terms(("deriv", self.lambda0), "deriv", self.lambdas)
 
 
 @dataclass(frozen=True)
-class DerivNormalized:
+class DerivNormalized(_Profile):
     """Schwarz-case profile: A_0 = z, derivative bounds L_k >= 0 above it."""
 
+    theorem: ClassVar[int] = 2
     lambdas: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", _bound_tuple(self.lambdas, "lambda_k", 0.0))
-
-    @property
-    def order(self) -> int:
-        return 1 + len(self.lambdas)
+        self._set_terms(("identity", 1.0), "deriv", self.lambdas)
 
 
 @dataclass(frozen=True)
-class ModulusAll:
+class ModulusAll(_Profile):
     """Modulus bounds M_k >= 1 on all p normalized components."""
 
+    theorem: ClassVar[int] = 3
     ms: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -116,29 +198,21 @@ class ModulusAll:
         if not ms:
             raise DomainError("at least one modulus bound is required")
         object.__setattr__(self, "ms", ms)
-
-    @property
-    def order(self) -> int:
-        return len(self.ms)
+        self._set_terms(("modulus", ms[0]), "modulus", ms[1:])
 
 
 @dataclass(frozen=True)
-class MixedDerivModulus:
+class MixedDerivModulus(_Profile):
     """Derivative bound L > 1 on A_0, modulus bounds M_k >= 1 on components 1..p-1."""
 
+    theorem: ClassVar[int] = 4
     lam: float
     ms: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        lam = _require_finite(self.lam, "lambda")
-        if not lam > 1.0:
-            raise DomainError(f"lambda must exceed 1 (strict derivative bound), got {lam:g}")
-        object.__setattr__(self, "lam", _require_cube_finite(lam, "lambda"))
+        object.__setattr__(self, "lam", _lead_bound(self.lam, "lambda"))
         object.__setattr__(self, "ms", _bound_tuple(self.ms, "modulus bound M_k", 1.0))
-
-    @property
-    def order(self) -> int:
-        return 1 + len(self.ms)
+        self._set_terms(("deriv", self.lam), "modulus", self.ms)
 
 
 BoundProfile = DerivAll | DerivNormalized | ModulusAll | MixedDerivModulus
@@ -162,53 +236,29 @@ class RadiiResult:
     flags: tuple[str, ...] = ()
 
 
-def univalence_margin_deriv(r: float, b: DerivAll) -> float:
-    """Margin for the DerivAll family; positive on [0, rho), zero at rho."""
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"margin argument must lie in [0, 1], got {r:g}")
-    lam0 = b.lambda0
-    total = lam0 * (1.0 - lam0 * r) / (lam0 - r)
-    for k, lam in enumerate(b.lambdas, start=1):
-        total -= (k + 1) * lam * r**k
+def univalence_margin(r: float, b: BoundProfile) -> float:
+    """Margin of any profile; positive on [0, rho), zero at rho.
+
+    A modulus term's (1-r)^2 pole keeps r < 1.
+    """
+    t = b.terms
+    if not (0.0 <= r < 1.0 if t.modulus else 0.0 <= r <= 1.0):
+        raise DomainError(f"margin argument must lie in [0, 1{')' if t.modulus else ']'}, got {r:g}")
+    lam = t.lead
+    total = 1.0 if lam is None else lam * (1.0 - lam * r) / (lam - r)
+    for k, weight, _ in t.deriv:
+        total -= weight * r**k
+    if t.excess:
+        denom = (1.0 - r) ** 2
+        for k, gap in t.excess:
+            total -= gap * r ** (k + 1) * (2.0 - r + k * (1.0 - r)) / denom
+    for k, weight in t.identity:
+        total -= weight * r**k
     return total
 
 
-def univalence_margin_normalized(r: float, b: DerivNormalized) -> float:
-    """Margin for the Schwarz-case family: 1 - sum (k+1) L_k r^k."""
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"margin argument must lie in [0, 1], got {r:g}")
-    total = 1.0
-    for k, lam in enumerate(b.lambdas, start=1):
-        total -= (k + 1) * lam * r**k
-    return total
-
-
-def univalence_margin_modulus(r: float, b: ModulusAll) -> float:
-    """Margin for the ModulusAll family; the (1-r)^2 pole keeps r < 1."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"margin argument must lie in [0, 1), got {r:g}")
-    denom = (1.0 - r) ** 2
-    total = 1.0
-    for k, m in enumerate(b.ms):
-        gap = m - 1.0 / m
-        total -= gap * r ** (k + 1) * (2.0 - r + k * (1.0 - r)) / denom
-    for k in range(1, b.order):
-        total -= (k + 1) * r**k
-    return total
-
-
-def univalence_margin_mixed(r: float, b: MixedDerivModulus) -> float:
-    """Margin for the mixed family; modulus terms cover components 1..p-1 only."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"margin argument must lie in [0, 1), got {r:g}")
-    lam = b.lam
-    denom = (1.0 - r) ** 2
-    total = lam * (1.0 - lam * r) / (lam - r)
-    for k, m in enumerate(b.ms, start=1):
-        gap = m - 1.0 / m
-        total -= gap * r ** (k + 1) * (2.0 - r + k * (1.0 - r)) / denom
-        total -= (k + 1) * r**k
-    return total
+univalence_margin_deriv = univalence_margin_normalized = univalence_margin
+univalence_margin_modulus = univalence_margin_mixed = univalence_margin
 
 
 def _bisect_decreasing(g, lo: float, hi: float, tol: float, max_iter: int = _MAX_ITER):
@@ -247,99 +297,69 @@ def find_root_monotone(g, lo: float, hi: float, tol: float = 1e-13) -> float:
     return root
 
 
-def _sigma_deriv(rho: float, lam0: float, lambdas) -> float:
-    total = lam0 * lam0 * rho + (lam0**3 - lam0) * math.log1p(-rho / lam0)
-    for k, lam in enumerate(lambdas, start=1):
-        total -= lam * rho ** (k + 1)
+def _lead_sigma(r: float, lam: float) -> float:
+    """L^2 r + (L^3 - L) log(1 - r/L), the derivative lead's share of sigma."""
+    x = r / lam
+    if x >= _SERIES_X:
+        return lam * lam * r + (lam**3 - lam) * math.log1p(-x)
+    # log(1 - x) = -x - sum_{n>=2} x^n/n turns the sum into r - (L - 1/L) r^2 sum_{n>=2} x^(n-2)/n,
+    # whose terms no longer cancel; n <= 10 truncates below 2^-70 relative for x < 2^-8, and
+    # (L - 1)(L + 1)/L keeps L - 1/L accurate as L approaches 1
+    tail = 0.0
+    for n in range(10, 1, -1):
+        tail = tail * x + 1.0 / n
+    return r - (lam - 1.0) * (lam + 1.0) / lam * r * r * tail
+
+
+def _sigma(r: float, t: Terms) -> float:
+    total = r if t.lead is None else _lead_sigma(r, t.lead)
+    for k, _, lam in t.deriv:
+        total -= lam * r ** (k + 1)
+    for k, _ in t.identity:
+        total -= r ** (k + 1)
+    for k, gap in t.excess:
+        total -= gap * r ** (k + 2) / (1.0 - r)
     return total
 
 
-def deriv_radii(b: DerivAll) -> RadiiResult:
-    """Radii for the DerivAll family (theorem 1); rho lies in (0, 1/L0]."""
+def radii(b: BoundProfile) -> RadiiResult:
+    """Radii of any profile (theorems 1-4): rho is the zero of its margin, sigma = s(rho).
+
+    The bracket is (0, 1/L] for a derivative lead and (0, 1] otherwise,
+    clamped below the pole when a modulus term is present.  Closed forms
+    skip the bisection: rho = 1 when the margin is 1 minus polynomial
+    weights summing to at most 1 (the identity map, light Schwarz-case
+    bounds), the exact root of a linear Schwarz-case margin, and rho = 1/L
+    when roundoff leaves the margin a few ulp positive there.
+    """
+    t = b.terms
 
     def margin(r: float) -> float:
-        return univalence_margin_deriv(r, b)
+        return univalence_margin(r, b)
 
-    hi = 1.0 / b.lambda0
-    if margin(hi) > 0.0:
-        # exactly zero there in exact arithmetic when no higher bound bites;
-        # roundoff can leave it a few ulp positive, making hi itself the root
-        rho, iterations = hi, 0
-    else:
-        rho, iterations = _bisect_decreasing(margin, 0.0, hi, _ROOT_TOL)
-    sigma = _sigma_deriv(rho, b.lambda0, b.lambdas)
-    return RadiiResult(1, rho, sigma, abs(margin(rho)), iterations)
-
-
-def normalized_radii(b: DerivNormalized) -> RadiiResult:
-    """Radii for the Schwarz-case family (theorem 2); rho = 1 when the weights are light."""
-    weight = sum((k + 1) * lam for k, lam in enumerate(b.lambdas, start=1))
-    if weight <= 1.0:
+    plain = t.lead is None and not t.excess
+    if plain and sum(w for _, w, _ in t.deriv) + sum(w for _, w in t.identity) <= 1.0:
         rho, iterations, residual = 1.0, 0, 0.0
-    elif b.order == 2:
-        # linear margin, so take the exact root instead of bisecting
-        rho, iterations = 1.0 / (2.0 * b.lambdas[0]), 0
-        residual = abs(univalence_margin_normalized(rho, b))
     else:
-
-        def margin(r: float) -> float:
-            return univalence_margin_normalized(r, b)
-
-        rho, iterations = _bisect_decreasing(margin, 0.0, 1.0, _ROOT_TOL)
+        if plain and not t.modulus and len(t.components) == 2:
+            rho, iterations = 1.0 / t.deriv[0][1], 0  # linear margin, so take the exact root
+        else:
+            hi = t.upper(_CLAMP)
+            if t.modulus and t.lead is not None and margin(hi) > 0.0:
+                hi = 1.0 / t.lead  # the derivative factor vanishes here, forcing the margin nonpositive
+            if t.lead is not None and margin(hi) > 0.0:
+                # exactly zero there in exact arithmetic when no higher bound bites;
+                # roundoff can leave it a few ulp positive, making hi itself the root
+                rho, iterations = hi, 0
+            else:
+                rho, iterations = _bisect_decreasing(margin, 0.0, hi, _ROOT_TOL)
         residual = abs(margin(rho))
-    sigma = rho - sum(lam * rho ** (k + 1) for k, lam in enumerate(b.lambdas, start=1))
-    return RadiiResult(2, rho, sigma, residual, iterations)
-
-
-def _sigma_modulus(rho: float, ms) -> float:
-    total = rho
-    for k in range(1, len(ms)):
-        total -= rho ** (k + 1)
-    for k, m in enumerate(ms):
-        total -= (m - 1.0 / m) * rho ** (k + 2) / (1.0 - rho)
-    return total
-
-
-def modulus_radii(b: ModulusAll) -> RadiiResult:
-    """Radii for the ModulusAll family (theorem 3); sigma <= 0 is flagged, not hidden."""
-    if b.order == 1 and b.ms[0] == 1.0:
-        # the identity map: univalent on the whole disk and onto it
-        return RadiiResult(3, 1.0, 1.0, 0.0, 0)
-
-    def margin(r: float) -> float:
-        return univalence_margin_modulus(r, b)
-
-    rho, iterations = _bisect_decreasing(margin, 0.0, _CLAMP, _ROOT_TOL)
-    sigma = _sigma_modulus(rho, b.ms)
+    sigma = _sigma(rho, t)
     flags = () if sigma > 0.0 else ("degenerate-sigma",)
-    return RadiiResult(3, rho, sigma, abs(margin(rho)), iterations, flags=flags)
+    return RadiiResult(b.theorem, rho, sigma, residual, iterations, flags=flags)
 
 
-def _sigma_mixed(rho: float, lam: float, ms) -> float:
-    total = lam * lam * rho + (lam**3 - lam) * math.log1p(-rho / lam)
-    for k in range(1, len(ms) + 1):
-        total -= rho ** (k + 1)
-    for k, m in enumerate(ms, start=1):
-        total -= (m - 1.0 / m) * rho ** (k + 2) / (1.0 - rho)
-    return total
-
-
-def mixed_radii(b: MixedDerivModulus) -> RadiiResult:
-    """Radii for the mixed family (theorem 4); rho lies in (0, min(1/L, 1))."""
-
-    def margin(r: float) -> float:
-        return univalence_margin_mixed(r, b)
-
-    hi = min(1.0 / b.lam, _CLAMP)
-    if margin(hi) > 0.0:
-        hi = 1.0 / b.lam  # the derivative factor vanishes here, forcing the margin nonpositive
-    if margin(hi) > 0.0:
-        rho, iterations = hi, 0  # empty modulus list plus roundoff, as in the pure case
-    else:
-        rho, iterations = _bisect_decreasing(margin, 0.0, hi, _ROOT_TOL)
-    sigma = _sigma_mixed(rho, b.lam, b.ms)
-    flags = () if sigma > 0.0 else ("degenerate-sigma",)
-    return RadiiResult(4, rho, sigma, abs(margin(rho)), iterations, flags=flags)
+deriv_radii = normalized_radii = modulus_radii = mixed_radii = radii
 
 
 _LOG_IDS = {1: 5, 2: 6, 3: 7, 4: 8}
@@ -378,26 +398,22 @@ def log_bound_from_modulus(m_star: float) -> float:
     return math.log(m_star) + math.pi
 
 
-def log_deriv_radii(b: DerivAll) -> RadiiResult:
-    """Theorem 5: DerivAll bounds on the log part of a product function."""
-    return log_variant(deriv_radii(b))
+def log_deriv_radii(b: DerivAll | DerivNormalized) -> RadiiResult:
+    """Theorems 5 and 6: derivative bounds on the log part of a product function."""
+    return log_variant(radii(b))
 
 
-def log_normalized_radii(b: DerivNormalized) -> RadiiResult:
-    """Theorem 6: Schwarz-case bounds on the log part."""
-    return log_variant(normalized_radii(b))
+log_normalized_radii = log_deriv_radii
 
 
 def log_modulus_radii(m_stars) -> RadiiResult:
     """Theorem 7: factor modulus bounds m*_k mapped to ModulusAll log bounds."""
-    profile = ModulusAll(tuple(log_bound_from_modulus(m) for m in m_stars))
-    return log_variant(modulus_radii(profile))
+    return log_variant(radii(ModulusAll(tuple(log_bound_from_modulus(m) for m in m_stars))))
 
 
 def log_mixed_radii(lam: float, m_stars) -> RadiiResult:
     """Theorem 8: derivative bound on the leading log component, factor bounds above."""
-    profile = MixedDerivModulus(lam, tuple(log_bound_from_modulus(m) for m in m_stars))
-    return log_variant(mixed_radii(profile))
+    return log_variant(radii(MixedDerivModulus(lam, tuple(log_bound_from_modulus(m) for m in m_stars))))
 
 
 def classical_landau(m: float) -> tuple[float, float]:

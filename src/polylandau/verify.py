@@ -12,14 +12,14 @@ always carries a concrete witness point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, logp_eval_array, poly_eval_array
-from .radii import BoundProfile, DerivAll, DerivNormalized, MixedDerivModulus, ModulusAll
+from .radii import BoundProfile
 from .series import TruncatedTaylorSeries, series_derivative, series_eval_array
 
 _PAIR_BLOCK = 256
@@ -336,65 +336,37 @@ def _max_modulus(comp: TruncatedTaylorSeries, grid: GridSpec) -> float:
     return float(np.max(np.abs(series_eval_array(comp, _disk_grid(1.0 - 1e-3, grid)))))
 
 
-def _component_checks(b: BoundProfile, fn: PolyAnalyticFn, grid: GridSpec) -> list[str]:
-    problems: list[str] = []
-    if isinstance(b, DerivAll):
-        for k, (comp, bound) in enumerate(zip(fn.components, (b.lambda0, *b.lambdas))):
-            if bound == 0.0:
-                worst = _max_modulus(comp, grid)
-                if worst > grid.margin:
-                    problems.append(f"component {k} should vanish, max modulus {worst:.3g}")
-                continue
-            report = deriv_bound_check(comp, bound, grid)
-            if not report.passed:
-                problems.append(f"component {k} derivative exceeds {bound:g} by {-report.measured_margin:.3g}")
-    elif isinstance(b, DerivNormalized):
-        lead = fn.components[0].coeffs
-        expected = (0j, 1 + 0j)
-        if lead[: len(expected)] != expected or any(c != 0j for c in lead[2:]):
-            problems.append("leading component is not the identity series")
-        for k, (comp, bound) in enumerate(zip(fn.components[1:], b.lambdas), start=1):
-            report = deriv_bound_check(comp, bound, grid) if bound > 0.0 else None
-            if report is not None and not report.passed:
-                problems.append(f"component {k} derivative exceeds {bound:g} by {-report.measured_margin:.3g}")
-    elif isinstance(b, (ModulusAll, MixedDerivModulus)):
-        bounds = b.ms if isinstance(b, ModulusAll) else (b.lam, *b.ms)
-        for k, (comp, bound) in enumerate(zip(fn.components, bounds)):
-            if isinstance(b, MixedDerivModulus) and k == 0:
-                report = deriv_bound_check(comp, bound, grid)
-                if not report.passed:
-                    problems.append(f"component 0 derivative exceeds {bound:g} by {-report.measured_margin:.3g}")
-                continue
-            worst = _max_modulus(comp, grid)
-            if worst > bound + grid.margin:
-                problems.append(f"component {k} modulus exceeds {bound:g} by {worst - bound:.3g}")
-    return problems
-
-
 def hypothesis_audit(fn: PolyAnalyticFn, b: BoundProfile, grid: GridSpec = GridSpec()) -> VerificationReport:
     """Checks fn satisfies the normalization and bound hypotheses encoded in b.
 
-    Every variant requires each component to vanish at 0 and the
-    relevant normalization of the leading coefficient; the per-component
-    bound checks depend on the profile type.
+    Each component must vanish at 0, the leading component and every
+    modulus-bounded one must have linear coefficient 1, and each component
+    must meet the bound of its term.
     """
-    expected_order = b.order if isinstance(b, (DerivAll, DerivNormalized)) else len(b.ms) + (
-        1 if isinstance(b, MixedDerivModulus) else 0
-    )
-    if fn.order != expected_order:
-        raise DomainError(f"profile expects order {expected_order}, function has order {fn.order}")
+    if fn.order != b.order:
+        raise DomainError(f"profile expects order {b.order}, function has order {fn.order}")
     problems: list[str] = []
-    for k, comp in enumerate(fn.components):
-        if abs(comp.coeffs[0]) > 1e-12:
+    for k, (comp, (kind, bound)) in enumerate(zip(fn.components, b.terms.components)):
+        coeffs = comp.coeffs
+        if abs(coeffs[0]) > 1e-12:
             problems.append(f"component {k} does not vanish at 0")
-    if isinstance(b, (ModulusAll, MixedDerivModulus)):
-        for k, comp in enumerate(fn.components):
-            if abs(comp.coeffs[1] - 1.0) > 1e-12:
-                problems.append(f"component {k} linear coefficient is not 1")
-    else:
-        if abs(fn.components[0].coeffs[1] - 1.0) > 1e-12:
-            problems.append("leading component linear coefficient is not 1")
-    problems.extend(_component_checks(b, fn, grid))
+        if (k == 0 or kind == "modulus") and abs(coeffs[1] - 1.0) > 1e-12:
+            problems.append(f"component {k} linear coefficient is not 1")
+        if kind == "identity":
+            if coeffs[:2] != (0j, 1 + 0j) or any(c != 0j for c in coeffs[2:]):
+                problems.append("leading component is not the identity series")
+        elif kind == "modulus":
+            worst = _max_modulus(comp, grid)
+            if worst > bound + grid.margin:
+                problems.append(f"component {k} modulus exceeds {bound:g} by {worst - bound:.3g}")
+        elif bound == 0.0:
+            worst = _max_modulus(comp, grid)
+            if worst > grid.margin:
+                problems.append(f"component {k} should vanish, max modulus {worst:.3g}")
+        else:
+            report = deriv_bound_check(comp, bound, grid)
+            if not report.passed:
+                problems.append(f"component {k} derivative exceeds {bound:g} by {-report.measured_margin:.3g}")
     passed = not problems
     return VerificationReport(
         check_name="hypothesis-audit",

@@ -99,6 +99,22 @@ def test_exit_2_when_derivative_bound_cube_overflows(capsys, argv):
     assert "too large" in err and "overflows" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("radii", "--theorem", "2", "--lambdas", "1e308,1e308"), "lambda_1"),
+        (("radii", "--theorem", "1", "--lambda0", "2", "--lambdas", "1,1e308"), "lambda_2"),
+        (("verify", "--theorem", "6", "--lambdas", "1e308"), "lambda_1"),
+    ],
+)
+def test_exit_2_when_derivative_weight_overflows(capsys, argv, name):
+    # (k+1) lambda_k overflows to inf, which once surfaced as a NaN bracket error
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"error: {name} = 1e+308 is too large" in err and "overflows" in err
+
+
 def test_verify_exit_2_on_collapsed_grid(capsys):
     # rho is below 1e-60 here, so the whole univalence grid lies within 1e-15
     code, _, err = run(capsys, "verify", "--theorem", "3", "--ms", "1e200")

@@ -1,0 +1,90 @@
+"""Radii checked against the benchmark's 50-digit mpmath reference."""
+
+import importlib.util
+import pathlib
+import sys
+
+import mpmath
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polylandau import (
+    DerivAll,
+    DerivNormalized,
+    MixedDerivModulus,
+    ModulusAll,
+    deriv_radii,
+    log_deriv_radii,
+    log_mixed_radii,
+    log_modulus_radii,
+    log_normalized_radii,
+    mixed_radii,
+    modulus_radii,
+    normalized_radii,
+)
+from polylandau.radii import radii
+
+# the benchmark's 50-digit reference, written from the theorem statements apart from the program
+_REF_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_reference", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+)
+reference = sys.modules[_REF_SPEC.name] = importlib.util.module_from_spec(_REF_SPEC)
+_REF_SPEC.loader.exec_module(reference)
+
+
+@pytest.mark.parametrize("lam0", [1e3, 1e6, 1e8, 1e100])
+@pytest.mark.parametrize(
+    "theorem, bounds",
+    [(1, {}), (1, {"lambdas": (1.0,)}), (4, {"ms": (2.0,)}), (4, {"ms": (1.0, 3.0)})],
+)
+def test_sigma_keeps_precision_for_large_lambda0(theorem, bounds, lam0):
+    # the two leading terms of sigma have size lam0 and cancel to about 1/(2 lam0)
+    if theorem == 1:
+        res = radii(DerivAll(lam0, bounds.get("lambdas", ())))
+    else:
+        res = radii(MixedDerivModulus(lam0, bounds["ms"]))
+    assert res.sigma > 0.0
+    assert res.flags == ()
+    with mpmath.workdps(450):
+        exact = reference.theorem_profile(theorem, lambda0=lam0, **bounds).terms(res.rho).sigma
+        assert abs(mpmath.mpf(res.sigma) / exact - 1) <= 1e-12
+
+
+_lead_bound = st.floats(min_value=1.001, max_value=50.0)
+_deriv_bound = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+_modulus_or_one = st.one_of(st.just(1.0), st.floats(min_value=1.01, max_value=20.0))
+_factor_bound = st.floats(min_value=1.01, max_value=50.0)
+
+
+@st.composite
+def _theorem_cases(draw):
+    """(theorem, flag values as the CLI takes them, result of the public solver)."""
+    theorem = draw(st.integers(min_value=1, max_value=8))
+    base = theorem - 4 if theorem > 4 else theorem
+    order = draw(st.integers(min_value=2 if base == 4 else 1, max_value=5))
+    count = order if base == 3 else order - 1
+    if base in (1, 2):
+        lambdas = tuple(draw(st.lists(_deriv_bound, min_size=count, max_size=count)))
+        if base == 1:
+            args = {"lambda0": draw(_lead_bound), "lambdas": lambdas}
+            profile = DerivAll(args["lambda0"], lambdas)
+            return theorem, args, deriv_radii(profile) if theorem == 1 else log_deriv_radii(profile)
+        profile = DerivNormalized(lambdas)
+        return theorem, {"lambdas": lambdas}, normalized_radii(profile) if theorem == 2 else log_normalized_radii(profile)
+    lam0 = draw(_lead_bound) if base == 4 else None
+    if theorem > 4:
+        mstars = tuple(draw(st.lists(_factor_bound, min_size=count, max_size=count)))
+        res = log_modulus_radii(mstars) if base == 3 else log_mixed_radii(lam0, mstars)
+        return theorem, {"lambda0": lam0, "mstars": mstars}, res
+    ms = tuple(draw(st.lists(_modulus_or_one, min_size=count, max_size=count)))
+    res = modulus_radii(ModulusAll(ms)) if base == 3 else mixed_radii(MixedDerivModulus(lam0, ms))
+    return theorem, {"lambda0": lam0, "ms": ms}, res
+
+
+@given(_theorem_cases())
+@settings(max_examples=120, deadline=None)
+def test_radii_match_50_digit_reference(case):
+    theorem, args, res = case
+    assert res.theorem == theorem
+    prof = reference.theorem_profile(theorem, **args)
+    assert reference.check_radius(prof, res.rho, res.sigma, res.w, res.r, name=f"theorem {theorem}") == []
