@@ -28,6 +28,10 @@ FAMILIES = ("deriv", "normalized", "unit_modulus", "classical", "coeff")
 
 _DEGENERATE_TOL = 1e-13
 _SERIES_CAP = 4096
+#: Radius of the circle on which a witness series is accurate to its tail
+#: bound, and on which ``verify`` audits the witness's hypotheses.
+AUDIT_RADIUS = 1.0 - 1e-3
+_TAIL_TOL = 1e-13  # bound on the truncated tail of a derivative component at AUDIT_RADIUS
 
 
 @dataclass(frozen=True)
@@ -97,27 +101,28 @@ def extremal_eval(spec: ExtremalSpec, z: complex) -> complex:
     return _bounded_ratio_value(spec.bound, spec.power, z)
 
 
-def _deriv_component_degree(lam0: float, radius: float = 1.0 - 1e-3, tol: float = 1e-13) -> int:
-    q = radius / lam0
+def _deriv_component_degree(lam0: float) -> int:
+    q = AUDIT_RADIUS / lam0
     scale = lam0**3 - lam0
     degree = DEFAULT_DEGREE
     while degree < _SERIES_CAP:
         tail = scale * q ** (degree + 1) / ((degree + 1) * (1.0 - q))
-        if tail < tol:
+        if tail < _TAIL_TOL:
             break
         degree *= 2
     return min(degree, _SERIES_CAP)
 
 
-def bounded_deriv_component(lam0: float, tol: float = 1e-13) -> TruncatedTaylorSeries:
+def bounded_deriv_component(lam0: float) -> TruncatedTaylorSeries:
     """Series of the leading extremal component: unit derivative at 0, |A'| < L0 on U.
 
     Closed form L0^2 z + (L0^3 - L0) log(1 - z/L0); the truncation degree
-    grows as L0 approaches 1 so the tail stays below tol at |z| = 1 - 1e-3.
+    grows as L0 approaches 1 so the tail stays below 1e-13 at |z| = AUDIT_RADIUS,
+    up to a cap of 4096.
     """
     if not lam0 > 1.0:
         raise DomainError(f"the component needs a derivative bound above 1, got {lam0:g}")
-    degree = _deriv_component_degree(lam0, tol=tol)
+    degree = _deriv_component_degree(lam0)
     scale = lam0**3 - lam0
     coeffs = [0j, 1 + 0j]
     power = 1.0 / (lam0 * lam0)  # (1/L0)^n, running product
@@ -127,7 +132,7 @@ def bounded_deriv_component(lam0: float, tol: float = 1e-13) -> TruncatedTaylorS
     return TruncatedTaylorSeries(tuple(coeffs))
 
 
-def extremal_fn(b: BoundProfile, tol: float = 1e-13) -> PolyAnalyticFn:
+def extremal_fn(b: BoundProfile) -> PolyAnalyticFn:
     """Series witness of any profile, one component per term.
 
     A derivative lead gives ``bounded_deriv_component``, a derivative
@@ -139,7 +144,7 @@ def extremal_fn(b: BoundProfile, tol: float = 1e-13) -> PolyAnalyticFn:
         if kind != "deriv":
             comps.append(TruncatedTaylorSeries((0j, 1 + 0j)))
         elif k == 0:
-            comps.append(bounded_deriv_component(bound, tol=tol))
+            comps.append(bounded_deriv_component(bound))
         else:
             comps.append(TruncatedTaylorSeries((0j, complex(-bound))))
     return PolyAnalyticFn.normalized(comps)
@@ -155,22 +160,22 @@ def unit_modulus_extremal_fn(p: int) -> PolyAnalyticFn:
     return extremal_fn(ModulusAll((1.0,) * p))
 
 
-def coeff_extremal_series(m: float, n: int, degree: int = DEFAULT_DEGREE) -> TruncatedTaylorSeries:
+def coeff_extremal_series(m: float, n: int) -> TruncatedTaylorSeries:
     """Taylor series of the bounded map attaining the coefficient bound at z^n.
 
     The expansion is z - (M - 1/M) z^n - sum_{j>=2} (M^2-1)/M^j z^((n-1)j+1);
-    coefficients decay like M^(1-j), so the default degree keeps the tail
-    below 1e-15 on |z| <= 0.99 for M >= 2.
+    coefficients decay like M^(1-j), so truncating at ``DEFAULT_DEGREE``
+    keeps the tail below 1e-15 on |z| <= 0.99 for M >= 2.
     """
     if not m > 1.0:
         raise DomainError(f"the coefficient extremal needs a modulus bound M > 1, got {m:g}")
     if n < 2:
         raise DomainError(f"the coefficient extremal needs n >= 2, got {n}")
-    coeffs = [0j] * (degree + 1)
+    coeffs = [0j] * (DEFAULT_DEGREE + 1)
     coeffs[1] = 1 + 0j
     j = 1
     power = m  # M^j
-    while (n - 1) * j + 1 <= degree:
+    while (n - 1) * j + 1 <= DEFAULT_DEGREE:
         idx = (n - 1) * j + 1
         if j == 1:
             coeffs[idx] = complex(-(m - 1.0 / m))
@@ -179,11 +184,6 @@ def coeff_extremal_series(m: float, n: int, degree: int = DEFAULT_DEGREE) -> Tru
         j += 1
         power *= m
     return TruncatedTaylorSeries(tuple(coeffs))
-
-
-def classical_extremal_series(m: float, degree: int = DEFAULT_DEGREE) -> TruncatedTaylorSeries:
-    """Taylor series of the classical extremal M z (1 - M z)/(M - z)."""
-    return coeff_extremal_series(m, 2, degree)
 
 
 def real_profile(x: float, b: DerivAll) -> float:
@@ -210,7 +210,7 @@ def real_profile_derivative(x: float, b: DerivAll) -> float:
 
 def _second_profile_zero(b: DerivAll, rho: float) -> float:
     # the profile decreases from sigma > 0 at rho to a nonpositive value at 1
-    zero, _ = _bisect_decreasing(lambda x: real_profile(x, b), rho, 1.0, 0.0)
+    zero, _ = _bisect_decreasing(lambda x: real_profile(x, b), rho, 1.0)
     return zero
 
 
@@ -243,5 +243,5 @@ def collision_pair(b: DerivAll, r: float) -> tuple[float, float]:
         raise BracketError(
             f"collision bracket degenerate: g(x1) = {gx1:.6g} outside (0, {sigma:.6g}) with eps = {eps:.6g}"
         )
-    x2, _ = _bisect_decreasing(lambda x: gx1 - real_profile(x, b), 0.0, rho, 0.0)
+    x2, _ = _bisect_decreasing(lambda x: gx1 - real_profile(x, b), 0.0, rho)
     return x1, x2

@@ -128,24 +128,10 @@ def wirtinger_zbar(F: PolyAnalyticFn, z: complex) -> complex:
     return acc
 
 
-def _wirtinger_pair(F: PolyAnalyticFn, z: complex) -> tuple[float, float]:
-    return abs(wirtinger_z(F, z)), abs(wirtinger_zbar(F, z))
-
-
 def jacobian(F: PolyAnalyticFn, z: complex) -> float:
     """|F_z|^2 - |F_zbar|^2; positive exactly where F is sense-preserving."""
-    fz, fzb = _wirtinger_pair(F, z)
+    fz, fzb = abs(wirtinger_z(F, z)), abs(wirtinger_zbar(F, z))
     return fz * fz - fzb * fzb
-
-
-def lambda_big(F: PolyAnalyticFn, z: complex) -> float:
-    fz, fzb = _wirtinger_pair(F, z)
-    return fz + fzb
-
-
-def lambda_small(F: PolyAnalyticFn, z: complex) -> float:
-    fz, fzb = _wirtinger_pair(F, z)
-    return abs(fz - fzb)
 
 
 def logp_eval(f: LogPAnalyticFn, z: complex) -> complex:

@@ -46,11 +46,13 @@ enter through M = log(m*) + pi.
 Numerics
 --------
 Bisection only: the margins are strictly decreasing, which makes
-bisection unconditionally convergent, and every call is capped at 200
-iterations.  Radius computations bisect until the float spacing is
-exhausted so that the reported residual |m(rho)| stays far below the
-1e-12 result contract even for steep margins; ``find_root_monotone``
-keeps the documented 1e-13 interval tolerance as its public default.
+bisection unconditionally convergent.  It halves the bracket until its
+midpoint is no longer strictly inside it, that is until the float spacing
+is exhausted, so that the reported residual |m(rho)| stays far below the
+1e-12 result contract even for steep margins.  That always ends: a
+bracket within [0, 1] takes at most 1074 halvings, a root near 1e-60
+about 250.  A modulus bound whose square overflows (M above about 1.34e154) is
+a ``DomainError``: the M r^2 terms of sigma would underflow at its root.
 The two terms of lead_s cancel to about r/2 while each has size L^2 r, so
 for small r/L they are summed analytically (``_lead_sigma``).
 """
@@ -63,8 +65,6 @@ from typing import ClassVar
 
 from .errors import BracketError, DegenerateResultError, DomainError
 
-_MAX_ITER = 200
-_ROOT_TOL = 0.0  # internal: bisect until the bracket cannot shrink
 _CLAMP = 1.0 - 1e-9  # upper bracket for margins with a pole at r = 1
 _SERIES_X = 2.0**-8  # r/L below which lead_s is summed as a series
 
@@ -76,20 +76,21 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _require_cube_finite(lam: float, what: str) -> float:
-    # sigma and the derivative extremal weight a logarithm by lam**3 - lam
+def _require_power_finite(value: float, what: str, n: int) -> float:
+    # sigma and the derivative extremal weight a logarithm by lam**3 - lam;
+    # the modulus terms of sigma and the classical radii need M**2
     try:
-        lam**3
+        value**n
     except OverflowError:
-        raise DomainError(f"{what} = {lam:g} is too large: {what}**3 overflows a float") from None
-    return lam
+        raise DomainError(f"{what} = {value:g} is too large: {what}**{n} overflows a float") from None
+    return value
 
 
 def _lead_bound(value: float, what: str) -> float:
     lam = _require_finite(value, what)
     if not lam > 1.0:
         raise DomainError(f"{what} must exceed 1 (strict derivative bound), got {lam:g}")
-    return _require_cube_finite(lam, what)
+    return _require_power_finite(lam, what, 3)
 
 
 def _bound_tuple(values, what: str, minimum: float) -> tuple[float, ...]:
@@ -121,6 +122,7 @@ class Terms:
         deriv, excess, identity = [], [], []
         for k, (kind, bound) in enumerate(components):
             if kind == "modulus":
+                _require_power_finite(bound, f"M_{k}", 2)
                 if k:
                     identity.append((k, k + 1.0))
                 if bound > 1.0:
@@ -261,12 +263,12 @@ univalence_margin_deriv = univalence_margin_normalized = univalence_margin
 univalence_margin_modulus = univalence_margin_mixed = univalence_margin
 
 
-def _bisect_decreasing(g, lo: float, hi: float, tol: float, max_iter: int = _MAX_ITER):
+def _bisect_decreasing(g, lo: float, hi: float):
     """Bisection on a strictly decreasing g with g(lo) > 0 >= g(hi).
 
-    Returns (root, iterations).  tol = 0 bisects until the bracket cannot
-    shrink in floats, which stays well under the iteration cap for any
-    root of magnitude above ~1e-30.
+    Returns (root, iterations).  Bisects until the midpoint is no longer
+    strictly inside the bracket, so every step shrinks it by at least one
+    float; a bracket within [0, 1] takes at most 1074 steps.
     """
     if not lo < hi:
         raise BracketError(f"empty bracket: lo = {lo!r}, hi = {hi!r}")
@@ -277,7 +279,7 @@ def _bisect_decreasing(g, lo: float, hi: float, tol: float, max_iter: int = _MAX
     if ghi > 0.0:
         raise BracketError(f"bracket violation: g({hi!r}) = {ghi!r} must be <= 0")
     iterations = 0
-    while iterations < max_iter and (hi - lo) > tol:
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # float spacing exhausted
@@ -287,14 +289,6 @@ def _bisect_decreasing(g, lo: float, hi: float, tol: float, max_iter: int = _MAX
             hi = mid
         iterations += 1
     return 0.5 * (lo + hi), iterations
-
-
-def find_root_monotone(g, lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Root of a strictly decreasing g bracketed by g(lo) > 0 >= g(hi)."""
-    if not tol >= 0.0:
-        raise DomainError("tolerance must be nonnegative")
-    root, _ = _bisect_decreasing(g, lo, hi, tol)
-    return root
 
 
 def _lead_sigma(r: float, lam: float) -> float:
@@ -352,7 +346,7 @@ def radii(b: BoundProfile) -> RadiiResult:
                 # roundoff can leave it a few ulp positive, making hi itself the root
                 rho, iterations = hi, 0
             else:
-                rho, iterations = _bisect_decreasing(margin, 0.0, hi, _ROOT_TOL)
+                rho, iterations = _bisect_decreasing(margin, 0.0, hi)
         residual = abs(margin(rho))
     sigma = _sigma(rho, t)
     flags = () if sigma > 0.0 else ("degenerate-sigma",)
@@ -421,6 +415,7 @@ def classical_landau(m: float) -> tuple[float, float]:
     m = _require_finite(m, "modulus bound")
     if not m > 1.0:
         raise DomainError(f"classical radii need a modulus bound M > 1, got {m:g}")
+    _require_power_finite(m, "M", 2)
     r0 = 1.0 / (m + math.sqrt(m * m - 1.0))
     return r0, m * r0 * r0
 
@@ -433,11 +428,13 @@ def bianalytic_deriv_baseline(lam1: float, lam2: float) -> tuple[float, float]:
         raise DomainError(f"lambda1 must be nonnegative, got {lam1:g}")
     if not lam2 > 1.0:
         raise DomainError(f"lambda2 must exceed 1, got {lam2:g}")
-    _require_cube_finite(lam2, "lambda2")
-    s = lam2 * (2.0 * lam1 + lam2)
-    r1 = 2.0 * lam2 / (s + math.sqrt(s * s - 8.0 * lam1 * lam2))
-    big_r1 = lam2 * lam2 * r1 + (lam2**3 - lam2) * math.log(1.0 - r1 / lam2) - lam1 * r1 * r1
-    return r1, big_r1
+    _require_power_finite(lam2, "lambda2", 3)
+    # the smaller root of 2 L1 r^2 - u L2 r + L2 with u = 2 L1 + L2, divided through by u so no product overflows
+    u = 2.0 * lam1 + lam2
+    if not math.isfinite(u):
+        raise DomainError(f"lambda1 = {lam1:g} is too large: 2 * lambda1 overflows a float")
+    r1 = 2.0 / (u * (1.0 + math.sqrt(1.0 - 8.0 * (lam1 / u) / lam2 / u)))
+    return r1, _lead_sigma(r1, lam2) - lam1 * r1 * r1
 
 
 def bianalytic_bounded_baseline(lam: float) -> tuple[float, float]:
@@ -462,13 +459,14 @@ def poly_modulus_baseline(m: float, p: int) -> tuple[float, float]:
     m = _require_finite(m, "modulus bound")
     if not m > 1.0:
         raise DomainError(f"the baseline needs a modulus bound M > 1, got {m:g}")
+    _require_power_finite(m, "M", 2)
     if p < 1:
         raise DomainError(f"order must be a positive integer, got {p}")
 
     def margin(r: float) -> float:
         return _poly_modulus_margin(r, m, p)
 
-    r3, _ = _bisect_decreasing(margin, 0.0, _CLAMP, _ROOT_TOL)
+    r3, _ = _bisect_decreasing(margin, 0.0, _CLAMP)
     big_r3 = r3
     for k in range(1, p):
         big_r3 -= r3 ** (k + 1)

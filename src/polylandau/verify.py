@@ -3,7 +3,8 @@
 Everything here re-derives its verdict from function evaluations on
 grids or random samples; nothing consults the closed-form margin
 functions or root finders, so a bug there cannot vouch for itself.
-Only the parameter dataclasses are shared, as plain data.
+Only the parameter dataclasses and the witnesses' audit radius are
+shared, as plain data.
 
 All checks are necessary-condition tests: a pass means no counterexample
 was found at the sampled resolution, not a proof.  A failed report
@@ -18,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .extremal import AUDIT_RADIUS
 from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, logp_eval_array, poly_eval_array
 from .radii import BoundProfile
 from .series import TruncatedTaylorSeries, series_derivative, series_eval_array
@@ -165,7 +167,7 @@ def deriv_bound_check(
     if not bound > 0.0:
         raise DomainError(f"derivative bound must be positive, got {bound:g}")
     deriv = series_derivative(series)
-    pts = _disk_grid(1.0 - 1e-3, grid)
+    pts = _disk_grid(AUDIT_RADIUS, grid)
     vals = np.abs(series_eval_array(deriv, pts))
     k = int(np.argmax(vals))
     worst = float(vals[k])
@@ -209,76 +211,6 @@ def coefficient_bound_check(
         measured_margin=float(measured),
         witness=None if passed else (complex(worst_n),),
         note=f"limit M - 1/M = {limit:.12g}",
-    )
-
-
-def distortion_check(
-    h: Callable[[complex], complex],
-    lam: float,
-    r: float,
-    pair_samples: int = 2000,
-    seed: int = 0,
-    margin: float = 1e-6,
-) -> VerificationReport:
-    """Checks difference quotients of h inside |z| < r against the distortion floor.
-
-    For a holomorphic h with |h'(0)| = 1 and |h'| < lam on the unit disk,
-    difference quotients in |z| < r stay at or above
-    lam (1 - lam r)/(lam - r).  Quotients are sampled at seeded random pairs.
-    """
-    if not lam > 1.0:
-        raise DomainError(f"distortion check needs lam > 1, got {lam:g}")
-    if not 0.0 < r < 1.0 / lam:
-        raise DomainError(f"distortion check needs 0 < r < 1/lam, got r = {r:g}")
-    h1 = (h(complex(1e-7)) - h(complex(-1e-7))) / 2e-7
-    if abs(h1 - 1.0) > 1e-5:
-        raise DomainError(f"distortion check needs h'(0) = 1, measured {h1:.6g}")
-    rng = np.random.default_rng(seed)
-    u = np.sqrt(rng.uniform(size=2 * pair_samples))
-    t = rng.uniform(0.0, 2.0 * np.pi, size=2 * pair_samples)
-    pts = r * u * np.exp(1j * t)
-    a, bpts = pts[:pair_samples], pts[pair_samples:]
-    keep = np.abs(a - bpts) > 1e-12
-    a, bpts = a[keep], bpts[keep]
-    quot = np.abs(_eval_at(h, a) - _eval_at(h, bpts)) / np.abs(a - bpts)
-    bound = lam * (1.0 - lam * r) / (lam - r)
-    k = int(np.argmin(quot))
-    measured = float(quot[k]) - bound
-    passed = bool(measured >= -margin)
-    return VerificationReport(
-        check_name="distortion",
-        passed=passed,
-        measured_margin=measured,
-        witness=None if passed else (complex(a[k]), complex(bpts[k])),
-        note=f"min quotient {float(quot[k]):.12g} against floor {bound:.12g}",
-    )
-
-
-def min_boundary_modulus_check(
-    h: Callable[[complex], complex],
-    lam: float,
-    r: float,
-    samples: int = 512,
-    margin: float = 1e-9,
-) -> VerificationReport:
-    """Checks min |h| on |z| = r against the growth floor for derivative-bounded maps."""
-    if not lam > 1.0:
-        raise DomainError(f"boundary-modulus check needs lam > 1, got {lam:g}")
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"boundary-modulus check needs 0 < r < 1, got {r:g}")
-    floor = lam * lam * r + (lam**3 - lam) * np.log1p(-r / lam)
-    angles = 2.0 * np.pi * np.arange(samples) / samples
-    pts = r * np.exp(1j * angles)
-    vals = np.abs(_eval_at(h, pts))
-    k = int(np.argmin(vals))
-    measured = float(vals[k]) - floor
-    passed = bool(measured >= -margin)
-    return VerificationReport(
-        check_name="min-boundary-modulus",
-        passed=passed,
-        measured_margin=measured,
-        witness=None if passed else (complex(pts[k]),),
-        note=f"min modulus {float(vals[k]):.12g} against floor {floor:.12g}",
     )
 
 
@@ -333,7 +265,7 @@ def monotonicity_check(
 
 
 def _max_modulus(comp: TruncatedTaylorSeries, grid: GridSpec) -> float:
-    return float(np.max(np.abs(series_eval_array(comp, _disk_grid(1.0 - 1e-3, grid)))))
+    return float(np.max(np.abs(series_eval_array(comp, _disk_grid(AUDIT_RADIUS, grid)))))
 
 
 def hypothesis_audit(fn: PolyAnalyticFn, b: BoundProfile, grid: GridSpec = GridSpec()) -> VerificationReport:

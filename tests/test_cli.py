@@ -105,6 +105,7 @@ def test_exit_2_when_derivative_bound_cube_overflows(capsys, argv):
         (("radii", "--theorem", "2", "--lambdas", "1e308,1e308"), "lambda_1"),
         (("radii", "--theorem", "1", "--lambda0", "2", "--lambdas", "1,1e308"), "lambda_2"),
         (("verify", "--theorem", "6", "--lambdas", "1e308"), "lambda_1"),
+        (("baseline", "--name", "bianalytic-deriv", "--lambda0", "2", "--lambda1", "1e308"), "lambda1"),
     ],
 )
 def test_exit_2_when_derivative_weight_overflows(capsys, argv, name):
@@ -115,9 +116,27 @@ def test_exit_2_when_derivative_weight_overflows(capsys, argv, name):
     assert f"error: {name} = 1e+308 is too large" in err and "overflows" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("radii", "--theorem", "3", "--ms", "1e155"),
+        ("radii", "--theorem", "4", "--lambda0", "2", "--ms", "2,1e200"),
+        ("baseline", "--name", "landau", "--m", "1e200"),
+        ("baseline", "--name", "poly-modulus", "--m", "1e155", "-p", "2"),
+        ("compare", "--ms", "2,1e200", "--orders", "2"),
+    ],
+)
+def test_exit_2_when_modulus_bound_square_overflows(capsys, argv):
+    # past that point landau printed rho = sigma = 0 and sigma's M r^2 term underflowed
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "too large" in err and "**2 overflows" in err
+
+
 def test_verify_exit_2_on_collapsed_grid(capsys):
-    # rho is below 1e-60 here, so the whole univalence grid lies within 1e-15
-    code, _, err = run(capsys, "verify", "--theorem", "3", "--ms", "1e200")
+    # rho is about 5e-101 here, so the whole univalence grid lies within 1e-15
+    code, _, err = run(capsys, "verify", "--theorem", "3", "--ms", "1e100")
     assert code == EXIT_USAGE
     assert "univalence grid collapsed" in err
 

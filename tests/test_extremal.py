@@ -13,7 +13,6 @@ from polylandau import (
     DomainError,
     ExtremalSpec,
     bounded_deriv_component,
-    classical_extremal_series,
     classical_landau,
     coeff_extremal_series,
     collision_pair,
@@ -141,10 +140,6 @@ def test_coeff_series_exact_leading_gap_coefficient():
     assert s.coeffs[2] == 0
     # the j = 2 term sits at (n-1)j + 1 = 5 with value -(M^2-1)/M^2
     assert s.coeffs[5] == pytest.approx(-0.75, abs=1e-15)
-
-
-def test_classical_series_is_coeff_with_power_two():
-    assert classical_extremal_series(2.0).coeffs == coeff_extremal_series(2.0, 2).coeffs
 
 
 def test_coeff_series_matches_closed_form():

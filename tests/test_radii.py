@@ -18,7 +18,6 @@ from polylandau import (
     bianalytic_deriv_baseline,
     classical_landau,
     deriv_radii,
-    find_root_monotone,
     log_bound_from_modulus,
     log_deriv_radii,
     log_mixed_radii,
@@ -34,6 +33,7 @@ from polylandau import (
     univalence_margin_modulus,
     univalence_margin_normalized,
 )
+from polylandau.radii import _bisect_decreasing
 from _oracles import scan_root
 
 
@@ -66,16 +66,17 @@ def test_single_component_closed_form():
 
 
 def test_find_root_monotone_linear():
-    assert find_root_monotone(lambda x: 0.5 - x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+    root, _ = _bisect_decreasing(lambda x: 0.5 - x, 0.0, 1.0)
+    assert root == pytest.approx(0.5, abs=1e-12)
 
 
 def test_find_root_monotone_rejects_bad_bracket():
     with pytest.raises(BracketError) as err:
-        find_root_monotone(lambda x: x + 1.0, 0.0, 1.0)
+        _bisect_decreasing(lambda x: x + 1.0, 0.0, 1.0)
     # the diagnostic carries the offending endpoint value
     assert "2.0" in str(err.value)
     with pytest.raises(BracketError):
-        find_root_monotone(lambda x: -x - 1.0, 0.0, 1.0)
+        _bisect_decreasing(lambda x: -x - 1.0, 0.0, 1.0)
 
 
 def test_deriv_root_matches_grid_scan():

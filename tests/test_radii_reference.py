@@ -13,6 +13,8 @@ from polylandau import (
     DerivNormalized,
     MixedDerivModulus,
     ModulusAll,
+    bianalytic_deriv_baseline,
+    classical_landau,
     deriv_radii,
     log_deriv_radii,
     log_mixed_radii,
@@ -21,6 +23,7 @@ from polylandau import (
     mixed_radii,
     modulus_radii,
     normalized_radii,
+    poly_modulus_baseline,
 )
 from polylandau.radii import radii
 
@@ -35,19 +38,46 @@ _REF_SPEC.loader.exec_module(reference)
 @pytest.mark.parametrize("lam0", [1e3, 1e6, 1e8, 1e100])
 @pytest.mark.parametrize(
     "theorem, bounds",
-    [(1, {}), (1, {"lambdas": (1.0,)}), (4, {"ms": (2.0,)}), (4, {"ms": (1.0, 3.0)})],
+    [
+        (1, {}),
+        (1, {"lambdas": (1.0,)}),
+        (4, {"ms": (2.0,)}),
+        (4, {"ms": (1.0, 3.0)}),
+        ("bianalytic-deriv", {"lambdas": (0.0,)}),
+        ("bianalytic-deriv", {"lambdas": (1.0,)}),
+    ],
 )
 def test_sigma_keeps_precision_for_large_lambda0(theorem, bounds, lam0):
-    # the two leading terms of sigma have size lam0 and cancel to about 1/(2 lam0)
-    if theorem == 1:
-        res = radii(DerivAll(lam0, bounds.get("lambdas", ())))
+    # the two leading terms of sigma have size lam0 and cancel to about 1/(2 lam0);
+    # the order-2 baseline under derivative bounds is theorem 1 with lambda_1 = lambda1
+    if theorem == "bianalytic-deriv":
+        theorem, (rho, sigma) = 1, bianalytic_deriv_baseline(bounds["lambdas"][0], lam0)
     else:
-        res = radii(MixedDerivModulus(lam0, bounds["ms"]))
-    assert res.sigma > 0.0
-    assert res.flags == ()
+        profile = DerivAll(lam0, bounds.get("lambdas", ())) if theorem == 1 else MixedDerivModulus(lam0, bounds["ms"])
+        res = radii(profile)
+        assert res.flags == ()
+        rho, sigma = res.rho, res.sigma
+    assert sigma > 0.0
     with mpmath.workdps(450):
-        exact = reference.theorem_profile(theorem, lambda0=lam0, **bounds).terms(res.rho).sigma
-        assert abs(mpmath.mpf(res.sigma) / exact - 1) <= 1e-12
+        exact = reference.theorem_profile(theorem, lambda0=lam0, **bounds).terms(rho).sigma
+        assert abs(mpmath.mpf(sigma) / exact - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1e60, 1e120, 1e150, 1.3e154])
+def test_huge_modulus_bounds_match_reference(m):
+    # roots below 2^-200 once ran into the bisection's iteration cap and came out wrong
+    for theorem, bounds, res in (
+        (3, {"ms": (m,)}, radii(ModulusAll((m,)))),
+        (3, {"ms": (m, 2.0, m)}, radii(ModulusAll((m, 2.0, m)))),
+        (4, {"lambda0": 2.0, "ms": (m, m)}, radii(MixedDerivModulus(2.0, (m, m)))),
+    ):
+        assert res.flags == ()
+        prof = reference.theorem_profile(theorem, **bounds)
+        assert reference.check_radius(prof, res.rho, res.sigma, name=f"theorem {theorem}") == []
+    rho, sigma = poly_modulus_baseline(m, 2)
+    assert reference.check_radius(reference.PolyModulusBaseline(m, 2), rho, sigma, name="poly-modulus") == []
+    for got, want in zip(classical_landau(m), reference.classical_landau(m)):
+        assert abs(mpmath.mpf(got) - want) <= reference.FLOAT_TOL * want
 
 
 _lead_bound = st.floats(min_value=1.001, max_value=50.0)

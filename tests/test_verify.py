@@ -16,16 +16,14 @@ from polylandau import (
     TruncatedTaylorSeries,
     VerificationReport,
     bounded_deriv_component,
-    classical_extremal_series,
+    coeff_extremal_series,
     coefficient_bound_check,
     collision_pair,
     deriv_bound_check,
     deriv_extremal_fn,
     deriv_radii,
-    distortion_check,
     exp_disk_check,
     hypothesis_audit,
-    min_boundary_modulus_check,
     monotonicity_check,
     normalized_extremal_fn,
     schlicht_coverage_check,
@@ -165,7 +163,7 @@ def test_deriv_bound_check_moebius_component():
 
 
 def test_coefficient_bound_check_classical_series():
-    s = classical_extremal_series(2.0)
+    s = coeff_extremal_series(2.0, 2)
     report = coefficient_bound_check(s, 2.0)
     assert report.passed
     # equality at the bound: the n = 2 coefficient is exactly M - 1/M
@@ -182,57 +180,6 @@ def test_coefficient_bound_check_violator():
 def test_coefficient_bound_check_requires_normalization():
     with pytest.raises(DomainError):
         coefficient_bound_check(TruncatedTaylorSeries((0, 2)), 2.0)
-
-
-def test_distortion_check_identity():
-    # ratio is exactly 1, floor is 1.01(1 - 0.505)/0.51
-    report = distortion_check(lambda z: z, 1.01, 0.5, pair_samples=300, seed=0)
-    assert report.passed
-    floor = 1.01 * (1 - 1.01 * 0.5) / (1.01 - 0.5)
-    assert report.measured_margin == pytest.approx(1.0 - floor, abs=1e-9)
-
-
-def test_distortion_check_moebius():
-    comp = bounded_deriv_component(2.0)
-
-    def h(z: complex) -> complex:
-        from polylandau import series_eval
-
-        return series_eval(comp, z)
-
-    report = distortion_check(h, 2.0, 0.2, pair_samples=500, seed=1)
-    assert report.passed
-
-
-def test_distortion_check_detects_false_bound_claim():
-    # the component's true derivative bound is 2; claiming 1.2 raises the
-    # floor above quotients the function actually attains
-    comp = bounded_deriv_component(2.0)
-
-    def h(z: complex) -> complex:
-        from polylandau import series_eval
-
-        return series_eval(comp, z)
-
-    report = distortion_check(h, 1.2, 0.2, pair_samples=500, seed=1)
-    assert not report.passed
-    assert report.witness is not None
-
-
-def test_distortion_check_domain():
-    with pytest.raises(DomainError):
-        distortion_check(lambda z: z, 2.0, 0.6)  # r >= 1/lam
-
-
-def test_min_boundary_modulus_extremal_attains_floor():
-    from polylandau import series_eval
-
-    comp = bounded_deriv_component(2.0)
-    rho = deriv_radii(DerivAll(2.0, ())).rho
-    report = min_boundary_modulus_check(lambda z: series_eval(comp, z), 2.0, rho)
-    assert report.passed
-    # the floor is attained on the real axis, so the margin is ~0
-    assert report.measured_margin == pytest.approx(0.0, abs=1e-9)
 
 
 def test_exp_disk_containment():
