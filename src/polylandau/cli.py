@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 from typing import get_args, get_type_hints
 
 from .errors import DomainError, PolyLandauError
-from .extremal import ExtremalSpec, collision_pair, extremal_eval, extremal_fn
+from .extremal import collision_pair, extremal_fn
 from .polyfunc import LogPAnalyticFn
 from .radii import (
     BoundProfile,
@@ -546,9 +546,9 @@ def cmd_sharpness(cfg: RunConfig) -> int:
     profile = _build_profile(cfg)
     res = deriv_radii(profile)
     x1, x2 = collision_pair(profile, cfg.radius)
-    spec = ExtremalSpec("deriv", profile=profile)
-    v1 = extremal_eval(spec, complex(x1))
-    v2 = extremal_eval(spec, complex(x2))
+    witness = extremal_fn(profile)
+    v1 = witness(complex(x1))
+    v2 = witness(complex(x2))
     collision = abs(v1 - v2)
     exp_collision = abs(cexp(v1) - cexp(v2))
     gate = collision if cfg.theorem == 1 else exp_collision
@@ -587,7 +587,7 @@ def _range_values(raw: str, flag: str) -> list[float]:
         raise DomainError(f"{flag} range must be start:stop:step, got {raw!r}")
     start, stop, step = (_float(piece, flag) for piece in parts)
     if step <= 0.0:
-        raise DomainError(f"{flag} range needs a positive step, got {step:g}")
+        raise DomainError(f"{flag} range needs a positive step, got {step!r}")
     if stop < start:
         raise DomainError(f"{flag} range needs stop >= start, got {raw!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1

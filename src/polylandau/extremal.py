@@ -1,7 +1,9 @@
 """Extremal functions and sharpness witnesses for the radius bounds.
 
-Closed forms are evaluated exactly; series materializations exist so the
-verification oracles can inspect coefficients and component derivatives.
+``extremal_fn`` builds the witness of any profile from its terms, one
+closed-form component per term, each giving its value A(z) and
+derivative A'(z) over a node array; ``coeff_extremal_series`` is the one
+series kept, so the coefficient check has a map to inspect.
 ``collision_pair`` reproduces the boundary-crossing argument that breaks
 univalence just past rho: the real-axis profile of the derivative-family
 extremal increases to sigma at rho and decreases afterwards, so a point
@@ -11,142 +13,130 @@ x1 slightly beyond rho shares its value with a mirror point x2 < rho.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
+
+import numpy as np
 
 from .errors import BracketError, DomainError
-from .polyfunc import PolyAnalyticFn
-from .radii import (
-    BoundProfile,
-    DerivAll,
-    DerivNormalized,
-    ModulusAll,
-    _bisect_decreasing,
-    deriv_radii,
-)
-from .series import DEFAULT_DEGREE, TruncatedTaylorSeries, _require_in_disk, principal_log
-
-FAMILIES = ("deriv", "normalized", "unit_modulus", "classical", "coeff")
+from .polyfunc import PolyAnalyticFn, poly_eval
+from .radii import BoundProfile, DerivAll, ModulusAll, _bisect_decreasing, deriv_radii
+from .series import DEFAULT_DEGREE, TruncatedTaylorSeries
 
 _DEGENERATE_TOL = 1e-13
-_SERIES_CAP = 4096
-#: Radius of the circle on which a witness series is accurate to its tail
-#: bound, and on which ``verify`` audits the witness's hypotheses.
+#: Radius of the circle on which ``verify`` audits a witness's hypotheses.
 AUDIT_RADIUS = 1.0 - 1e-3
-_TAIL_TOL = 1e-13  # bound on the truncated tail of a derivative component at AUDIT_RADIUS
+_LEAD_TERMS = 60  # x^(n-2)/n for n <= 60 sums log(1 - x) to below 2^-53 relative for |x| < 1/2
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant for splitting a double into two 26-bit halves
+
+
+def _one_minus_product(a: float, x: np.ndarray) -> np.ndarray:
+    """1 - a x for real arrays, rounded once: the product's rounding error is kept (Dekker)."""
+    p = a * x
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * x
+    x_hi = c - (c - x)
+    x_lo = x - x_hi
+    err = ((a_hi * x_hi - p) + a_hi * x_lo + a_lo * x_hi) + a_lo * x_lo
+    return (1.0 - p) - err
+
+
+def _unit_gap(c: float, z: np.ndarray) -> np.ndarray:
+    """(c - z)/c for real c, divided part by part so that it is exactly 1 at z = 0.
+
+    numpy's complex division multiplies by a reciprocal, which can leave c/c != 1.
+    """
+    return (c - z.real) / c - 1j * (z.imag / c)
+
+
+class _ClosedForm:
+    """A component built from no series terms.
+
+    The empty ``coeffs`` is read only by ``perfbench/trace_layers``; delete
+    this class when the benchmark traces ``value`` instead (ROADMAP).
+    """
+
+    coeffs: ClassVar[tuple[complex, ...]] = ()
 
 
 @dataclass(frozen=True)
-class ExtremalSpec:
-    """Selector for one extremal family plus its parameters.
+class DerivLead(_ClosedForm):
+    """A(z) = L^2 z + (L^3 - L) log(1 - z/L): A(0) = 0, A'(0) = 1 and |A'| < L on the disk.
 
-    family          parameters
-    --------------  -------------------------------------------
-    deriv           profile: DerivAll
-    normalized      profile: DerivNormalized
-    unit_modulus    order: p >= 2 (all modulus bounds equal 1)
-    classical       bound: M > 1
-    coeff           bound: M > 1 and power: n >= 2
+    The two terms of A have size L^2 |z| and cancel to about |z|, so for
+    |z/L| < 1/2 A is summed as z - (L - 1/L) z^2 sum_{n>=2} (z/L)^(n-2)/n,
+    whose terms do not cancel.  A'(z) = (1 - L z)/((L - z)/L) keeps the
+    rounding error of L Re(z), so it stays accurate next to its zero 1/L.
     """
 
-    family: str
-    profile: DerivAll | DerivNormalized | None = None
-    order: int | None = None
-    bound: float | None = None
-    power: int | None = None
+    lam: float
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown extremal family {self.family!r}; expected one of {FAMILIES}")
-        if self.family == "deriv" and not isinstance(self.profile, DerivAll):
-            raise DomainError("the deriv family needs a DerivAll profile")
-        if self.family == "normalized" and not isinstance(self.profile, DerivNormalized):
-            raise DomainError("the normalized family needs a DerivNormalized profile")
-        if self.family == "unit_modulus" and (self.order is None or self.order < 2):
-            raise DomainError("the unit_modulus family needs an order p >= 2")
-        if self.family in ("classical", "coeff"):
-            if self.bound is None or not self.bound > 1.0:
-                raise DomainError("bounded-ratio extremals need a modulus bound M > 1")
-        if self.family == "coeff" and (self.power is None or self.power < 2):
-            raise DomainError("the coeff family needs a power n >= 2")
+    def value(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        lam = self.lam
+        x = z / lam
+        tail = np.zeros_like(z)
+        for n in range(_LEAD_TERMS, 1, -1):
+            tail = tail * x + 1.0 / n
+        # (L - 1)(L + 1) keeps L - 1/L and L^3 - L accurate as L approaches 1
+        gap = (lam - 1.0) * (lam + 1.0)
+        series = z - gap / lam * z * z * tail
+        closed = lam * lam * z + lam * gap * np.log(1.0 - x)
+        return np.where(np.abs(x) < 0.5, series, closed)
 
-
-def _profile_value(b: BoundProfile, z: complex) -> complex:
-    """The extremal of ``extremal_fn(b)`` in closed form, the leading log kept exact."""
-    lam0 = b.terms.lead
-    acc = complex(z) if lam0 is None else lam0 * lam0 * z + (lam0**3 - lam0) * principal_log(1.0 - z / lam0)
-    zbar = z.conjugate()
-    power = zbar
-    for kind, bound in b.terms.components[1:]:
-        if kind == "modulus":
-            acc += power * z
-        else:
-            acc -= bound * power * z
-        power *= zbar
-    return acc
+    def derivative(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        lam = self.lam
+        return (_one_minus_product(lam, z.real) - 1j * (lam * z.imag)) / _unit_gap(lam, z)
 
 
-def _bounded_ratio_value(m: float, n: int, z: complex) -> complex:
-    u = z ** (n - 1)
-    return m * z * (1.0 - m * u) / (m - u)
+@dataclass(frozen=True)
+class BoundedRatio(_ClosedForm):
+    """The classical extremal A(z) = M z (1 - M z)/(M - z) of a modulus bound M > 1.
 
-
-def extremal_eval(spec: ExtremalSpec, z: complex) -> complex:
-    """Closed-form value of the selected extremal at z, |z| <= 1."""
-    z = _require_in_disk(z)
-    if spec.family in ("deriv", "normalized"):
-        return _profile_value(spec.profile, z)
-    if spec.family == "unit_modulus":
-        return _profile_value(ModulusAll((1.0,) * spec.order), z)
-    if spec.family == "classical":
-        return _bounded_ratio_value(spec.bound, 2, z)
-    return _bounded_ratio_value(spec.bound, spec.power, z)
-
-
-def _deriv_component_degree(lam0: float) -> int:
-    q = AUDIT_RADIUS / lam0
-    scale = lam0**3 - lam0
-    degree = DEFAULT_DEGREE
-    while degree < _SERIES_CAP:
-        tail = scale * q ** (degree + 1) / ((degree + 1) * (1.0 - q))
-        if tail < _TAIL_TOL:
-            break
-        degree *= 2
-    return min(degree, _SERIES_CAP)
-
-
-def bounded_deriv_component(lam0: float) -> TruncatedTaylorSeries:
-    """Series of the leading extremal component: unit derivative at 0, |A'| < L0 on U.
-
-    Closed form L0^2 z + (L0^3 - L0) log(1 - z/L0); the truncation degree
-    grows as L0 approaches 1 so the tail stays below 1e-13 at |z| = AUDIT_RADIUS,
-    up to a cap of 4096.
+    A(0) = 0, A'(0) = 1 and |A| <= M on the disk, with |A| = M on its
+    boundary.  A = z (1 - M z)/((M - z)/M) and A' = (1 - 2 M z + z^2)/((M - z)/M)^2
+    divide by a number near 1, so no intermediate grows much beyond M.
     """
+
+    m: float
+
+    def value(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        return z * ((1.0 - self.m * z) / _unit_gap(self.m, z))
+
+    def derivative(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        gap = _unit_gap(self.m, z)
+        return (1.0 - 2.0 * self.m * z + z * z) / (gap * gap)
+
+
+def bounded_deriv_component(lam0: float) -> DerivLead:
+    """The leading extremal component of a derivative bound L0 > 1, in closed form."""
     if not lam0 > 1.0:
-        raise DomainError(f"the component needs a derivative bound above 1, got {lam0:g}")
-    degree = _deriv_component_degree(lam0)
-    scale = lam0**3 - lam0
-    coeffs = [0j, 1 + 0j]
-    power = 1.0 / (lam0 * lam0)  # (1/L0)^n, running product
-    for n in range(2, degree + 1):
-        coeffs.append(complex(-scale * power / n))
-        power /= lam0
-    return TruncatedTaylorSeries(tuple(coeffs))
+        raise DomainError(f"the component needs a derivative bound above 1, got {lam0!r}")
+    return DerivLead(lam0)
 
 
 def extremal_fn(b: BoundProfile) -> PolyAnalyticFn:
-    """Series witness of any profile, one component per term.
+    """Closed-form witness of any profile, one component per term.
 
     A derivative lead gives ``bounded_deriv_component``, a derivative
-    bound L_k above it the extremal -L_k z, and the identity and every
-    modulus term the identity series (the M = 1 map).
+    bound L_k above it the extremal -L_k z, a modulus bound M > 1 the
+    classical extremal M z (1 - M z)/(M - z), and the identity and a
+    modulus bound M = 1 the identity.
     """
     comps = []
     for k, (kind, bound) in enumerate(b.terms.components):
-        if kind != "deriv":
-            comps.append(TruncatedTaylorSeries((0j, 1 + 0j)))
-        elif k == 0:
+        if kind == "deriv" and k == 0:
             comps.append(bounded_deriv_component(bound))
-        else:
+        elif kind == "deriv":
             comps.append(TruncatedTaylorSeries((0j, complex(-bound))))
+        elif kind == "modulus" and bound > 1.0:
+            comps.append(BoundedRatio(bound))
+        else:
+            comps.append(TruncatedTaylorSeries((0j, 1 + 0j)))
     return PolyAnalyticFn.normalized(comps)
 
 
@@ -154,7 +144,7 @@ deriv_extremal_fn = normalized_extremal_fn = extremal_fn
 
 
 def unit_modulus_extremal_fn(p: int) -> PolyAnalyticFn:
-    """Series materialization of z + |z|^2 (1 + conj(z) + ... + conj(z)^(p-2))."""
+    """The witness z + |z|^2 (1 + conj(z) + ... + conj(z)^(p-2)) of unit modulus bounds."""
     if p < 1:
         raise DomainError(f"order must be a positive integer, got {p}")
     return extremal_fn(ModulusAll((1.0,) * p))
@@ -168,7 +158,7 @@ def coeff_extremal_series(m: float, n: int) -> TruncatedTaylorSeries:
     keeps the tail below 1e-15 on |z| <= 0.99 for M >= 2.
     """
     if not m > 1.0:
-        raise DomainError(f"the coefficient extremal needs a modulus bound M > 1, got {m:g}")
+        raise DomainError(f"the coefficient extremal needs a modulus bound M > 1, got {m!r}")
     if n < 2:
         raise DomainError(f"the coefficient extremal needs n >= 2, got {n}")
     coeffs = [0j] * (DEFAULT_DEGREE + 1)
@@ -189,29 +179,23 @@ def coeff_extremal_series(m: float, n: int) -> TruncatedTaylorSeries:
 def real_profile(x: float, b: DerivAll) -> float:
     """Real-axis restriction of the deriv-family extremal.
 
-    Shares the complex evaluation path, so it agrees with
-    ``extremal_eval`` on real arguments exactly.
+    Evaluates the witness itself, so it agrees with ``extremal_fn(b)`` on
+    real arguments exactly.
     """
     if not 0.0 <= x <= 1.0:
-        raise DomainError(f"profile argument must lie in [0, 1], got {x:g}")
-    return _profile_value(b, complex(x)).real
+        raise DomainError(f"profile argument must lie in [0, 1], got {x!r}")
+    return poly_eval(extremal_fn(b), complex(x)).real
 
 
 def real_profile_derivative(x: float, b: DerivAll) -> float:
     """Closed-form derivative of the real-axis profile; zero exactly at rho."""
     if not 0.0 <= x <= 1.0:
-        raise DomainError(f"profile argument must lie in [0, 1], got {x:g}")
+        raise DomainError(f"profile argument must lie in [0, 1], got {x!r}")
     lam0 = b.lambda0
     total = lam0 * lam0 - (lam0**3 - lam0) / (lam0 - x)
     for k, lam in enumerate(b.lambdas, start=1):
         total -= (k + 1) * lam * x**k
     return total
-
-
-def _second_profile_zero(b: DerivAll, rho: float) -> float:
-    # the profile decreases from sigma > 0 at rho to a nonpositive value at 1
-    zero, _ = _bisect_decreasing(lambda x: real_profile(x, b), rho, 1.0)
-    return zero
 
 
 def collision_pair(b: DerivAll, r: float) -> tuple[float, float]:
@@ -226,22 +210,29 @@ def collision_pair(b: DerivAll, r: float) -> tuple[float, float]:
     result = deriv_radii(b)
     rho = result.rho
     if not rho < r <= 1.0:
-        raise DomainError(f"collision window needs rho < r <= 1; rho = {rho:.12g}, r = {r:.12g}")
-    sigma = real_profile(rho, b)
+        raise DomainError(f"collision window needs rho < r <= 1; rho = {rho!r}, r = {r!r}")
+    witness = extremal_fn(b)  # built once for every bisection step
+
+    def profile(x: float) -> float:
+        return poly_eval(witness, complex(x)).real
+
+    sigma = profile(rho)
     eps = 0.5 * (r - rho)
-    if real_profile(1.0, b) <= 0.0:
-        eps = min(eps, 0.5 * (_second_profile_zero(b, rho) - rho))
+    if profile(1.0) <= 0.0:
+        # the profile decreases from sigma > 0 at rho to a nonpositive value at 1
+        second_zero, _ = _bisect_decreasing(profile, rho, 1.0)
+        eps = min(eps, 0.5 * (second_zero - rho))
     x1 = rho + eps
-    gx1 = real_profile(x1, b)
+    gx1 = profile(x1)
     for _ in range(10):
         if gx1 > _DEGENERATE_TOL:
             break
         eps *= 0.5  # x1 fell at or past the second zero; pull it toward rho
         x1 = rho + eps
-        gx1 = real_profile(x1, b)
+        gx1 = profile(x1)
     if not _DEGENERATE_TOL < gx1 < sigma:
         raise BracketError(
-            f"collision bracket degenerate: g(x1) = {gx1:.6g} outside (0, {sigma:.6g}) with eps = {eps:.6g}"
+            f"collision bracket degenerate: g(x1) = {gx1!r} outside (0, {sigma!r}) with eps = {eps!r}"
         )
-    x2, _ = _bisect_decreasing(lambda x: gx1 - real_profile(x, b), 0.0, rho)
+    x2, _ = _bisect_decreasing(lambda x: gx1 - profile(x), 0.0, rho)
     return x1, x2

@@ -1,14 +1,17 @@
 """Poly-analytic function values and Wirtinger-calculus functionals.
 
 An order-p function is stored as its p analytic components A_0..A_{p-1};
-the value at z is sum_k conj(z)^k A_k(z).  The structural derivatives
+the value at z is sum_k conj(z)^k A_k(z).  A component is anything with
+``value`` and ``derivative`` methods that evaluate A_k and A_k' at every
+point of an array (``Component``): the closed-form extremal components
+and ``TruncatedTaylorSeries`` both are.  The structural derivatives
 
     F_z    = sum_k conj(z)^k A_k'(z)
     F_zbar = sum_k k conj(z)^(k-1) A_k(z)
 
-come straight from the component series; numerical differencing exists
-only as a test oracle.  Sense preservation is exposed through the sign of
-the Jacobian |F_z|^2 - |F_zbar|^2.
+come straight from the components; numerical differencing exists only as
+a test oracle.  Sense preservation is exposed through the sign of the
+Jacobian |F_z|^2 - |F_zbar|^2.
 
 ``poly_eval`` and ``logp_eval`` evaluate at one point; their ``_array``
 forms evaluate a whole array of points at once and serve the grid checks.
@@ -18,24 +21,25 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 from .errors import DomainError
-from .series import (
-    TruncatedTaylorSeries,
-    _cmul,
-    _require_in_disk,
-    _require_in_disk_array,
-    series_derivative,
-    series_eval,
-    series_eval_array,
-)
+from .series import _cmul, _require_in_disk, _require_in_disk_array
+
+
+class Component(Protocol):
+    """An analytic component: A(z) and A'(z) at every point of an array (0-d for one point)."""
+
+    def value(self, z) -> np.ndarray: ...
+
+    def derivative(self, z) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
 class PolyAnalyticFn:
-    components: tuple[TruncatedTaylorSeries, ...]
+    components: tuple[Component, ...]
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
@@ -55,10 +59,10 @@ class PolyAnalyticFn:
         """Constructor enforcing A_k(0) = 0 for every k and A_0'(0) = 1."""
         fn = cls(tuple(components))
         for k, comp in enumerate(fn.components):
-            if comp.coeffs[0] != 0:
-                raise DomainError(f"component {k} must vanish at the origin (c0 = 0)")
-        if fn.components[0].coeffs[1] != 1:
-            raise DomainError("leading component must have unit derivative at the origin (c1 = 1)")
+            if comp.value(0j) != 0:
+                raise DomainError(f"component {k} must vanish at the origin (A(0) = 0)")
+        if fn.components[0].derivative(0j) != 1:
+            raise DomainError("leading component must have unit derivative at the origin (A'(0) = 1)")
         return fn
 
 
@@ -86,7 +90,7 @@ def poly_eval(F: PolyAnalyticFn, z: complex) -> complex:
     acc = 0j
     power = 1 + 0j  # conj(z)^k by running product
     for comp in F.components:
-        acc += power * series_eval(comp, z)
+        acc += power * complex(comp.value(z))
         power *= zbar
     return acc
 
@@ -98,7 +102,7 @@ def poly_eval_array(F: PolyAnalyticFn, z) -> np.ndarray:
     acc = np.zeros_like(z)
     power = np.ones_like(z)
     for comp in F.components:
-        acc += _cmul(power, series_eval_array(comp, z))
+        acc += _cmul(power, comp.value(z))
         power = _cmul(power, zbar)
     return acc
 
@@ -110,7 +114,7 @@ def wirtinger_z(F: PolyAnalyticFn, z: complex) -> complex:
     acc = 0j
     power = 1 + 0j
     for comp in F.components:
-        acc += power * series_eval(series_derivative(comp), z)
+        acc += power * complex(comp.derivative(z))
         power *= zbar
     return acc
 
@@ -123,7 +127,7 @@ def wirtinger_zbar(F: PolyAnalyticFn, z: complex) -> complex:
     power = 1 + 0j  # conj(z)^(k-1), starting at k = 1
     for k, comp in enumerate(F.components):
         if k >= 1:
-            acc += k * power * series_eval(comp, z)
+            acc += k * power * complex(comp.value(z))
             power *= zbar
     return acc
 

@@ -82,21 +82,22 @@ def _require_power_finite(value: float, what: str, n: int) -> float:
     try:
         value**n
     except OverflowError:
-        raise DomainError(f"{what} = {value:g} is too large: {what}**{n} overflows a float") from None
+        raise DomainError(f"{what} = {value!r} is too large: {what}**{n} overflows a float") from None
     return value
 
 
 def _lead_bound(value: float, what: str) -> float:
     lam = _require_finite(value, what)
     if not lam > 1.0:
-        raise DomainError(f"{what} must exceed 1 (strict derivative bound), got {lam:g}")
+        raise DomainError(f"{what} must exceed 1 (strict derivative bound), got {lam!r}")
     return _require_power_finite(lam, what, 3)
 
 
 def _bound_tuple(values, what: str, minimum: float) -> tuple[float, ...]:
     out = tuple(_require_finite(v, what) for v in values)
-    if any(v < minimum for v in out):
-        raise DomainError(f"every {what} must be >= {minimum:g}")
+    for v in out:
+        if v < minimum:
+            raise DomainError(f"every {what} must be >= {minimum:g}, got {v!r}")
     return out
 
 
@@ -130,7 +131,7 @@ class Terms:
             elif kind == "deriv" and k and bound > 0.0:
                 weight = (k + 1) * bound
                 if not math.isfinite(weight):
-                    raise DomainError(f"lambda_{k} = {bound:g} is too large: {k + 1} * lambda_{k} overflows a float")
+                    raise DomainError(f"lambda_{k} = {bound!r} is too large: {k + 1} * lambda_{k} overflows a float")
                 deriv.append((k, weight, bound))
         lead_kind, lead_bound = components[0]
         return cls(
@@ -245,7 +246,7 @@ def univalence_margin(r: float, b: BoundProfile) -> float:
     """
     t = b.terms
     if not (0.0 <= r < 1.0 if t.modulus else 0.0 <= r <= 1.0):
-        raise DomainError(f"margin argument must lie in [0, 1{')' if t.modulus else ']'}, got {r:g}")
+        raise DomainError(f"margin argument must lie in [0, 1{')' if t.modulus else ']'}, got {r!r}")
     lam = t.lead
     total = 1.0 if lam is None else lam * (1.0 - lam * r) / (lam - r)
     for k, weight, _ in t.deriv:
@@ -388,7 +389,7 @@ def log_bound_from_modulus(m_star: float) -> float:
     """Map a factor modulus bound m* > 1 to the log-part bound log(m*) + pi."""
     m_star = _require_finite(m_star, "factor modulus bound")
     if not m_star > 1.0:
-        raise DomainError(f"factor modulus bound must exceed 1, got {m_star:g}")
+        raise DomainError(f"factor modulus bound must exceed 1, got {m_star!r}")
     return math.log(m_star) + math.pi
 
 
@@ -414,7 +415,7 @@ def classical_landau(m: float) -> tuple[float, float]:
     """The classical bounded-analytic radii r0 = 1/(M + sqrt(M^2-1)), R0 = M r0^2."""
     m = _require_finite(m, "modulus bound")
     if not m > 1.0:
-        raise DomainError(f"classical radii need a modulus bound M > 1, got {m:g}")
+        raise DomainError(f"classical radii need a modulus bound M > 1, got {m!r}")
     _require_power_finite(m, "M", 2)
     r0 = 1.0 / (m + math.sqrt(m * m - 1.0))
     return r0, m * r0 * r0
@@ -425,14 +426,14 @@ def bianalytic_deriv_baseline(lam1: float, lam2: float) -> tuple[float, float]:
     lam1 = _require_finite(lam1, "lambda1")
     lam2 = _require_finite(lam2, "lambda2")
     if lam1 < 0.0:
-        raise DomainError(f"lambda1 must be nonnegative, got {lam1:g}")
+        raise DomainError(f"lambda1 must be nonnegative, got {lam1!r}")
     if not lam2 > 1.0:
-        raise DomainError(f"lambda2 must exceed 1, got {lam2:g}")
+        raise DomainError(f"lambda2 must exceed 1, got {lam2!r}")
     _require_power_finite(lam2, "lambda2", 3)
     # the smaller root of 2 L1 r^2 - u L2 r + L2 with u = 2 L1 + L2, divided through by u so no product overflows
     u = 2.0 * lam1 + lam2
     if not math.isfinite(u):
-        raise DomainError(f"lambda1 = {lam1:g} is too large: 2 * lambda1 overflows a float")
+        raise DomainError(f"lambda1 = {lam1!r} is too large: 2 * lambda1 overflows a float")
     r1 = 2.0 / (u * (1.0 + math.sqrt(1.0 - 8.0 * (lam1 / u) / lam2 / u)))
     return r1, _lead_sigma(r1, lam2) - lam1 * r1 * r1
 
@@ -441,7 +442,7 @@ def bianalytic_bounded_baseline(lam: float) -> tuple[float, float]:
     """Prior order-2 Schwarz-case result: r2 = 1 for L <= 1/2, else 1/(2L)."""
     lam = _require_finite(lam, "lambda")
     if lam < 0.0:
-        raise DomainError(f"lambda must be nonnegative, got {lam:g}")
+        raise DomainError(f"lambda must be nonnegative, got {lam!r}")
     r2 = 1.0 if lam <= 0.5 else 1.0 / (2.0 * lam)
     return r2, r2 - lam * r2 * r2
 
@@ -458,7 +459,7 @@ def poly_modulus_baseline(m: float, p: int) -> tuple[float, float]:
     """Prior non-sharp order-p result under a single modulus bound M > 1."""
     m = _require_finite(m, "modulus bound")
     if not m > 1.0:
-        raise DomainError(f"the baseline needs a modulus bound M > 1, got {m:g}")
+        raise DomainError(f"the baseline needs a modulus bound M > 1, got {m!r}")
     _require_power_finite(m, "M", 2)
     if p < 1:
         raise DomainError(f"order must be a positive integer, got {p}")

@@ -1,10 +1,11 @@
 """Complex truncated Taylor series on the closed unit disk.
 
-Every analytic building block in the package is a finite coefficient list
-c0..cN evaluated by Horner recurrence.  Series are immutable; operations
-return new values.  ``series_eval`` evaluates at one point and is the
-reference for ``series_eval_array``, which runs the same recurrence over
-a whole array of points and agrees with it bit for bit.
+A series is a finite coefficient list c0..cN evaluated by Horner
+recurrence; it holds the coefficient-bound extremal and the oracles the
+closed-form witnesses are tested against.  Series are immutable;
+operations return new values.  ``series_eval`` evaluates at one point
+and is the reference for ``series_eval_array``, which runs the same
+recurrence over a whole array of points and agrees with it bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ _DISK_SLACK = 1e-9  # tolerate boundary roundoff in |z| <= 1 checks
 def _require_in_disk(z: complex) -> complex:
     z = complex(z)
     if abs(z) > 1.0 + _DISK_SLACK:
-        raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {abs(z):.6g}")
+        raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {abs(z)!r}")
     return z
 
 
@@ -35,7 +36,7 @@ def _require_in_disk_array(z) -> np.ndarray:
     if z.size:
         worst = float(np.max(np.abs(z)))
         if worst > 1.0 + _DISK_SLACK:
-            raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {worst:.6g}")
+            raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {worst!r}")
     return z
 
 
@@ -56,6 +57,14 @@ class TruncatedTaylorSeries:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    def value(self, z) -> np.ndarray:
+        """The series at every point of an array; requires |z| <= 1."""
+        return series_eval_array(self, z)
+
+    def derivative(self, z) -> np.ndarray:
+        """The derivative series at every point of an array; requires |z| <= 1."""
+        return series_eval_array(series_derivative(self), z)
 
 
 def series_eval(s: TruncatedTaylorSeries, z: complex) -> complex:

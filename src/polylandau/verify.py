@@ -4,7 +4,9 @@ Everything here re-derives its verdict from function evaluations on
 grids or random samples; nothing consults the closed-form margin
 functions or root finders, so a bug there cannot vouch for itself.
 Only the parameter dataclasses and the witnesses' audit radius are
-shared, as plain data.
+shared, as plain data.  Witness components are read through their
+``value`` and ``derivative`` alone, at 0 for the normalisation and on
+the audit grid for the bounds.
 
 All checks are necessary-condition tests: a pass means no counterexample
 was found at the sampled resolution, not a proof.  A failed report
@@ -20,9 +22,9 @@ import numpy as np
 
 from .errors import DomainError
 from .extremal import AUDIT_RADIUS
-from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, logp_eval_array, poly_eval_array
+from .polyfunc import Component, LogPAnalyticFn, PolyAnalyticFn, logp_eval_array, poly_eval_array
 from .radii import BoundProfile
-from .series import TruncatedTaylorSeries, series_derivative, series_eval_array
+from .series import TruncatedTaylorSeries
 
 _PAIR_BLOCK = 256
 
@@ -39,7 +41,7 @@ class GridSpec:
         if self.radial_count < 8 or self.angular_count < 8:
             raise DomainError("grid needs at least 8 radial and 8 angular samples")
         if not self.margin >= 0.0:
-            raise DomainError(f"grid margin must be nonnegative, got {self.margin:g}")
+            raise DomainError(f"grid margin must be nonnegative, got {self.margin!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def univalence_grid_check(
     than 1e-15 are skipped; a grid with no other pair is a DomainError.
     """
     if not 0.0 < r:
-        raise DomainError(f"univalence check needs r > 0, got {r:g}")
+        raise DomainError(f"univalence check needs r > 0, got {r!r}")
     pts = _disk_grid(r, grid)
     if extra_points:
         pts = np.concatenate([pts, np.asarray(list(extra_points), dtype=complex)])
@@ -139,10 +141,10 @@ def schlicht_coverage_check(
     is at least sigma.  Requires fn(0) = 0 up to 1e-12.
     """
     if not (0.0 < rho and 0.0 < sigma):
-        raise DomainError(f"coverage check needs rho > 0 and sigma > 0, got {rho:g}, {sigma:g}")
+        raise DomainError(f"coverage check needs rho > 0 and sigma > 0, got {rho!r}, {sigma!r}")
     origin = abs(fn(0j))
     if origin > 1e-12:
-        raise DomainError(f"coverage check needs fn(0) = 0, got |fn(0)| = {origin:.3g}")
+        raise DomainError(f"coverage check needs fn(0) = 0, got |fn(0)| = {origin!r}")
     angles = 2.0 * np.pi * np.arange(boundary_samples) / boundary_samples
     pts = rho * np.exp(1j * angles)
     vals = np.abs(_eval_at(fn, pts))
@@ -159,16 +161,15 @@ def schlicht_coverage_check(
 
 
 def deriv_bound_check(
-    series: TruncatedTaylorSeries,
+    component: Component,
     bound: float,
     grid: GridSpec = GridSpec(),
 ) -> VerificationReport:
-    """Checks |series'(z)| < bound on a grid approaching |z| = 1."""
+    """Checks |A'(z)| <= bound on a grid approaching |z| = 1."""
     if not bound > 0.0:
-        raise DomainError(f"derivative bound must be positive, got {bound:g}")
-    deriv = series_derivative(series)
+        raise DomainError(f"derivative bound must be positive, got {bound!r}")
     pts = _disk_grid(AUDIT_RADIUS, grid)
-    vals = np.abs(series_eval_array(deriv, pts))
+    vals = np.abs(component.derivative(pts))
     k = int(np.argmax(vals))
     worst = float(vals[k])
     measured = bound - worst
@@ -189,7 +190,7 @@ def coefficient_bound_check(
 ) -> VerificationReport:
     """Checks |c_n| <= M - 1/M for n >= 2 on a normalized bounded map's series."""
     if not m >= 1.0:
-        raise DomainError(f"modulus bound must satisfy M >= 1, got {m:g}")
+        raise DomainError(f"modulus bound must satisfy M >= 1, got {m!r}")
     c = series.coeffs
     if abs(c[0]) > 1e-12 or abs(c[1] - 1.0) > 1e-12:
         raise DomainError("coefficient check needs a normalized series: c0 = 0, c1 = 1")
@@ -222,7 +223,7 @@ def exp_disk_check(sigma: float, samples: int = 10000, seed: int = 0) -> Verific
     0 < sigma < 1, where the disk stays in the right half plane.
     """
     if not 0.0 < sigma < 1.0:
-        raise DomainError(f"exp-disk check needs 0 < sigma < 1, got {sigma:g}")
+        raise DomainError(f"exp-disk check needs 0 < sigma < 1, got {sigma!r}")
     rng = np.random.default_rng(seed)
     u = np.sqrt(rng.uniform(size=samples))
     t = rng.uniform(0.0, 2.0 * np.pi, size=samples)
@@ -248,7 +249,7 @@ def monotonicity_check(
 ) -> VerificationReport:
     """Checks g decreases strictly at consecutive sample points on [lo, hi]."""
     if not lo < hi:
-        raise DomainError(f"monotonicity check needs lo < hi, got [{lo:g}, {hi:g}]")
+        raise DomainError(f"monotonicity check needs lo < hi, got [{lo!r}, {hi!r}]")
     xs = np.linspace(lo, hi, samples)
     vals = np.array([g(float(x)) for x in xs])
     drops = vals[:-1] - vals[1:]
@@ -264,41 +265,38 @@ def monotonicity_check(
     )
 
 
-def _max_modulus(comp: TruncatedTaylorSeries, grid: GridSpec) -> float:
-    return float(np.max(np.abs(series_eval_array(comp, _disk_grid(AUDIT_RADIUS, grid)))))
+def _max_modulus(comp: Component, grid: GridSpec) -> float:
+    return float(np.max(np.abs(comp.value(_disk_grid(AUDIT_RADIUS, grid)))))
 
 
 def hypothesis_audit(fn: PolyAnalyticFn, b: BoundProfile, grid: GridSpec = GridSpec()) -> VerificationReport:
     """Checks fn satisfies the normalization and bound hypotheses encoded in b.
 
     Each component must vanish at 0, the leading component and every
-    modulus-bounded one must have linear coefficient 1, and each component
-    must meet the bound of its term.
+    modulus-bounded one must have derivative 1 there, and each component
+    must meet the bound of its term.  The identity lead is the Schwarz
+    case |A_0'| <= 1, which with A_0'(0) = 1 holds only for A_0(z) = z.
     """
     if fn.order != b.order:
         raise DomainError(f"profile expects order {b.order}, function has order {fn.order}")
     problems: list[str] = []
     for k, (comp, (kind, bound)) in enumerate(zip(fn.components, b.terms.components)):
-        coeffs = comp.coeffs
-        if abs(coeffs[0]) > 1e-12:
+        if abs(comp.value(0j)) > 1e-12:
             problems.append(f"component {k} does not vanish at 0")
-        if (k == 0 or kind == "modulus") and abs(coeffs[1] - 1.0) > 1e-12:
+        if (k == 0 or kind == "modulus") and abs(comp.derivative(0j) - 1.0) > 1e-12:
             problems.append(f"component {k} linear coefficient is not 1")
-        if kind == "identity":
-            if coeffs[:2] != (0j, 1 + 0j) or any(c != 0j for c in coeffs[2:]):
-                problems.append("leading component is not the identity series")
-        elif kind == "modulus":
+        if kind == "modulus":
             worst = _max_modulus(comp, grid)
             if worst > bound + grid.margin:
-                problems.append(f"component {k} modulus exceeds {bound:g} by {worst - bound:.3g}")
+                problems.append(f"component {k} modulus exceeds {bound!r} by {worst - bound:.3g}")
         elif bound == 0.0:
             worst = _max_modulus(comp, grid)
             if worst > grid.margin:
-                problems.append(f"component {k} should vanish, max modulus {worst:.3g}")
+                problems.append(f"component {k} should vanish, max modulus {worst!r}")
         else:
             report = deriv_bound_check(comp, bound, grid)
             if not report.passed:
-                problems.append(f"component {k} derivative exceeds {bound:g} by {-report.measured_margin:.3g}")
+                problems.append(f"component {k} derivative exceeds {bound!r} by {-report.measured_margin:.3g}")
     passed = not problems
     return VerificationReport(
         check_name="hypothesis-audit",

@@ -57,3 +57,17 @@ def scan_root(g, lo: float, hi: float, coarse: float = 1e-3, fine: float = 1e-7)
             return x - 0.5 * fine
         x += fine
     return b - 0.5 * fine
+
+
+def deriv_lead_coeffs(lam: float, degree: int) -> tuple[complex, ...]:
+    """Taylor coefficients of L^2 z + (L^3 - L) log(1 - z/L) up to z^degree.
+
+    c0 = 0, c1 = 1 and c_n = -(L^3 - L) / (n L^n) for n >= 2.
+    """
+    scale = lam**3 - lam
+    coeffs = [0j, 1 + 0j]
+    power = 1.0 / (lam * lam)  # (1/L)^n, running product
+    for n in range(2, degree + 1):
+        coeffs.append(complex(-scale * power / n))
+        power /= lam
+    return tuple(coeffs)

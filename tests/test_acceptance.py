@@ -12,7 +12,6 @@ import time
 from polylandau import (
     DerivAll,
     DerivNormalized,
-    ExtremalSpec,
     GridSpec,
     ModulusAll,
     TruncatedTaylorSeries,
@@ -25,7 +24,6 @@ from polylandau import (
     deriv_extremal_fn,
     deriv_radii,
     exp_disk_check,
-    extremal_eval,
     log_deriv_radii,
     modulus_radii,
     monotonicity_check,
@@ -79,8 +77,7 @@ def test_04_extremal_univalence_and_collision():
     assert report.passed, report.note
 
     x1, x2 = collision_pair(REFERENCE, 0.5)
-    spec = ExtremalSpec("deriv", profile=REFERENCE)
-    gap = abs(extremal_eval(spec, complex(x1)) - extremal_eval(spec, complex(x2)))
+    gap = abs(fn(complex(x1)) - fn(complex(x2)))
     assert x2 < res.rho < x1
     assert gap < 1e-10
     assert time.monotonic() - start < 30.0
@@ -91,8 +88,7 @@ def test_05_schlicht_radius_attained_and_covered():
     start = time.monotonic()
     res = deriv_radii(REFERENCE)
     fn = deriv_extremal_fn(REFERENCE)
-    spec = ExtremalSpec("deriv", profile=REFERENCE)
-    assert abs(abs(extremal_eval(spec, complex(res.rho))) - res.sigma) < 1e-9
+    assert abs(abs(fn(complex(res.rho))) - res.sigma) < 1e-9
     assert schlicht_coverage_check(fn, res.rho, 0.99 * res.sigma).passed
     assert not schlicht_coverage_check(fn, res.rho, 1.01 * res.sigma).passed
     assert time.monotonic() - start < 5.0

@@ -87,6 +87,22 @@ def test_exit_2_names_violated_hypothesis(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("radii", "--theorem", "1", "--lambda0", "0.9999999"),
+        ("radii", "--theorem", "7", "--mstars", "0.9999999"),
+        ("baseline", "--name", "landau", "--m", "0.9999999"),
+    ],
+)
+def test_exit_2_prints_the_offending_value_unrounded(capsys, argv):
+    # printed with :g these read "got 1", which hides why the value was refused
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "0.9999999" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("radii", "--theorem", "1", "--lambda0", "1e200"),
         ("radii", "--theorem", "4", "--lambda0", "1e200", "--ms", "2"),
         ("baseline", "--name", "bianalytic-deriv", "--lambda0", "1e200", "--lambda1", "1"),
@@ -210,6 +226,21 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert "hypothesis-audit" in names
     assert "univalence-grid" in names
     assert "schlicht-coverage" in names
+
+
+def test_verify_passes_lead_bound_near_one(capsys):
+    # the truncated-series witness failed its own derivative audit here by 1.6e-9
+    code, out, _ = run(capsys, "verify", "--theorem", "1", "--lambda0", "1.0000001", "--lambdas", "0")
+    assert code == EXIT_OK
+    assert out.splitlines()[0].startswith("PASS hypothesis-audit")
+
+
+def test_verify_modulus_witness_is_near_its_fold(capsys):
+    # the M = 1 stand-in passed with a univalence margin of 0.999999 whatever M was
+    code, out, _ = run(capsys, "verify", "--theorem", "3", "--ms", "1e6,1e6", "--format", "json")
+    assert code == EXIT_OK
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["univalence-grid"]["measured_margin"] < 0.1
 
 
 def test_verify_forced_failure_exits_1(capsys):

@@ -1,9 +1,11 @@
-"""Extremal families: closed forms, series materializations, collisions."""
+"""Extremal witnesses: closed forms against series and 50-digit oracles, collisions."""
 
 import cmath
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 
 from polylandau import (
@@ -11,16 +13,18 @@ from polylandau import (
     DerivAll,
     DerivNormalized,
     DomainError,
-    ExtremalSpec,
+    ModulusAll,
+    PolyAnalyticFn,
+    TruncatedTaylorSeries,
     bounded_deriv_component,
     classical_landau,
     coeff_extremal_series,
     collision_pair,
     deriv_extremal_fn,
     deriv_radii,
-    extremal_eval,
     normalized_extremal_fn,
     poly_eval,
+    poly_eval_array,
     real_profile,
     real_profile_derivative,
     series_derivative,
@@ -28,109 +32,171 @@ from polylandau import (
     unit_modulus_extremal_fn,
     univalence_margin_deriv,
 )
+from polylandau.extremal import AUDIT_RADIUS, extremal_fn
+from _oracles import deriv_lead_coeffs
 
 
 B = DerivAll(2.0, (1.0,))
 
 
-def test_spec_validation():
-    with pytest.raises(DomainError):
-        ExtremalSpec("unknown")
-    with pytest.raises(DomainError):
-        ExtremalSpec("deriv")  # missing profile
-    with pytest.raises(DomainError):
-        ExtremalSpec("deriv", profile=DerivNormalized((1.0,)))
-    with pytest.raises(DomainError):
-        ExtremalSpec("unit_modulus", order=1)
-    with pytest.raises(DomainError):
-        ExtremalSpec("classical", bound=1.0)
-    with pytest.raises(DomainError):
-        ExtremalSpec("coeff", bound=2.0, power=1)
-    ExtremalSpec("coeff", bound=2.0, power=3)  # valid
+def _audit_grid(radial: int = 16, angular: int = 32) -> list[complex]:
+    """A polar grid on |z| <= AUDIT_RADIUS, its outer circle included."""
+    return [
+        AUDIT_RADIUS * k / radial * cmath.exp(2j * math.pi * j / angular)
+        for k in range(1, radial + 1)
+        for j in range(angular)
+    ]
 
 
 def test_deriv_value_closed_form():
-    spec = ExtremalSpec("deriv", profile=B)
     z = 0.2 + 0.1j
     expected = 4.0 * z + 6.0 * cmath.log(1 - z / 2.0) - 1.0 * z.conjugate() * z
-    assert extremal_eval(spec, z) == pytest.approx(expected, abs=1e-14)
+    assert deriv_extremal_fn(B)(z) == pytest.approx(expected, abs=1e-14)
 
 
 def test_normalized_value_closed_form():
-    spec = ExtremalSpec("normalized", profile=DerivNormalized((0.5,)))
     z = 0.3 - 0.2j
-    assert extremal_eval(spec, z) == pytest.approx(z - 0.5 * z.conjugate() * z, abs=1e-15)
+    assert normalized_extremal_fn(DerivNormalized((0.5,)))(z) == pytest.approx(z - 0.5 * z.conjugate() * z, abs=1e-15)
 
 
 def test_unit_modulus_value_closed_form():
-    spec = ExtremalSpec("unit_modulus", order=3)
     z = 0.25 + 0.25j
     zb = z.conjugate()
-    assert extremal_eval(spec, z) == pytest.approx(z + zb * z + zb * zb * z, abs=1e-15)
+    assert unit_modulus_extremal_fn(3)(z) == pytest.approx(z + zb * z + zb * zb * z, abs=1e-15)
 
 
 def test_classical_value_attains_boundary_radius():
     r0, big_r0 = classical_landau(2.0)
-    spec = ExtremalSpec("classical", bound=2.0)
-    assert abs(extremal_eval(spec, r0)) == pytest.approx(big_r0, abs=1e-12)
+    assert abs(extremal_fn(ModulusAll((2.0,)))(r0)) == pytest.approx(big_r0, abs=1e-12)
 
 
 def test_bounded_ratio_is_bounded_by_m():
-    spec = ExtremalSpec("coeff", bound=2.0, power=3)
+    comp = extremal_fn(ModulusAll((2.0,))).components[0]
     rng = random.Random(3)
     for _ in range(200):
         t = 2 * math.pi * rng.random()
         r = math.sqrt(rng.random())
-        v = abs(extremal_eval(spec, complex(r * math.cos(t), r * math.sin(t))))
-        assert v <= 2.0 + 1e-9
+        assert abs(complex(comp.value(complex(r * math.cos(t), r * math.sin(t))))) <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 10.0, 1e6])
+def test_classical_component_is_normalized_and_reaches_its_bound(m):
+    comp = extremal_fn(ModulusAll((m,))).components[0]
+    assert comp.value(0j) == 0
+    assert comp.derivative(0j) == 1
+    worst = np.max(np.abs(comp.value(np.array(_audit_grid()))))
+    assert 0.99 * m <= worst <= m * (1 + 1e-15)
+
+
+def test_classical_component_matches_coefficient_series():
+    comp = extremal_fn(ModulusAll((2.0,))).components[0]
+    s = coeff_extremal_series(2.0, 2)
+    d = series_derivative(s)
+    for z in _audit_grid(8, 16):
+        assert complex(comp.value(z)) == pytest.approx(series_eval(s, z), abs=1e-14)
+        assert complex(comp.derivative(z)) == pytest.approx(series_eval(d, z), abs=1e-13)
 
 
 def test_deriv_component_series_matches_closed_form():
     comp = bounded_deriv_component(2.0)
     for z in (0.3, -0.5j, 0.6 + 0.2j):
         closed = 4.0 * z + 6.0 * cmath.log(1 - z / 2.0)
-        assert series_eval(comp, z) == pytest.approx(closed, abs=1e-12)
+        assert complex(comp.value(z)) == pytest.approx(closed, abs=1e-15)
 
 
 def test_deriv_component_derivative_is_a_moebius_map():
     # |A0'(z)| = L0 |(1 - L0 z)/(L0 - z)| stays strictly below L0 on the disk
     comp = bounded_deriv_component(2.0)
-    d = series_derivative(comp)
     rng = random.Random(11)
     for _ in range(300):
         t = 2 * math.pi * rng.random()
         r = 0.999 * math.sqrt(rng.random())
         z = complex(r * math.cos(t), r * math.sin(t))
-        got = series_eval(d, z)
+        got = complex(comp.derivative(z))
         expected = 2.0 * (1 - 2.0 * z) / (2.0 - z)
-        assert got == pytest.approx(expected, abs=1e-9)
+        assert got == pytest.approx(expected, abs=1e-14)
         assert abs(got) < 2.0
 
 
-def test_deriv_component_degree_grows_near_one():
-    assert bounded_deriv_component(1.05).degree > bounded_deriv_component(5.0).degree
+@pytest.mark.parametrize("lam", [2.0, 6.0])
+def test_deriv_component_matches_taylor_series(lam):
+    # 256 terms leave a tail below 1e-70 at |z| = AUDIT_RADIUS for L0 >= 2
+    s = TruncatedTaylorSeries(deriv_lead_coeffs(lam, 256))
+    d = series_derivative(s)
+    comp = bounded_deriv_component(lam)
+    for z in _audit_grid():
+        assert abs(complex(comp.value(z)) - series_eval(s, z)) <= 1e-14 * (1 + abs(series_eval(s, z)))
+        assert abs(complex(comp.derivative(z)) - series_eval(d, z)) <= 1e-14 * lam
+
+
+def _deriv_lead_points(lam: float) -> list[complex]:
+    # the audit grid, plus points beside the zero 1/L of A' and the zero of A past it
+    pts = _audit_grid()
+    rng = random.Random(5)
+    pts += [AUDIT_RADIUS * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random()) for _ in range(200)]
+    if 1.0 / lam < AUDIT_RADIUS:
+        pts += [complex(1.0 / lam * (1.0 + d), e) for d in (-1e-9, 1e-12, 0.0, 1e-6) for e in (0.0, 1e-10)]
+    if lam < 1.5:
+        pts += [complex(x, 0.0) for x in np.linspace(1.0 / lam, AUDIT_RADIUS, 64)]
+    return pts
+
+
+@pytest.mark.parametrize("lam", [1.0000001, 1.001, 1.2, 2.0, 6.0, 40.0, 1e3, 1e8])
+def test_deriv_component_matches_50_digit_reference(lam):
+    comp = bounded_deriv_component(lam)
+    pts = _deriv_lead_points(lam)
+    values = comp.value(np.array(pts))
+    derivs = comp.derivative(np.array(pts))
+    with mpmath.workdps(50):
+        big = mpmath.mpf(lam)
+        for z, a, da in zip(pts, values.tolist(), derivs.tolist()):
+            w = mpmath.mpc(z)
+            a_ref = big * big * w + (big**3 - big) * mpmath.log(1 - w / big)
+            da_ref = big * (1 - big * w) / (big - w)
+            assert abs(a - a_ref) <= 1e-14 * (1 + abs(a_ref)), (lam, z)
+            assert abs(da - da_ref) <= 1e-14 * abs(da_ref), (lam, z)
+
+
+def test_deriv_component_is_normalized():
+    for lam in (1.0000001, 2.0, 1e8):
+        comp = bounded_deriv_component(lam)
+        assert comp.value(0j) == 0
+        assert comp.derivative(0j) == 1
+
+
+def test_deriv_component_rejects_bound_at_most_one():
+    with pytest.raises(DomainError, match="0.9999999"):
+        bounded_deriv_component(0.9999999)
+
+
+def test_modulus_witness_reaches_each_bound():
+    # the identity stand-in for a modulus component reaches only |z| = AUDIT_RADIUS
+    grid = np.array(_audit_grid())
+    F = extremal_fn(ModulusAll((2.0, 5.0)))
+    for comp, m in zip(F.components, (2.0, 5.0)):
+        worst = np.max(np.abs(poly_eval_array(PolyAnalyticFn((comp,)), grid)))
+        assert worst >= 0.99 * m
 
 
 def test_deriv_extremal_fn_matches_eval():
     F = deriv_extremal_fn(B)
-    spec = ExtremalSpec("deriv", profile=B)
     for z in (0.1, 0.2 - 0.1j, 0.25j):
-        assert poly_eval(F, z) == pytest.approx(extremal_eval(spec, z), abs=1e-12)
+        expected = 4.0 * z + 6.0 * cmath.log(1 - z / 2.0) - z.conjugate() * z
+        assert poly_eval(F, z) == pytest.approx(expected, abs=1e-15)
 
 
 def test_normalized_extremal_fn_matches_eval():
-    b = DerivNormalized((0.7, 0.2))
-    F = normalized_extremal_fn(b)
-    spec = ExtremalSpec("normalized", profile=b)
+    F = normalized_extremal_fn(DerivNormalized((0.7, 0.2)))
     for z in (0.4, -0.3 + 0.3j):
-        assert poly_eval(F, z) == pytest.approx(extremal_eval(spec, z), abs=1e-15)
+        zb = z.conjugate()
+        assert poly_eval(F, z) == pytest.approx(z - 0.7 * zb * z - 0.2 * zb * zb * z, abs=1e-15)
 
 
 def test_unit_modulus_extremal_fn_matches_eval():
     F = unit_modulus_extremal_fn(3)
-    spec = ExtremalSpec("unit_modulus", order=3)
     for z in (0.2, 0.1 + 0.4j):
-        assert poly_eval(F, z) == pytest.approx(extremal_eval(spec, z), abs=1e-15)
+        zb = z.conjugate()
+        assert poly_eval(F, z) == pytest.approx(z + zb * z + zb * zb * z, abs=1e-15)
 
 
 def test_coeff_series_exact_leading_gap_coefficient():
@@ -142,17 +208,10 @@ def test_coeff_series_exact_leading_gap_coefficient():
     assert s.coeffs[5] == pytest.approx(-0.75, abs=1e-15)
 
 
-def test_coeff_series_matches_closed_form():
-    s = coeff_extremal_series(2.0, 2)
-    spec = ExtremalSpec("classical", bound=2.0)
-    for z in (0.3, 0.2 + 0.4j):
-        assert series_eval(s, z) == pytest.approx(extremal_eval(spec, z), abs=1e-12)
-
-
 def test_real_profile_matches_complex_eval():
-    spec = ExtremalSpec("deriv", profile=B)
+    F = deriv_extremal_fn(B)
     for x in (0.0, 0.1, 0.26, 0.5):
-        assert real_profile(x, B) == extremal_eval(spec, complex(x)).real
+        assert real_profile(x, B) == poly_eval(F, complex(x)).real
 
 
 def test_real_profile_peaks_at_rho():
@@ -184,9 +243,9 @@ def test_collision_pair_straddles_rho():
     res = deriv_radii(B)
     x1, x2 = collision_pair(B, 0.5)
     assert x2 < res.rho < x1 < 0.5
-    spec = ExtremalSpec("deriv", profile=B)
-    v1 = extremal_eval(spec, complex(x1))
-    v2 = extremal_eval(spec, complex(x2))
+    F = deriv_extremal_fn(B)
+    v1 = poly_eval(F, complex(x1))
+    v2 = poly_eval(F, complex(x2))
     assert abs(v1 - v2) < 1e-10
     # the exponentials collide as well, breaking injectivity of exp(F)
     assert abs(cmath.exp(v1) - cmath.exp(v2)) < 1e-10

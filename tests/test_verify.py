@@ -250,3 +250,11 @@ def test_hypothesis_audit_flags_missing_normalization():
     report = hypothesis_audit(fn, DerivAll(2.0, (1.0,)), SMALL_GRID)
     assert not report.passed
     assert "vanish" in report.note
+
+
+def test_hypothesis_audit_flags_non_identity_schwarz_lead():
+    # |A_0'| <= 1 with A_0'(0) = 1 forces A_0(z) = z; z + 0.1 z^2 breaks it near |z| = 1
+    comps = [TruncatedTaylorSeries((0, 1, 0.1)), TruncatedTaylorSeries((0, -1))]
+    report = hypothesis_audit(PolyAnalyticFn(tuple(comps)), DerivNormalized((1.0,)), SMALL_GRID)
+    assert not report.passed
+    assert "component 0 derivative exceeds 1.0" in report.note
