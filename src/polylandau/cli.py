@@ -35,19 +35,17 @@ from .errors import DomainError, PolyLandauError
 from .extremal import collision_pair, extremal_fn
 from .polyfunc import LogPAnalyticFn
 from .radii import (
-    BoundProfile,
     DerivAll,
     DerivNormalized,
     MixedDerivModulus,
     ModulusAll,
+    Profile,
     RadiiResult,
     bianalytic_bounded_baseline,
     bianalytic_deriv_baseline,
     classical_landau,
-    deriv_radii,
     log_bound_from_modulus,
     log_variant,
-    modulus_radii,
     poly_modulus_baseline,
     radii,
     univalence_margin,
@@ -65,6 +63,9 @@ from .verify import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+#: Most rows one table may have; a longer range is rejected before any row is built.
+MAX_TABLE_ROWS = 10**6
 
 _PROFILE_FLAGS = ("lambda0", "lambdas", "ms", "mstars")
 
@@ -288,7 +289,7 @@ def _require_theorem(cfg: RunConfig) -> int:
     return cfg.theorem
 
 
-def _build_profile(cfg: RunConfig) -> BoundProfile:
+def _build_profile(cfg: RunConfig) -> Profile:
     """The selected theorem's profile; factor bounds m* (theorems 7 and 8) become log bounds here."""
     t = _require_theorem(cfg)
     _reject_foreign_flags(cfg)
@@ -325,7 +326,7 @@ def _build_profile(cfg: RunConfig) -> BoundProfile:
     return ModulusAll(values) if base == 3 else MixedDerivModulus(lam0, values)
 
 
-def _compute_radii(theorem: int, profile: BoundProfile) -> RadiiResult:
+def _compute_radii(theorem: int, profile: Profile) -> RadiiResult:
     res = radii(profile)
     return log_variant(res) if theorem >= 5 else res
 
@@ -453,7 +454,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     all_positive = True
     for m in ms:
         for p in orders:
-            res = modulus_radii(ModulusAll((m,) * p))
+            res = radii(ModulusAll((m,) * p))
             r_base, big_r_base = poly_modulus_baseline(m, p)
             drho = res.rho - r_base
             dsigma = res.sigma - big_r_base
@@ -476,11 +477,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK if all_positive else EXIT_CHECK_FAILED
 
 
-def _margin_fn(profile: BoundProfile):
+def _margin_fn(profile: Profile):
     """Margin function, right end of its sampling interval, and whether the margin is constant."""
-    t = profile.terms
-    constant = t.lead is None and not (t.deriv or t.excess or t.identity)
-    return (lambda r: univalence_margin(r, profile)), t.upper(1.0 - 1e-6), constant
+    constant = profile.lead is None and not (profile.deriv or profile.excess or profile.identity)
+    return (lambda r: univalence_margin(r, profile)), profile.upper(1.0 - 1e-6), constant
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -544,7 +544,7 @@ def cmd_sharpness(cfg: RunConfig) -> int:
     if cfg.theorem not in (1, 5):
         raise DomainError("sharpness demonstration applies to theorems 1 and 5 only")
     profile = _build_profile(cfg)
-    res = deriv_radii(profile)
+    res = radii(profile)
     x1, x2 = collision_pair(profile, cfg.radius)
     witness = extremal_fn(profile)
     v1 = witness(complex(x1))
@@ -586,11 +586,16 @@ def _range_values(raw: str, flag: str) -> list[float]:
     if len(parts) != 3:
         raise DomainError(f"{flag} range must be start:stop:step, got {raw!r}")
     start, stop, step = (_float(piece, flag) for piece in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise DomainError(f"{flag} range needs a finite start, stop and step, got {raw!r}")
     if step <= 0.0:
         raise DomainError(f"{flag} range needs a positive step, got {step!r}")
     if stop < start:
         raise DomainError(f"{flag} range needs stop >= start, got {raw!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_TABLE_ROWS:  # inf when the quotient overflows
+        raise DomainError(f"{flag} range has more than {MAX_TABLE_ROWS} rows, got {raw!r}")
+    count = int(math.floor(steps)) + 1
     return [start + i * step for i in range(count)]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BracketError, DomainError
 from .polyfunc import PolyAnalyticFn, poly_eval
-from .radii import BoundProfile, DerivAll, ModulusAll, _bisect_decreasing, deriv_radii
+from .radii import ModulusAll, Profile, _bisect_decreasing, radii
 from .series import DEFAULT_DEGREE, TruncatedTaylorSeries
 
 _DEGENERATE_TOL = 1e-13
@@ -119,7 +119,7 @@ def bounded_deriv_component(lam0: float) -> DerivLead:
     return DerivLead(lam0)
 
 
-def extremal_fn(b: BoundProfile) -> PolyAnalyticFn:
+def extremal_fn(b: Profile) -> PolyAnalyticFn:
     """Closed-form witness of any profile, one component per term.
 
     A derivative lead gives ``bounded_deriv_component``, a derivative
@@ -128,7 +128,7 @@ def extremal_fn(b: BoundProfile) -> PolyAnalyticFn:
     modulus bound M = 1 the identity.
     """
     comps = []
-    for k, (kind, bound) in enumerate(b.terms.components):
+    for k, (kind, bound) in enumerate(b.components):
         if kind == "deriv" and k == 0:
             comps.append(bounded_deriv_component(bound))
         elif kind == "deriv":
@@ -176,7 +176,7 @@ def coeff_extremal_series(m: float, n: int) -> TruncatedTaylorSeries:
     return TruncatedTaylorSeries(tuple(coeffs))
 
 
-def real_profile(x: float, b: DerivAll) -> float:
+def real_profile(x: float, b: Profile) -> float:
     """Real-axis restriction of the deriv-family extremal.
 
     Evaluates the witness itself, so it agrees with ``extremal_fn(b)`` on
@@ -187,18 +187,7 @@ def real_profile(x: float, b: DerivAll) -> float:
     return poly_eval(extremal_fn(b), complex(x)).real
 
 
-def real_profile_derivative(x: float, b: DerivAll) -> float:
-    """Closed-form derivative of the real-axis profile; zero exactly at rho."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"profile argument must lie in [0, 1], got {x!r}")
-    lam0 = b.lambda0
-    total = lam0 * lam0 - (lam0**3 - lam0) / (lam0 - x)
-    for k, lam in enumerate(b.lambdas, start=1):
-        total -= (k + 1) * lam * x**k
-    return total
-
-
-def collision_pair(b: DerivAll, r: float) -> tuple[float, float]:
+def collision_pair(b: Profile, r: float) -> tuple[float, float]:
     """Two abscissae x2 < rho < x1 < r where the extremal takes one value.
 
     eps starts at half the distance from rho to r, capped at half the
@@ -207,8 +196,7 @@ def collision_pair(b: DerivAll, r: float) -> tuple[float, float]:
     within tolerance is degenerate; eps shrinks by half, at most ten
     times, before giving up.
     """
-    result = deriv_radii(b)
-    rho = result.rho
+    rho = radii(b).rho
     if not rho < r <= 1.0:
         raise DomainError(f"collision window needs rho < r <= 1; rho = {rho!r}, r = {r!r}")
     witness = extremal_fn(b)  # built once for every bisection step

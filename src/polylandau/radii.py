@@ -1,28 +1,32 @@
 """Univalence radii and covered-disk radii under four bound profiles.
 
-Profile families
-----------------
-``DerivAll``
+Profiles
+--------
+Every profile is one ``Profile``: the theorem it states and one
+(kind, bound) term per component.  Four constructors, one per theorem,
+validate the bounds and build it:
+
+``DerivAll(lambda0, lambdas)``, theorem 1
     A_0(0) = 0, A_0'(0) = 1, |A_0'| < L0 with L0 > 1, and |A_k'| <= L_k
     for the higher components.
-``DerivNormalized``
+``DerivNormalized(lambdas)``, theorem 2
     The Schwarz case |A_0'| <= 1, which forces A_0(z) = z; higher
     components keep derivative bounds L_k >= 0.
-``ModulusAll``
+``ModulusAll(ms)``, theorem 3
     Every component normalized (A_k(0) = 0, A_k'(0) = 1) with modulus
     bounds |A_k| <= M_k.  M_k = 1 is accepted and collapses the component
     to the identity.
-``MixedDerivModulus``
+``MixedDerivModulus(lam, ms)``, theorem 4
     |A_0'| < L with L > 1 on the leading component, modulus bounds
     M_k >= 1 on components 1..p-1, all components normalized.
 
 Term model
 ----------
-Every profile is a leading term plus one term per higher component k
-(``Terms``).  The leading term is a derivative bound L > 1, the identity,
-or a modulus bound M >= 1; each higher component has a derivative bound
-L_k >= 0 or a modulus bound M_k >= 1.  With g = M - 1/M, a modulus term is
-the identity term plus an excess term, so that
+A profile is a leading term plus one term per higher component.  The
+leading term is a derivative bound L > 1, the identity, or a modulus
+bound M >= 1; each higher component has a derivative bound L_k >= 0 or a
+modulus bound M_k >= 1.  With g = M - 1/M, a modulus term is the identity
+term plus an excess term, so that
 
     m(r) = lead_m(r) - sum (k+1) L_k r^k
                      - sum g_k r^(k+1) (2 - r + k(1-r)) / (1-r)^2
@@ -34,6 +38,7 @@ the excess sums over modulus terms (k = 0 for a modulus lead) and the
 (k+1) r^k and r^(k+1) sums over higher modulus components.  A derivative
 lead has lead_m = L (1 - L r)/(L - r) and lead_s = L^2 r + (L^3 - L)
 log(1 - r/L); the identity and a modulus lead have lead_m = 1, lead_s = r.
+``Profile.of`` computes these weights once, when the profile is built.
 
 The strictly decreasing margin m certifies injectivity of every
 admissible function on the disk of radius r while m(r) > 0, so the
@@ -61,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar
 
 from .errors import BracketError, DegenerateResultError, DomainError
 
@@ -102,15 +106,18 @@ def _bound_tuple(values, what: str, minimum: float) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class Terms:
-    """A profile as one (kind, bound) term per component, with its weights.
+class Profile:
+    """A theorem's bounds as one (kind, bound) term per component, with their weights.
 
     ``components[0]`` is the leading term: ("deriv", L), ("identity", 1.0)
     or ("modulus", M); each higher component is ("deriv", L_k) or
     ("modulus", M_k).  The other fields are the weights of the margin and
-    sigma sums (module docstring), computed once; zero weights are left out.
+    sigma sums (module docstring), computed once by ``Profile.of``; zero
+    weights are left out.  The four constructors below validate a
+    theorem's bounds and are the only callers of ``Profile.of``.
     """
 
+    theorem: int  # 1..4; the log forms 5..8 reuse the profile of theorem - 4
     components: tuple[tuple[str, float], ...]
     lead: float | None  # L of a derivative lead, None for the identity or a modulus lead
     deriv: tuple[tuple[int, float, float], ...]  # (k, (k+1) L_k, L_k) for L_k > 0
@@ -119,7 +126,8 @@ class Terms:
     modulus: bool  # a modulus term puts a (1 - r)^2 pole at r = 1
 
     @classmethod
-    def of(cls, components) -> Terms:
+    def of(cls, theorem: int, components) -> Profile:
+        components = tuple(components)
         deriv, excess, identity = [], [], []
         for k, (kind, bound) in enumerate(components):
             if kind == "modulus":
@@ -135,7 +143,8 @@ class Terms:
                 deriv.append((k, weight, bound))
         lead_kind, lead_bound = components[0]
         return cls(
-            tuple(components),
+            theorem,
+            components,
             lead_bound if lead_kind == "deriv" else None,
             tuple(deriv),
             tuple(excess),
@@ -143,82 +152,42 @@ class Terms:
             any(kind == "modulus" for kind, _ in components),
         )
 
+    @property
+    def order(self) -> int:
+        return len(self.components)
+
     def upper(self, clamp: float) -> float:
         """1/L for a derivative lead, else 1; min(., clamp) below the pole of a modulus term."""
         hi = 1.0 if self.lead is None else 1.0 / self.lead
         return min(hi, clamp) if self.modulus else hi
 
 
-class _Profile:
-    """What the four profile classes share: their ``Terms`` and the theorem they state."""
-
-    theorem: ClassVar[int]
-    terms: Terms
-
-    def _set_terms(self, lead: tuple[str, float], kind: str, bounds) -> None:
-        object.__setattr__(self, "terms", Terms.of((lead, *((kind, v) for v in bounds))))
-
-    @property
-    def order(self) -> int:
-        return len(self.terms.components)
+def DerivAll(lambda0: float, lambdas: tuple[float, ...] = ()) -> Profile:
+    """Theorem 1: derivative bounds L0 > 1 on A_0 and L_k >= 0 on components 1..p-1."""
+    lead = _lead_bound(lambda0, "lambda0")
+    lambdas = _bound_tuple(lambdas, "lambda_k", 0.0)
+    return Profile.of(1, (("deriv", lead), *(("deriv", v) for v in lambdas)))
 
 
-@dataclass(frozen=True)
-class DerivAll(_Profile):
-    """Derivative bounds L0 > 1 on A_0 and L_k >= 0 on components 1..p-1."""
-
-    theorem: ClassVar[int] = 1
-    lambda0: float
-    lambdas: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda0", _lead_bound(self.lambda0, "lambda0"))
-        object.__setattr__(self, "lambdas", _bound_tuple(self.lambdas, "lambda_k", 0.0))
-        self._set_terms(("deriv", self.lambda0), "deriv", self.lambdas)
+def DerivNormalized(lambdas: tuple[float, ...] = ()) -> Profile:
+    """Theorem 2, the Schwarz case: A_0 = z, derivative bounds L_k >= 0 above it."""
+    lambdas = _bound_tuple(lambdas, "lambda_k", 0.0)
+    return Profile.of(2, (("identity", 1.0), *(("deriv", v) for v in lambdas)))
 
 
-@dataclass(frozen=True)
-class DerivNormalized(_Profile):
-    """Schwarz-case profile: A_0 = z, derivative bounds L_k >= 0 above it."""
-
-    theorem: ClassVar[int] = 2
-    lambdas: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", _bound_tuple(self.lambdas, "lambda_k", 0.0))
-        self._set_terms(("identity", 1.0), "deriv", self.lambdas)
+def ModulusAll(ms: tuple[float, ...]) -> Profile:
+    """Theorem 3: modulus bounds M_k >= 1 on all p normalized components."""
+    ms = _bound_tuple(ms, "modulus bound M_k", 1.0)
+    if not ms:
+        raise DomainError("at least one modulus bound is required")
+    return Profile.of(3, (("modulus", m) for m in ms))
 
 
-@dataclass(frozen=True)
-class ModulusAll(_Profile):
-    """Modulus bounds M_k >= 1 on all p normalized components."""
-
-    theorem: ClassVar[int] = 3
-    ms: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        ms = _bound_tuple(self.ms, "modulus bound M_k", 1.0)
-        if not ms:
-            raise DomainError("at least one modulus bound is required")
-        object.__setattr__(self, "ms", ms)
-        self._set_terms(("modulus", ms[0]), "modulus", ms[1:])
-
-
-@dataclass(frozen=True)
-class MixedDerivModulus(_Profile):
-    """Derivative bound L > 1 on A_0, modulus bounds M_k >= 1 on components 1..p-1."""
-
-    theorem: ClassVar[int] = 4
-    lam: float
-    ms: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _lead_bound(self.lam, "lambda"))
-        object.__setattr__(self, "ms", _bound_tuple(self.ms, "modulus bound M_k", 1.0))
-        self._set_terms(("deriv", self.lam), "modulus", self.ms)
-
-
-BoundProfile = DerivAll | DerivNormalized | ModulusAll | MixedDerivModulus
+def MixedDerivModulus(lam: float, ms: tuple[float, ...] = ()) -> Profile:
+    """Theorem 4: derivative bound L > 1 on A_0, modulus bounds M_k >= 1 on components 1..p-1."""
+    lead = _lead_bound(lam, "lambda")
+    ms = _bound_tuple(ms, "modulus bound M_k", 1.0)
+    return Profile.of(4, (("deriv", lead), *(("modulus", m) for m in ms)))
 
 
 @dataclass(frozen=True)
@@ -239,23 +208,22 @@ class RadiiResult:
     flags: tuple[str, ...] = ()
 
 
-def univalence_margin(r: float, b: BoundProfile) -> float:
+def univalence_margin(r: float, b: Profile) -> float:
     """Margin of any profile; positive on [0, rho), zero at rho.
 
     A modulus term's (1-r)^2 pole keeps r < 1.
     """
-    t = b.terms
-    if not (0.0 <= r < 1.0 if t.modulus else 0.0 <= r <= 1.0):
-        raise DomainError(f"margin argument must lie in [0, 1{')' if t.modulus else ']'}, got {r!r}")
-    lam = t.lead
+    if not (0.0 <= r < 1.0 if b.modulus else 0.0 <= r <= 1.0):
+        raise DomainError(f"margin argument must lie in [0, 1{')' if b.modulus else ']'}, got {r!r}")
+    lam = b.lead
     total = 1.0 if lam is None else lam * (1.0 - lam * r) / (lam - r)
-    for k, weight, _ in t.deriv:
+    for k, weight, _ in b.deriv:
         total -= weight * r**k
-    if t.excess:
+    if b.excess:
         denom = (1.0 - r) ** 2
-        for k, gap in t.excess:
+        for k, gap in b.excess:
             total -= gap * r ** (k + 1) * (2.0 - r + k * (1.0 - r)) / denom
-    for k, weight in t.identity:
+    for k, weight in b.identity:
         total -= weight * r**k
     return total
 
@@ -306,18 +274,18 @@ def _lead_sigma(r: float, lam: float) -> float:
     return r - (lam - 1.0) * (lam + 1.0) / lam * r * r * tail
 
 
-def _sigma(r: float, t: Terms) -> float:
-    total = r if t.lead is None else _lead_sigma(r, t.lead)
-    for k, _, lam in t.deriv:
+def _sigma(r: float, b: Profile) -> float:
+    total = r if b.lead is None else _lead_sigma(r, b.lead)
+    for k, _, lam in b.deriv:
         total -= lam * r ** (k + 1)
-    for k, _ in t.identity:
+    for k, _ in b.identity:
         total -= r ** (k + 1)
-    for k, gap in t.excess:
+    for k, gap in b.excess:
         total -= gap * r ** (k + 2) / (1.0 - r)
     return total
 
 
-def radii(b: BoundProfile) -> RadiiResult:
+def radii(b: Profile) -> RadiiResult:
     """Radii of any profile (theorems 1-4): rho is the zero of its margin, sigma = s(rho).
 
     The bracket is (0, 1/L] for a derivative lead and (0, 1] otherwise,
@@ -327,29 +295,28 @@ def radii(b: BoundProfile) -> RadiiResult:
     bounds), the exact root of a linear Schwarz-case margin, and rho = 1/L
     when roundoff leaves the margin a few ulp positive there.
     """
-    t = b.terms
 
     def margin(r: float) -> float:
         return univalence_margin(r, b)
 
-    plain = t.lead is None and not t.excess
-    if plain and sum(w for _, w, _ in t.deriv) + sum(w for _, w in t.identity) <= 1.0:
+    plain = b.lead is None and not b.excess
+    if plain and sum(w for _, w, _ in b.deriv) + sum(w for _, w in b.identity) <= 1.0:
         rho, iterations, residual = 1.0, 0, 0.0
     else:
-        if plain and not t.modulus and len(t.components) == 2:
-            rho, iterations = 1.0 / t.deriv[0][1], 0  # linear margin, so take the exact root
+        if plain and not b.modulus and b.order == 2:
+            rho, iterations = 1.0 / b.deriv[0][1], 0  # linear margin, so take the exact root
         else:
-            hi = t.upper(_CLAMP)
-            if t.modulus and t.lead is not None and margin(hi) > 0.0:
-                hi = 1.0 / t.lead  # the derivative factor vanishes here, forcing the margin nonpositive
-            if t.lead is not None and margin(hi) > 0.0:
+            hi = b.upper(_CLAMP)
+            if b.modulus and b.lead is not None and margin(hi) > 0.0:
+                hi = 1.0 / b.lead  # the derivative factor vanishes here, forcing the margin nonpositive
+            if b.lead is not None and margin(hi) > 0.0:
                 # exactly zero there in exact arithmetic when no higher bound bites;
                 # roundoff can leave it a few ulp positive, making hi itself the root
                 rho, iterations = hi, 0
             else:
                 rho, iterations = _bisect_decreasing(margin, 0.0, hi)
         residual = abs(margin(rho))
-    sigma = _sigma(rho, t)
+    sigma = _sigma(rho, b)
     flags = () if sigma > 0.0 else ("degenerate-sigma",)
     return RadiiResult(b.theorem, rho, sigma, residual, iterations, flags=flags)
 
@@ -393,7 +360,7 @@ def log_bound_from_modulus(m_star: float) -> float:
     return math.log(m_star) + math.pi
 
 
-def log_deriv_radii(b: DerivAll | DerivNormalized) -> RadiiResult:
+def log_deriv_radii(b: Profile) -> RadiiResult:
     """Theorems 5 and 6: derivative bounds on the log part of a product function."""
     return log_variant(radii(b))
 

@@ -114,12 +114,3 @@ def series_derivative(s: TruncatedTaylorSeries) -> TruncatedTaylorSeries:
         coeffs.append(0j)
     return TruncatedTaylorSeries(tuple(coeffs))
 
-
-def principal_log(z: complex) -> complex:
-    """Principal-branch logarithm, log|z| + i*arg(z) with arg(z) in (-pi, pi]."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError("principal_log is undefined at z = 0")
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)  # force arg(-x) = +pi, never -pi
-    return cmath.log(z)

@@ -21,20 +21,15 @@ from polylandau import (
     coeff_extremal_series,
     coefficient_bound_check,
     collision_pair,
-    deriv_extremal_fn,
-    deriv_radii,
     exp_disk_check,
     log_deriv_radii,
-    modulus_radii,
     monotonicity_check,
-    normalized_radii,
     poly_modulus_baseline,
     schlicht_coverage_check,
     univalence_grid_check,
-    univalence_margin_deriv,
-    univalence_margin_modulus,
-    univalence_margin_normalized,
 )
+from polylandau.extremal import extremal_fn
+from polylandau.radii import radii, univalence_margin
 from polylandau.cli import main
 
 REFERENCE = DerivAll(2.0, (1.0,))
@@ -47,7 +42,7 @@ def _done(num: int, name: str) -> None:
 def test_01_order2_deriv_reduction():
     for lam1 in (0.0, 0.5, 1.0, 2.0):
         for lam0 in (1.1, 2.0, 5.0):
-            res = deriv_radii(DerivAll(lam0, (lam1,)))
+            res = radii(DerivAll(lam0, (lam1,)))
             rho_b, sigma_b = bianalytic_deriv_baseline(lam1, lam0)
             assert abs(res.rho - rho_b) < 1e-9, (lam1, lam0)
             assert abs(res.sigma - sigma_b) < 1e-9, (lam1, lam0)
@@ -55,14 +50,14 @@ def test_01_order2_deriv_reduction():
 
 
 def test_02_reference_radius_closed_form():
-    res = deriv_radii(REFERENCE)
+    res = radii(REFERENCE)
     assert abs(res.rho - (2.0 - math.sqrt(3.0))) < 1e-11
     _done(2, "reference-radius-closed-form")
 
 
 def test_03_order2_schwarz_reduction_exact():
     for lam1 in (0.0, 0.25, 0.5, 0.75, 1.0, 3.0):
-        res = normalized_radii(DerivNormalized((lam1,)))
+        res = radii(DerivNormalized((lam1,)))
         rho_b, sigma_b = bianalytic_bounded_baseline(lam1)
         assert res.rho == rho_b, lam1
         assert res.sigma == sigma_b, lam1
@@ -71,8 +66,8 @@ def test_03_order2_schwarz_reduction_exact():
 
 def test_04_extremal_univalence_and_collision():
     start = time.monotonic()
-    res = deriv_radii(REFERENCE)
-    fn = deriv_extremal_fn(REFERENCE)
+    res = radii(REFERENCE)
+    fn = extremal_fn(REFERENCE)
     report = univalence_grid_check(fn, 0.99 * res.rho, GridSpec(32, 64))
     assert report.passed, report.note
 
@@ -86,8 +81,8 @@ def test_04_extremal_univalence_and_collision():
 
 def test_05_schlicht_radius_attained_and_covered():
     start = time.monotonic()
-    res = deriv_radii(REFERENCE)
-    fn = deriv_extremal_fn(REFERENCE)
+    res = radii(REFERENCE)
+    fn = extremal_fn(REFERENCE)
     assert abs(abs(fn(complex(res.rho))) - res.sigma) < 1e-9
     assert schlicht_coverage_check(fn, res.rho, 0.99 * res.sigma).passed
     assert not schlicht_coverage_check(fn, res.rho, 1.01 * res.sigma).passed
@@ -98,7 +93,7 @@ def test_05_schlicht_radius_attained_and_covered():
 def test_06_improves_poly_modulus_baseline():
     for m in (1.2, 2.0, 5.0):
         for p in (2, 3, 5):
-            res = modulus_radii(ModulusAll((m,) * p))
+            res = radii(ModulusAll((m,) * p))
             rho_b, sigma_b = poly_modulus_baseline(m, p)
             assert res.rho > rho_b, (m, p)
             assert res.sigma > sigma_b, (m, p)
@@ -106,10 +101,10 @@ def test_06_improves_poly_modulus_baseline():
 
 
 def test_07_unit_modulus_closed_forms():
-    res2 = modulus_radii(ModulusAll((1.0, 1.0)))
+    res2 = radii(ModulusAll((1.0, 1.0)))
     assert abs(res2.rho - 0.5) < 1e-12
     assert abs(res2.sigma - 0.25) < 1e-12
-    res3 = modulus_radii(ModulusAll((1.0, 1.0, 1.0)))
+    res3 = radii(ModulusAll((1.0, 1.0, 1.0)))
     assert abs(res3.rho - 1.0 / 3.0) < 1e-12
     assert abs(res3.sigma - 5.0 / 27.0) < 1e-12
     _done(7, "unit-modulus-closed-forms")
@@ -133,19 +128,19 @@ def test_09_margin_monotonicity_and_residuals():
             rng.uniform(1.05, 6.0),
             tuple(rng.uniform(0.0, 3.0) for _ in range(rng.randint(0, 3))),
         )
-        assert monotonicity_check(lambda r: univalence_margin_deriv(r, b), 0.0, 1.0 / b.lambda0).passed
-        assert deriv_radii(b).residual < 1e-10
+        assert monotonicity_check(lambda r: univalence_margin(r, b), 0.0, 1.0 / b.lead).passed
+        assert radii(b).residual < 1e-10
     for _ in range(20):
         # first weight above 1/2 keeps the root inside the disk
         b = DerivNormalized(
             (rng.uniform(0.6, 3.0),) + tuple(rng.uniform(0.0, 2.0) for _ in range(rng.randint(0, 3)))
         )
-        assert monotonicity_check(lambda r: univalence_margin_normalized(r, b), 0.0, 1.0).passed
-        assert normalized_radii(b).residual < 1e-10
+        assert monotonicity_check(lambda r: univalence_margin(r, b), 0.0, 1.0).passed
+        assert radii(b).residual < 1e-10
     for _ in range(20):
         b = ModulusAll(tuple(rng.uniform(1.05, 20.0) for _ in range(rng.randint(1, 4))))
-        assert monotonicity_check(lambda r: univalence_margin_modulus(r, b), 0.0, 1.0 - 1e-6).passed
-        assert modulus_radii(b).residual < 1e-10
+        assert monotonicity_check(lambda r: univalence_margin(r, b), 0.0, 1.0 - 1e-6).passed
+        assert radii(b).residual < 1e-10
     _done(9, "margin-monotonicity-and-residuals")
 
 
@@ -156,7 +151,7 @@ def test_10_schlicht_radius_stays_in_unit_interval():
             rng.uniform(1.000001, 10.0),
             tuple(rng.uniform(0.0, 4.0) for _ in range(rng.randint(0, 4))),
         )
-        res = deriv_radii(b)
+        res = radii(b)
         assert 0.0 < res.sigma < 1.0, b
     _done(10, "schlicht-radius-stays-in-unit-interval")
 

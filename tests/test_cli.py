@@ -6,12 +6,29 @@ import pathlib
 
 import pytest
 
-from polylandau import ModulusAll, log_bound_from_modulus, modulus_radii
+from polylandau import ModulusAll, log_bound_from_modulus
+from polylandau import cli
 from polylandau.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from polylandau.radii import radii
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 THM1 = ["--theorem", "1", "-p", "2", "--lambda0", "2", "--lambdas", "1"]
+
+# one profile per theorem, each of order >= 2, so that between them every term kind is pinned:
+# derivative, identity and modulus leads, derivative and modulus components, and M = 1
+GOLDEN = {
+    1: THM1,
+    2: ["--theorem", "2", "-p", "3", "--lambdas", "0.5,0.25"],
+    3: ["--theorem", "3", "-p", "3", "--ms", "1.5,1,2"],
+    4: ["--theorem", "4", "-p", "3", "--lambda0", "2", "--ms", "1.5,1"],
+    5: ["--theorem", "5", *THM1[2:]],
+    6: ["--theorem", "6", "-p", "3", "--lambdas", "0.5,0.25"],
+    7: ["--theorem", "7", "-p", "3", "--mstars", "2,3,1.5"],
+    8: ["--theorem", "8", "-p", "3", "--lambda0", "2", "--mstars", "2,3"],
+}
+# closed-form roots: 2 - sqrt(3) of 2(1 - 2r)/(2 - r) - 2r, and 2/3 of 1 - r - 0.75 r^2
+CLOSED_RHO = {1: 2 - math.sqrt(3), 2: 2 / 3, 5: 2 - math.sqrt(3), 6: 2 / 3}
 
 
 def run(capsys, *argv):
@@ -20,14 +37,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_radii_golden_json(capsys):
-    code, out, _ = run(capsys, "radii", *THM1, "--format", "json")
+@pytest.mark.parametrize("theorem", sorted(GOLDEN))
+def test_radii_golden_json(capsys, theorem):
+    # 12 digits, the default, so that a last-ulp libm difference cannot change the bytes
+    code, out, _ = run(capsys, "radii", *GOLDEN[theorem], "--format", "json")
     assert code == EXIT_OK
-    assert out == (DATA / "golden_radii_thm1.json").read_text()
+    assert out == (DATA / f"golden_radii_thm{theorem}.json").read_text()
     doc = json.loads(out)
-    assert doc["theorem"] == 1
-    assert doc["rho"] == pytest.approx(2 - math.sqrt(3), abs=1e-11)
-    assert "w" not in doc and "r" not in doc
+    assert doc["theorem"] == theorem
+    assert ("w" in doc) == ("r" in doc) == (theorem >= 5)
+    if theorem in CLOSED_RHO:
+        assert doc["rho"] == pytest.approx(CLOSED_RHO[theorem], abs=1e-11)
 
 
 def test_radii_text_branch_case(capsys):
@@ -54,7 +74,7 @@ def test_radii_theorem7_applies_log_bound_mapping(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     m = log_bound_from_modulus(float(e_str))
-    direct = modulus_radii(ModulusAll((m, m)))
+    direct = radii(ModulusAll((m, m)))
     assert doc["rho"] == pytest.approx(direct.rho, rel=1e-9)
     assert doc["sigma"] == pytest.approx(direct.sigma, rel=1e-9)
 
@@ -235,6 +255,15 @@ def test_verify_passes_lead_bound_near_one(capsys):
     assert out.splitlines()[0].startswith("PASS hypothesis-audit")
 
 
+@pytest.mark.parametrize("theorem", ["2", "6"])
+@pytest.mark.parametrize("lam", ["1e-14", "1e-320"])
+def test_verify_passes_margin_flatter_than_float_spacing(capsys, theorem, lam):
+    # 1 - 2 lam r drops by less than half an ulp of 1 per sample, so neighbouring samples tie
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "-p", "2", "--lambdas", lam)
+    assert code == EXIT_OK
+    assert "PASS monotonicity" in out
+
+
 def test_verify_modulus_witness_is_near_its_fold(capsys):
     # the M = 1 stand-in passed with a univalence margin of 0.999999 whatever M was
     code, out, _ = run(capsys, "verify", "--theorem", "3", "--ms", "1e6,1e6", "--format", "json")
@@ -313,6 +342,37 @@ def test_table_requires_exactly_one_range(capsys):
     assert "exactly one" in err
     code, _, err = run(capsys, "table", "--theorem", "1", "-p", "2", "--lambda0", "1.1:2:0.1", "--lambdas", "0:1:0.5")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("sweep", ["1.1:2:5e-324", "1.1:2:1e-300", "1.1:inf:0.1", "nan:2:0.1", "1.1:2:inf"])
+def test_table_rejects_unbounded_ranges(capsys, sweep):
+    # 5e-324 made the row count int(inf), an OverflowError; 1e-300 built 9e299 rows until killed
+    code, out, err = run(capsys, "table", "--theorem", "1", "--lambda0", sweep)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: --lambda0 range")
+
+
+def test_table_row_limit_is_checked_before_any_row(capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "_compute_radii", no_rows)
+    # one row over the limit: (2 - 1)/1e-6 + 1 rows
+    code, out, err = run(capsys, "table", "--theorem", "1", "--lambda0", f"1:2:{1 / cli.MAX_TABLE_ROWS!r}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"more than {cli.MAX_TABLE_ROWS} rows" in err
+
+
+def test_table_row_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 5)
+    code, out, _ = run(capsys, "table", "--theorem", "1", "--lambda0", "1.5:2.5:0.25")
+    assert code == EXIT_OK
+    assert len(out.strip().split("\n")) == 1 + 5
+    code, out, _ = run(capsys, "table", "--theorem", "1", "--lambda0", "1.5:2.7:0.24")
+    assert code == EXIT_USAGE
+    assert out == ""
 
 
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):

@@ -15,14 +15,9 @@ from polylandau import (
     ModulusAll,
     bianalytic_deriv_baseline,
     classical_landau,
-    deriv_radii,
     log_deriv_radii,
     log_mixed_radii,
     log_modulus_radii,
-    log_normalized_radii,
-    mixed_radii,
-    modulus_radii,
-    normalized_radii,
     poly_modulus_baseline,
 )
 from polylandau.radii import radii
@@ -98,16 +93,16 @@ def _theorem_cases(draw):
         if base == 1:
             args = {"lambda0": draw(_lead_bound), "lambdas": lambdas}
             profile = DerivAll(args["lambda0"], lambdas)
-            return theorem, args, deriv_radii(profile) if theorem == 1 else log_deriv_radii(profile)
+            return theorem, args, radii(profile) if theorem == 1 else log_deriv_radii(profile)
         profile = DerivNormalized(lambdas)
-        return theorem, {"lambdas": lambdas}, normalized_radii(profile) if theorem == 2 else log_normalized_radii(profile)
+        return theorem, {"lambdas": lambdas}, radii(profile) if theorem == 2 else log_deriv_radii(profile)
     lam0 = draw(_lead_bound) if base == 4 else None
     if theorem > 4:
         mstars = tuple(draw(st.lists(_factor_bound, min_size=count, max_size=count)))
         res = log_modulus_radii(mstars) if base == 3 else log_mixed_radii(lam0, mstars)
         return theorem, {"lambda0": lam0, "mstars": mstars}, res
     ms = tuple(draw(st.lists(_modulus_or_one, min_size=count, max_size=count)))
-    res = modulus_radii(ModulusAll(ms)) if base == 3 else mixed_radii(MixedDerivModulus(lam0, ms))
+    res = radii(ModulusAll(ms)) if base == 3 else radii(MixedDerivModulus(lam0, ms))
     return theorem, {"lambda0": lam0, "ms": ms}, res
 
 

@@ -1,7 +1,4 @@
-"""Series arithmetic and principal-branch logarithm."""
-
-import cmath
-import math
+"""Series evaluation and differentiation."""
 
 import numpy as np
 import pytest
@@ -10,7 +7,6 @@ from hypothesis import given, strategies as st
 from polylandau import (
     DomainError,
     TruncatedTaylorSeries,
-    principal_log,
     series_derivative,
     series_eval,
     series_eval_array,
@@ -61,14 +57,6 @@ def test_degree_property():
     assert TruncatedTaylorSeries((0, 1, 2, 3)).degree == 3
 
 
-def test_principal_log_branch():
-    assert principal_log(-1.0) == pytest.approx(1j * math.pi, abs=1e-15)
-    assert principal_log(complex(-2.0, -0.0)).imag == pytest.approx(math.pi, abs=1e-15)
-    assert principal_log(1.0) == 0
-    with pytest.raises(DomainError):
-        principal_log(0)
-
-
 _coeffs = st.lists(
     st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
     min_size=2,
@@ -110,15 +98,3 @@ def test_array_eval_rejects_points_outside_disk():
     s = TruncatedTaylorSeries((0, 1))
     with pytest.raises(DomainError):
         series_eval_array(s, np.array([0.5, 1.5j]))
-
-
-@given(
-    st.floats(min_value=-2.0, max_value=2.0),
-    st.floats(min_value=-7.0, max_value=7.0),
-)
-def test_log_is_a_right_inverse_of_exp(x, y):
-    w = cmath.exp(complex(x, y))
-    back = principal_log(w)
-    assert back.real == pytest.approx(x, abs=1e-12)
-    assert -math.pi < back.imag <= math.pi
-    assert cmath.exp(back) == pytest.approx(w, rel=1e-12)

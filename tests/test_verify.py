@@ -20,16 +20,15 @@ from polylandau import (
     coefficient_bound_check,
     collision_pair,
     deriv_bound_check,
-    deriv_extremal_fn,
-    deriv_radii,
     exp_disk_check,
     hypothesis_audit,
     monotonicity_check,
-    normalized_extremal_fn,
     schlicht_coverage_check,
     unit_modulus_extremal_fn,
     univalence_grid_check,
 )
+from polylandau.extremal import extremal_fn
+from polylandau.radii import radii
 
 
 B = DerivAll(2.0, (1.0,))
@@ -66,8 +65,8 @@ def test_univalence_square_fails_with_symmetric_witness():
 
 
 def test_univalence_extremal_inside_rho_passes():
-    rho = deriv_radii(B).rho
-    report = univalence_grid_check(deriv_extremal_fn(B), 0.99 * rho)
+    rho = radii(B).rho
+    report = univalence_grid_check(extremal_fn(B), 0.99 * rho)
     assert report.passed
 
 
@@ -75,7 +74,7 @@ def test_univalence_fails_on_injected_collision():
     # plant the collision pair as extra points: univalence must break
     x1, x2 = collision_pair(B, 0.5)
     report = univalence_grid_check(
-        deriv_extremal_fn(B), 0.99 * deriv_radii(B).rho, SMALL_GRID,
+        extremal_fn(B), 0.99 * radii(B).rho, SMALL_GRID,
         extra_points=(complex(x1), complex(x2)),
     )
     assert not report.passed
@@ -139,7 +138,7 @@ def test_coverage_identity_margin():
 
 def test_coverage_fails_past_boundary():
     b = DerivNormalized((1.0,))
-    F = normalized_extremal_fn(b)
+    F = extremal_fn(b)
     # sigma = 0.25 at rho = 0.5; asking for 1% more must fail
     report = schlicht_coverage_check(F, 0.5, 0.25 * 1.01)
     assert not report.passed
@@ -204,19 +203,22 @@ def test_exp_disk_deterministic_in_seed():
 
 def test_monotonicity_check():
     assert monotonicity_check(lambda x: 1 - x, 0.0, 1.0, samples=100).passed
+    # strictly decreasing, but over 1000 samples some neighbouring values round to one double
+    flat = monotonicity_check(lambda x: 1 - 1e-14 * x, 0.0, 1.0)
+    assert flat.passed and flat.measured_margin == 0.0
     report = monotonicity_check(lambda x: (x - 0.5) ** 2, 0.0, 1.0, samples=100)
     assert not report.passed
     assert report.witness is not None
 
 
 def test_hypothesis_audit_deriv_family():
-    report = hypothesis_audit(deriv_extremal_fn(B), B, SMALL_GRID)
+    report = hypothesis_audit(extremal_fn(B), B, SMALL_GRID)
     assert report.passed
 
 
 def test_hypothesis_audit_normalized_family():
     b = DerivNormalized((1.0,))
-    assert hypothesis_audit(normalized_extremal_fn(b), b, SMALL_GRID).passed
+    assert hypothesis_audit(extremal_fn(b), b, SMALL_GRID).passed
 
 
 def test_hypothesis_audit_modulus_family():
