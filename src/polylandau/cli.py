@@ -6,7 +6,7 @@ Subcommands:
   baseline    evaluate one of the prior-result baselines
   compare     table the order-p modulus theorem against its baseline
   verify      run the oracle suite on the theorem's extremal function
-  sharpness   demonstrate the univalence collision just past rho
+  sharpness   demonstrate univalence failing just past rho (theorems 1, 2, 5, 6)
   table       sweep one parameter over start:stop:step to CSV
 
 Profile flags are interpreted per theorem: --lambda0 is the leading
@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 from typing import get_args, get_type_hints
 
 from .errors import DomainError, PolyLandauError
-from .extremal import collision_pair, extremal_fn
+from .extremal import collision_pair, extremal_fn, reversal_point
 from .polyfunc import LogPAnalyticFn
 from .radii import (
     DerivAll,
@@ -53,11 +53,12 @@ from .radii import (
 from .verify import (
     GridSpec,
     VerificationReport,
+    boundary_simple_check,
     exp_disk_check,
     hypothesis_audit,
+    jacobian_grid_check,
     monotonicity_check,
     schlicht_coverage_check,
-    univalence_grid_check,
 )
 
 EXIT_OK = 0
@@ -163,10 +164,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--mc-samples", type=int, default=None)
     add_common(p_ver)
 
-    p_shp = sub.add_parser("sharpness", help="exhibit the collision just past rho")
+    p_shp = sub.add_parser("sharpness", help="exhibit univalence failing just past rho")
     add_profile(p_shp)
-    p_shp.add_argument("-r", "--radius", type=float, default=None, help="collision window edge (default 1)")
-    p_shp.add_argument("--tol", type=float, default=None, help="pass gate on the collision residual (default 1e-10)")
+    p_shp.add_argument("-r", "--radius", type=float, default=None, help="window edge past rho (default 1)")
+    p_shp.add_argument(
+        "--tol", type=float, default=None,
+        help="pass gate on the collision residual of theorems 1 and 5 (default 1e-10)",
+    )
     add_common(p_shp)
 
     p_tab = sub.add_parser("table", help="sweep one parameter to CSV")
@@ -497,7 +501,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         reports.append(monotonicity_check(margin_fn, 0.0, hi, samples=1000))
 
     target = witness if not is_log else LogPAnalyticFn(witness)
-    reports.append(univalence_grid_check(target, 0.99 * res.rho, grid))
+    reports.append(jacobian_grid_check(target, 0.99 * res.rho, grid))
+    reports.append(boundary_simple_check(target, 0.99 * res.rho, cfg.boundary_samples))
 
     if res.sigma > 0.0:
         reports.append(
@@ -541,43 +546,67 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_sharpness(cfg: RunConfig) -> int:
-    if cfg.theorem not in (1, 5):
-        raise DomainError("sharpness demonstration applies to theorems 1 and 5 only")
+    if cfg.theorem not in (1, 2, 5, 6):
+        raise DomainError("sharpness demonstration applies to theorems 1, 2, 5 and 6 only")
     profile = _build_profile(cfg)
     res = radii(profile)
-    x1, x2 = collision_pair(profile, cfg.radius)
     witness = extremal_fn(profile)
-    v1 = witness(complex(x1))
-    v2 = witness(complex(x2))
-    collision = abs(v1 - v2)
-    exp_collision = abs(cexp(v1) - cexp(v2))
-    gate = collision if cfg.theorem == 1 else exp_collision
-    passed = gate < cfg.tol
-    doc = {
-        "theorem": cfg.theorem,
-        "rho": res.rho,
-        "r": cfg.radius,
-        "x1": x1,
-        "x2": x2,
-        "collision": collision,
-        "exp_collision": exp_collision,
-        "tol": cfg.tol,
-        "passed": passed,
-    }
-    if cfg.output_format == "json":
-        _emit_json(doc, cfg.digits)
-    elif cfg.output_format == "csv":
-        header = list(doc)
-        _emit_csv(header, [[doc[k] if not isinstance(doc[k], bool) else str(doc[k]).lower() for k in header]], cfg.digits)
-    else:
-        d = cfg.digits
-        sys.stdout.write(
+    d = cfg.digits
+    if cfg.theorem in (1, 5):
+        x1, x2 = collision_pair(profile, cfg.radius)
+        v1 = witness(complex(x1))
+        v2 = witness(complex(x2))
+        collision = abs(v1 - v2)
+        exp_collision = abs(cexp(v1) - cexp(v2))
+        gate = collision if cfg.theorem == 1 else exp_collision
+        passed = gate < cfg.tol
+        doc = {
+            "theorem": cfg.theorem,
+            "rho": res.rho,
+            "r": cfg.radius,
+            "x1": x1,
+            "x2": x2,
+            "collision": collision,
+            "exp_collision": exp_collision,
+            "tol": cfg.tol,
+            "passed": passed,
+        }
+        text = (
             f"theorem {cfg.theorem}: rho = {_fmt(res.rho, d)}\n"
             f"x1 = {_fmt(x1, d)} (past rho), x2 = {_fmt(x2, d)} (inside)\n"
             f"|F(x1) - F(x2)| = {_fmt(collision, d)}\n"
             f"|exp F(x1) - exp F(x2)| = {_fmt(exp_collision, d)}\n"
             f"{'collision confirmed' if passed else 'collision NOT confirmed'} at tol {_fmt(cfg.tol, d)}\n"
         )
+    else:
+        x, jac = reversal_point(profile, cfg.radius)
+        # the Jacobian of exp F is |exp F|^2 times F's
+        exp_jac = abs(cexp(witness(complex(x)))) ** 2 * jac
+        gate = jac if cfg.theorem == 2 else exp_jac
+        passed = gate < 0.0
+        doc = {
+            "theorem": cfg.theorem,
+            "rho": res.rho,
+            "r": cfg.radius,
+            "x": x,
+            "jacobian": jac,
+            "exp_jacobian": exp_jac,
+            "passed": passed,
+        }
+        text = (
+            f"theorem {cfg.theorem}: rho = {_fmt(res.rho, d)}\n"
+            f"x = {_fmt(x, d)} (past rho)\n"
+            f"J F(x) = {_fmt(jac, d)}\n"
+            f"J exp F(x) = {_fmt(exp_jac, d)}\n"
+            f"{'sense reversal confirmed' if passed else 'sense reversal NOT confirmed'}: J < 0 past rho\n"
+        )
+    if cfg.output_format == "json":
+        _emit_json(doc, cfg.digits)
+    elif cfg.output_format == "csv":
+        header = list(doc)
+        _emit_csv(header, [[doc[k] if not isinstance(doc[k], bool) else str(doc[k]).lower() for k in header]], cfg.digits)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -8,6 +8,8 @@ series kept, so the coefficient check has a map to inspect.
 univalence just past rho: the real-axis profile of the derivative-family
 extremal increases to sigma at rho and decreases afterwards, so a point
 x1 slightly beyond rho shares its value with a mirror point x2 < rho.
+``reversal_point`` shows the Schwarz-profile witness reversing sense just
+past rho: its Jacobian turns negative on the real axis there.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BracketError, DomainError
-from .polyfunc import PolyAnalyticFn, poly_eval
+from .polyfunc import PolyAnalyticFn, jacobian_array, poly_eval
 from .radii import ModulusAll, Profile, _bisect_decreasing, radii
 from .series import DEFAULT_DEGREE, TruncatedTaylorSeries
 
@@ -26,11 +28,13 @@ _DEGENERATE_TOL = 1e-13
 #: Radius of the circle on which ``verify`` audits a witness's hypotheses.
 AUDIT_RADIUS = 1.0 - 1e-3
 _LEAD_TERMS = 60  # x^(n-2)/n for n <= 60 sums log(1 - x) to below 2^-53 relative for |x| < 1/2
+_LEAD_HORNER = tuple(1.0 / n for n in range(_LEAD_TERMS, 1, -1))  # 1/n, highest n first
+_REVERSAL_SAMPLES = 64  # points past rho at which reversal_point evaluates the Jacobian
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's constant for splitting a double into two 26-bit halves
 
 
-def _one_minus_product(a: float, x: np.ndarray) -> np.ndarray:
-    """1 - a x for real arrays, rounded once: the product's rounding error is kept (Dekker)."""
+def _one_minus_product(a: float, x):
+    """1 - a x for a real float or array x, rounded once: the product's rounding error is kept (Dekker)."""
     p = a * x
     c = _SPLIT * a
     a_hi = c - (c - a)
@@ -42,8 +46,8 @@ def _one_minus_product(a: float, x: np.ndarray) -> np.ndarray:
     return (1.0 - p) - err
 
 
-def _unit_gap(c: float, z: np.ndarray) -> np.ndarray:
-    """(c - z)/c for real c, divided part by part so that it is exactly 1 at z = 0.
+def _unit_gap(c: float, z):
+    """(c - z)/c for real c and a complex or complex array z, divided part by part so that it is exactly 1 at z = 0.
 
     numpy's complex division multiplies by a reciprocal, which can leave c/c != 1.
     """
@@ -72,23 +76,44 @@ class DerivLead(_ClosedForm):
 
     lam: float
 
-    def value(self, z) -> np.ndarray:
+    def value(self, z) -> np.ndarray | complex:
+        if isinstance(z, complex):
+            return self._value_at(z)
         z = np.asarray(z, dtype=complex)
         lam = self.lam
         x = z / lam
         tail = np.zeros_like(z)
-        for n in range(_LEAD_TERMS, 1, -1):
-            tail = tail * x + 1.0 / n
+        for c in _LEAD_HORNER:
+            tail = tail * x + c
         # (L - 1)(L + 1) keeps L - 1/L and L^3 - L accurate as L approaches 1
         gap = (lam - 1.0) * (lam + 1.0)
         series = z - gap / lam * z * z * tail
         closed = lam * lam * z + lam * gap * np.log(1.0 - x)
         return np.where(np.abs(x) < 0.5, series, closed)
 
-    def derivative(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+    def derivative(self, z) -> np.ndarray | complex:
+        if not isinstance(z, complex):
+            z = np.asarray(z, dtype=complex)
         lam = self.lam
         return (_one_minus_product(lam, z.real) - 1j * (lam * z.imag)) / _unit_gap(lam, z)
+
+    def _value_at(self, z: complex) -> complex:
+        """``value`` at one point in Python arithmetic, rounded as numpy rounds it on a real z.
+
+        numpy divides z by L through the reciprocal 1/L, so x does too.
+        """
+        lam = self.lam
+        inv = 1.0 / lam
+        x = complex(z.real * inv, z.imag * inv)
+        gap = (lam - 1.0) * (lam + 1.0)
+        if abs(x) < 0.5:
+            # on the real axis every imaginary part stays 0, so float arithmetic rounds as complex does
+            step = x.real if x.imag == 0.0 else x
+            tail = 0.0
+            for c in _LEAD_HORNER:
+                tail = tail * step + c
+            return z - gap / lam * z * z * tail
+        return lam * lam * z + lam * gap * complex(np.log(1.0 - x))
 
 
 @dataclass(frozen=True)
@@ -102,12 +127,14 @@ class BoundedRatio(_ClosedForm):
 
     m: float
 
-    def value(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+    def value(self, z) -> np.ndarray | complex:
+        if not isinstance(z, complex):
+            z = np.asarray(z, dtype=complex)
         return z * ((1.0 - self.m * z) / _unit_gap(self.m, z))
 
-    def derivative(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+    def derivative(self, z) -> np.ndarray | complex:
+        if not isinstance(z, complex):
+            z = np.asarray(z, dtype=complex)
         gap = _unit_gap(self.m, z)
         return (1.0 - 2.0 * self.m * z + z * z) / (gap * gap)
 
@@ -224,3 +251,22 @@ def collision_pair(b: Profile, r: float) -> tuple[float, float]:
         )
     x2, _ = _bisect_decreasing(lambda x: gx1 - profile(x), 0.0, rho)
     return x1, x2
+
+
+def reversal_point(b: Profile, r: float) -> tuple[float, float]:
+    """A real x in (rho, r] where the witness reverses sense, and its Jacobian J(x).
+
+    x is the first of 64 equally spaced points past rho with
+    J(x) < 0, or the point of least J when none is negative.  On the real
+    axis the Schwarz-profile witness z - sum L_k conj(z)^k z has
+    J = m(x) (1 + sum (k-1) L_k x^k) with m the univalence margin, so J
+    turns negative right past rho.
+    """
+    rho = radii(b).rho
+    if not rho < r <= 1.0:
+        raise DomainError(f"reversal window needs rho < r <= 1; rho = {rho!r}, r = {r!r}")
+    xs = rho + (r - rho) * np.arange(1, _REVERSAL_SAMPLES + 1) / _REVERSAL_SAMPLES
+    jac = jacobian_array(extremal_fn(b), xs + 0j)
+    negative = np.flatnonzero(jac < 0.0)
+    k = int(negative[0]) if len(negative) else int(np.argmin(jac))
+    return float(xs[k]), float(jac[k])

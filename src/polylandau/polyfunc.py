@@ -13,8 +13,9 @@ come straight from the components; numerical differencing exists only as
 a test oracle.  Sense preservation is exposed through the sign of the
 Jacobian |F_z|^2 - |F_zbar|^2.
 
-``poly_eval`` and ``logp_eval`` evaluate at one point; their ``_array``
-forms evaluate a whole array of points at once and serve the grid checks.
+``poly_eval``, ``logp_eval``, the Wirtinger derivatives and ``jacobian``
+evaluate at one point; their ``_array`` forms evaluate a whole array of
+points at once and serve the grid checks.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .series import _cmul, _require_in_disk, _require_in_disk_array
 
 
 class Component(Protocol):
-    """An analytic component: A(z) and A'(z) at every point of an array (0-d for one point)."""
+    """An analytic component: A(z) and A'(z) at one complex point or every point of an array."""
 
-    def value(self, z) -> np.ndarray: ...
+    def value(self, z) -> np.ndarray | complex: ...
 
-    def derivative(self, z) -> np.ndarray: ...
+    def derivative(self, z) -> np.ndarray | complex: ...
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,36 @@ def wirtinger_zbar(F: PolyAnalyticFn, z: complex) -> complex:
 def jacobian(F: PolyAnalyticFn, z: complex) -> float:
     """|F_z|^2 - |F_zbar|^2; positive exactly where F is sense-preserving."""
     fz, fzb = abs(wirtinger_z(F, z)), abs(wirtinger_zbar(F, z))
+    return fz * fz - fzb * fzb
+
+
+def wirtinger_z_array(F: PolyAnalyticFn, z) -> np.ndarray:
+    """``wirtinger_z`` at every point of an array, with the same roundings."""
+    z = _require_in_disk_array(z)
+    zbar = z.conj()
+    acc = np.zeros_like(z)
+    power = np.ones_like(z)
+    for comp in F.components:
+        acc += _cmul(power, comp.derivative(z))
+        power = _cmul(power, zbar)
+    return acc
+
+
+def wirtinger_zbar_array(F: PolyAnalyticFn, z) -> np.ndarray:
+    """``wirtinger_zbar`` at every point of an array, with the same roundings."""
+    z = _require_in_disk_array(z)
+    zbar = z.conj()
+    acc = np.zeros_like(z)
+    power = np.ones_like(z)  # conj(z)^(k-1), starting at k = 1
+    for k, comp in enumerate(F.components[1:], start=1):
+        acc += _cmul(k * power, comp.value(z))
+        power = _cmul(power, zbar)
+    return acc
+
+
+def jacobian_array(F: PolyAnalyticFn, z) -> np.ndarray:
+    """``jacobian`` at every point of an array."""
+    fz, fzb = np.abs(wirtinger_z_array(F, z)), np.abs(wirtinger_zbar_array(F, z))
     return fz * fz - fzb * fzb
 
 

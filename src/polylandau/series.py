@@ -58,13 +58,13 @@ class TruncatedTaylorSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def value(self, z) -> np.ndarray:
-        """The series at every point of an array; requires |z| <= 1."""
-        return series_eval_array(self, z)
+    def value(self, z) -> np.ndarray | complex:
+        """The series at one complex point or every point of an array; requires |z| <= 1."""
+        return series_eval(self, z) if isinstance(z, complex) else series_eval_array(self, z)
 
-    def derivative(self, z) -> np.ndarray:
-        """The derivative series at every point of an array; requires |z| <= 1."""
-        return series_eval_array(series_derivative(self), z)
+    def derivative(self, z) -> np.ndarray | complex:
+        """The derivative series at one complex point or every point of an array; requires |z| <= 1."""
+        return series_derivative(self).value(z)
 
 
 def series_eval(s: TruncatedTaylorSeries, z: complex) -> complex:

@@ -8,6 +8,16 @@ as plain data.  Witness components are read through their
 ``value`` and ``derivative`` alone, at 0 for the normalisation and on
 the audit grid for the bounds.
 
+Univalence is checked by degree theory, the argument principle for
+sense-preserving maps (Duren, *Harmonic Mappings in the Plane*, 2.3): a
+C^1 map with Jacobian |F_z|^2 - |F_zbar|^2 > 0 on a closed disk that takes
+the boundary circle to a simple closed curve is injective on the disk.
+``jacobian_grid_check`` tests the first condition on the polar grid and
+``boundary_simple_check`` the second on the sampled circle, each in
+about linear time in its samples.  ``univalence_grid_check``, the O(n^2) pairwise
+difference-quotient scan they replace, stays as a small-n oracle for the
+tests; it cannot fail a fold unless two nodes land on a colliding pair.
+
 All checks are necessary-condition tests: a pass means no counterexample
 was found at the sampled resolution, not a proof.  A failed report
 always carries a concrete witness point.
@@ -22,11 +32,20 @@ import numpy as np
 
 from .errors import DomainError
 from .extremal import AUDIT_RADIUS
-from .polyfunc import Component, LogPAnalyticFn, PolyAnalyticFn, logp_eval_array, poly_eval_array
+from .polyfunc import (
+    Component,
+    LogPAnalyticFn,
+    PolyAnalyticFn,
+    logp_eval_array,
+    poly_eval_array,
+    wirtinger_z_array,
+    wirtinger_zbar_array,
+)
 from .radii import Profile
 from .series import TruncatedTaylorSeries
 
 _PAIR_BLOCK = 256
+_EDGE_CHUNK = 16  # edges per bounding box in the boundary crossing test
 
 
 @dataclass(frozen=True)
@@ -62,6 +81,11 @@ def _disk_grid(r: float, grid: GridSpec) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(grid.angular_count) / grid.angular_count
     pts = radii[:, None] * np.exp(1j * angles)[None, :]
     return pts.ravel()
+
+
+def _circle(r: float, samples: int) -> np.ndarray:
+    angles = 2.0 * np.pi * np.arange(samples) / samples
+    return r * np.exp(1j * angles)
 
 
 def _eval_at(fn: Callable[[complex], complex], pts: np.ndarray) -> np.ndarray:
@@ -127,6 +151,132 @@ def univalence_grid_check(
     )
 
 
+def _derivatives_of(fn: PolyAnalyticFn | LogPAnalyticFn) -> PolyAnalyticFn:
+    """The map whose Wirtinger derivatives stand for fn's: F itself, or F for exp F."""
+    return fn.log_part if isinstance(fn, LogPAnalyticFn) else fn
+
+
+def jacobian_grid_check(
+    fn: PolyAnalyticFn | LogPAnalyticFn,
+    r: float,
+    grid: GridSpec = GridSpec(),
+) -> VerificationReport:
+    """Sense preservation on the polar grid inside |z| <= r.
+
+    Measures min |F_z| - |F_zbar| over the grid nodes; passes iff it is
+    at least the grid margin.  For exp F it reads F's derivatives: the
+    Jacobian of exp F is |exp F|^2 times F's, so its sign is F's.
+    """
+    if not 0.0 < r:
+        raise DomainError(f"jacobian check needs r > 0, got {r!r}")
+    F = _derivatives_of(fn)
+    pts = _disk_grid(r, grid)
+    gaps = np.abs(wirtinger_z_array(F, pts)) - np.abs(wirtinger_zbar_array(F, pts))
+    k = int(np.argmin(gaps))
+    measured = float(gaps[k])
+    passed = bool(measured >= grid.margin)
+    return VerificationReport(
+        check_name="jacobian-grid",
+        passed=passed,
+        measured_margin=measured,
+        witness=None if passed else (complex(pts[k]),),
+        note=f"min |F_z| - |F_zbar| over {len(pts)} nodes",
+    )
+
+
+def _unit_scale(a: np.ndarray) -> np.ndarray:
+    """a times the power of two that brings max |a| into [1/2, 1).
+
+    The scaling is exact, and it keeps products of a tiny or huge a in range.
+    """
+    return a * np.ldexp(1.0, -np.frexp(np.max(np.abs(a)))[1])
+
+
+def _crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of non-adjacent edges of the closed polygon v that cross.
+
+    Edge i runs from vertex i to vertex i + 1 (mod m).  Edges are taken in
+    chunks, and only the chunk pairs whose bounding boxes overlap are
+    tested edge by edge; two crossing edges always lie in such a pair.
+    A crossing through a vertex, or along a line two edges share, counts
+    as none.
+    """
+    m = len(v)
+    end = np.roll(v, -1)
+    edge = end - v
+    starts = np.arange(0, m, _EDGE_CHUNK)
+    lo_x = np.minimum.reduceat(np.minimum(v.real, end.real), starts)
+    hi_x = np.maximum.reduceat(np.maximum(v.real, end.real), starts)
+    lo_y = np.minimum.reduceat(np.minimum(v.imag, end.imag), starts)
+    hi_y = np.maximum.reduceat(np.maximum(v.imag, end.imag), starts)
+    overlap = (
+        (lo_x[:, None] <= hi_x[None, :]) & (lo_x[None, :] <= hi_x[:, None])
+        & (lo_y[:, None] <= hi_y[None, :]) & (lo_y[None, :] <= hi_y[:, None])
+    )
+    first, second = np.nonzero(np.triu(overlap))
+    offsets = np.arange(_EDGE_CHUNK)
+    i, j = np.broadcast_arrays(
+        (starts[first][:, None] + offsets)[:, :, None],
+        (starts[second][:, None] + offsets)[:, None, :],
+    )
+    i, j = i.ravel(), j.ravel()
+    keep = (j < m) & (j - i >= 2) & ~((i == 0) & (j == m - 1))
+    i, j = i[keep], j[keep]
+
+    def turn(a, b):
+        # Im(conj(a) b): positive when b points left of a
+        return a.real * b.imag - a.imag * b.real
+
+    ei, ej, d = edge[i], edge[j], v[j] - v[i]
+    both = turn(ei, ej)
+    start_j, start_i = turn(ei, d), turn(d, ej)  # vertex j seen from edge i, vertex i from edge j
+    cross = (start_j * (start_j + both) < 0) & (start_i * (start_i - both) < 0)
+    return i[cross], j[cross]
+
+
+def boundary_simple_check(
+    fn: PolyAnalyticFn | LogPAnalyticFn,
+    r: float,
+    samples: int = 512,
+) -> VerificationReport:
+    """Checks the image of the circle |z| = r is a simple closed curve.
+
+    Two tests on ``samples`` equally spaced points of the circle: the
+    tangent i (z F_z - conj(z) F_zbar) of the image curve must turn
+    exactly once (Hopf's Umlaufsatz), which catches a fold between two
+    samples; and no two non-adjacent edges of the sampled image may
+    cross.  For exp F the tangent is exp F times F's, and exp F comes
+    back to its start, so the turn is counted on F's tangent and the
+    crossings on the image of exp F.  A zero tangent fails too.
+    """
+    if not 0.0 < r:
+        raise DomainError(f"boundary check needs r > 0, got {r!r}")
+    if samples < 8:
+        raise DomainError(f"boundary check needs at least 8 samples, got {samples}")
+    F = _derivatives_of(fn)
+    pts = _circle(r, samples)
+    tangent = _unit_scale(1j * (pts * wirtinger_z_array(F, pts) - pts.conj() * wirtinger_zbar_array(F, pts)))
+    turning = int(np.rint(np.sum(np.angle(np.roll(tangent, -1) * tangent.conj())) / (2.0 * np.pi)))
+    stalls = int(np.count_nonzero(tangent == 0))
+    i, j = _crossings(_unit_scale(_eval_at(fn, pts)))
+    problems = len(i) + abs(turning - 1) + stalls
+    passed = problems == 0
+    if len(i):
+        witness = (complex(pts[i[0]]), complex(pts[j[0]]))
+    else:
+        witness = (complex(pts[int(np.argmin(np.abs(tangent)))]),)
+    note = f"turning number {turning}, {len(i)} crossing edge pairs over {samples} boundary samples"
+    if stalls:
+        note += f", {stalls} with a zero tangent"
+    return VerificationReport(
+        check_name="boundary-simple",
+        passed=passed,
+        measured_margin=float(-problems),
+        witness=None if passed else witness,
+        note=note,
+    )
+
+
 def schlicht_coverage_check(
     fn: Callable[[complex], complex],
     rho: float,
@@ -145,8 +295,7 @@ def schlicht_coverage_check(
     origin = abs(fn(0j))
     if origin > 1e-12:
         raise DomainError(f"coverage check needs fn(0) = 0, got |fn(0)| = {origin!r}")
-    angles = 2.0 * np.pi * np.arange(boundary_samples) / boundary_samples
-    pts = rho * np.exp(1j * angles)
+    pts = _circle(rho, boundary_samples)
     vals = np.abs(_eval_at(fn, pts))
     k = int(np.argmin(vals))
     measured = float(vals[k]) - sigma

@@ -17,16 +17,17 @@ from polylandau import (
     TruncatedTaylorSeries,
     bianalytic_bounded_baseline,
     bianalytic_deriv_baseline,
+    boundary_simple_check,
     classical_landau,
     coeff_extremal_series,
     coefficient_bound_check,
     collision_pair,
     exp_disk_check,
+    jacobian_grid_check,
     log_deriv_radii,
     monotonicity_check,
     poly_modulus_baseline,
     schlicht_coverage_check,
-    univalence_grid_check,
 )
 from polylandau.extremal import extremal_fn
 from polylandau.radii import radii, univalence_margin
@@ -68,8 +69,12 @@ def test_04_extremal_univalence_and_collision():
     start = time.monotonic()
     res = radii(REFERENCE)
     fn = extremal_fn(REFERENCE)
-    report = univalence_grid_check(fn, 0.99 * res.rho, GridSpec(32, 64))
-    assert report.passed, report.note
+    inside = 0.99 * res.rho
+    for report in (jacobian_grid_check(fn, inside, GridSpec(32, 64)), boundary_simple_check(fn, inside)):
+        assert report.passed, report.note
+    # rho is sharp: 1% past it the witness stops preserving sense
+    past = 1.01 * res.rho
+    assert not all(r.passed for r in (jacobian_grid_check(fn, past, GridSpec(32, 64)), boundary_simple_check(fn, past)))
 
     x1, x2 = collision_pair(REFERENCE, 0.5)
     gap = abs(fn(complex(x1)) - fn(complex(x2)))

@@ -170,11 +170,13 @@ def test_exit_2_when_modulus_bound_square_overflows(capsys, argv):
     assert "too large" in err and "**2 overflows" in err
 
 
-def test_verify_exit_2_on_collapsed_grid(capsys):
-    # rho is about 5e-101 here, so the whole univalence grid lies within 1e-15
-    code, _, err = run(capsys, "verify", "--theorem", "3", "--ms", "1e100")
-    assert code == EXIT_USAGE
-    assert "univalence grid collapsed" in err
+def test_verify_checks_a_tiny_rho(capsys):
+    # rho is about 5e-101 here; the pair scan's 1e-15 cut-off made this a DomainError, the degree checks measure it
+    code, out, _ = run(capsys, "verify", "--theorem", "3", "--ms", "1e100", "--format", "json")
+    assert code == EXIT_OK
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["jacobian-grid"]["measured_margin"] == pytest.approx(0.01, rel=1e-9)
+    assert checks["boundary-simple"]["note"].startswith("turning number 1, 0 crossing")
 
 
 def test_exit_2_on_foreign_profile_flag(capsys):
@@ -243,9 +245,7 @@ def test_verify_passes_and_is_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["passed"] is True
     names = [c["name"] for c in doc["checks"]]
-    assert "hypothesis-audit" in names
-    assert "univalence-grid" in names
-    assert "schlicht-coverage" in names
+    assert names == ["hypothesis-audit", "monotonicity", "jacobian-grid", "boundary-simple", "schlicht-coverage"]
 
 
 def test_verify_passes_lead_bound_near_one(capsys):
@@ -269,7 +269,7 @@ def test_verify_modulus_witness_is_near_its_fold(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "3", "--ms", "1e6,1e6", "--format", "json")
     assert code == EXIT_OK
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["univalence-grid"]["measured_margin"] < 0.1
+    assert checks["jacobian-grid"]["measured_margin"] < 0.1
 
 
 def test_verify_forced_failure_exits_1(capsys):
@@ -309,13 +309,51 @@ def test_sharpness_collision(capsys):
 def test_sharpness_rejects_other_theorems(capsys):
     code, _, err = run(capsys, "sharpness", "--theorem", "3", "--ms", "2")
     assert code == EXIT_USAGE
-    assert "theorems 1 and 5" in err
+    assert "theorems 1, 2, 5 and 6" in err
 
 
 def test_sharpness_log_variant_gates_on_exp_collision(capsys):
     code, out, _ = run(capsys, "sharpness", "--theorem", "5", *THM1[2:], "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["exp_collision"] < 1e-10
+
+
+def test_sharpness_theorem_2_reports_sense_reversal(capsys):
+    code, out, _ = run(capsys, "sharpness", "--theorem", "2", "-p", "2", "--lambdas", "1", "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["rho"] == 0.5
+    assert doc["rho"] < doc["x"] <= doc["r"] == 1.0
+    assert doc["jacobian"] < 0.0 and doc["exp_jacobian"] < 0.0
+    assert doc["passed"] is True
+    code, out, _ = run(capsys, "sharpness", "--theorem", "2", "-p", "2", "--lambdas", "1")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "theorem 2: rho = 0.5",
+        "x = 0.5078125 (past rho)",
+        "J F(x) = -0.015625",
+        "J exp F(x) = -0.0257581253604",
+        "sense reversal confirmed: J < 0 past rho",
+    ]
+
+
+def test_sharpness_log_variant_gates_on_exp_jacobian(capsys):
+    code, out, _ = run(
+        capsys, "sharpness", "--theorem", "6", "-p", "3", "--lambdas", "1,0.5", "-r", "0.9", "--format", "csv"
+    )
+    assert code == EXIT_OK
+    header, row = out.strip().split("\n")
+    assert header == "theorem,rho,r,x,jacobian,exp_jacobian,passed"
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["exp_jacobian"]) < 0.0 and cells["passed"] == "true"
+
+
+def test_sharpness_theorem_2_needs_room_past_rho(capsys):
+    # 2 L_1 = 0.4 keeps the margin positive on the whole disk: rho = 1
+    code, out, err = run(capsys, "sharpness", "--theorem", "2", "-p", "2", "--lambdas", "0.2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "rho < r <= 1" in err
 
 
 def test_table_sweep_row_count_and_monotonic_rho(capsys):

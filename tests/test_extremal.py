@@ -20,15 +20,17 @@ from polylandau import (
     classical_landau,
     coeff_extremal_series,
     collision_pair,
+    jacobian,
     poly_eval,
     poly_eval_array,
     real_profile,
+    reversal_point,
     series_derivative,
     series_eval,
     unit_modulus_extremal_fn,
 )
 from polylandau.radii import radii, univalence_margin
-from polylandau.extremal import AUDIT_RADIUS, extremal_fn
+from polylandau.extremal import AUDIT_RADIUS, BoundedRatio, extremal_fn
 from _oracles import deriv_lead_coeffs
 
 
@@ -153,6 +155,31 @@ def test_deriv_component_matches_50_digit_reference(lam):
             assert abs(da - da_ref) <= 1e-14 * abs(da_ref), (lam, z)
 
 
+@pytest.mark.parametrize("lam", [1.0000001, 1.001, 1.2, 2.0, 6.0, 40.0, 1e3, 1e8])
+def test_one_point_evaluation_matches_the_array_path(lam):
+    # sharpness and collision_pair evaluate one real point at a time, and their output must not move
+    comp = bounded_deriv_component(lam)
+    xs = [float(x) for x in np.linspace(-AUDIT_RADIUS, AUDIT_RADIUS, 401)]
+    assert [comp.value(complex(x)) for x in xs] == comp.value(np.array(xs, dtype=complex)).tolist()
+    pts = _deriv_lead_points(lam)
+    values = comp.value(np.array(pts)).tolist()
+    derivs = comp.derivative(np.array(pts)).tolist()
+    for z, a, da in zip(pts, values, derivs):
+        assert abs(comp.value(z) - a) <= 1e-14 * (1 + abs(a)), (lam, z)
+        assert abs(comp.derivative(z) - da) <= 1e-15 * (lam + abs(da)), (lam, z)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 1e6])
+def test_classical_component_one_point_matches_the_array_path(m):
+    comp = BoundedRatio(m)
+    pts = _audit_grid()
+    values = comp.value(np.array(pts)).tolist()
+    derivs = comp.derivative(np.array(pts)).tolist()
+    for z, a, da in zip(pts, values, derivs):
+        assert comp.value(z) == pytest.approx(a, rel=1e-15, abs=1e-15)
+        assert comp.derivative(z) == pytest.approx(da, rel=1e-15, abs=1e-15)
+
+
 def test_deriv_component_is_normalized():
     for lam in (1.0000001, 2.0, 1e8):
         comp = bounded_deriv_component(lam)
@@ -272,3 +299,34 @@ def test_collision_pair_various_profiles():
         x1, x2 = collision_pair(b, r)
         assert x2 < rho < x1
         assert abs(real_profile(x1, b) - real_profile(x2, b)) < 1e-12
+
+
+def test_reversal_point_lies_past_rho_with_negative_jacobian():
+    rng = random.Random(43)
+    for _ in range(10):
+        # a first weight 2 L_1 above 1 keeps rho inside the disk
+        b = DerivNormalized((rng.uniform(0.6, 2.0),) + tuple(rng.uniform(0.0, 2.0) for _ in range(rng.randrange(3))))
+        rho = radii(b).rho
+        r = rng.uniform(rho, 1.0)
+        x, jac = reversal_point(b, r)
+        assert rho < x <= r
+        assert jac < 0.0
+        assert jac == pytest.approx(jacobian(extremal_fn(b), complex(x)), rel=1e-12)
+        # the first of the 64 samples already reverses sense
+        assert x == pytest.approx(rho + (r - rho) / 64, rel=1e-15)
+
+
+def test_reversal_point_matches_the_margin_sign():
+    # on the real axis J = m(x) (1 + sum (k-1) L_k x^k): zero at rho, negative past it
+    b = DerivNormalized((1.0,))  # rho = 1/2, J(x) = (1 - 2x)(1) on the real axis
+    x, jac = reversal_point(b, 1.0)
+    assert x == 0.5 + 0.5 / 64
+    assert jac == pytest.approx(1.0 - 2.0 * x, abs=1e-15)
+
+
+def test_reversal_requires_room_past_rho():
+    with pytest.raises(DomainError):
+        reversal_point(DerivNormalized((0.2,)), 1.0)  # rho = 1: no window
+    b = DerivNormalized((1.0,))
+    with pytest.raises(DomainError):
+        reversal_point(b, 0.5)

@@ -14,12 +14,15 @@ from polylandau import (
     PolyAnalyticFn,
     TruncatedTaylorSeries,
     jacobian,
+    jacobian_array,
     logp_eval,
     logp_eval_array,
     poly_eval,
     poly_eval_array,
     wirtinger_z,
+    wirtinger_z_array,
     wirtinger_zbar,
+    wirtinger_zbar_array,
 )
 from _oracles import fd_wirtinger, fd_zbar_power
 
@@ -153,3 +156,14 @@ def test_array_eval_matches_scalar_oracle(F, zs):
     for got, z in zip(logp_eval_array(f, pts).tolist(), zs):
         want = logp_eval(f, z)
         assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@given(_log_parts, _disk_points)
+def test_array_wirtinger_matches_scalar_oracle(F, zs):
+    pts = np.array(zs, dtype=complex)
+    assert wirtinger_z_array(F, pts).tolist() == [wirtinger_z(F, z) for z in zs]
+    assert wirtinger_zbar_array(F, pts).tolist() == [wirtinger_zbar(F, z) for z in zs]
+    # np.abs and abs may round the last bit differently, and squaring doubles that
+    for got, z in zip(jacobian_array(F, pts).tolist(), zs):
+        fz, fzb = abs(wirtinger_z(F, z)), abs(wirtinger_zbar(F, z))
+        assert abs(got - jacobian(F, z)) <= 1e-15 * (fz * fz + fzb * fzb)

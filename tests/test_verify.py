@@ -4,17 +4,20 @@ import cmath
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polylandau import (
     DerivAll,
     DerivNormalized,
     DomainError,
     GridSpec,
+    LogPAnalyticFn,
     MixedDerivModulus,
     ModulusAll,
     PolyAnalyticFn,
     TruncatedTaylorSeries,
     VerificationReport,
+    boundary_simple_check,
     bounded_deriv_component,
     coeff_extremal_series,
     coefficient_bound_check,
@@ -22,6 +25,7 @@ from polylandau import (
     deriv_bound_check,
     exp_disk_check,
     hypothesis_audit,
+    jacobian_grid_check,
     monotonicity_check,
     schlicht_coverage_check,
     unit_modulus_extremal_fn,
@@ -128,6 +132,161 @@ def test_univalence_rejects_collapsed_grid():
     # every node pair closer than 1e-15: nothing is compared, so nothing may pass
     with pytest.raises(DomainError, match="collapsed"):
         univalence_grid_check(lambda z: z, 1e-200, SMALL_GRID)
+
+
+IDENTITY = PolyAnalyticFn((TruncatedTaylorSeries((0, 1)),))
+SQUARE = PolyAnalyticFn((TruncatedTaylorSeries((0, 0, 1)),))
+# z + 0.8 z^2 has F' = 1 + 1.6 z, which vanishes at z = -0.625
+QUADRATIC = PolyAnalyticFn((TruncatedTaylorSeries((0, 1, 0.8)),))
+
+
+def _degree_checks(fn, r, grid=GridSpec(), samples=512):
+    return jacobian_grid_check(fn, r, grid), boundary_simple_check(fn, r, samples)
+
+
+def test_degree_checks_pass_on_the_identity():
+    jac, boundary = _degree_checks(IDENTITY, 0.9)
+    assert jac.passed and jac.measured_margin == 1.0
+    assert boundary.passed and boundary.measured_margin == 0.0
+    assert boundary.note.startswith("turning number 1, 0 crossing")
+
+
+def test_boundary_check_fails_the_square_with_turning_number_two():
+    jac, boundary = _degree_checks(SQUARE, 0.9)
+    assert jac.passed  # |F_z| = 2|z| > 0 away from the origin: only the boundary shows the double cover
+    assert not boundary.passed
+    assert boundary.note.startswith("turning number 2,")
+    assert boundary.witness is not None
+
+
+def test_quadratic_fails_past_its_critical_point():
+    assert all(report.passed for report in _degree_checks(QUADRATIC, 0.6))
+    jac, boundary = _degree_checks(QUADRATIC, 0.65)
+    assert jac.passed  # J = |1 + 1.6 z|^2 never turns negative
+    assert not boundary.passed
+    assert boundary.note.startswith("turning number 2,")
+
+
+def test_jacobian_check_fails_a_sense_reversing_map():
+    # F = z + 2 conj(z) z has |F_zbar| = 2|z| > |F_z| = |1 + 2 conj(z)| near |z| = 0.9
+    fn = PolyAnalyticFn((TruncatedTaylorSeries((0, 1)), TruncatedTaylorSeries((0, 2))))
+    report = jacobian_grid_check(fn, 0.9, SMALL_GRID)
+    assert not report.passed
+    assert report.measured_margin < 0.0
+    assert abs(report.witness[0]) <= 0.9 + 1e-12
+
+
+def test_boundary_check_counts_crossings_of_the_exp_image():
+    # exp(4z) identifies z and z + 2 pi i / 4, which both fit in |z| < r once r > pi/4:
+    # the log part 4z stays a circle turning once, so only the crossing test sees exp wrap around
+    target = LogPAnalyticFn(PolyAnalyticFn((TruncatedTaylorSeries((0, 4)),)))
+    assert all(report.passed for report in _degree_checks(target, 0.75))
+    jac, boundary = _degree_checks(target, 0.9)
+    assert jac.passed
+    assert not boundary.passed
+    assert boundary.note.startswith("turning number 1,")
+    a, b = boundary.witness
+    assert abs(a) == pytest.approx(0.9) and abs(b) == pytest.approx(0.9)
+
+
+def test_degree_checks_validate_their_inputs():
+    with pytest.raises(DomainError):
+        jacobian_grid_check(IDENTITY, 0.0)
+    with pytest.raises(DomainError):
+        boundary_simple_check(IDENTITY, -1.0)
+    with pytest.raises(DomainError, match="at least 8 samples"):
+        boundary_simple_check(IDENTITY, 0.5, samples=4)
+
+
+def test_boundary_check_is_scale_free():
+    # rho is 5e-101: the image's turn products underflow unless the polygon is rescaled
+    b = ModulusAll((1e100,))
+    rho, fn = radii(b).rho, extremal_fn(b)
+    assert all(report.passed for report in _degree_checks(fn, 0.99 * rho))
+    # the classical map folds at about 1.19 rho
+    assert not boundary_simple_check(fn, 1.2 * rho).passed
+
+
+@pytest.mark.parametrize(
+    "b, factor",
+    [
+        (DerivAll(2.0, (1.0,)), 1.01),
+        (DerivAll(3.0, ()), 1.01),
+        (DerivNormalized((1.0, 1.0)), 1.01),
+        (ModulusAll((2.0,)), 1.2),
+    ],
+)
+def test_degree_checks_catch_a_radius_too_large(b, factor):
+    # the pair scan passed every one of these at factor and beyond
+    rho, fn = radii(b).rho, extremal_fn(b)
+    assert all(report.passed for report in _degree_checks(fn, 0.99 * rho))
+    failed = [report for report in _degree_checks(fn, factor * rho) if not report.passed]
+    assert failed and all(report.witness for report in failed)
+
+
+def test_log_target_reads_the_derivatives_of_its_log_part():
+    b = DerivAll(2.0, (1.0,))
+    rho, F = radii(b).rho, extremal_fn(b)
+    f = LogPAnalyticFn(F)
+    same = jacobian_grid_check(F, rho, SMALL_GRID).measured_margin
+    assert jacobian_grid_check(f, rho, SMALL_GRID).measured_margin == same
+    assert boundary_simple_check(f, 0.99 * rho).passed
+    assert not jacobian_grid_check(f, 1.01 * rho).passed
+
+
+@st.composite
+def _sharp_profiles(draw):
+    """A profile of theorem 1, 2, 5 or 6 with 1-4 components, and whether its target is exp F."""
+    theorem = draw(st.sampled_from((1, 2, 5, 6)))
+    order = draw(st.integers(1, 4))
+    if theorem in (1, 5):
+        lam0 = draw(st.floats(1.05, 6.0))
+        b = DerivAll(lam0, tuple(draw(st.floats(0.0, 2.0)) for _ in range(order - 1)))
+    else:
+        b = DerivNormalized(tuple(draw(st.floats(0.2, 2.0)) for _ in range(order - 1)))
+    return b, theorem >= 5
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sharp_profiles(), st.floats(0.01, 0.1))
+def test_degree_checks_pass_inside_rho_and_fail_past_it(case, eps):
+    b, is_log = case
+    rho = radii(b).rho
+    assume(rho < 1.0)
+    F = extremal_fn(b)
+    target = LogPAnalyticFn(F) if is_log else F
+    assert all(report.passed for report in _degree_checks(target, 0.99 * rho))
+    past = _degree_checks(target, min((1.0 + eps) * rho, 1.0))
+    assert not all(report.passed for report in past)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(1.1, 5.0),
+    st.lists(st.floats(0.0, 1.5), max_size=2),
+)
+def test_degree_checks_fail_wherever_the_pair_scan_finds_a_collision(lam0, lambdas):
+    # the pair scan is the oracle: with the collision pair planted it reports a collision at |z| <= x1
+    b = DerivAll(lam0, tuple(lambdas))
+    rho = radii(b).rho
+    x1, x2 = collision_pair(b, min(1.0, 1.5 * rho))
+    fn = extremal_fn(b)
+    scan = univalence_grid_check(fn, x1, SMALL_GRID, extra_points=(complex(x1), complex(x2)))
+    if not scan.passed:
+        assert not all(report.passed for report in _degree_checks(fn, x1, SMALL_GRID, 64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.55, 2.0), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0))
+def test_degree_checks_fail_on_quadratic_collisions_the_scan_finds(c, angle, t):
+    # z + c z^2 identifies z and w exactly when z + w = -1/c; plant such a pair inside |z| <= 0.95
+    z = -0.5 / c + t * (0.95 - 0.5 / c) * cmath.exp(1j * angle)
+    w = -1.0 / c - z
+    assume(abs(w) <= 0.95 and abs(z - w) > 1e-6)
+    fn = PolyAnalyticFn((TruncatedTaylorSeries((0, 1, c)),))
+    scan = univalence_grid_check(fn, 0.95, SMALL_GRID, extra_points=(z, w))
+    if not scan.passed:
+        assert not all(report.passed for report in _degree_checks(fn, 0.95, SMALL_GRID, 64))
 
 
 def test_coverage_identity_margin():
