@@ -117,66 +117,84 @@ class RunConfig:
     tol: float = 1e-10
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_common(p: argparse.ArgumentParser, default_format: str | None = None) -> None:
+    p.add_argument("--format", dest="output_format", choices=("json", "csv", "text"), default=default_format)
+    p.add_argument("--digits", type=int, default=None, help="significant digits in printed floats (default 12)")
+    p.add_argument("--config", default=None, help="key=value file; flags override its entries")
+
+
+def _add_profile(p: argparse.ArgumentParser) -> None:
+    # not required=True: a config file may supply it
+    p.add_argument("--theorem", type=int, choices=range(1, 9), default=None)
+    p.add_argument("-p", "--order", type=int, default=None, help="number of components")
+    p.add_argument("--lambda0", default=None, help="leading derivative bound (> 1)")
+    p.add_argument("--lambdas", default=None, help="comma-separated derivative bounds")
+    p.add_argument("--ms", default=None, help="comma-separated modulus bounds (>= 1)")
+    p.add_argument("--mstars", default=None, help="comma-separated factor modulus bounds (> 1)")
+
+
+def _radii_args(p: argparse.ArgumentParser) -> None:
+    _add_profile(p)
+    _add_common(p)
+
+
+def _baseline_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--name", required=True, choices=_BASELINES)
+    p.add_argument("--m", default=None, help="modulus bound M > 1")
+    p.add_argument("--lambda0", default=None, help="derivative bound above 1")
+    p.add_argument("--lambda1", default=None, help="companion derivative bound >= 0")
+    p.add_argument("-p", "--order", type=int, default=None)
+    _add_common(p)
+
+
+def _compare_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ms", default=None, help="comma-separated M values (default 1.2,2,5)")
+    p.add_argument("--orders", default=None, help="comma-separated p values (default 2,3,5)")
+    _add_common(p)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    _add_profile(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (default env LANDAU_SEED or 0)")
+    p.add_argument("--grid", default=None, help="polar grid as RADIALxANGULAR (default 32x64)")
+    p.add_argument("--margin", type=float, default=None, help="grid check margin (default 1e-9)")
+    p.add_argument("--boundary-samples", type=int, default=None)
+    p.add_argument("--mc-samples", type=int, default=None)
+    _add_common(p)
+
+
+def _sharpness_args(p: argparse.ArgumentParser) -> None:
+    _add_profile(p)
+    p.add_argument("-r", "--radius", type=float, default=None, help="window edge past rho (default 1)")
+    p.add_argument(
+        "--tol", type=float, default=None,
+        help="pass gate on the collision residual of theorems 1 and 5 (default 1e-10)",
+    )
+    _add_common(p)
+
+
+def _table_args(p: argparse.ArgumentParser) -> None:
+    _add_profile(p)
+    _add_common(p, default_format="csv")
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: every subcommand is listed, but only the one argv[0] names gets its arguments.
+
+    When argv[0] names no subcommand (no arguments, -h or a typo), every
+    subcommand gets its arguments, so the usage and error text stays that
+    of the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="polylandau",
         description="Univalence and schlicht-disk radii for poly-analytic and log-analytic-product functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, default_format: str | None = None) -> None:
-        p.add_argument("--format", dest="output_format", choices=("json", "csv", "text"), default=default_format)
-        p.add_argument("--digits", type=int, default=None, help="significant digits in printed floats (default 12)")
-        p.add_argument("--config", default=None, help="key=value file; flags override its entries")
-
-    def add_profile(p: argparse.ArgumentParser) -> None:
-        # not required=True: a config file may supply it
-        p.add_argument("--theorem", type=int, choices=range(1, 9), default=None)
-        p.add_argument("-p", "--order", type=int, default=None, help="number of components")
-        p.add_argument("--lambda0", default=None, help="leading derivative bound (> 1)")
-        p.add_argument("--lambdas", default=None, help="comma-separated derivative bounds")
-        p.add_argument("--ms", default=None, help="comma-separated modulus bounds (>= 1)")
-        p.add_argument("--mstars", default=None, help="comma-separated factor modulus bounds (> 1)")
-
-    p_radii = sub.add_parser("radii", help="compute rho and sigma for one theorem")
-    add_profile(p_radii)
-    add_common(p_radii)
-
-    p_base = sub.add_parser("baseline", help="evaluate a prior-result baseline")
-    p_base.add_argument("--name", required=True, choices=_BASELINES)
-    p_base.add_argument("--m", default=None, help="modulus bound M > 1")
-    p_base.add_argument("--lambda0", default=None, help="derivative bound above 1")
-    p_base.add_argument("--lambda1", default=None, help="companion derivative bound >= 0")
-    p_base.add_argument("-p", "--order", type=int, default=None)
-    add_common(p_base)
-
-    p_cmp = sub.add_parser("compare", help="order-p modulus theorem vs its baseline")
-    p_cmp.add_argument("--ms", default=None, help="comma-separated M values (default 1.2,2,5)")
-    p_cmp.add_argument("--orders", default=None, help="comma-separated p values (default 2,3,5)")
-    add_common(p_cmp, default_format=None)
-
-    p_ver = sub.add_parser("verify", help="run the oracle suite on the theorem's extremal")
-    add_profile(p_ver)
-    p_ver.add_argument("--seed", type=int, default=None, help="RNG seed (default env LANDAU_SEED or 0)")
-    p_ver.add_argument("--grid", default=None, help="polar grid as RADIALxANGULAR (default 32x64)")
-    p_ver.add_argument("--margin", type=float, default=None, help="grid check margin (default 1e-9)")
-    p_ver.add_argument("--boundary-samples", type=int, default=None)
-    p_ver.add_argument("--mc-samples", type=int, default=None)
-    add_common(p_ver)
-
-    p_shp = sub.add_parser("sharpness", help="exhibit univalence failing just past rho")
-    add_profile(p_shp)
-    p_shp.add_argument("-r", "--radius", type=float, default=None, help="window edge past rho (default 1)")
-    p_shp.add_argument(
-        "--tol", type=float, default=None,
-        help="pass gate on the collision residual of theorems 1 and 5 (default 1e-10)",
-    )
-    add_common(p_shp)
-
-    p_tab = sub.add_parser("table", help="sweep one parameter to CSV")
-    add_profile(p_tab)
-    add_common(p_tab, default_format="csv")
-
+    selected = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if selected in (None, name):
+            add_arguments(p)
     return parser
 
 
@@ -651,25 +669,29 @@ def cmd_table(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "radii": cmd_radii,
-    "baseline": cmd_baseline,
-    "compare": cmd_compare,
-    "verify": cmd_verify,
-    "sharpness": cmd_sharpness,
-    "table": cmd_table,
+# subcommand -> (help text, adds its arguments, runs it), in the order --help lists them
+_SUBCOMMANDS = {
+    "radii": ("compute rho and sigma for one theorem", _radii_args, cmd_radii),
+    "baseline": ("evaluate a prior-result baseline", _baseline_args, cmd_baseline),
+    "compare": ("order-p modulus theorem vs its baseline", _compare_args, cmd_compare),
+    "verify": ("run the oracle suite on the theorem's extremal", _verify_args, cmd_verify),
+    "sharpness": ("exhibit univalence failing just past rho", _sharpness_args, cmd_sharpness),
+    "table": ("sweep one parameter to CSV", _table_args, cmd_table),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(ns)
-        return _COMMANDS[cfg.command](cfg)
+        _, _, run = _SUBCOMMANDS[cfg.command]
+        return run(cfg)
     except PolyLandauError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

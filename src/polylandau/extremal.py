@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import BracketError, DomainError
 from .polyfunc import PolyAnalyticFn, jacobian_array, poly_eval
 from .radii import ModulusAll, Profile, _bisect_decreasing, radii
 from .series import DEFAULT_DEGREE, TruncatedTaylorSeries
+
+np = lazy_numpy()
 
 _DEGENERATE_TOL = 1e-13
 #: Radius of the circle on which ``verify`` audits a witness's hypotheses.
@@ -218,10 +219,10 @@ def collision_pair(b: Profile, r: float) -> tuple[float, float]:
     """Two abscissae x2 < rho < x1 < r where the extremal takes one value.
 
     eps starts at half the distance from rho to r, capped at half the
-    distance to the profile's second zero when the profile dips
-    nonpositive at 1.  A bracket that still lands at the second zero
-    within tolerance is degenerate; eps shrinks by half, at most ten
-    times, before giving up.
+    distance to the profile's second zero when r lies at or past that
+    zero.  A bracket that still lands at the second zero within
+    tolerance is degenerate; eps shrinks by half, at most ten times,
+    before giving up.
     """
     rho = radii(b).rho
     if not rho < r <= 1.0:
@@ -233,8 +234,9 @@ def collision_pair(b: Profile, r: float) -> tuple[float, float]:
 
     sigma = profile(rho)
     eps = 0.5 * (r - rho)
-    if profile(1.0) <= 0.0:
-        # the profile decreases from sigma > 0 at rho to a nonpositive value at 1
+    if profile(r) <= 0.0:
+        # the profile decreases from sigma > 0 at rho, so r lies at or past its second zero and
+        # the profile is nonpositive at 1; before that zero the cap could not bind
         second_zero, _ = _bisect_decreasing(profile, rho, 1.0)
         eps = min(eps, 0.5 * (second_zero - rho))
     x1 = rho + eps

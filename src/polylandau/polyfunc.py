@@ -24,10 +24,11 @@ import cmath
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import DomainError
 from .series import _cmul, _require_in_disk, _require_in_disk_array
+
+np = lazy_numpy()
 
 
 class Component(Protocol):

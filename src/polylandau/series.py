@@ -13,9 +13,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import DomainError
+
+np = lazy_numpy()
 
 #: Default truncation degree for series built from closed forms whose
 #: coefficients decay geometrically (tail below 1e-15 at |z| <= 0.99).

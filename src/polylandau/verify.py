@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import DomainError
 from .extremal import AUDIT_RADIUS
 from .polyfunc import (
@@ -43,6 +42,8 @@ from .polyfunc import (
 )
 from .radii import Profile
 from .series import TruncatedTaylorSeries
+
+np = lazy_numpy()
 
 _PAIR_BLOCK = 256
 _EDGE_CHUNK = 16  # edges per bounding box in the boundary crossing test

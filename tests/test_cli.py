@@ -6,8 +6,8 @@ import pathlib
 
 import pytest
 
-from polylandau import ModulusAll, log_bound_from_modulus
-from polylandau import cli
+from polylandau import DerivAll, ModulusAll, log_bound_from_modulus
+from polylandau import cli, extremal
 from polylandau.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from polylandau.radii import radii
 
@@ -306,6 +306,38 @@ def test_sharpness_collision(capsys):
     assert doc["passed"] is True
 
 
+def _sharpness_profile_evaluations(capsys, monkeypatch, *argv):
+    # collision_pair reads the witness's real-axis profile through extremal.poly_eval alone
+    calls = []
+    evaluate = extremal.poly_eval
+
+    def counted(F, z):
+        calls.append(z)
+        return evaluate(F, z)
+
+    monkeypatch.setattr(extremal, "poly_eval", counted)
+    code, out, _ = run(capsys, "sharpness", *argv, "--digits", "17", "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    return doc["x1"], doc["x2"], len(calls)
+
+
+def test_sharpness_skips_the_second_zero_before_it(capsys, monkeypatch):
+    # the profile is still positive at r = 0.5, so the second zero cannot cap eps: the bisection
+    # on [rho, 1] is skipped and x1 = rho + (r - rho)/2 keeps the bits it had with it (113 evaluations)
+    x1, x2, evaluations = _sharpness_profile_evaluations(capsys, monkeypatch, *THM1, "-r", "0.5")
+    assert (x1, x2) == (0.38397459621556135, 0.14927124689440407)
+    assert evaluations == 58
+
+
+def test_sharpness_caps_eps_at_the_second_zero_past_it(capsys, monkeypatch):
+    # r = 0.7 lies past the profile's second zero (about 0.52), which caps eps below (r - rho)/2
+    x1, x2, evaluations = _sharpness_profile_evaluations(capsys, monkeypatch, *THM1, "-r", "0.7")
+    assert (x1, x2) == (0.3953237879436488, 0.13736992373598944)
+    assert x1 < 0.5 * (radii(DerivAll(2.0, (1.0,))).rho + 0.7)
+    assert evaluations == 113
+
+
 def test_sharpness_rejects_other_theorems(capsys):
     code, _, err = run(capsys, "sharpness", "--theorem", "3", "--ms", "2")
     assert code == EXIT_USAGE
@@ -435,3 +467,14 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
 def test_digits_flag_controls_precision(capsys):
     _, out, _ = run(capsys, "radii", *THM1, "--format", "json", "--digits", "4")
     assert json.loads(out)["rho"] == 0.2679
+
+
+USAGE = json.loads((DATA / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[" ".join(case["argv"]) for case in USAGE])
+def test_usage_output_is_that_of_the_full_parser(capsys, monkeypatch, case):
+    # main adds arguments only to the subcommand argv[0] names; help and usage errors must not show it.
+    # The bytes were recorded from the parser that built every subcommand's arguments on each call.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])

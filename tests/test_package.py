@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import polylandau
@@ -33,3 +36,50 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(module_name)
         missing += [f"{module_name}.{name}" for name in names if not hasattr(module, name)]
     assert missing == []
+
+
+_SOLVER_CALLS = [
+    ["radii", "--theorem", "1", "-p", "2", "--lambda0", "2", "--lambdas", "1"],
+    ["table", "--theorem", "7", "-p", "2", "--mstars", "2:3:0.5"],
+    ["compare", "--ms", "2", "--orders", "2,3"],
+    ["baseline", "--name", "landau", "--m", "2"],
+]
+_VERIFY_CALL = ["verify", "--theorem", "5", "-p", "2", "--lambda0", "2", "--lambdas", "1", "--grid", "8x16",
+                "--boundary-samples", "64", "--format", "json", "--digits", "17"]
+
+# run in a fresh interpreter: the import state of this one depends on what the other tests loaded
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import polylandau.cli as cli
+traced, solver_calls, verify_call = json.loads(sys.argv[1])
+missing = [name for name in traced if name not in sys.modules]
+codes = []
+for argv in solver_calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+numpy_parts = sorted(name for name in sys.modules if name.startswith("numpy."))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(verify_call)
+print(json.dumps({"missing": missing, "codes": codes, "numpy_parts": numpy_parts, "verify": [code, out.getvalue()]}))
+"""
+
+
+def _fresh_python(*args):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(polylandau.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True, timeout=60)
+
+
+def test_solver_commands_run_without_loading_numpy():
+    # the tracer looks every LAYERS module up in sys.modules, so importing cli must load them all;
+    # numpy's own import may wait for the first array, which radii, table, compare and baseline never build
+    traced = sorted({module_name for module_name, _ in trace_layers.LAYERS.values()})
+    probe = _fresh_python("-c", _IMPORT_PROBE, json.dumps([traced, _SOLVER_CALLS, _VERIFY_CALL]))
+    doc = json.loads(probe.stdout)
+    assert doc["missing"] == []
+    assert doc["codes"] == [0] * len(_SOLVER_CALLS)
+    assert doc["numpy_parts"] == []
+    # verify then loads numpy on its first array and prints what a fresh run prints (check=True: exit 0)
+    fresh = _fresh_python("-m", "polylandau.cli", *_VERIFY_CALL)
+    assert doc["verify"] == [0, fresh.stdout]
+    assert '"passed": true' in fresh.stdout
