@@ -179,22 +179,22 @@ def _table_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv: every subcommand is listed, but only the one argv[0] names gets its arguments.
+    """The parser for argv: only the subcommand argv[0] names gets a subparser.
 
-    When argv[0] names no subcommand (no arguments, -h or a typo), every
-    subcommand gets its arguments, so the usage and error text stays that
-    of the full parser.
+    When argv[0] names no subcommand (no arguments, -h or a typo), all six
+    get their subparser, so the help and error text stays that of the full
+    parser.
     """
     parser = argparse.ArgumentParser(
         prog="polylandau",
         description="Univalence and schlicht-disk radii for poly-analytic and log-analytic-product functions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     selected = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    # the metavar lists all six where only one subparser is added; the full parser's errors name "command"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=_SUBCOMMAND_METAVAR if selected else None)
     for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if selected in (None, name):
-            add_arguments(p)
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -260,6 +260,8 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise DomainError(f"--grid expects RADIALxANGULAR, got {grid!r}") from exc
 
+    if values["digits"] < 0:
+        raise DomainError(f"--digits must be a nonnegative integer, got {values['digits']}")
     return RunConfig(**values)  # type: ignore[arg-type]
 
 
@@ -506,6 +508,10 @@ def _margin_fn(profile: Profile):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.mc_samples < 1:
+        raise DomainError(f"--mc-samples must be a positive integer, got {cfg.mc_samples}")
+    if cfg.seed < 0:
+        raise DomainError(f"--seed must be a nonnegative integer, got {cfg.seed}")
     profile = _build_profile(cfg)
     res = _compute_radii(cfg.theorem, profile)
     grid = GridSpec(cfg.radial_count, cfg.angular_count, cfg.margin)
@@ -678,6 +684,7 @@ _SUBCOMMANDS = {
     "sharpness": ("exhibit univalence failing just past rho", _sharpness_args, cmd_sharpness),
     "table": ("sweep one parameter to CSV", _table_args, cmd_table),
 }
+_SUBCOMMAND_METAVAR = "{" + ",".join(_SUBCOMMANDS) + "}"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -208,12 +208,21 @@ class RadiiResult:
     flags: tuple[str, ...] = ()
 
 
-def univalence_margin(r: float, b: Profile) -> float:
+def univalence_margin(r, b: Profile):
     """Margin of any profile; positive on [0, rho), zero at rho.
 
-    A modulus term's (1-r)^2 pole keeps r < 1.
+    r is a float or a float64 array, which gives the margin at each
+    sample (a profile with no terms gives the float 1.0); an array's
+    domain check reads its smallest and largest sample.  A modulus
+    term's (1-r)^2 pole keeps r < 1.
     """
-    if not (0.0 <= r < 1.0 if b.modulus else 0.0 <= r <= 1.0):
+    try:
+        inside = 0.0 <= r < 1.0 if b.modulus else 0.0 <= r <= 1.0
+    except ValueError:  # an array, whose comparison has no single truth value: check its ends as scalars
+        univalence_margin(float(r.min()), b)
+        univalence_margin(float(r.max()), b)
+        inside = True
+    if not inside:
         raise DomainError(f"margin argument must lie in [0, 1{')' if b.modulus else ']'}, got {r!r}")
     lam = b.lead
     total = 1.0 if lam is None else lam * (1.0 - lam * r) / (lam - r)

@@ -365,6 +365,26 @@ def coefficient_bound_check(
     )
 
 
+def _exp_disk_logs(sigma: float, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y and |log(x + iy)| at uniform draws from the disk centered at cosh(sigma) of radius sinh(sigma).
+
+    Real arithmetic throughout: the principal logarithm of w is
+    log|w| + i atan2(y, x).  Sums of squares stand in for the slower
+    ``np.hypot``: every x exceeds exp(-sigma) > 1/e, so x^2 + y^2 stays in
+    range, and both parts of the logarithm are about sigma in size at
+    most, so they are divided by sigma before they are squared.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.sqrt(rng.uniform(size=samples))
+    t = rng.uniform(0.0, 2.0 * np.pi, size=samples)
+    s = np.sinh(sigma) * u
+    x = np.cosh(sigma) + s * np.cos(t)
+    y = s * np.sin(t)
+    real = 0.5 * np.log(x * x + y * y) / sigma
+    imag = np.arctan2(y, x) / sigma
+    return x, y, sigma * np.sqrt(real * real + imag * imag)
+
+
 def exp_disk_check(sigma: float, samples: int = 10000, seed: int = 0) -> VerificationReport:
     """Checks the disk centered at cosh(sigma) of radius sinh(sigma) sits in exp of |w| < sigma.
 
@@ -374,11 +394,9 @@ def exp_disk_check(sigma: float, samples: int = 10000, seed: int = 0) -> Verific
     """
     if not 0.0 < sigma < 1.0:
         raise DomainError(f"exp-disk check needs 0 < sigma < 1, got {sigma!r}")
-    rng = np.random.default_rng(seed)
-    u = np.sqrt(rng.uniform(size=samples))
-    t = rng.uniform(0.0, 2.0 * np.pi, size=samples)
-    w = np.cosh(sigma) + np.sinh(sigma) * u * np.exp(1j * t)
-    logs = np.abs(np.log(w))
+    if samples < 1:
+        raise DomainError(f"exp-disk check needs at least 1 sample, got {samples}")
+    x, y, logs = _exp_disk_logs(sigma, samples, seed)
     k = int(np.argmax(logs))
     measured = sigma - float(logs[k])
     passed = bool(measured > 0.0)
@@ -386,7 +404,7 @@ def exp_disk_check(sigma: float, samples: int = 10000, seed: int = 0) -> Verific
         check_name="exp-disk",
         passed=passed,
         measured_margin=measured,
-        witness=None if passed else (complex(w[k]),),
+        witness=None if passed else (complex(x[k], y[k]),),
         note=f"max |log w| {float(logs[k]):.12g} against sigma {sigma:.12g}",
     )
 
@@ -399,15 +417,17 @@ def monotonicity_check(
 ) -> VerificationReport:
     """Checks g never rises between consecutive sample points on [lo, hi].
 
-    A strictly decreasing g can round to one value at neighbouring
-    samples when its drop per step is below the float spacing, as
-    1 - 2e-14 r does over 1000 samples on [0, 1]; so only a rise is a
-    counterexample.
+    g is called once, on the array of all samples.  A strictly decreasing
+    g can round to one value at neighbouring samples when its drop per
+    step is below the float spacing, as 1 - 2e-14 r does over 1000
+    samples on [0, 1]; so only a rise is a counterexample.
     """
     if not lo < hi:
         raise DomainError(f"monotonicity check needs lo < hi, got [{lo!r}, {hi!r}]")
+    if samples < 2:
+        raise DomainError(f"monotonicity check needs at least 2 samples, got {samples}")
     xs = np.linspace(lo, hi, samples)
-    vals = np.array([g(float(x)) for x in xs])
+    vals = np.broadcast_to(g(xs), xs.shape)  # a constant g may return one float
     drops = vals[:-1] - vals[1:]
     k = int(np.argmin(drops))
     measured = float(drops[k])

@@ -297,6 +297,24 @@ def test_verify_seed_from_env(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--theorem", "5", "--lambda0", "2", "--mc-samples", "0"), "--mc-samples"),
+        (("verify", "--theorem", "5", "--lambda0", "2", "--mc-samples", "-5"), "--mc-samples"),
+        (("verify", "--theorem", "5", "--lambda0", "2", "--seed", "-1"), "--seed"),
+        (("radii", "--theorem", "1", "--lambda0", "2", "--digits", "-3"), "--digits"),
+    ],
+    ids=["mc-samples-0", "mc-samples-negative", "seed-negative", "digits-negative"],
+)
+def test_exit_2_names_the_sampling_flag(capsys, argv, flag):
+    # numpy's or format()'s own message for these would name no flag
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_sharpness_collision(capsys):
     code, out, _ = run(capsys, "sharpness", *THM1, "-r", "0.5", "--format", "json")
     assert code == EXIT_OK
@@ -472,7 +490,7 @@ def test_digits_flag_controls_precision(capsys):
 USAGE = json.loads((DATA / "cli_usage.json").read_text())
 
 
-@pytest.mark.parametrize("case", USAGE, ids=[" ".join(case["argv"]) for case in USAGE])
+@pytest.mark.parametrize("case", USAGE, ids=[" ".join(case["argv"]) or "no-arguments" for case in USAGE])
 def test_usage_output_is_that_of_the_full_parser(capsys, monkeypatch, case):
     # main adds arguments only to the subcommand argv[0] names; help and usage errors must not show it.
     # The bytes were recorded from the parser that built every subcommand's arguments on each call.

@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polylandau import (
     DerivAll,
@@ -26,13 +28,15 @@ from polylandau import (
     exp_disk_check,
     hypothesis_audit,
     jacobian_grid_check,
+    log_bound_from_modulus,
     monotonicity_check,
     schlicht_coverage_check,
     unit_modulus_extremal_fn,
     univalence_grid_check,
 )
 from polylandau.extremal import extremal_fn
-from polylandau.radii import radii
+from polylandau.radii import radii, univalence_margin
+from polylandau.verify import _exp_disk_logs
 
 
 B = DerivAll(2.0, (1.0,))
@@ -354,6 +358,34 @@ def test_exp_disk_rejects_bad_sigma():
         exp_disk_check(1.0)
 
 
+def _complex_exp_disk_logs(sigma, samples, seed):
+    """|log w| at exp_disk_check's draws by complex exp, log and abs: the reference for its real form."""
+    rng = np.random.default_rng(seed)
+    u = np.sqrt(rng.uniform(size=samples))
+    t = rng.uniform(0.0, 2.0 * np.pi, size=samples)
+    return np.abs(np.log(np.cosh(sigma) + np.sinh(sigma) * u * np.exp(1j * t)))
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(8.250140171882186e-176)  # squaring the parts of the logarithm unscaled underflows here
+@example(5e-324)
+@settings(max_examples=15, deadline=None)
+def test_exp_disk_real_form_matches_the_complex_form(sigma):
+    for seed in range(21):
+        logs = _complex_exp_disk_logs(sigma, 10000, seed)
+        k = int(np.argmax(logs))
+        assert int(np.argmax(_exp_disk_logs(sigma, 10000, seed)[2])) == k
+        report = exp_disk_check(sigma, seed=seed)
+        expected = sigma - float(logs[k])
+        assert report.passed == (expected > 0.0)
+        assert abs(report.measured_margin - expected) <= 1e-15
+
+
+def test_exp_disk_rejects_fewer_than_one_sample():
+    with pytest.raises(DomainError, match="at least 1 sample"):
+        exp_disk_check(0.5, samples=0)
+
+
 def test_exp_disk_deterministic_in_seed():
     a = exp_disk_check(0.5, samples=2000, seed=3)
     b = exp_disk_check(0.5, samples=2000, seed=3)
@@ -368,6 +400,81 @@ def test_monotonicity_check():
     report = monotonicity_check(lambda x: (x - 0.5) ** 2, 0.0, 1.0, samples=100)
     assert not report.passed
     assert report.witness is not None
+
+
+def test_monotonicity_rejects_fewer_than_two_samples():
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        monotonicity_check(lambda x: 1 - x, 0.0, 1.0, samples=1)
+
+
+@st.composite
+def _profiles(draw):
+    """A profile of theorem 1..8 and order 1..5; theorems 7 and 8 map factor bounds m* to log bounds."""
+    theorem = draw(st.integers(1, 8))
+    order = draw(st.integers(1, 5))
+    base = theorem - 4 if theorem > 4 else theorem
+    lam0 = draw(st.floats(1.0001, 50.0))
+    lambdas = draw(st.lists(st.floats(0.0, 10.0), min_size=order - 1, max_size=order - 1))
+    count = order if base == 3 else order - 1
+    if theorem > 4:
+        ms = [log_bound_from_modulus(m) for m in draw(st.lists(st.floats(1.01, 1e6), min_size=count, max_size=count))]
+    else:
+        ms = draw(st.lists(st.one_of(st.just(1.0), st.floats(1.0, 1e6)), min_size=count, max_size=count))
+    if base == 3:
+        return ModulusAll(tuple(ms))
+    if base == 4:
+        return MixedDerivModulus(lam0, tuple(ms))
+    return DerivAll(lam0, tuple(lambdas)) if base == 1 else DerivNormalized(tuple(lambdas))
+
+
+def _term_sum(r, b):
+    """Sum of the magnitudes of the margin's terms at r, which bounds the rounding of their sum."""
+    lam = b.lead
+    total = 1.0 if lam is None else abs(lam * (1.0 - lam * r) / (lam - r))
+    total += sum(weight * r**k for k, weight, _ in b.deriv)
+    total += sum(gap * r ** (k + 1) * (2.0 - r + k * (1.0 - r)) / (1.0 - r) ** 2 for k, gap in b.excess)
+    return total + sum(weight * r**k for k, weight in b.identity)
+
+
+_FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=60)
+
+
+@given(_profiles(), _FRACTIONS)
+@settings(max_examples=150, deadline=None)
+def test_array_margin_matches_the_scalar_margin(b, fractions):
+    # numpy's power may differ from libm's pow by an ulp, so equality holds to rounding only
+    xs = np.array(fractions) * b.upper(1.0 - 1e-6)
+    margins = np.broadcast_to(univalence_margin(xs, b), xs.shape)  # a profile with no terms gives 1.0
+    for x, m in zip(xs, margins):
+        scalar = univalence_margin(float(x), b)
+        assert abs(m - scalar) <= 8.0 * sys.float_info.epsilon * _term_sum(float(x), b)
+
+
+@given(
+    _profiles(),
+    _FRACTIONS,
+    st.one_of(st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-15), st.just(math.nan)),
+    st.integers(0, 59),
+)
+@settings(max_examples=100, deadline=None)
+def test_array_margin_outside_the_domain_raises_the_scalar_error(b, fractions, bad, at):
+    xs = np.array(fractions) * b.upper(1.0 - 1e-6)
+    xs[at % len(xs)] = bad
+    with pytest.raises(DomainError) as scalar:
+        univalence_margin(bad, b)
+    with pytest.raises(DomainError) as array:
+        univalence_margin(xs, b)
+    assert str(array.value) == str(scalar.value)
+
+
+@given(_profiles(), st.integers(2, 1000))
+@settings(max_examples=80, deadline=None)
+def test_monotonicity_verdict_matches_a_scalar_loop(b, samples):
+    hi = b.upper(1.0 - 1e-6)
+    xs = np.linspace(0.0, hi, samples)
+    vals = [univalence_margin(float(x), b) for x in xs]
+    report = monotonicity_check(lambda r: univalence_margin(r, b), 0.0, hi, samples)
+    assert report.passed == all(a >= c for a, c in zip(vals, vals[1:]))
 
 
 def test_hypothesis_audit_deriv_family():
