@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from cmath import exp as cexp
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
 
 from .errors import DomainError, PolyLandauError
@@ -90,8 +90,9 @@ class RunConfig:
     """Fully merged run parameters; profile values stay raw strings.
 
     Merging order is defaults, then the optional key=value config file,
-    then explicit flags.  Conversion to numbers happens per theorem so
-    diagnostics can name the violated hypothesis.
+    then explicit flags.  ``_read_profile`` converts the profile values to
+    numbers once per run, per theorem, so diagnostics can name the flag and
+    the violated hypothesis; ``table`` then varies only its swept float.
     """
 
     command: str
@@ -313,8 +314,13 @@ def _require_theorem(cfg: RunConfig) -> int:
     return cfg.theorem
 
 
-def _build_profile(cfg: RunConfig) -> Profile:
-    """The selected theorem's profile; factor bounds m* (theorems 7 and 8) become log bounds here."""
+def _read_profile(cfg: RunConfig, swept: str | None = None) -> tuple[float | None, tuple[float, ...]]:
+    """cfg's profile flags as floats: the lead bound (None where the theorem has none) and the other bounds.
+
+    Runs every check on the flags as written (theorem, foreign or missing flags,
+    numbers, order, list length) and broadcasts the list flag to the order.  A
+    table's swept flag counts as one value, read as NaN, which each row replaces.
+    """
     t = _require_theorem(cfg)
     _reject_foreign_flags(cfg)
     base = t - 4 if t > 4 else t
@@ -323,31 +329,31 @@ def _build_profile(cfg: RunConfig) -> Profile:
     if base in (1, 4):
         if cfg.lambda0 is None:
             raise DomainError(f"theorem {t} needs --lambda0, the leading derivative bound above 1")
-        lam0 = _float(cfg.lambda0, "--lambda0")
+        lam0 = math.nan if swept == "lambda0" else _float(cfg.lambda0, "--lambda0")
 
-    if base in (1, 2):
-        listed = _float_list(cfg.lambdas, "--lambdas") if cfg.lambdas is not None else None
-        p = _resolve_order(cfg, None if listed is None else len(listed), 1)
-        if p == 1 and listed:
-            raise DomainError(f"theorem {t} with one component takes no --lambdas")
-        if p > 1 and listed is None:
-            raise DomainError(f"theorem {t} with {p} components needs --lambdas ({p - 1} values)")
-        lambdas = _broadcast(listed, p - 1, "--lambdas") if p > 1 else ()
-        return DerivAll(lam0, lambdas) if base == 1 else DerivNormalized(lambdas)
-
-    flag, raw = ("--ms", cfg.ms) if t < 5 else ("--mstars", cfg.mstars)
-    if raw is None:
+    name = "lambdas" if base < 3 else "ms" if t < 5 else "mstars"
+    flag, raw = f"--{name}", getattr(cfg, name)
+    if raw is None and base > 2:
         what = {3: "the component modulus bounds", 7: "the factor modulus bounds above 1"}
         raise DomainError(f"theorem {t} needs {flag}, {what.get(t, 'the bounds on components 1..p-1')}")
-    listed = _float_list(raw, flag)
+    listed = None if raw is None else [math.nan] if name == swept else _float_list(raw, flag)
     offset = 0 if base == 3 else 1
-    p = _resolve_order(cfg, len(listed), offset)
+    p = _resolve_order(cfg, None if listed is None else len(listed), offset)
     if p < 2 and base == 4:
         raise DomainError(f"theorem {t} needs at least two components, got order {p}")
-    values = _broadcast(listed, p - offset, flag)
-    if t > 4:
-        values = tuple(log_bound_from_modulus(v) for v in values)
-    return ModulusAll(values) if base == 3 else MixedDerivModulus(lam0, values)
+    if p == 1 and listed and base < 3:
+        raise DomainError(f"theorem {t} with one component takes no {flag}")
+    if p > 1 and listed is None:
+        raise DomainError(f"theorem {t} with {p} components needs {flag} ({p - 1} values)")
+    return lam0, () if listed is None else _broadcast(listed, p - offset, flag)
+
+
+def _build_profile(theorem: int, lam0: float | None, bounds: tuple[float, ...]) -> Profile:
+    """The theorem's profile from ``_read_profile``'s floats; factor bounds m* (theorems 7, 8) become log bounds."""
+    if theorem > 6:
+        bounds = tuple(log_bound_from_modulus(v) for v in bounds)
+    make = (DerivAll, DerivNormalized, ModulusAll, MixedDerivModulus)[(theorem - 1) % 4]
+    return make(bounds) if lam0 is None else make(lam0, bounds)
 
 
 def _compute_radii(theorem: int, profile: Profile) -> RadiiResult:
@@ -383,8 +389,9 @@ def _emit_csv(header: list[str], rows: list[list[object]], digits: int) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.{digits}g}" if isinstance(v, float) else v for v in row])
+    for row in rows:  # bools print as in JSON
+        writer.writerow([f"{v:.{digits}g}" if isinstance(v, float) else str(v).lower() if isinstance(v, bool) else v
+                         for v in row])
     sys.stdout.write(buf.getvalue())
 
 
@@ -392,7 +399,7 @@ def _fmt(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
 
-def _result_doc(res: RadiiResult, digits: int) -> dict:
+def _result_doc(res: RadiiResult) -> dict:
     doc: dict[str, object] = {
         "theorem": res.theorem,
         "rho": res.rho,
@@ -408,10 +415,9 @@ def _result_doc(res: RadiiResult, digits: int) -> dict:
 
 
 def cmd_radii(cfg: RunConfig) -> int:
-    profile = _build_profile(cfg)
-    res = _compute_radii(cfg.theorem, profile)
+    res = _compute_radii(cfg.theorem, _build_profile(cfg.theorem, *_read_profile(cfg)))
     if cfg.output_format == "json":
-        _emit_json(_result_doc(res, cfg.digits), cfg.digits)
+        _emit_json(_result_doc(res), cfg.digits)
     elif cfg.output_format == "csv":
         header = ["theorem", "rho", "sigma", "w", "r", "residual", "iterations", "flags"]
         row = [
@@ -501,18 +507,19 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK if all_positive else EXIT_CHECK_FAILED
 
 
-def _margin_fn(profile: Profile):
-    """Margin function, right end of its sampling interval, and whether the margin is constant."""
-    constant = profile.lead is None and not (profile.deriv or profile.excess or profile.identity)
-    return (lambda r: univalence_margin(r, profile)), profile.upper(1.0 - 1e-6), constant
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.mc_samples < 1:
         raise DomainError(f"--mc-samples must be a positive integer, got {cfg.mc_samples}")
     if cfg.seed < 0:
         raise DomainError(f"--seed must be a nonnegative integer, got {cfg.seed}")
-    profile = _build_profile(cfg)
+    if cfg.boundary_samples < 8:
+        raise DomainError(f"--boundary-samples must be at least 8, got {cfg.boundary_samples}")
+    if cfg.radial_count < 8 or cfg.angular_count < 8:
+        grid = f"{cfg.radial_count}x{cfg.angular_count}"
+        raise DomainError(f"--grid needs at least 8 radial and 8 angular samples, got {grid}")
+    if not cfg.margin >= 0.0:
+        raise DomainError(f"--margin must be a nonnegative number, got {cfg.margin!r}")
+    profile = _build_profile(cfg.theorem, *_read_profile(cfg))
     res = _compute_radii(cfg.theorem, profile)
     grid = GridSpec(cfg.radial_count, cfg.angular_count, cfg.margin)
     witness = extremal_fn(profile)
@@ -520,9 +527,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     reports: list[VerificationReport] = [hypothesis_audit(witness, profile, grid)]
 
-    margin_fn, hi, constant = _margin_fn(profile)
-    if not constant:
-        reports.append(monotonicity_check(margin_fn, 0.0, hi, samples=1000))
+    if profile.lead is not None or profile.deriv or profile.excess or profile.identity:  # else the margin is constant
+        hi = profile.upper(1.0 - 1e-6)
+        reports.append(monotonicity_check(lambda r: univalence_margin(r, profile), 0.0, hi, samples=1000))
 
     target = witness if not is_log else LogPAnalyticFn(witness)
     reports.append(jacobian_grid_check(target, 0.99 * res.rho, grid))
@@ -558,7 +565,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     elif cfg.output_format == "csv":
         _emit_csv(
             ["name", "passed", "measured_margin", "note"],
-            [[r.check_name, str(r.passed).lower(), r.measured_margin, r.note] for r in reports],
+            [[r.check_name, r.passed, r.measured_margin, r.note] for r in reports],
             cfg.digits,
         )
     else:
@@ -572,7 +579,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sharpness(cfg: RunConfig) -> int:
     if cfg.theorem not in (1, 2, 5, 6):
         raise DomainError("sharpness demonstration applies to theorems 1, 2, 5 and 6 only")
-    profile = _build_profile(cfg)
+    profile = _build_profile(cfg.theorem, *_read_profile(cfg))
     res = radii(profile)
     witness = extremal_fn(profile)
     d = cfg.digits
@@ -627,8 +634,7 @@ def cmd_sharpness(cfg: RunConfig) -> int:
     if cfg.output_format == "json":
         _emit_json(doc, cfg.digits)
     elif cfg.output_format == "csv":
-        header = list(doc)
-        _emit_csv(header, [[doc[k] if not isinstance(doc[k], bool) else str(doc[k]).lower() for k in header]], cfg.digits)
+        _emit_csv(list(doc), [list(doc.values())], cfg.digits)
     else:
         sys.stdout.write(text)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -653,7 +659,7 @@ def _range_values(raw: str, flag: str) -> list[float]:
 
 
 def cmd_table(cfg: RunConfig) -> int:
-    _require_theorem(cfg)
+    t = _require_theorem(cfg)
     if cfg.output_format != "csv":
         raise DomainError("table emits CSV only; drop --format or pass --format csv")
     swept = [flag for flag in _PROFILE_FLAGS if getattr(cfg, flag) is not None and ":" in getattr(cfg, flag)]
@@ -661,12 +667,13 @@ def cmd_table(cfg: RunConfig) -> int:
         raise DomainError("table needs exactly one flag carrying a start:stop:step range")
     flag = swept[0]
     values = _range_values(getattr(cfg, flag), f"--{flag}")
-    is_log = cfg.theorem >= 5
+    lam0, bounds = _read_profile(cfg, swept=flag)
+    is_log = t >= 5
     header = [flag, "rho", "sigma"] + (["w", "r"] if is_log else [])
     rows: list[list[object]] = []
     for value in values:
-        point = replace(cfg, **{flag: repr(value)})
-        res = _compute_radii(cfg.theorem, _build_profile(point))
+        point = (value, bounds) if flag == "lambda0" else (lam0, (value,) * len(bounds))
+        res = _compute_radii(t, _build_profile(t, *point))
         row: list[object] = [value, res.rho, res.sigma]
         if is_log:
             row.extend([res.w, res.r])
@@ -699,10 +706,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve_config(ns)
         _, _, run = _SUBCOMMANDS[cfg.command]
         return run(cfg)
-    except PolyLandauError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (PolyLandauError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -304,11 +304,17 @@ def test_verify_seed_from_env(capsys, monkeypatch):
         (("verify", "--theorem", "5", "--lambda0", "2", "--mc-samples", "-5"), "--mc-samples"),
         (("verify", "--theorem", "5", "--lambda0", "2", "--seed", "-1"), "--seed"),
         (("radii", "--theorem", "1", "--lambda0", "2", "--digits", "-3"), "--digits"),
+        (("verify", "--theorem", "1", "--lambda0", "2", "--boundary-samples", "4"), "--boundary-samples"),
+        (("verify", "--theorem", "1", "--lambda0", "2", "--grid", "4x64"), "--grid"),
+        (("verify", "--theorem", "1", "--lambda0", "2", "--grid", "32x4"), "--grid"),
+        (("verify", "--theorem", "1", "--lambda0", "2", "--margin", "-1"), "--margin"),
+        (("verify", "--theorem", "1", "--lambda0", "2", "--margin", "nan"), "--margin"),
     ],
-    ids=["mc-samples-0", "mc-samples-negative", "seed-negative", "digits-negative"],
+    ids=["mc-samples-0", "mc-samples-negative", "seed-negative", "digits-negative", "boundary-samples-4",
+         "grid-radial-4", "grid-angular-4", "margin-negative", "margin-nan"],
 )
 def test_exit_2_names_the_sampling_flag(capsys, argv, flag):
-    # numpy's or format()'s own message for these would name no flag
+    # numpy's, format()'s or the checks' own message for these would name no flag
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
@@ -439,6 +445,63 @@ def test_table_rejects_unbounded_ranges(capsys, sweep):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: --lambda0 range")
+
+
+# one sweep per theorem, over each profile flag; theorems 5-8 add the w and r columns
+TABLE_GOLDEN = {
+    1: ["--theorem", "1", "-p", "3", "--lambda0", "1.25:3:0.25", "--lambdas", "0.5,1"],
+    2: ["--theorem", "2", "-p", "3", "--lambdas", "0:1:0.125"],
+    3: ["--theorem", "3", "-p", "3", "--ms", "1:3:0.25"],
+    4: ["--theorem", "4", "-p", "3", "--lambda0", "2", "--ms", "1:2.5:0.25"],
+    5: ["--theorem", "5", "-p", "2", "--lambda0", "1.1:2.1:0.125", "--lambdas", "0.5"],
+    6: ["--theorem", "6", "--lambdas", "0:2:0.25"],
+    7: ["--theorem", "7", "-p", "3", "--mstars", "1.5:4:0.5"],
+    8: ["--theorem", "8", "-p", "3", "--lambda0", "1.25:3:0.25", "--mstars", "2,3"],
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(TABLE_GOLDEN))
+def test_table_golden_csv(capsys, theorem):
+    code, out, err = run(capsys, "table", *TABLE_GOLDEN[theorem])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (DATA / f"golden_table_thm{theorem}.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a flag that does not parse outranks the first row's bad lambda0
+        ("--theorem 1 --lambda0 0.5:2:0.5 --lambdas abc", "--lambdas expects a number, got 'abc'"),
+        # M**2 overflows only at the second row, and no row is printed
+        ("--theorem 3 --ms 1e150:1e160:1e158", "M_0 = 1.00000001e+158 is too large: M_0**2 overflows a float"),
+        ("--theorem 8 --lambda0 2 --mstars 0.5:2:0.5", "factor modulus bound must exceed 1, got 0.5"),
+        (
+            "--theorem 1 -p 3 --lambda0 1.5:2:0.5 --lambdas 1,2,3",
+            "--lambdas expects 2 comma-separated values (or one to broadcast), got 3",
+        ),
+        ("--theorem 2 --lambda0 1:2:0.5", "theorem 2 is parameterized by --lambdas; --lambda0 does not apply"),
+        # the range is checked before the flags
+        ("--theorem 2 --lambda0 nan:2:0.1", "--lambda0 range needs a finite start, stop and step, got 'nan:2:0.1'"),
+    ],
+    ids=["parse-before-row", "overflow-at-row-2", "bad-mstar", "list-length", "foreign-flag", "range-before-flags"],
+)
+def test_table_errors(capsys, argv, message):
+    assert run(capsys, "table", *argv.split()) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_table_reads_the_other_profile_flags_once(capsys, monkeypatch):
+    calls = []
+    float_list = cli._float_list
+
+    def counted(raw, flag):
+        calls.append(flag)
+        return float_list(raw, flag)
+
+    monkeypatch.setattr(cli, "_float_list", counted)
+    code, out, _ = run(capsys, "table", "--theorem", "1", "-p", "2", "--lambda0", "1.1:5:0.1", "--lambdas", "1")
+    assert code == EXIT_OK
+    assert len(out.strip().split("\n")) == 1 + 40
+    assert calls == ["--lambdas"]
 
 
 def test_table_row_limit_is_checked_before_any_row(capsys, monkeypatch):
