@@ -16,11 +16,20 @@ derivative bounds (1, 2, 5, 6), --ms the modulus bounds (3, 4),
 a single value broadcasts to the expected length.  Exit codes: 0 on
 success, 1 when a verification or improvement check fails, 2 on a
 usage or domain error.
+
+Every subcommand's flags are described once, as ``Flag`` records in
+``_FLAGS``.  ``main`` first scans argv over that table (``_scan``): the
+subcommand, then exact option strings, each followed by one value that does
+not start with "-" and that the flag's type and choices accept, with every
+required flag given.  Any other argv (help, an option prefix, --flag=value,
+-p3, a negative number, a stray token, a bad value or a missing required
+flag) goes to argparse, built from the same table by ``_build_parser`` and
+imported only then; argparse writes every help text and usage error.  The
+entries of a --config file are converted and checked through the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -29,7 +38,6 @@ import os
 import sys
 from cmath import exp as cexp
 from dataclasses import dataclass, fields
-from typing import get_args, get_type_hints
 
 from .errors import DomainError, PolyLandauError
 from .extremal import collision_pair, extremal_fn, reversal_point
@@ -118,74 +126,124 @@ class RunConfig:
     tol: float = 1e-10
 
 
-def _add_common(p: argparse.ArgumentParser, default_format: str | None = None) -> None:
-    p.add_argument("--format", dest="output_format", choices=("json", "csv", "text"), default=default_format)
-    p.add_argument("--digits", type=int, default=None, help="significant digits in printed floats (default 12)")
-    p.add_argument("--config", default=None, help="key=value file; flags override its entries")
+_TYPE_WORDS = {int: "an integer", float: "a number"}
 
 
-def _add_profile(p: argparse.ArgumentParser) -> None:
-    # not required=True: a config file may supply it
-    p.add_argument("--theorem", type=int, choices=range(1, 9), default=None)
-    p.add_argument("-p", "--order", type=int, default=None, help="number of components")
-    p.add_argument("--lambda0", default=None, help="leading derivative bound (> 1)")
-    p.add_argument("--lambdas", default=None, help="comma-separated derivative bounds")
-    p.add_argument("--ms", default=None, help="comma-separated modulus bounds (>= 1)")
-    p.add_argument("--mstars", default=None, help="comma-separated factor modulus bounds (> 1)")
+@dataclass(frozen=True)
+class Flag:
+    """One flag of a subcommand, in the terms of ``argparse``'s ``add_argument``."""
+
+    options: tuple[str, ...]
+    dest: str
+    type: type | None = None  # int or float; None keeps the string
+    choices: tuple | range | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+    def convert(self, raw: str):
+        """raw as argparse stores it; a ValueError says what the flag expects when its type or choices refuse raw."""
+        try:
+            value = raw if self.type is None else self.type(raw)
+        except ValueError:
+            raise ValueError(f"expects {_TYPE_WORDS[self.type]}") from None
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"must be one of {', '.join(map(str, self.choices))}")
+        return value
 
 
-def _radii_args(p: argparse.ArgumentParser) -> None:
-    _add_profile(p)
-    _add_common(p)
-
-
-def _baseline_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--name", required=True, choices=_BASELINES)
-    p.add_argument("--m", default=None, help="modulus bound M > 1")
-    p.add_argument("--lambda0", default=None, help="derivative bound above 1")
-    p.add_argument("--lambda1", default=None, help="companion derivative bound >= 0")
-    p.add_argument("-p", "--order", type=int, default=None)
-    _add_common(p)
-
-
-def _compare_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ms", default=None, help="comma-separated M values (default 1.2,2,5)")
-    p.add_argument("--orders", default=None, help="comma-separated p values (default 2,3,5)")
-    _add_common(p)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    _add_profile(p)
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default env LANDAU_SEED or 0)")
-    p.add_argument("--grid", default=None, help="polar grid as RADIALxANGULAR (default 32x64)")
-    p.add_argument("--margin", type=float, default=None, help="grid check margin (default 1e-9)")
-    p.add_argument("--boundary-samples", type=int, default=None)
-    p.add_argument("--mc-samples", type=int, default=None)
-    _add_common(p)
-
-
-def _sharpness_args(p: argparse.ArgumentParser) -> None:
-    _add_profile(p)
-    p.add_argument("-r", "--radius", type=float, default=None, help="window edge past rho (default 1)")
-    p.add_argument(
-        "--tol", type=float, default=None,
-        help="pass gate on the collision residual of theorems 1 and 5 (default 1e-10)",
+def _common(default_format: str | None = None) -> tuple[Flag, ...]:
+    return (
+        Flag(("--format",), "output_format", choices=("json", "csv", "text"), default=default_format),
+        Flag(("--digits",), "digits", int, help="significant digits in printed floats (default 12)"),
+        Flag(("--config",), "config", help="key=value file; flags override its entries"),
     )
-    _add_common(p)
 
 
-def _table_args(p: argparse.ArgumentParser) -> None:
-    _add_profile(p)
-    _add_common(p, default_format="csv")
+# --theorem is not required: a config file may supply it
+_PROFILE = (
+    Flag(("--theorem",), "theorem", int, choices=range(1, 9)),
+    Flag(("-p", "--order"), "order", int, help="number of components"),
+    Flag(("--lambda0",), "lambda0", help="leading derivative bound (> 1)"),
+    Flag(("--lambdas",), "lambdas", help="comma-separated derivative bounds"),
+    Flag(("--ms",), "ms", help="comma-separated modulus bounds (>= 1)"),
+    Flag(("--mstars",), "mstars", help="comma-separated factor modulus bounds (> 1)"),
+)
+
+# every subcommand's flags, in the order its --help lists them
+_FLAGS: dict[str, tuple[Flag, ...]] = {
+    "radii": (*_PROFILE, *_common()),
+    "baseline": (
+        Flag(("--name",), "name", choices=_BASELINES, required=True),
+        Flag(("--m",), "m", help="modulus bound M > 1"),
+        Flag(("--lambda0",), "lambda0", help="derivative bound above 1"),
+        Flag(("--lambda1",), "lambda1", help="companion derivative bound >= 0"),
+        Flag(("-p", "--order"), "order", int),
+        *_common(),
+    ),
+    "compare": (
+        Flag(("--ms",), "ms", help="comma-separated M values (default 1.2,2,5)"),
+        Flag(("--orders",), "orders", help="comma-separated p values (default 2,3,5)"),
+        *_common(),
+    ),
+    "verify": (
+        *_PROFILE,
+        Flag(("--seed",), "seed", int, help="RNG seed (default env LANDAU_SEED or 0)"),
+        Flag(("--grid",), "grid", help="polar grid as RADIALxANGULAR (default 32x64)"),
+        Flag(("--margin",), "margin", float, help="grid check margin (default 1e-9)"),
+        Flag(("--boundary-samples",), "boundary_samples", int),
+        Flag(("--mc-samples",), "mc_samples", int),
+        *_common(),
+    ),
+    "sharpness": (
+        *_PROFILE,
+        Flag(("-r", "--radius"), "radius", float, help="window edge past rho (default 1)"),
+        Flag(("--tol",), "tol", float, help="pass gate on the collision residual of theorems 1 and 5 (default 1e-10)"),
+        *_common(),
+    ),
+    "table": (*_PROFILE, *_common(default_format="csv")),
+}
+_OPTIONS = {name: {option: f for f in flags for option in f.options} for name, flags in _FLAGS.items()}
+# config file key -> flag: any subcommand's dest (flags of one dest share type and choices), or "format"
+_CONFIG_KEYS = {f.dest: f for flags in _FLAGS.values() for f in flags if f.dest != "config"}
+_CONFIG_KEYS["format"] = _CONFIG_KEYS["output_format"]
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv: only the subcommand argv[0] names gets a subparser.
+def _scan(argv: list[str]) -> dict[str, object] | None:
+    """argv parsed as argparse would parse it, as dest -> value, or None to leave argv to argparse.
+
+    Takes only the plainest argv: a subcommand, then exact option strings, each
+    followed by one value that does not start with "-" and that the flag's type
+    and choices accept, with every required flag given; a repeated flag keeps its
+    last value.  Defaults fill the flags not given.
+    """
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None or len(argv) % 2 == 0:
+        return None
+    options = _OPTIONS[argv[0]]
+    given: dict[str, object] = {}
+    for option, raw in zip(argv[1::2], argv[2::2]):
+        flag = options.get(option)
+        if flag is None or raw.startswith("-"):
+            return None
+        try:
+            given[flag.dest] = flag.convert(raw)
+        except ValueError:
+            return None
+    if any(f.required and f.dest not in given for f in flags):
+        return None
+    return {"command": argv[0], **{f.dest: f.default for f in flags}, **given}
+
+
+def _build_parser(argv: list[str]):
+    """The argparse parser for argv: only the subcommand argv[0] names gets a subparser.
 
     When argv[0] names no subcommand (no arguments, -h or a typo), all six
     get their subparser, so the help and error text stays that of the full
-    parser.
+    parser.  argparse is imported here, for the argvs that ``_scan`` leaves to it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polylandau",
         description="Univalence and schlicht-disk radii for poly-analytic and log-analytic-product functions.",
@@ -193,14 +251,18 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     selected = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     # the metavar lists all six where only one subparser is added; the full parser's errors name "command"
     sub = parser.add_subparsers(dest="command", required=True, metavar=_SUBCOMMAND_METAVAR if selected else None)
-    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
+    for name, (help_text, _) in _SUBCOMMANDS.items():
         if selected in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+            p = sub.add_parser(name, help=help_text)
+            for f in _FLAGS[name]:
+                p.add_argument(*f.options, dest=f.dest, type=f.type, choices=f.choices, default=f.default,
+                               required=f.required, help=f.help)
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _read_config_file(path: str) -> dict[str, object]:
+    """The file's entries by dest, each converted and checked as its flag's value is."""
+    lines: list[tuple[int, str, str]] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -209,49 +271,51 @@ def _read_config_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key == "format":  # config keys mirror flag spellings
-                    key = "output_format"
-                entries[key] = value.strip()
+                key, _, raw = line.partition("=")
+                lines.append((lineno, key.strip(), raw.strip()))
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from exc
+    unknown = {key for _, key, _ in lines} - set(_CONFIG_KEYS)
+    if unknown:
+        raise DomainError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    entries: dict[str, object] = {}
+    for lineno, key, raw in lines:
+        flag = _CONFIG_KEYS[key]
+        try:
+            entries[flag.dest] = flag.convert(raw)
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {key} {exc}, got {raw!r}") from None
     return entries
 
 
-def _converter(hint):
-    """``int`` or ``float`` for a numeric RunConfig field; other config values stay strings."""
-    for kind in (int, float):
-        if hint is kind or kind in get_args(hint):
-            return kind
-    return None
-
-
-_CONVERTERS = {name: _converter(hint) for name, hint in get_type_hints(RunConfig).items()}
 _DERIVED_FIELDS = ("command", "radial_count", "angular_count")  # set from the subcommand and --grid
 
 
-def _resolve_config(ns: argparse.Namespace) -> RunConfig:
-    file_entries = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
-    keys = {f.name: f for f in fields(RunConfig) if f.name not in _DERIVED_FIELDS}
-    unknown = set(file_entries) - set(keys) - {"grid"}
-    if unknown:
-        raise DomainError(f"unknown config keys: {', '.join(sorted(unknown))}")
+def _env_seed() -> int:
+    raw = os.environ.get("LANDAU_SEED")
+    if raw is None:
+        return 0
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"LANDAU_SEED must be an integer, got {raw!r}") from None
 
-    def pick(key: str, default, convert=None):
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            return flag
-        if key in file_entries:
-            raw = file_entries[key]
-            return convert(raw) if convert else raw
-        return default
 
-    env_seed = os.environ.get("LANDAU_SEED")
-    defaults = {"seed": int(env_seed) if env_seed is not None else 0}
-    values: dict[str, object] = {"command": ns.command}
-    for key, f in keys.items():
-        values[key] = pick(key, defaults.get(key, f.default), _CONVERTERS[key])
+def _resolve_config(flags: dict[str, object]) -> RunConfig:
+    """The run's parameters from the parsed flags (None where not given), the config file and the defaults."""
+    command = flags["command"]
+    entries = _read_config_file(flags["config"]) if flags.get("config") else {}
+
+    def pick(key: str, default):
+        flag = flags.get(key)
+        return flag if flag is not None else entries.get(key, default)
+
+    # LANDAU_SEED is read only where --seed applies
+    defaults = {"seed": _env_seed()} if "--seed" in _OPTIONS[command] else {}
+    values: dict[str, object] = {"command": command}
+    for f in fields(RunConfig):
+        if f.name not in _DERIVED_FIELDS:
+            values[f.name] = pick(f.name, defaults.get(f.name, f.default))
 
     grid = pick("grid", "32x64")
     try:
@@ -682,14 +746,14 @@ def cmd_table(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# subcommand -> (help text, adds its arguments, runs it), in the order --help lists them
+# subcommand -> (help text, runs it), in the order --help lists them
 _SUBCOMMANDS = {
-    "radii": ("compute rho and sigma for one theorem", _radii_args, cmd_radii),
-    "baseline": ("evaluate a prior-result baseline", _baseline_args, cmd_baseline),
-    "compare": ("order-p modulus theorem vs its baseline", _compare_args, cmd_compare),
-    "verify": ("run the oracle suite on the theorem's extremal", _verify_args, cmd_verify),
-    "sharpness": ("exhibit univalence failing just past rho", _sharpness_args, cmd_sharpness),
-    "table": ("sweep one parameter to CSV", _table_args, cmd_table),
+    "radii": ("compute rho and sigma for one theorem", cmd_radii),
+    "baseline": ("evaluate a prior-result baseline", cmd_baseline),
+    "compare": ("order-p modulus theorem vs its baseline", cmd_compare),
+    "verify": ("run the oracle suite on the theorem's extremal", cmd_verify),
+    "sharpness": ("exhibit univalence failing just past rho", cmd_sharpness),
+    "table": ("sweep one parameter to CSV", cmd_table),
 }
 _SUBCOMMAND_METAVAR = "{" + ",".join(_SUBCOMMANDS) + "}"
 
@@ -697,14 +761,15 @@ _SUBCOMMAND_METAVAR = "{" + ",".join(_SUBCOMMANDS) + "}"
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
+    flags = _scan(argv)
+    if flags is None:  # help, usage errors and the spellings the scan does not take
+        try:
+            flags = vars(_build_parser(argv).parse_args(argv))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = _resolve_config(ns)
-        _, _, run = _SUBCOMMANDS[cfg.command]
+        cfg = _resolve_config(flags)
+        _, run = _SUBCOMMANDS[cfg.command]
         return run(cfg)
     except (PolyLandauError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

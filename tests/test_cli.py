@@ -1,10 +1,14 @@
 """Command-line interface: golden output, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import pathlib
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polylandau import DerivAll, ModulusAll, log_bound_from_modulus
 from polylandau import cli, extremal
@@ -297,6 +301,15 @@ def test_verify_seed_from_env(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 3
 
 
+def test_landau_seed_is_read_only_where_seed_applies(capsys, monkeypatch):
+    # radii takes no seed; a bad value once failed it with int()'s message, naming no variable
+    monkeypatch.setenv("LANDAU_SEED", "x")
+    code, out, err = run(capsys, "radii", *THM1)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("theorem 1\n")
+    assert run(capsys, "verify", *THM1) == (EXIT_USAGE, "", "error: LANDAU_SEED must be an integer, got 'x'\n")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -545,6 +558,25 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "nonsense" in err
 
 
+@pytest.mark.parametrize("command", ["radii", "verify"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("format=xml", "format must be one of json, csv, text, got 'xml'"),
+        ("margin=abc", "margin expects a number, got 'abc'"),
+        ("seed=abc", "seed expects an integer, got 'abc'"),
+        ("theorem=x", "theorem expects an integer, got 'x'"),
+        ("theorem=9", "theorem must be one of 1, 2, 3, 4, 5, 6, 7, 8, got '9'"),
+        ("digits=1.5", "digits expects an integer, got '1.5'"),
+    ],
+)
+def test_config_entries_pass_the_flag_checks(capsys, tmp_path, command, entry, message):
+    # format=xml printed text and exited 0; the others ended in Python's messages, which name no key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"theorem=1\nlambda0=2\n{entry}\n")
+    assert run(capsys, command, "--config", str(cfg)) == (EXIT_USAGE, "", f"error: {cfg}:3: {message}\n")
+
+
 def test_digits_flag_controls_precision(capsys):
     _, out, _ = run(capsys, "radii", *THM1, "--format", "json", "--digits", "4")
     assert json.loads(out)["rho"] == 0.2679
@@ -559,3 +591,119 @@ def test_usage_output_is_that_of_the_full_parser(capsys, monkeypatch, case):
     # The bytes were recorded from the parser that built every subcommand's arguments on each call.
     monkeypatch.setenv("COLUMNS", "80")
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argparse_flags(argv):
+    """argv's flags as the argparse parser reads them, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser(argv).parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# values for each flag dest, accepted and refused ones, some starting with "-"
+FLAG_VALUES = {
+    "theorem": ["1", "2", "5", "6", "9", "x"],
+    "order": ["1", "2", "3", "x", "-1"],
+    "lambda0": ["2", "1.5:2:0.25", "0.5", "-2"],
+    "lambdas": ["1", "0.5,0.25", "0:1:0.5", "-1"],
+    "ms": ["2", "1.5,2", "1:2:0.5"],
+    "mstars": ["2", "2,3"],
+    "output_format": ["json", "csv", "text", "xml"],
+    "digits": ["4", "17", "1.5", "-3"],
+    "config": ["missing.cfg"],
+    "name": ["landau", "bianalytic-deriv", "poly-modulus", "bogus"],
+    "m": ["2", "0.5"],
+    "lambda1": ["1", "0"],
+    "orders": ["2", "2,3", "1.5"],
+    "seed": ["0", "7", "-1", "x"],
+    "grid": ["8x16", "4x4", "x"],
+    "margin": ["0.1", "nan", "-1"],
+    "boundary_samples": ["8", "64", "4"],
+    "mc_samples": ["10", "0"],
+    "radius": ["0.5", "0.9", "2"],
+    "tol": ["1e-10", "0"],
+}
+STRAY = ["-h", "--help", "--", "stray", "-", "--bogus"]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand (rarely a typo) and up to six flags, some spelled in the forms only argparse takes."""
+    command = draw(st.sampled_from([*cli._FLAGS, "frobnicate"]))
+    flags = cli._FLAGS.get(command, cli._FLAGS["radii"])
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(flags))
+        option = draw(st.sampled_from(flag.options))
+        value = draw(st.sampled_from(FLAG_VALUES[flag.dest]))
+        form = draw(st.sampled_from(["plain"] * 6 + ["prefix", "equals", "attached", "bare", "stray"]))
+        if form == "plain":
+            argv += [option, value]
+        elif form == "prefix":
+            argv += [option[:-1], value]  # --lambda is ambiguous, --theore a unique prefix, - a stray token
+        elif form == "equals":
+            argv.append(f"{option}={value}")
+        elif form == "attached":
+            argv.append(option + value)  # -p3 for a short option
+        elif form == "bare":
+            argv.append(option)
+        else:
+            argv.append(draw(st.sampled_from(STRAY)))
+    return argv
+
+
+def test_flag_table_invariants():
+    flags = [f for subcommand in cli._FLAGS.values() for f in subcommand]
+    assert set(FLAG_VALUES) == {f.dest for f in flags}
+    # a config entry is converted by any one flag of its dest, so all flags of a dest must agree
+    kinds = {(f.dest, f.type, f.choices) for f in flags}
+    assert len(kinds) == len(FLAG_VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+@example(argv=["baseline", "--m", "2"])  # the required --name is missing
+@example(argv=["baseline", "--name", "landau", "--m", "2", "--name", "bogus"])  # a repeated flag's bad value
+@example(argv=["radii", "--theorem", "1", "--lambda0", "-2"])  # a negative number
+@example(argv=["table", "--theorem", "1", "--lambda0", "1.5:2:0.25", "--format", "csv"])
+@example(argv=["verify", "--theorem", "1", "--lambda0", "2", "--grid", "8x16", "-p", "1", "--order", "2"])
+def test_scan_agrees_with_argparse(argv):
+    # the scan may decline any argv, but what it takes it must read as argparse does, and main's
+    # return code, stdout and stderr must be those of the argparse-only path
+    scanned = cli._scan(argv)
+    assert scanned is None or scanned == _argparse_flags(argv)
+    with mock.patch.object(cli, "_scan", return_value=None):
+        expected = _main_output(argv)
+    assert _main_output(argv) == expected
+
+
+PLAIN_ARGVS = [
+    *(["radii", *argv] for argv in GOLDEN.values()),
+    ["table", *TABLE_GOLDEN[7]],
+    ["compare", "--ms", "2", "--orders", "2,3", "--format", "json"],
+    ["baseline", "--name", "landau", "--m", "2"],
+    ["verify", *THM1, "--grid", "8x16", "--seed", "3"],
+    ["sharpness", *THM1, "-r", "0.5", "--digits", "17"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=[" ".join(argv) for argv in PLAIN_ARGVS])
+def test_plain_argv_never_builds_the_parser(capsys, monkeypatch, argv):
+    assert cli._scan(argv) == _argparse_flags(argv)
+
+    def no_parser(argv):
+        raise AssertionError("the argparse parser was built")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out
