@@ -26,6 +26,10 @@ required flag given.  Any other argv (help, an option prefix, --flag=value,
 flag) goes to argparse, built from the same table by ``_build_parser`` and
 imported only then; argparse writes every help text and usage error.  The
 entries of a --config file are converted and checked through the same table.
+Each record also holds its flag's fallback default and its bounds, which
+``_resolve_config`` applies: a flag's value comes from argv, else the config
+file, else its environment variable, else the default, and an out-of-bounds
+value is an error that names where it came from.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ import math
 import os
 import sys
 from cmath import exp as cexp
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 from .errors import DomainError, PolyLandauError
 from .extremal import collision_pair, extremal_fn, reversal_point
@@ -75,6 +80,11 @@ EXIT_USAGE = 2
 
 #: Most rows one table may have; a longer range is rejected before any row is built.
 MAX_TABLE_ROWS = 10**6
+#: Most nodes of a verify --grid, and most --boundary-samples and --mc-samples: verify's arrays grow with
+#: each, and the boundary crossing scan with the square of the boundary samples.
+MAX_GRID_NODES = 2**20
+MAX_BOUNDARY_SAMPLES = 2**16
+MAX_MC_SAMPLES = 2**20
 
 _PROFILE_FLAGS = ("lambda0", "lambdas", "ms", "mstars")
 
@@ -93,45 +103,17 @@ _THEOREM_FLAGS = {
 _BASELINES = ("landau", "bianalytic-deriv", "bianalytic-bounded", "poly-modulus")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully merged run parameters; profile values stay raw strings.
-
-    Merging order is defaults, then the optional key=value config file,
-    then explicit flags.  ``_read_profile`` converts the profile values to
-    numbers once per run, per theorem, so diagnostics can name the flag and
-    the violated hypothesis; ``table`` then varies only its swept float.
-    """
-
-    command: str
-    theorem: int | None = None
-    order: int | None = None
-    lambda0: str | None = None
-    lambdas: str | None = None
-    ms: str | None = None
-    mstars: str | None = None
-    lambda1: str | None = None
-    m: str | None = None
-    name: str | None = None
-    orders: str | None = None
-    radius: float = 1.0
-    output_format: str = "text"
-    digits: int = 12
-    seed: int = 0
-    radial_count: int = 32
-    angular_count: int = 64
-    margin: float = 1e-9
-    boundary_samples: int = 512
-    mc_samples: int = 10000
-    tol: float = 1e-10
-
-
 _TYPE_WORDS = {int: "an integer", float: "a number"}
 
 
 @dataclass(frozen=True)
 class Flag:
-    """One flag of a subcommand, in the terms of ``argparse``'s ``add_argument``."""
+    """One flag of a subcommand: ``argparse``'s ``add_argument`` terms, its fallback default and its bounds.
+
+    argparse never sees ``default``: it is the value a run takes when neither argv, a config entry
+    nor ``env`` gives one.  Each bound is a (test, words) pair: test(value) is false when the merged
+    value is out of bounds, and words ("must be at least 8") say what the value must be.
+    """
 
     options: tuple[str, ...]
     dest: str
@@ -140,6 +122,8 @@ class Flag:
     default: object = None
     required: bool = False
     help: str | None = None
+    env: str | None = None  # environment variable read when neither argv nor the config file gives a value
+    bounds: tuple = ()
 
     def convert(self, raw: str):
         """raw as argparse stores it; a ValueError says what the flag expects when its type or choices refuse raw."""
@@ -152,13 +136,18 @@ class Flag:
         return value
 
 
-def _common(default_format: str | None = None) -> tuple[Flag, ...]:
-    return (
-        Flag(("--format",), "output_format", choices=("json", "csv", "text"), default=default_format),
-        Flag(("--digits",), "digits", int, help="significant digits in printed floats (default 12)"),
-        Flag(("--config",), "config", help="key=value file; flags override its entries"),
-    )
+def _at_most(cap: int) -> tuple:
+    return lambda n: n <= cap, f"must be at most {cap}"
 
+
+_NONNEGATIVE_INT = ((lambda n: n >= 0, "must be a nonnegative integer"),)
+_FORMAT = Flag(("--format",), "output_format", choices=("json", "csv", "text"), default="text")
+# every subcommand ends with --format and these
+_COMMON = (
+    Flag(("--digits",), "digits", int, default=12, bounds=_NONNEGATIVE_INT,
+         help="significant digits in printed floats (default 12)"),
+    Flag(("--config",), "config", help="key=value file; flags override its entries"),
+)
 
 # --theorem is not required: a config file may supply it
 _PROFILE = (
@@ -170,38 +159,47 @@ _PROFILE = (
     Flag(("--mstars",), "mstars", help="comma-separated factor modulus bounds (> 1)"),
 )
 
-# every subcommand's flags, in the order its --help lists them
+# every subcommand's flags, in the order its --help lists them; --grid's bounds are in _grid
 _FLAGS: dict[str, tuple[Flag, ...]] = {
-    "radii": (*_PROFILE, *_common()),
+    "radii": (*_PROFILE, _FORMAT, *_COMMON),
     "baseline": (
         Flag(("--name",), "name", choices=_BASELINES, required=True),
         Flag(("--m",), "m", help="modulus bound M > 1"),
         Flag(("--lambda0",), "lambda0", help="derivative bound above 1"),
         Flag(("--lambda1",), "lambda1", help="companion derivative bound >= 0"),
         Flag(("-p", "--order"), "order", int),
-        *_common(),
+        _FORMAT,
+        *_COMMON,
     ),
     "compare": (
-        Flag(("--ms",), "ms", help="comma-separated M values (default 1.2,2,5)"),
-        Flag(("--orders",), "orders", help="comma-separated p values (default 2,3,5)"),
-        *_common(),
+        Flag(("--ms",), "ms", default="1.2,2,5", help="comma-separated M values (default 1.2,2,5)"),
+        Flag(("--orders",), "orders", default="2,3,5", help="comma-separated p values (default 2,3,5)"),
+        _FORMAT,
+        *_COMMON,
     ),
     "verify": (
         *_PROFILE,
-        Flag(("--seed",), "seed", int, help="RNG seed (default env LANDAU_SEED or 0)"),
-        Flag(("--grid",), "grid", help="polar grid as RADIALxANGULAR (default 32x64)"),
-        Flag(("--margin",), "margin", float, help="grid check margin (default 1e-9)"),
-        Flag(("--boundary-samples",), "boundary_samples", int),
-        Flag(("--mc-samples",), "mc_samples", int),
-        *_common(),
+        Flag(("--seed",), "seed", int, default=0, env="LANDAU_SEED", bounds=_NONNEGATIVE_INT,
+             help="RNG seed (default env LANDAU_SEED or 0)"),
+        Flag(("--grid",), "grid", default="32x64", help="polar grid as RADIALxANGULAR (default 32x64)"),
+        Flag(("--margin",), "margin", float, default=1e-9,
+             bounds=((lambda x: x >= 0.0, "must be a nonnegative number"),), help="grid check margin (default 1e-9)"),
+        Flag(("--boundary-samples",), "boundary_samples", int, default=512,
+             bounds=((lambda n: n >= 8, "must be at least 8"), _at_most(MAX_BOUNDARY_SAMPLES))),
+        Flag(("--mc-samples",), "mc_samples", int, default=10000,
+             bounds=((lambda n: n >= 1, "must be a positive integer"), _at_most(MAX_MC_SAMPLES))),
+        _FORMAT,
+        *_COMMON,
     ),
     "sharpness": (
         *_PROFILE,
-        Flag(("-r", "--radius"), "radius", float, help="window edge past rho (default 1)"),
-        Flag(("--tol",), "tol", float, help="pass gate on the collision residual of theorems 1 and 5 (default 1e-10)"),
-        *_common(),
+        Flag(("-r", "--radius"), "radius", float, default=1.0, help="window edge past rho (default 1)"),
+        Flag(("--tol",), "tol", float, default=1e-10, bounds=((lambda x: x > 0.0, "must be a positive number"),),
+             help="pass gate on the collision residual of theorems 1 and 5 (default 1e-10)"),
+        _FORMAT,
+        *_COMMON,
     ),
-    "table": (*_PROFILE, *_common(default_format="csv")),
+    "table": (*_PROFILE, replace(_FORMAT, default="csv"), *_COMMON),
 }
 _OPTIONS = {name: {option: f for f in flags for option in f.options} for name, flags in _FLAGS.items()}
 # config file key -> flag: any subcommand's dest (flags of one dest share type and choices), or "format"
@@ -215,7 +213,7 @@ def _scan(argv: list[str]) -> dict[str, object] | None:
     Takes only the plainest argv: a subcommand, then exact option strings, each
     followed by one value that does not start with "-" and that the flag's type
     and choices accept, with every required flag given; a repeated flag keeps its
-    last value.  Defaults fill the flags not given.
+    last value.  The flags not given read None, as argparse leaves them.
     """
     flags = _FLAGS.get(argv[0]) if argv else None
     if flags is None or len(argv) % 2 == 0:
@@ -232,7 +230,7 @@ def _scan(argv: list[str]) -> dict[str, object] | None:
             return None
     if any(f.required and f.dest not in given for f in flags):
         return None
-    return {"command": argv[0], **{f.dest: f.default for f in flags}, **given}
+    return {"command": argv[0], **dict.fromkeys(f.dest for f in flags), **given}
 
 
 def _build_parser(argv: list[str]):
@@ -255,13 +253,13 @@ def _build_parser(argv: list[str]):
         if selected in (None, name):
             p = sub.add_parser(name, help=help_text)
             for f in _FLAGS[name]:
-                p.add_argument(*f.options, dest=f.dest, type=f.type, choices=f.choices, default=f.default,
-                               required=f.required, help=f.help)
+                p.add_argument(*f.options, dest=f.dest, type=f.type, choices=f.choices, required=f.required,
+                               help=f.help)
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, object]:
-    """The file's entries by dest, each converted and checked as its flag's value is."""
+def _read_config_file(path: str) -> dict[str, tuple[object, str]]:
+    """The file's entries by dest, each converted as its flag's value is, with the file, line and key it came from."""
     lines: list[tuple[int, str, str]] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -278,56 +276,60 @@ def _read_config_file(path: str) -> dict[str, object]:
     unknown = {key for _, key, _ in lines} - set(_CONFIG_KEYS)
     if unknown:
         raise DomainError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    entries: dict[str, object] = {}
+    entries: dict[str, tuple[object, str]] = {}
     for lineno, key, raw in lines:
-        flag = _CONFIG_KEYS[key]
+        flag, where = _CONFIG_KEYS[key], f"{path}:{lineno}: {key}"
         try:
-            entries[flag.dest] = flag.convert(raw)
+            entries[flag.dest] = flag.convert(raw), where
         except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: {key} {exc}, got {raw!r}") from None
+            raise DomainError(f"{where} {exc}, got {raw!r}") from None
     return entries
 
 
-_DERIVED_FIELDS = ("command", "radial_count", "angular_count")  # set from the subcommand and --grid
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("LANDAU_SEED")
-    if raw is None:
-        return 0
+def _grid(raw: str, source: str) -> tuple[int, int]:
+    """--grid's RADIALxANGULAR as its two counts, each at least 8, with at most MAX_GRID_NODES nodes."""
+    radial, _, angular = raw.partition("x")
     try:
-        return int(raw)
+        counts = int(radial), int(angular)
     except ValueError:
-        raise DomainError(f"LANDAU_SEED must be an integer, got {raw!r}") from None
+        raise DomainError(f"{source} expects RADIALxANGULAR, got {raw!r}") from None
+    grid = f"{counts[0]}x{counts[1]}"
+    if min(counts) < 8:
+        raise DomainError(f"{source} needs at least 8 radial and 8 angular samples, got {grid}")
+    if counts[0] * counts[1] > MAX_GRID_NODES:
+        raise DomainError(f"{source} must have at most {MAX_GRID_NODES} nodes, got {grid}")
+    return counts
 
 
-def _resolve_config(flags: dict[str, object]) -> RunConfig:
-    """The run's parameters from the parsed flags (None where not given), the config file and the defaults."""
+def _resolve_config(flags: dict[str, object]) -> SimpleNamespace:
+    """The run's parameters: each of the command's flags from argv (None where not given), else the config
+    file, else its environment variable, else its default, checked against its bounds.
+
+    An error names where its value came from: the option, the variable, or the file, line and key.
+    """
     command = flags["command"]
     entries = _read_config_file(flags["config"]) if flags.get("config") else {}
-
-    def pick(key: str, default):
-        flag = flags.get(key)
-        return flag if flag is not None else entries.get(key, default)
-
-    # LANDAU_SEED is read only where --seed applies
-    defaults = {"seed": _env_seed()} if "--seed" in _OPTIONS[command] else {}
     values: dict[str, object] = {"command": command}
-    for f in fields(RunConfig):
-        if f.name not in _DERIVED_FIELDS:
-            values[f.name] = pick(f.name, defaults.get(f.name, f.default))
-
-    grid = pick("grid", "32x64")
-    try:
-        radial, _, angular = str(grid).partition("x")
-        values["radial_count"] = int(radial)
-        values["angular_count"] = int(angular)
-    except ValueError as exc:
-        raise DomainError(f"--grid expects RADIALxANGULAR, got {grid!r}") from exc
-
-    if values["digits"] < 0:
-        raise DomainError(f"--digits must be a nonnegative integer, got {values['digits']}")
-    return RunConfig(**values)  # type: ignore[arg-type]
+    for f in _FLAGS[command]:
+        value, source = flags.get(f.dest), f.options[-1]
+        if value is None:
+            if f.dest in entries:
+                value, source = entries[f.dest]
+            elif f.env and f.env in os.environ:
+                raw, source = os.environ[f.env], f.env
+                try:
+                    value = f.type(raw)
+                except ValueError:
+                    raise DomainError(f"{source} must be {_TYPE_WORDS[f.type]}, got {raw!r}") from None
+            else:
+                value = f.default
+        for test, words in f.bounds:
+            if not test(value):
+                raise DomainError(f"{source} {words}, got {value!r}")
+        if f.dest == "grid":
+            values["radial_count"], values["angular_count"] = _grid(value, source)
+        values[f.dest] = value
+    return SimpleNamespace(**values)
 
 
 def _float(raw: str, flag: str) -> float:
@@ -352,7 +354,7 @@ def _broadcast(values: list[float], count: int, flag: str) -> tuple[float, ...]:
     raise DomainError(f"{flag} expects {count} comma-separated values (or one to broadcast), got {len(values)}")
 
 
-def _reject_foreign_flags(cfg: RunConfig) -> None:
+def _reject_foreign_flags(cfg: SimpleNamespace) -> None:
     allowed = _THEOREM_FLAGS[cfg.theorem]
     for flag in _PROFILE_FLAGS:
         if getattr(cfg, flag) is not None and flag not in allowed:
@@ -360,7 +362,7 @@ def _reject_foreign_flags(cfg: RunConfig) -> None:
             raise DomainError(f"theorem {cfg.theorem} is parameterized by {wanted}; --{flag} does not apply")
 
 
-def _resolve_order(cfg: RunConfig, listed: int | None, offset: int) -> int:
+def _resolve_order(cfg: SimpleNamespace, listed: int | None, offset: int) -> int:
     if cfg.order is not None:
         if cfg.order < 1:
             raise DomainError(f"order must be a positive integer, got {cfg.order}")
@@ -370,7 +372,7 @@ def _resolve_order(cfg: RunConfig, listed: int | None, offset: int) -> int:
     return 1
 
 
-def _require_theorem(cfg: RunConfig) -> int:
+def _require_theorem(cfg: SimpleNamespace) -> int:
     if cfg.theorem is None:
         raise DomainError("--theorem is required")
     if cfg.theorem not in _THEOREM_FLAGS:
@@ -378,7 +380,7 @@ def _require_theorem(cfg: RunConfig) -> int:
     return cfg.theorem
 
 
-def _read_profile(cfg: RunConfig, swept: str | None = None) -> tuple[float | None, tuple[float, ...]]:
+def _read_profile(cfg: SimpleNamespace, swept: str | None = None) -> tuple[float | None, tuple[float, ...]]:
     """cfg's profile flags as floats: the lead bound (None where the theorem has none) and the other bounds.
 
     Runs every check on the flags as written (theorem, foreign or missing flags,
@@ -478,7 +480,7 @@ def _result_doc(res: RadiiResult) -> dict:
     return doc
 
 
-def cmd_radii(cfg: RunConfig) -> int:
+def cmd_radii(cfg: SimpleNamespace) -> int:
     res = _compute_radii(cfg.theorem, _build_profile(cfg.theorem, *_read_profile(cfg)))
     if cfg.output_format == "json":
         _emit_json(_result_doc(res), cfg.digits)
@@ -503,7 +505,7 @@ def cmd_radii(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(cfg: RunConfig) -> int:
+def cmd_baseline(cfg: SimpleNamespace) -> int:
     if cfg.name == "landau":
         if cfg.m is None:
             raise DomainError("baseline landau needs --m, a modulus bound above 1")
@@ -535,15 +537,12 @@ def cmd_baseline(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    ms = _float_list(cfg.ms, "--ms") if cfg.ms is not None else [1.2, 2.0, 5.0]
-    if cfg.orders is not None:
-        raw_orders = _float_list(cfg.orders, "--orders")
-        if any(v != int(v) or v < 1 for v in raw_orders):
-            raise DomainError(f"--orders expects positive integers, got {cfg.orders!r}")
-        orders = [int(v) for v in raw_orders]
-    else:
-        orders = [2, 3, 5]
+def cmd_compare(cfg: SimpleNamespace) -> int:
+    ms = _float_list(cfg.ms, "--ms")
+    raw_orders = _float_list(cfg.orders, "--orders")
+    if any(v != int(v) or v < 1 for v in raw_orders):
+        raise DomainError(f"--orders expects positive integers, got {cfg.orders!r}")
+    orders = [int(v) for v in raw_orders]
     rows: list[list[object]] = []
     all_positive = True
     for m in ms:
@@ -571,18 +570,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK if all_positive else EXIT_CHECK_FAILED
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.mc_samples < 1:
-        raise DomainError(f"--mc-samples must be a positive integer, got {cfg.mc_samples}")
-    if cfg.seed < 0:
-        raise DomainError(f"--seed must be a nonnegative integer, got {cfg.seed}")
-    if cfg.boundary_samples < 8:
-        raise DomainError(f"--boundary-samples must be at least 8, got {cfg.boundary_samples}")
-    if cfg.radial_count < 8 or cfg.angular_count < 8:
-        grid = f"{cfg.radial_count}x{cfg.angular_count}"
-        raise DomainError(f"--grid needs at least 8 radial and 8 angular samples, got {grid}")
-    if not cfg.margin >= 0.0:
-        raise DomainError(f"--margin must be a nonnegative number, got {cfg.margin!r}")
+def cmd_verify(cfg: SimpleNamespace) -> int:
     profile = _build_profile(cfg.theorem, *_read_profile(cfg))
     res = _compute_radii(cfg.theorem, profile)
     grid = GridSpec(cfg.radial_count, cfg.angular_count, cfg.margin)
@@ -640,7 +628,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_sharpness(cfg: RunConfig) -> int:
+def cmd_sharpness(cfg: SimpleNamespace) -> int:
     if cfg.theorem not in (1, 2, 5, 6):
         raise DomainError("sharpness demonstration applies to theorems 1, 2, 5 and 6 only")
     profile = _build_profile(cfg.theorem, *_read_profile(cfg))
@@ -722,7 +710,7 @@ def _range_values(raw: str, flag: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(cfg: SimpleNamespace) -> int:
     t = _require_theorem(cfg)
     if cfg.output_format != "csv":
         raise DomainError("table emits CSV only; drop --format or pass --format csv")

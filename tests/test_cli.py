@@ -322,16 +322,36 @@ def test_landau_seed_is_read_only_where_seed_applies(capsys, monkeypatch):
         (("verify", "--theorem", "1", "--lambda0", "2", "--grid", "32x4"), "--grid"),
         (("verify", "--theorem", "1", "--lambda0", "2", "--margin", "-1"), "--margin"),
         (("verify", "--theorem", "1", "--lambda0", "2", "--margin", "nan"), "--margin"),
+        # one past each cap; without the caps, --grid 100000x100000 ended in numpy's out-of-memory traceback
+        (("verify", "--theorem", "1", "--lambda0", "2", "--grid", "1024x1025"),
+         "--grid must have at most 1048576 nodes, got 1024x1025"),
+        (("verify", "--theorem", "1", "--lambda0", "2", "--boundary-samples", "65537"),
+         "--boundary-samples must be at most 65536, got 65537"),
+        (("verify", "--theorem", "5", "--lambda0", "2", "--mc-samples", "1048577"),
+         "--mc-samples must be at most 1048576, got 1048577"),
+        # these made the collision gate one that no input passes
+        (("sharpness", "--theorem", "1", "--lambda0", "2", "--tol", "0"), "--tol must be a positive number, got 0.0"),
+        (("sharpness", "--theorem", "1", "--lambda0", "2", "--tol=-1"), "--tol must be a positive number, got -1.0"),
+        (("sharpness", "--theorem", "1", "--lambda0", "2", "--tol", "nan"), "--tol must be a positive number, got nan"),
+        # the value's source is named: this was "--seed must be ...", for a flag not given
+        (("LANDAU_SEED=-3", "verify", "--theorem", "1", "--lambda0", "2", "--grid", "8x16"),
+         "LANDAU_SEED must be a nonnegative integer, got -3"),
     ],
     ids=["mc-samples-0", "mc-samples-negative", "seed-negative", "digits-negative", "boundary-samples-4",
-         "grid-radial-4", "grid-angular-4", "margin-negative", "margin-nan"],
+         "grid-radial-4", "grid-angular-4", "margin-negative", "margin-nan", "grid-over-cap",
+         "boundary-samples-over-cap", "mc-samples-over-cap", "tol-0", "tol-negative", "tol-nan",
+         "landau-seed-negative"],
 )
-def test_exit_2_names_the_sampling_flag(capsys, argv, flag):
-    # numpy's, format()'s or the checks' own message for these would name no flag
+def test_exit_2_names_the_sampling_flag(capsys, monkeypatch, argv, flag):
+    # numpy's, format()'s or the checks' own message for these would name no flag; a leading NAME=value
+    # sets an environment variable, as in a shell
+    if "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("error: ") and flag in err
+    assert err.startswith(f"error: {flag}") and err.count("\n") == 1
 
 
 def test_sharpness_collision(capsys):
@@ -548,6 +568,9 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     # a flag beats the file entry
     code, out, _ = run(capsys, "radii", "--config", str(cfg), "--lambda0", "3")
     assert json.loads(out)["rho"] < 0.2679
+    # and the file entry beats table's default csv, which once ignored it and printed CSV
+    message = "error: table emits CSV only; drop --format or pass --format csv\n"
+    assert run(capsys, "table", "--config", str(cfg), "--lambda0", "1.5:2:0.25") == (EXIT_USAGE, "", message)
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
@@ -556,6 +579,17 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     code, _, err = run(capsys, "radii", "--config", str(cfg), "--theorem", "1", "--lambda0", "2")
     assert code == EXIT_USAGE
     assert "nonsense" in err
+
+
+# entries for verify's sampling flags out of their bounds, each once named as the flag
+SAMPLING_ENTRIES = [
+    ("grid=4x4", "grid needs at least 8 radial and 8 angular samples, got 4x4"),
+    ("grid=abc", "grid expects RADIALxANGULAR, got 'abc'"),
+    ("mc_samples=0", "mc_samples must be a positive integer, got 0"),
+    ("boundary_samples=4", "boundary_samples must be at least 8, got 4"),
+    ("margin=-1", "margin must be a nonnegative number, got -1.0"),
+    ("seed=-3", "seed must be a nonnegative integer, got -3"),
+]
 
 
 @pytest.mark.parametrize("command", ["radii", "verify"])
@@ -568,13 +602,22 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
         ("theorem=x", "theorem expects an integer, got 'x'"),
         ("theorem=9", "theorem must be one of 1, 2, 3, 4, 5, 6, 7, 8, got '9'"),
         ("digits=1.5", "digits expects an integer, got '1.5'"),
+        ("digits=-1", "digits must be a nonnegative integer, got -1"),
+        *SAMPLING_ENTRIES,
     ],
 )
 def test_config_entries_pass_the_flag_checks(capsys, tmp_path, command, entry, message):
-    # format=xml printed text and exited 0; the others ended in Python's messages, which name no key
+    # format=xml printed text and exited 0; the others ended in Python's messages, which name no key.
+    # Every entry is converted as its flag's value is, but bounds and the grid parse hold only for the
+    # subcommand's own flags: radii runs as if the sampling entries were not there (grid=abc failed it)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"theorem=1\nlambda0=2\n{entry}\n")
-    assert run(capsys, command, "--config", str(cfg)) == (EXIT_USAGE, "", f"error: {cfg}:3: {message}\n")
+    result = run(capsys, command, "--config", str(cfg))
+    if command == "radii" and (entry, message) in SAMPLING_ENTRIES:
+        assert result == run(capsys, "radii", "--theorem", "1", "--lambda0", "2")
+        assert result[0] == EXIT_OK
+    else:
+        assert result == (EXIT_USAGE, "", f"error: {cfg}:3: {message}\n")
 
 
 def test_digits_flag_controls_precision(capsys):
@@ -667,6 +710,20 @@ def test_flag_table_invariants():
     # a config entry is converted by any one flag of its dest, so all flags of a dest must agree
     kinds = {(f.dest, f.type, f.choices) for f in flags}
     assert len(kinds) == len(FLAG_VALUES)
+    # every default is a value its flag takes, and within its bounds
+    for f in flags:
+        if f.default is not None:
+            assert f.convert(str(f.default)) == f.default
+            assert all(test(f.default) for test, _ in f.bounds)
+    assert cli._grid(cli._OPTIONS["verify"]["--grid"].default, "--grid") == (32, 64)
+
+
+_NAN = object()
+
+
+def _nan_as_equal(flags):
+    # the scan and argparse both read --margin nan as nan, and nan != nan
+    return flags and {k: _NAN if isinstance(v, float) and math.isnan(v) else v for k, v in flags.items()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -676,11 +733,12 @@ def test_flag_table_invariants():
 @example(argv=["radii", "--theorem", "1", "--lambda0", "-2"])  # a negative number
 @example(argv=["table", "--theorem", "1", "--lambda0", "1.5:2:0.25", "--format", "csv"])
 @example(argv=["verify", "--theorem", "1", "--lambda0", "2", "--grid", "8x16", "-p", "1", "--order", "2"])
+@example(argv=["verify", "--margin", "nan"])
 def test_scan_agrees_with_argparse(argv):
     # the scan may decline any argv, but what it takes it must read as argparse does, and main's
     # return code, stdout and stderr must be those of the argparse-only path
     scanned = cli._scan(argv)
-    assert scanned is None or scanned == _argparse_flags(argv)
+    assert scanned is None or _nan_as_equal(scanned) == _nan_as_equal(_argparse_flags(argv))
     with mock.patch.object(cli, "_scan", return_value=None):
         expected = _main_output(argv)
     assert _main_output(argv) == expected
