@@ -23,13 +23,17 @@ subcommand, then exact option strings, each followed by one value that does
 not start with "-" and that the flag's type and choices accept, with every
 required flag given.  Any other argv (help, an option prefix, --flag=value,
 -p3, a negative number, a stray token, a bad value or a missing required
-flag) goes to argparse, built from the same table by ``_build_parser`` and
-imported only then; argparse writes every help text and usage error.  The
-entries of a --config file are converted and checked through the same table.
-Each record also holds its flag's fallback default and its bounds, which
-``_resolve_config`` applies: a flag's value comes from argv, else the config
-file, else its environment variable, else the default, and an out-of-bounds
-value is an error that names where it came from.
+flag) goes to argparse, which is imported only then: ``_build_parser`` builds
+every subcommand's parser from the same table, and argparse writes every help
+text and usage error.  The entries of a --config file are converted and
+checked through the same table.  Each record also holds its flag's fallback
+default and its bounds, which ``_resolve_config`` applies: a flag's value comes
+from argv, else the config file, else its environment variable, else the
+default, and an out-of-bounds value is an error that names where it came from.
+
+Each subcommand builds its output once in all three forms, a JSON document,
+CSV rows and text lines, and ``_emit`` writes the one --format asks for; it is
+the only writer to stdout outside argparse.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import math
 import os
 import sys
 from cmath import exp as cexp
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -85,6 +90,8 @@ MAX_TABLE_ROWS = 10**6
 MAX_GRID_NODES = 2**20
 MAX_BOUNDARY_SAMPLES = 2**16
 MAX_MC_SAMPLES = 2**20
+#: Most --digits: no double has more significant digits, so every float prints exactly at this many.
+MAX_DIGITS = 767
 
 _PROFILE_FLAGS = ("lambda0", "lambdas", "ms", "mstars")
 
@@ -144,7 +151,7 @@ _NONNEGATIVE_INT = ((lambda n: n >= 0, "must be a nonnegative integer"),)
 _FORMAT = Flag(("--format",), "output_format", choices=("json", "csv", "text"), default="text")
 # every subcommand ends with --format and these
 _COMMON = (
-    Flag(("--digits",), "digits", int, default=12, bounds=_NONNEGATIVE_INT,
+    Flag(("--digits",), "digits", int, default=12, bounds=(*_NONNEGATIVE_INT, _at_most(MAX_DIGITS)),
          help="significant digits in printed floats (default 12)"),
     Flag(("--config",), "config", help="key=value file; flags override its entries"),
 )
@@ -152,7 +159,8 @@ _COMMON = (
 # --theorem is not required: a config file may supply it
 _PROFILE = (
     Flag(("--theorem",), "theorem", int, choices=range(1, 9)),
-    Flag(("-p", "--order"), "order", int, help="number of components"),
+    Flag(("-p", "--order"), "order", int, bounds=((lambda n: n >= 1, "must be a positive integer"),),
+         help="number of components"),
     Flag(("--lambda0",), "lambda0", help="leading derivative bound (> 1)"),
     Flag(("--lambdas",), "lambdas", help="comma-separated derivative bounds"),
     Flag(("--ms",), "ms", help="comma-separated modulus bounds (>= 1)"),
@@ -233,28 +241,19 @@ def _scan(argv: list[str]) -> dict[str, object] | None:
     return {"command": argv[0], **dict.fromkeys(f.dest for f in flags), **given}
 
 
-def _build_parser(argv: list[str]):
-    """The argparse parser for argv: only the subcommand argv[0] names gets a subparser.
-
-    When argv[0] names no subcommand (no arguments, -h or a typo), all six
-    get their subparser, so the help and error text stays that of the full
-    parser.  argparse is imported here, for the argvs that ``_scan`` leaves to it.
-    """
+def _build_parser():
+    """The argparse parser of every subcommand, imported and built only for the argvs that ``_scan`` leaves to it."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="polylandau",
         description="Univalence and schlicht-disk radii for poly-analytic and log-analytic-product functions.",
     )
-    selected = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    # the metavar lists all six where only one subparser is added; the full parser's errors name "command"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=_SUBCOMMAND_METAVAR if selected else None)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in _SUBCOMMANDS.items():
-        if selected in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for f in _FLAGS[name]:
-                p.add_argument(*f.options, dest=f.dest, type=f.type, choices=f.choices, required=f.required,
-                               help=f.help)
+        p = sub.add_parser(name, help=help_text)
+        for f in _FLAGS[name]:
+            p.add_argument(*f.options, dest=f.dest, type=f.type, choices=f.choices, required=f.required, help=f.help)
     return parser
 
 
@@ -324,7 +323,7 @@ def _resolve_config(flags: dict[str, object]) -> SimpleNamespace:
             else:
                 value = f.default
         for test, words in f.bounds:
-            if not test(value):
+            if value is not None and not test(value):
                 raise DomainError(f"{source} {words}, got {value!r}")
         if f.dest == "grid":
             values["radial_count"], values["angular_count"] = _grid(value, source)
@@ -364,8 +363,6 @@ def _reject_foreign_flags(cfg: SimpleNamespace) -> None:
 
 def _resolve_order(cfg: SimpleNamespace, listed: int | None, offset: int) -> int:
     if cfg.order is not None:
-        if cfg.order < 1:
-            raise DomainError(f"order must be a positive integer, got {cfg.order}")
         return cfg.order
     if listed is not None:
         return listed + offset
@@ -375,8 +372,6 @@ def _resolve_order(cfg: SimpleNamespace, listed: int | None, offset: int) -> int
 def _require_theorem(cfg: SimpleNamespace) -> int:
     if cfg.theorem is None:
         raise DomainError("--theorem is required")
-    if cfg.theorem not in _THEOREM_FLAGS:
-        raise DomainError(f"theorem must be one of 1..8, got {cfg.theorem}")
     return cfg.theorem
 
 
@@ -447,61 +442,40 @@ def _jsonable(value, digits: int):
     return str(value)
 
 
-def _emit_json(doc: dict, digits: int) -> None:
-    sys.stdout.write(json.dumps(_jsonable(doc, digits), indent=2) + "\n")
+def _cell(value, digits: int) -> str:
+    """value as a CSV or text cell: a float to digits significant digits, a bool as in JSON."""
+    if isinstance(value, float):
+        return f"{value:.{digits}g}"
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _emit_csv(header: list[str], rows: list[list[object]], digits: int) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:  # bools print as in JSON
-        writer.writerow([f"{v:.{digits}g}" if isinstance(v, float) else str(v).lower() if isinstance(v, bool) else v
-                         for v in row])
-    sys.stdout.write(buf.getvalue())
+def _emit(cfg: SimpleNamespace, doc: dict | None, rows: list[list[object]], lines: Iterable[str] | None) -> None:
+    """Write the output --format asks for: doc as JSON, rows (header first) as CSV, or lines as text.
 
-
-def _fmt(x: float, digits: int) -> str:
-    return f"{x:.{digits}g}"
-
-
-def _result_doc(res: RadiiResult) -> dict:
-    doc: dict[str, object] = {
-        "theorem": res.theorem,
-        "rho": res.rho,
-        "sigma": res.sigma,
-    }
-    if res.w is not None:
-        doc["w"] = res.w
-        doc["r"] = res.r
-    doc["residual"] = res.residual
-    doc["iterations"] = res.iterations
-    doc["flags"] = list(res.flags)
-    return doc
+    Floats print to --digits significant digits, rounded the same way in all three forms.
+    """
+    if cfg.output_format == "json":
+        sys.stdout.write(json.dumps(_jsonable(doc, cfg.digits), indent=2) + "\n")
+    elif cfg.output_format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([_cell(v, cfg.digits) for v in row] for row in rows)
+        sys.stdout.write(buf.getvalue())
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def cmd_radii(cfg: SimpleNamespace) -> int:
     res = _compute_radii(cfg.theorem, _build_profile(cfg.theorem, *_read_profile(cfg)))
-    if cfg.output_format == "json":
-        _emit_json(_result_doc(res), cfg.digits)
-    elif cfg.output_format == "csv":
-        header = ["theorem", "rho", "sigma", "w", "r", "residual", "iterations", "flags"]
-        row = [
-            res.theorem, res.rho, res.sigma,
-            "" if res.w is None else res.w, "" if res.r is None else res.r,
-            res.residual, res.iterations, ";".join(res.flags),
-        ]
-        _emit_csv(header, [row], cfg.digits)
-    else:
-        lines = [f"theorem {res.theorem}", f"rho = {_fmt(res.rho, cfg.digits)}", f"sigma = {_fmt(res.sigma, cfg.digits)}"]
-        if res.w is not None:
-            lines.append(f"w = {_fmt(res.w, cfg.digits)}")
-            lines.append(f"r = {_fmt(res.r, cfg.digits)}")
-        lines.append(f"residual = {_fmt(res.residual, cfg.digits)}")
-        lines.append(f"iterations = {res.iterations}")
-        if res.flags:
-            lines.append("flags: " + ", ".join(res.flags))
-        sys.stdout.write("\n".join(lines) + "\n")
+    # w and r are None for theorems 1-4: left out of the document and the text, empty in the CSV row
+    fields = {"theorem": res.theorem, "rho": res.rho, "sigma": res.sigma, "w": res.w, "r": res.r,
+              "residual": res.residual, "iterations": res.iterations, "flags": res.flags}
+    doc = {key: value for key, value in fields.items() if value is not None}
+    row = {**fields, "flags": ";".join(res.flags)}
+    lines = [f"theorem {res.theorem}"]
+    lines += [f"{key} = {_cell(value, cfg.digits)}" for key, value in doc.items() if key not in ("theorem", "flags")]
+    if res.flags:
+        lines.append("flags: " + ", ".join(res.flags))
+    _emit(cfg, doc, [list(row), ["" if v is None else v for v in row.values()]], lines)
     return EXIT_OK
 
 
@@ -519,28 +493,20 @@ def cmd_baseline(cfg: SimpleNamespace) -> int:
         if cfg.lambda1 is None:
             raise DomainError("baseline bianalytic-bounded needs --lambda1, the conjugate-part bound >= 0")
         rho, sigma = bianalytic_bounded_baseline(_float(cfg.lambda1, "--lambda1"))
-    elif cfg.name == "poly-modulus":
+    else:  # poly-modulus, the last of --name's choices
         if cfg.m is None or cfg.order is None:
             raise DomainError("baseline poly-modulus needs --m (> 1) and -p")
         rho, sigma = poly_modulus_baseline(_float(cfg.m, "--m"), cfg.order)
-    else:
-        raise DomainError(f"--name must be one of {', '.join(_BASELINES)}")
-
-    if cfg.output_format == "json":
-        _emit_json({"name": cfg.name, "rho": rho, "sigma": sigma}, cfg.digits)
-    elif cfg.output_format == "csv":
-        _emit_csv(["name", "rho", "sigma"], [[cfg.name, rho, sigma]], cfg.digits)
-    else:
-        sys.stdout.write(
-            f"baseline {cfg.name}\nrho = {_fmt(rho, cfg.digits)}\nsigma = {_fmt(sigma, cfg.digits)}\n"
-        )
+    doc = {"name": cfg.name, "rho": rho, "sigma": sigma}
+    lines = [f"baseline {cfg.name}", f"rho = {_cell(rho, cfg.digits)}", f"sigma = {_cell(sigma, cfg.digits)}"]
+    _emit(cfg, doc, [list(doc), list(doc.values())], lines)
     return EXIT_OK
 
 
 def cmd_compare(cfg: SimpleNamespace) -> int:
     ms = _float_list(cfg.ms, "--ms")
     raw_orders = _float_list(cfg.orders, "--orders")
-    if any(v != int(v) or v < 1 for v in raw_orders):
+    if any(not v.is_integer() or v < 1 for v in raw_orders):  # is_integer is false on inf and nan
         raise DomainError(f"--orders expects positive integers, got {cfg.orders!r}")
     orders = [int(v) for v in raw_orders]
     rows: list[list[object]] = []
@@ -554,19 +520,11 @@ def cmd_compare(cfg: SimpleNamespace) -> int:
             all_positive = all_positive and drho > 0.0 and dsigma > 0.0
             rows.append([m, p, res.rho, res.sigma, r_base, big_r_base, drho, dsigma])
     header = ["M", "p", "rho3", "sigma3", "rC", "RC", "drho", "dsigma"]
-    if cfg.output_format == "json":
-        _emit_json(
-            {"rows": [dict(zip(header, row)) for row in rows], "improved": all_positive},
-            cfg.digits,
-        )
-    elif cfg.output_format == "text":
-        widths = cfg.digits + 7
-        sys.stdout.write("".join(h.rjust(widths) for h in header) + "\n")
-        for row in rows:
-            cells = [f"{v:.{cfg.digits}g}" if isinstance(v, float) else str(v) for v in row]
-            sys.stdout.write("".join(c.rjust(widths) for c in cells) + "\n")
-    else:
-        _emit_csv(header, rows, cfg.digits)
+    doc = {"rows": [dict(zip(header, row)) for row in rows], "improved": all_positive}
+    width = cfg.digits + 7
+    # a generator, so that its 8 cells a row are formatted only when --format text asks for them
+    lines = ("".join(_cell(v, cfg.digits).rjust(width) for v in row) for row in [header, *rows])
+    _emit(cfg, doc, [header, *rows], lines)
     return EXIT_OK if all_positive else EXIT_CHECK_FAILED
 
 
@@ -595,36 +553,23 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
         reports.append(exp_disk_check(res.sigma, cfg.mc_samples, cfg.seed))
 
     passed = all(r.passed for r in reports)
-    if cfg.output_format == "json":
-        doc = {
-            "theorem": res.theorem,
-            "seed": cfg.seed,
-            "rho": res.rho,
-            "sigma": res.sigma,
-            "checks": [
-                {
-                    "name": r.check_name,
-                    "passed": r.passed,
-                    "measured_margin": r.measured_margin,
-                    **({"witness": list(r.witness)} if r.witness is not None else {}),
-                    "note": r.note,
-                }
-                for r in reports
-            ],
-            "passed": passed,
+    checks = [
+        {
+            "name": r.check_name,
+            "passed": r.passed,
+            "measured_margin": r.measured_margin,
+            **({"witness": list(r.witness)} if r.witness is not None else {}),
+            "note": r.note,
         }
-        _emit_json(doc, cfg.digits)
-    elif cfg.output_format == "csv":
-        _emit_csv(
-            ["name", "passed", "measured_margin", "note"],
-            [[r.check_name, r.passed, r.measured_margin, r.note] for r in reports],
-            cfg.digits,
-        )
-    else:
-        for r in reports:
-            state = "PASS" if r.passed else "FAIL"
-            sys.stdout.write(f"{state} {r.check_name} (margin = {_fmt(r.measured_margin, cfg.digits)}) {r.note}\n")
-        sys.stdout.write(f"{'all checks passed' if passed else 'some checks FAILED'}\n")
+        for r in reports
+    ]
+    doc = {"theorem": res.theorem, "seed": cfg.seed, "rho": res.rho, "sigma": res.sigma, "checks": checks,
+           "passed": passed}
+    header = ["name", "passed", "measured_margin", "note"]
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.check_name} (margin = {_cell(r.measured_margin, cfg.digits)}) "
+             f"{r.note}" for r in reports]
+    lines.append("all checks passed" if passed else "some checks FAILED")
+    _emit(cfg, doc, [header, *([check[key] for key in header] for check in checks)], lines)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -654,13 +599,13 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
             "tol": cfg.tol,
             "passed": passed,
         }
-        text = (
-            f"theorem {cfg.theorem}: rho = {_fmt(res.rho, d)}\n"
-            f"x1 = {_fmt(x1, d)} (past rho), x2 = {_fmt(x2, d)} (inside)\n"
-            f"|F(x1) - F(x2)| = {_fmt(collision, d)}\n"
-            f"|exp F(x1) - exp F(x2)| = {_fmt(exp_collision, d)}\n"
-            f"{'collision confirmed' if passed else 'collision NOT confirmed'} at tol {_fmt(cfg.tol, d)}\n"
-        )
+        lines = [
+            f"theorem {cfg.theorem}: rho = {_cell(res.rho, d)}",
+            f"x1 = {_cell(x1, d)} (past rho), x2 = {_cell(x2, d)} (inside)",
+            f"|F(x1) - F(x2)| = {_cell(collision, d)}",
+            f"|exp F(x1) - exp F(x2)| = {_cell(exp_collision, d)}",
+            f"{'collision confirmed' if passed else 'collision NOT confirmed'} at tol {_cell(cfg.tol, d)}",
+        ]
     else:
         x, jac = reversal_point(profile, cfg.radius)
         # the Jacobian of exp F is |exp F|^2 times F's
@@ -676,19 +621,14 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
             "exp_jacobian": exp_jac,
             "passed": passed,
         }
-        text = (
-            f"theorem {cfg.theorem}: rho = {_fmt(res.rho, d)}\n"
-            f"x = {_fmt(x, d)} (past rho)\n"
-            f"J F(x) = {_fmt(jac, d)}\n"
-            f"J exp F(x) = {_fmt(exp_jac, d)}\n"
-            f"{'sense reversal confirmed' if passed else 'sense reversal NOT confirmed'}: J < 0 past rho\n"
-        )
-    if cfg.output_format == "json":
-        _emit_json(doc, cfg.digits)
-    elif cfg.output_format == "csv":
-        _emit_csv(list(doc), [list(doc.values())], cfg.digits)
-    else:
-        sys.stdout.write(text)
+        lines = [
+            f"theorem {cfg.theorem}: rho = {_cell(res.rho, d)}",
+            f"x = {_cell(x, d)} (past rho)",
+            f"J F(x) = {_cell(jac, d)}",
+            f"J exp F(x) = {_cell(exp_jac, d)}",
+            f"{'sense reversal confirmed' if passed else 'sense reversal NOT confirmed'}: J < 0 past rho",
+        ]
+    _emit(cfg, doc, [list(doc), list(doc.values())], lines)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -730,7 +670,7 @@ def cmd_table(cfg: SimpleNamespace) -> int:
         if is_log:
             row.extend([res.w, res.r])
         rows.append(row)
-    _emit_csv(header, rows, cfg.digits)
+    _emit(cfg, None, [header, *rows], None)  # --format is csv here
     return EXIT_OK
 
 
@@ -743,7 +683,6 @@ _SUBCOMMANDS = {
     "sharpness": ("exhibit univalence failing just past rho", cmd_sharpness),
     "table": ("sweep one parameter to CSV", cmd_table),
 }
-_SUBCOMMAND_METAVAR = "{" + ",".join(_SUBCOMMANDS) + "}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -752,7 +691,7 @@ def main(argv: list[str] | None = None) -> int:
     flags = _scan(argv)
     if flags is None:  # help, usage errors and the spellings the scan does not take
         try:
-            flags = vars(_build_parser(argv).parse_args(argv))
+            flags = vars(_build_parser().parse_args(argv))
         except SystemExit as exc:
             return int(exc.code or 0)
     try:

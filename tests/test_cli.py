@@ -54,6 +54,16 @@ def test_radii_golden_json(capsys, theorem):
         assert doc["rho"] == pytest.approx(CLOSED_RHO[theorem], abs=1e-11)
 
 
+FORMATS_GOLDEN = json.loads((DATA / "golden_formats.json").read_text())
+
+
+@pytest.mark.parametrize("case", FORMATS_GOLDEN, ids=[" ".join(case["argv"]) for case in FORMATS_GOLDEN])
+def test_every_subcommand_and_format_is_pinned(capsys, case):
+    # recorded before the output went through one writer; radii's flags: line, the baseline and verify
+    # CSV forms and a failing check's witness are pinned only here
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], "")
+
+
 def test_radii_text_branch_case(capsys):
     code, out, _ = run(capsys, "radii", "--theorem", "2", "-p", "2", "--lambdas", "0.4")
     assert code == EXIT_OK
@@ -213,6 +223,8 @@ def test_baseline_commands(capsys):
     code, out, _ = run(capsys, "baseline", "--name", "poly-modulus", "--m", "2", "-p", "2", "--format", "json")
     assert code == EXIT_OK
     assert 0 < json.loads(out)["rho"] < 1
+    # -p's positive bound is the profile flag's; baseline's -p has none, and landau ignores it
+    assert run(capsys, "baseline", "--name", "landau", "--m", "2", "-p", "0")[0] == EXIT_OK
 
 
 def test_baseline_missing_parameter(capsys):
@@ -336,15 +348,30 @@ def test_landau_seed_is_read_only_where_seed_applies(capsys, monkeypatch):
         # the value's source is named: this was "--seed must be ...", for a flag not given
         (("LANDAU_SEED=-3", "verify", "--theorem", "1", "--lambda0", "2", "--grid", "8x16"),
          "LANDAU_SEED must be a nonnegative integer, got -3"),
+        # int() raised OverflowError on inf, a traceback, and named no flag on nan
+        (("compare", "--orders", "inf"), "--orders expects positive integers, got 'inf'\n"),
+        (("compare", "--orders", "nan"), "--orders expects positive integers, got 'nan'\n"),
+        # format() said "precision too big", naming no flag; 767 digits print every double exactly
+        (("radii", "--theorem", "1", "--lambda0", "2", "--digits", "768"), "--digits must be at most 767, got 768\n"),
+        (("radii", "--theorem", "1", "--lambda0", "2", "-p", "0"), "--order must be a positive integer, got 0\n"),
+        (("radii", "--theorem", "3", "-p", "2"), "theorem 3 needs --ms, the component modulus bounds\n"),
+        (("radii", "--theorem", "7"), "theorem 7 needs --mstars, the factor modulus bounds above 1\n"),
+        (("baseline", "--name", "bianalytic-deriv", "--lambda1", "1"),
+         "baseline bianalytic-deriv needs --lambda0 (> 1) and --lambda1 (>= 0)\n"),
+        (("baseline", "--name", "bianalytic-bounded"),
+         "baseline bianalytic-bounded needs --lambda1, the conjugate-part bound >= 0\n"),
+        (("baseline", "--name", "poly-modulus", "--m", "2"), "baseline poly-modulus needs --m (> 1) and -p\n"),
     ],
     ids=["mc-samples-0", "mc-samples-negative", "seed-negative", "digits-negative", "boundary-samples-4",
          "grid-radial-4", "grid-angular-4", "margin-negative", "margin-nan", "grid-over-cap",
          "boundary-samples-over-cap", "mc-samples-over-cap", "tol-0", "tol-negative", "tol-nan",
-         "landau-seed-negative"],
+         "landau-seed-negative", "orders-inf", "orders-nan", "digits-over-cap", "order-0", "theorem-3-needs-ms",
+         "theorem-7-needs-mstars", "baseline-bianalytic-deriv-needs-lambda0",
+         "baseline-bianalytic-bounded-needs-lambda1", "baseline-poly-modulus-needs-p"],
 )
 def test_exit_2_names_the_sampling_flag(capsys, monkeypatch, argv, flag):
     # numpy's, format()'s or the checks' own message for these would name no flag; a leading NAME=value
-    # sets an environment variable, as in a shell
+    # sets an environment variable, as in a shell, and a message that ends in a newline is the whole line
     if "=" in argv[0]:
         monkeypatch.setenv(*argv[0].split("=", 1))
         argv = argv[1:]
@@ -515,8 +542,17 @@ def test_table_golden_csv(capsys, theorem):
         ("--theorem 2 --lambda0 1:2:0.5", "theorem 2 is parameterized by --lambdas; --lambda0 does not apply"),
         # the range is checked before the flags
         ("--theorem 2 --lambda0 nan:2:0.1", "--lambda0 range needs a finite start, stop and step, got 'nan:2:0.1'"),
+        ("--theorem 1 --lambda0 1.5:2", "--lambda0 range must be start:stop:step, got '1.5:2'"),
+        ("--theorem 1 --lambda0 1.5:2:-1", "--lambda0 range needs a positive step, got -1.0"),
+        ("--theorem 1 --lambda0 2:1:0.5", "--lambda0 range needs stop >= start, got '2:1:0.5'"),
+        ("--theorem 4 --lambda0 1.5:2:0.5", "theorem 4 needs --ms, the bounds on components 1..p-1"),
+        ("--theorem 4 -p 1 --lambda0 1.5:2:0.5 --ms 2", "theorem 4 needs at least two components, got order 1"),
+        ("--theorem 1 -p 1 --lambda0 1.5:2:0.5 --lambdas 1", "theorem 1 with one component takes no --lambdas"),
+        ("--theorem 1 --lambda0 1.5:2:0.5 --lambdas ,", "--lambdas expects at least one number"),
     ],
-    ids=["parse-before-row", "overflow-at-row-2", "bad-mstar", "list-length", "foreign-flag", "range-before-flags"],
+    ids=["parse-before-row", "overflow-at-row-2", "bad-mstar", "list-length", "foreign-flag", "range-before-flags",
+         "range-two-parts", "range-negative-step", "range-stop-below-start", "theorem-4-needs-ms",
+         "theorem-4-one-component", "theorem-1-one-component-with-lambdas", "empty-list"],
 )
 def test_table_errors(capsys, argv, message):
     assert run(capsys, "table", *argv.split()) == (EXIT_USAGE, "", f"error: {message}\n")
@@ -603,6 +639,9 @@ SAMPLING_ENTRIES = [
         ("theorem=9", "theorem must be one of 1, 2, 3, 4, 5, 6, 7, 8, got '9'"),
         ("digits=1.5", "digits expects an integer, got '1.5'"),
         ("digits=-1", "digits must be a nonnegative integer, got -1"),
+        ("digits=768", "digits must be at most 767, got 768"),
+        ("order=0", "order must be a positive integer, got 0"),
+        ("lambdas", "expected key=value, got 'lambdas'"),
         *SAMPLING_ENTRIES,
     ],
 )
@@ -630,8 +669,7 @@ USAGE = json.loads((DATA / "cli_usage.json").read_text())
 
 @pytest.mark.parametrize("case", USAGE, ids=[" ".join(case["argv"]) or "no-arguments" for case in USAGE])
 def test_usage_output_is_that_of_the_full_parser(capsys, monkeypatch, case):
-    # main adds arguments only to the subcommand argv[0] names; help and usage errors must not show it.
-    # The bytes were recorded from the parser that built every subcommand's arguments on each call.
+    # the bytes were recorded from a parser that built every subcommand's arguments, as _build_parser does
     monkeypatch.setenv("COLUMNS", "80")
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
@@ -647,7 +685,7 @@ def _argparse_flags(argv):
     """argv's flags as the argparse parser reads them, or None where it exits."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return vars(cli._build_parser(argv).parse_args(argv))
+            return vars(cli._build_parser().parse_args(argv))
     except SystemExit:
         return None
 
@@ -758,7 +796,7 @@ PLAIN_ARGVS = [
 def test_plain_argv_never_builds_the_parser(capsys, monkeypatch, argv):
     assert cli._scan(argv) == _argparse_flags(argv)
 
-    def no_parser(argv):
+    def no_parser():
         raise AssertionError("the argparse parser was built")
 
     monkeypatch.setattr(cli, "_build_parser", no_parser)
