@@ -92,6 +92,10 @@ MAX_BOUNDARY_SAMPLES = 2**16
 MAX_MC_SAMPLES = 2**20
 #: Most --digits: no double has more significant digits, so every float prints exactly at this many.
 MAX_DIGITS = 767
+#: Most components of a profile or a baseline, -p and each --orders value.  verify evaluates every component at
+#: every grid node, so its time grows with the order: a default verify at this cap takes 0.7-0.8 s on one core
+#: of an Intel Xeon, while -p 10**9 kept the poly-modulus baseline summing past a 5-s timeout.
+MAX_ORDER = 1000
 
 _PROFILE_FLAGS = ("lambda0", "lambdas", "ms", "mstars")
 
@@ -159,8 +163,8 @@ _COMMON = (
 # --theorem is not required: a config file may supply it
 _PROFILE = (
     Flag(("--theorem",), "theorem", int, choices=range(1, 9)),
-    Flag(("-p", "--order"), "order", int, bounds=((lambda n: n >= 1, "must be a positive integer"),),
-         help="number of components"),
+    Flag(("-p", "--order"), "order", int,
+         bounds=((lambda n: n >= 1, "must be a positive integer"), _at_most(MAX_ORDER)), help="number of components"),
     Flag(("--lambda0",), "lambda0", help="leading derivative bound (> 1)"),
     Flag(("--lambdas",), "lambdas", help="comma-separated derivative bounds"),
     Flag(("--ms",), "ms", help="comma-separated modulus bounds (>= 1)"),
@@ -175,7 +179,7 @@ _FLAGS: dict[str, tuple[Flag, ...]] = {
         Flag(("--m",), "m", help="modulus bound M > 1"),
         Flag(("--lambda0",), "lambda0", help="derivative bound above 1"),
         Flag(("--lambda1",), "lambda1", help="companion derivative bound >= 0"),
-        Flag(("-p", "--order"), "order", int),
+        Flag(("-p", "--order"), "order", int, bounds=(_at_most(MAX_ORDER),)),
         _FORMAT,
         *_COMMON,
     ),
@@ -400,6 +404,8 @@ def _read_profile(cfg: SimpleNamespace, swept: str | None = None) -> tuple[float
     listed = None if raw is None else [math.nan] if name == swept else _float_list(raw, flag)
     offset = 0 if base == 3 else 1
     p = _resolve_order(cfg, None if listed is None else len(listed), offset)
+    if p > MAX_ORDER:  # -p's own bound has held, so the list set the order
+        raise DomainError(f"{flag} must have at most {MAX_ORDER - offset} values, got {len(listed)}")
     if p < 2 and base == 4:
         raise DomainError(f"theorem {t} needs at least two components, got order {p}")
     if p == 1 and listed and base < 3:
@@ -439,7 +445,8 @@ def _jsonable(value, digits: int):
         return {k: _jsonable(v, digits) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v, digits) for v in value]
-    return str(value)
+    kind = type(value)
+    raise TypeError(f"no JSON form for a {kind.__module__}.{kind.__qualname__}")
 
 
 def _cell(value, digits: int) -> str:
@@ -508,6 +515,8 @@ def cmd_compare(cfg: SimpleNamespace) -> int:
     raw_orders = _float_list(cfg.orders, "--orders")
     if any(not v.is_integer() or v < 1 for v in raw_orders):  # is_integer is false on inf and nan
         raise DomainError(f"--orders expects positive integers, got {cfg.orders!r}")
+    if max(raw_orders) > MAX_ORDER:
+        raise DomainError(f"--orders must be at most {MAX_ORDER}, got {cfg.orders!r}")
     orders = [int(v) for v in raw_orders]
     rows: list[list[object]] = []
     all_positive = True
@@ -574,7 +583,7 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
 
 
 def cmd_sharpness(cfg: SimpleNamespace) -> int:
-    if cfg.theorem not in (1, 2, 5, 6):
+    if _require_theorem(cfg) not in (1, 2, 5, 6):
         raise DomainError("sharpness demonstration applies to theorems 1, 2, 5 and 6 only")
     profile = _build_profile(cfg.theorem, *_read_profile(cfg))
     res = radii(profile)
@@ -582,8 +591,8 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
     d = cfg.digits
     if cfg.theorem in (1, 5):
         x1, x2 = collision_pair(profile, cfg.radius)
-        v1 = witness(complex(x1))
-        v2 = witness(complex(x2))
+        v1 = witness(x1)
+        v2 = witness(x2)
         collision = abs(v1 - v2)
         exp_collision = abs(cexp(v1) - cexp(v2))
         gate = collision if cfg.theorem == 1 else exp_collision
@@ -609,7 +618,7 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
     else:
         x, jac = reversal_point(profile, cfg.radius)
         # the Jacobian of exp F is |exp F|^2 times F's
-        exp_jac = abs(cexp(witness(complex(x)))) ** 2 * jac
+        exp_jac = abs(cexp(witness(x))) ** 2 * jac
         gate = jac if cfg.theorem == 2 else exp_jac
         passed = gate < 0.0
         doc = {

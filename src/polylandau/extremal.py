@@ -19,9 +19,9 @@ from typing import ClassVar
 
 from ._lazy import lazy_numpy
 from .errors import BracketError, DomainError
-from .polyfunc import PolyAnalyticFn, jacobian_array, poly_eval
-from .radii import ModulusAll, Profile, _bisect_decreasing, radii
-from .series import DEFAULT_DEGREE, TruncatedTaylorSeries
+from .polyfunc import PolyAnalyticFn, jacobian, poly_eval
+from .radii import ModulusAll, Profile, _bisect_decreasing, _lead_bound, radii
+from .series import DEFAULT_DEGREE, TruncatedTaylorSeries, _ufunc
 
 np = lazy_numpy()
 
@@ -73,48 +73,36 @@ class DerivLead(_ClosedForm):
     |z/L| < 1/2 A is summed as z - (L - 1/L) z^2 sum_{n>=2} (z/L)^(n-2)/n,
     whose terms do not cancel.  A'(z) = (1 - L z)/((L - z)/L) keeps the
     rounding error of L Re(z), so it stays accurate next to its zero 1/L.
+    L^3 must be finite (``bounded_deriv_component``).
     """
 
     lam: float
 
-    def value(self, z) -> np.ndarray | complex:
-        if isinstance(z, complex):
-            return self._value_at(z)
-        z = np.asarray(z, dtype=complex)
-        lam = self.lam
-        x = z / lam
-        tail = np.zeros_like(z)
-        for c in _LEAD_HORNER:
-            tail = tail * x + c
-        # (L - 1)(L + 1) keeps L - 1/L and L^3 - L accurate as L approaches 1
-        gap = (lam - 1.0) * (lam + 1.0)
-        series = z - gap / lam * z * z * tail
-        closed = lam * lam * z + lam * gap * np.log(1.0 - x)
-        return np.where(np.abs(x) < 0.5, series, closed)
+    def value(self, z):
+        """A at a point or at every point of an array, each point taking the sum or the closed form.
 
-    def derivative(self, z) -> np.ndarray | complex:
-        if not isinstance(z, complex):
-            z = np.asarray(z, dtype=complex)
-        lam = self.lam
-        return (_one_minus_product(lam, z.real) - 1j * (lam * z.imag)) / _unit_gap(lam, z)
-
-    def _value_at(self, z: complex) -> complex:
-        """``value`` at one point in Python arithmetic, rounded as numpy rounds it on a real z.
-
-        numpy divides z by L through the reciprocal 1/L, so x does too.
+        Both forms are weighted by 1 and 0 at each point, which is exact because both are finite on the
+        disk; a single point skips the form it does not take.
         """
         lam = self.lam
-        inv = 1.0 / lam
-        x = complex(z.real * inv, z.imag * inv)
+        x = z * (1.0 / lam)  # numpy divides z by L through the reciprocal 1/L, so a point does too
+        near = abs(x) < 0.5  # one bool at a point, a bool array over an array
+        # (L - 1)(L + 1) keeps L - 1/L and L^3 - L accurate as L approaches 1
         gap = (lam - 1.0) * (lam + 1.0)
-        if abs(x) < 0.5:
-            # on the real axis every imaginary part stays 0, so float arithmetic rounds as complex does
-            step = x.real if x.imag == 0.0 else x
+        series = closed = 0j
+        if near is not False:  # only a point away from 0 skips the sum
             tail = 0.0
             for c in _LEAD_HORNER:
-                tail = tail * step + c
-            return z - gap / lam * z * z * tail
-        return lam * lam * z + lam * gap * complex(np.log(1.0 - x))
+                tail = tail * x + c
+            series = z - gap / lam * z * z * tail
+        if near is not True:  # only a point near 0 skips the logarithm
+            # 1 - x made complex: numpy's real logarithm rounds unlike its complex one on a real point
+            closed = lam * lam * z + lam * gap * _ufunc(np.log, (1.0 + 0j) - x)
+        return series * near + closed * (1 - near)  # both forms are finite on the disk
+
+    def derivative(self, z):
+        lam = self.lam
+        return (_one_minus_product(lam, z.real) - 1j * (lam * z.imag)) / _unit_gap(lam, z)
 
 
 @dataclass(frozen=True)
@@ -128,23 +116,17 @@ class BoundedRatio(_ClosedForm):
 
     m: float
 
-    def value(self, z) -> np.ndarray | complex:
-        if not isinstance(z, complex):
-            z = np.asarray(z, dtype=complex)
+    def value(self, z):
         return z * ((1.0 - self.m * z) / _unit_gap(self.m, z))
 
-    def derivative(self, z) -> np.ndarray | complex:
-        if not isinstance(z, complex):
-            z = np.asarray(z, dtype=complex)
+    def derivative(self, z):
         gap = _unit_gap(self.m, z)
         return (1.0 - 2.0 * self.m * z + z * z) / (gap * gap)
 
 
 def bounded_deriv_component(lam0: float) -> DerivLead:
-    """The leading extremal component of a derivative bound L0 > 1, in closed form."""
-    if not lam0 > 1.0:
-        raise DomainError(f"the component needs a derivative bound above 1, got {lam0!r}")
-    return DerivLead(lam0)
+    """The leading extremal component of a derivative bound L0 > 1 whose cube is finite, in closed form."""
+    return DerivLead(_lead_bound(lam0, "lambda0"))
 
 
 def extremal_fn(b: Profile) -> PolyAnalyticFn:
@@ -212,7 +194,7 @@ def real_profile(x: float, b: Profile) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"profile argument must lie in [0, 1], got {x!r}")
-    return poly_eval(extremal_fn(b), complex(x)).real
+    return poly_eval(extremal_fn(b), x).real
 
 
 def collision_pair(b: Profile, r: float) -> tuple[float, float]:
@@ -230,7 +212,7 @@ def collision_pair(b: Profile, r: float) -> tuple[float, float]:
     witness = extremal_fn(b)  # built once for every bisection step
 
     def profile(x: float) -> float:
-        return poly_eval(witness, complex(x)).real
+        return poly_eval(witness, x).real
 
     sigma = profile(rho)
     eps = 0.5 * (r - rho)
@@ -268,7 +250,7 @@ def reversal_point(b: Profile, r: float) -> tuple[float, float]:
     if not rho < r <= 1.0:
         raise DomainError(f"reversal window needs rho < r <= 1; rho = {rho!r}, r = {r!r}")
     xs = rho + (r - rho) * np.arange(1, _REVERSAL_SAMPLES + 1) / _REVERSAL_SAMPLES
-    jac = jacobian_array(extremal_fn(b), xs + 0j)
+    jac = jacobian(extremal_fn(b), xs)
     negative = np.flatnonzero(jac < 0.0)
     k = int(negative[0]) if len(negative) else int(np.argmin(jac))
     return float(xs[k]), float(jac[k])

@@ -3,9 +3,14 @@
 A series is a finite coefficient list c0..cN evaluated by Horner
 recurrence; it holds the coefficient-bound extremal and the oracles the
 closed-form witnesses are tested against.  Series are immutable;
-operations return new values.  ``series_eval`` evaluates at one point
-and is the reference for ``series_eval_array``, which runs the same
-recurrence over a whole array of points and agrees with it bit for bit.
+operations return new values.
+
+Every evaluation in the package takes one point or an array of points
+through the same arithmetic.  ``_require_in_disk`` keeps a point a Python
+number, a real one real, and makes anything else a complex array;
+``_cmul`` multiplies as Python multiplies two complex numbers, so a point
+and an array round alike; ``_ufunc`` applies a numpy function and hands a
+point back as a Python number.
 """
 
 from __future__ import annotations
@@ -25,20 +30,38 @@ DEFAULT_DEGREE = 64
 _DISK_SLACK = 1e-9  # tolerate boundary roundoff in |z| <= 1 checks
 
 
-def _require_in_disk(z: complex) -> complex:
-    z = complex(z)
-    if abs(z) > 1.0 + _DISK_SLACK:
-        raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {abs(z)!r}")
+def _require_in_disk(z):
+    """z as a Python float or complex when it is one number, else as a complex array; every |z| must be at most 1.
+
+    A real point stays real, so sums on the real axis run in real arithmetic,
+    which rounds there as complex arithmetic does.
+    """
+    if isinstance(z, (int, float, complex)):
+        z = complex(z) if isinstance(z, complex) else float(z)
+        worst = abs(z)
+    else:
+        z = np.asarray(z, dtype=complex)
+        worst = float(np.max(np.abs(z), initial=0.0))
+    if worst > 1.0 + _DISK_SLACK:
+        raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {worst!r}")
     return z
 
 
-def _require_in_disk_array(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if z.size:
-        worst = float(np.max(np.abs(z)))
-        if worst > 1.0 + _DISK_SLACK:
-            raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {worst!r}")
-    return z
+def _cmul(a, b):
+    """a * b at a point or elementwise, rounded as Python's complex product.
+
+    numpy's complex multiply may fuse a multiply with an add, which rounds
+    differently.  In a * Re(b) + a * (i Im(b)) each product has a factor
+    with a zero part, so it rounds once per component whether fused or
+    not, and the sum then rounds as Python's does.
+    """
+    return a * (b.real + 0j) + a * (1j * b.imag)
+
+
+def _ufunc(f, w):
+    """The numpy function f at w, a point or an array; a point's numpy scalar comes back as a Python number."""
+    out = f(w)
+    return out if out.ndim else out.item()
 
 
 @dataclass(frozen=True)
@@ -59,52 +82,25 @@ class TruncatedTaylorSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def value(self, z) -> np.ndarray | complex:
-        """The series at one complex point or every point of an array; requires |z| <= 1."""
-        return series_eval(self, z) if isinstance(z, complex) else series_eval_array(self, z)
+    def value(self, z):
+        """The series at a point or at every point of an array; requires |z| <= 1."""
+        return series_eval(self, z)
 
-    def derivative(self, z) -> np.ndarray | complex:
-        """The derivative series at one complex point or every point of an array; requires |z| <= 1."""
+    def derivative(self, z):
+        """The derivative series at a point or at every point of an array; requires |z| <= 1."""
         return series_derivative(self).value(z)
 
 
-def series_eval(s: TruncatedTaylorSeries, z: complex) -> complex:
-    """Evaluate sum c_n z^n by Horner recurrence; requires |z| <= 1."""
+def series_eval(s: TruncatedTaylorSeries, z):
+    """sum c_n z^n by Horner recurrence at a point or at every point of an array; requires |z| <= 1.
+
+    Each step multiplies as ``_cmul`` does, with z split into its parts once.
+    """
     z = _require_in_disk(z)
-    acc = 0j
-    for c in reversed(s.coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, rounded as Python's complex product.
-
-    numpy's complex multiply may fuse a multiply with an add, which rounds
-    differently.  In a * Re(b) + a * (i Im(b)) each product has a factor
-    with a zero part, so it rounds once per component whether fused or
-    not, and the sum then rounds as Python's does.
-    """
-    return a * (b.real + 0j) + a * (1j * b.imag)
-
-
-def series_eval_array(s: TruncatedTaylorSeries, z) -> np.ndarray:
-    """Evaluate sum c_n z^n at every point of an array; requires |z| <= 1.
-
-    One in-place Horner pass per coefficient over the whole array, with
-    acc * z split as in ``_cmul``, so every value equals ``series_eval``'s
-    bit for bit.
-    """
-    z = _require_in_disk_array(z)
-    z_re = z.real + 0j
-    z_im = 1j * z.imag
-    acc = np.zeros_like(z)
-    part = np.empty_like(z)
-    for c in reversed(s.coeffs):
-        np.multiply(acc, z_re, out=part)
-        acc *= z_im
-        acc += part
-        acc += c
+    z_re, z_im = z.real + 0j, 1j * z.imag
+    acc = s.coeffs[-1]
+    for c in reversed(s.coeffs[:-1]):
+        acc = acc * z_re + acc * z_im + c
     return acc
 
 
@@ -114,4 +110,3 @@ def series_derivative(s: TruncatedTaylorSeries) -> TruncatedTaylorSeries:
     if len(coeffs) < 2:
         coeffs.append(0j)
     return TruncatedTaylorSeries(tuple(coeffs))
-

@@ -6,7 +6,9 @@ functions or root finders, so a bug there cannot vouch for itself.
 Only the ``Profile`` terms and the witnesses' audit radius are shared,
 as plain data.  Witness components are read through their
 ``value`` and ``derivative`` alone, at 0 for the normalisation and on
-the audit grid for the bounds.
+the audit grid for the bounds.  Every check evaluates its function once,
+on the whole array of its points, as ``fn(pts)``: a callable passed to a
+check must accept an array.
 
 Univalence is checked by degree theory, the argument principle for
 sense-preserving maps (Duren, *Harmonic Mappings in the Plane*, 2.3): a
@@ -31,15 +33,7 @@ from typing import Callable, Sequence
 from ._lazy import lazy_numpy
 from .errors import DomainError
 from .extremal import AUDIT_RADIUS
-from .polyfunc import (
-    Component,
-    LogPAnalyticFn,
-    PolyAnalyticFn,
-    logp_eval_array,
-    poly_eval_array,
-    wirtinger_z_array,
-    wirtinger_zbar_array,
-)
+from .polyfunc import Component, LogPAnalyticFn, PolyAnalyticFn, wirtinger_z, wirtinger_zbar
 from .radii import Profile
 from .series import TruncatedTaylorSeries
 
@@ -89,17 +83,8 @@ def _circle(r: float, samples: int) -> np.ndarray:
     return r * np.exp(1j * angles)
 
 
-def _eval_at(fn: Callable[[complex], complex], pts: np.ndarray) -> np.ndarray:
-    """fn at every point: one array pass for package functions, a loop for plain callables."""
-    if isinstance(fn, PolyAnalyticFn):
-        return poly_eval_array(fn, pts)
-    if isinstance(fn, LogPAnalyticFn):
-        return logp_eval_array(fn, pts)
-    return np.array([fn(complex(z)) for z in pts], dtype=complex)
-
-
 def univalence_grid_check(
-    fn: Callable[[complex], complex],
+    fn: Callable[[np.ndarray], np.ndarray],
     r: float,
     grid: GridSpec = GridSpec(),
     extra_points: Sequence[complex] = (),
@@ -116,7 +101,7 @@ def univalence_grid_check(
     pts = _disk_grid(r, grid)
     if extra_points:
         pts = np.concatenate([pts, np.asarray(list(extra_points), dtype=complex)])
-    vals = _eval_at(fn, pts)
+    vals = fn(pts)
     n = len(pts)
     best = np.inf
     best_pair = (pts[0], pts[0])
@@ -172,7 +157,7 @@ def jacobian_grid_check(
         raise DomainError(f"jacobian check needs r > 0, got {r!r}")
     F = _derivatives_of(fn)
     pts = _disk_grid(r, grid)
-    gaps = np.abs(wirtinger_z_array(F, pts)) - np.abs(wirtinger_zbar_array(F, pts))
+    gaps = np.abs(wirtinger_z(F, pts)) - np.abs(wirtinger_zbar(F, pts))
     k = int(np.argmin(gaps))
     measured = float(gaps[k])
     passed = bool(measured >= grid.margin)
@@ -256,10 +241,10 @@ def boundary_simple_check(
         raise DomainError(f"boundary check needs at least 8 samples, got {samples}")
     F = _derivatives_of(fn)
     pts = _circle(r, samples)
-    tangent = _unit_scale(1j * (pts * wirtinger_z_array(F, pts) - pts.conj() * wirtinger_zbar_array(F, pts)))
+    tangent = _unit_scale(1j * (pts * wirtinger_z(F, pts) - pts.conj() * wirtinger_zbar(F, pts)))
     turning = int(np.rint(np.sum(np.angle(np.roll(tangent, -1) * tangent.conj())) / (2.0 * np.pi)))
     stalls = int(np.count_nonzero(tangent == 0))
-    i, j = _crossings(_unit_scale(_eval_at(fn, pts)))
+    i, j = _crossings(_unit_scale(fn(pts)))
     problems = len(i) + abs(turning - 1) + stalls
     passed = problems == 0
     if len(i):
@@ -279,7 +264,7 @@ def boundary_simple_check(
 
 
 def schlicht_coverage_check(
-    fn: Callable[[complex], complex],
+    fn: Callable[[np.ndarray], np.ndarray],
     rho: float,
     sigma: float,
     boundary_samples: int = 512,
@@ -293,11 +278,12 @@ def schlicht_coverage_check(
     """
     if not (0.0 < rho and 0.0 < sigma):
         raise DomainError(f"coverage check needs rho > 0 and sigma > 0, got {rho!r}, {sigma!r}")
-    origin = abs(fn(0j))
+    pts = _circle(rho, boundary_samples)
+    vals = np.abs(fn(np.append(pts, 0j)))  # the origin last, in the same call
+    origin = float(vals[-1])
     if origin > 1e-12:
         raise DomainError(f"coverage check needs fn(0) = 0, got |fn(0)| = {origin!r}")
-    pts = _circle(rho, boundary_samples)
-    vals = np.abs(_eval_at(fn, pts))
+    vals = vals[:-1]
     k = int(np.argmin(vals))
     measured = float(vals[k]) - sigma
     passed = bool(measured >= -margin)

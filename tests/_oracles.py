@@ -1,11 +1,22 @@
-"""Brute-force helpers the tests use to cross-check closed forms.
+"""Brute-force helpers and reference evaluations the tests use to cross-check the package.
 
-These deliberately avoid the library's own derivative and root-finding
+The helpers deliberately avoid the library's own derivative and root-finding
 code paths: derivatives come from central differences, roots from plain
 grid scans.  Accuracy is modest (1e-6-ish) but independent.
+
+The references evaluate at one point in plain Python complex arithmetic:
+they are the package's former one-point functions, kept unchanged, and the
+package's evaluations, which take a point or an array through one path,
+must agree with them point by point.
 """
 
 from __future__ import annotations
+
+import cmath
+
+import numpy as np
+
+from polylandau.errors import DomainError
 
 
 def fd_wirtinger(fn, z: complex, h: float = 1e-6) -> tuple[complex, complex]:
@@ -71,3 +82,89 @@ def deriv_lead_coeffs(lam: float, degree: int) -> tuple[complex, ...]:
         coeffs.append(complex(-scale * power / n))
         power /= lam
     return tuple(coeffs)
+
+
+# --- one-point references ---------------------------------------------------------------------
+
+_DISK_SLACK = 1e-9  # tolerate boundary roundoff in |z| <= 1 checks
+_LEAD_HORNER = tuple(1.0 / n for n in range(60, 1, -1))  # 1/n, highest n first
+
+
+def _require_in_disk(z: complex) -> complex:
+    z = complex(z)
+    if abs(z) > 1.0 + _DISK_SLACK:
+        raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {abs(z)!r}")
+    return z
+
+
+def series_eval(s, z: complex) -> complex:
+    """Evaluate sum c_n z^n by Horner recurrence; requires |z| <= 1."""
+    z = _require_in_disk(z)
+    acc = 0j
+    for c in reversed(s.coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def poly_eval(F, z: complex) -> complex:
+    z = _require_in_disk(z)
+    zbar = z.conjugate()
+    acc = 0j
+    power = 1 + 0j  # conj(z)^k by running product
+    for comp in F.components:
+        acc += power * complex(comp.value(z))
+        power *= zbar
+    return acc
+
+
+def wirtinger_z(F, z: complex) -> complex:
+    """d/dz derivative: differentiates components, leaves conj(z)^k alone."""
+    z = _require_in_disk(z)
+    zbar = z.conjugate()
+    acc = 0j
+    power = 1 + 0j
+    for comp in F.components:
+        acc += power * complex(comp.derivative(z))
+        power *= zbar
+    return acc
+
+
+def wirtinger_zbar(F, z: complex) -> complex:
+    """d/dzbar derivative: kills the analytic parts, lowers conj(z) powers."""
+    z = _require_in_disk(z)
+    zbar = z.conjugate()
+    acc = 0j
+    power = 1 + 0j  # conj(z)^(k-1), starting at k = 1
+    for k, comp in enumerate(F.components):
+        if k >= 1:
+            acc += k * power * complex(comp.value(z))
+            power *= zbar
+    return acc
+
+
+def jacobian(F, z: complex) -> float:
+    """|F_z|^2 - |F_zbar|^2; positive exactly where F is sense-preserving."""
+    fz, fzb = abs(wirtinger_z(F, z)), abs(wirtinger_zbar(F, z))
+    return fz * fz - fzb * fzb
+
+
+def logp_eval(f, z: complex) -> complex:
+    return cmath.exp(poly_eval(f.log_part, z))
+
+
+def deriv_lead_value(lam: float, z: complex) -> complex:
+    """The derivative-bound lead L^2 z + (L^3 - L) log(1 - z/L) at one point, rounded as numpy rounds it on a real z.
+
+    numpy divides z by L through the reciprocal 1/L, so x does too.
+    """
+    inv = 1.0 / lam
+    x = complex(z.real * inv, z.imag * inv)
+    gap = (lam - 1.0) * (lam + 1.0)
+    if abs(x) < 0.5:
+        # on the real axis every imaginary part stays 0, so float arithmetic rounds as complex does
+        step = x.real if x.imag == 0.0 else x
+        tail = 0.0
+        for c in _LEAD_HORNER:
+            tail = tail * step + c
+        return z - gap / lam * z * z * tail
+    return lam * lam * z + lam * gap * complex(np.log(1.0 - x))

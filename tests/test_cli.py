@@ -60,7 +60,9 @@ FORMATS_GOLDEN = json.loads((DATA / "golden_formats.json").read_text())
 @pytest.mark.parametrize("case", FORMATS_GOLDEN, ids=[" ".join(case["argv"]) for case in FORMATS_GOLDEN])
 def test_every_subcommand_and_format_is_pinned(capsys, case):
     # recorded before the output went through one writer; radii's flags: line, the baseline and verify
-    # CSV forms and a failing check's witness are pinned only here
+    # CSV forms and a failing check's witness are pinned only here.  The sharpness cases at L0 = 1.0001
+    # were recorded before points and arrays shared one evaluation path: there the real axis reaches
+    # |x/L| >= 1/2, so the lead's closed (logarithm) form runs
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], "")
 
 
@@ -223,7 +225,7 @@ def test_baseline_commands(capsys):
     code, out, _ = run(capsys, "baseline", "--name", "poly-modulus", "--m", "2", "-p", "2", "--format", "json")
     assert code == EXIT_OK
     assert 0 < json.loads(out)["rho"] < 1
-    # -p's positive bound is the profile flag's; baseline's -p has none, and landau ignores it
+    # -p's positive bound is the profile flag's; baseline's -p has only the order cap, and landau ignores it
     assert run(capsys, "baseline", "--name", "landau", "--m", "2", "-p", "0")[0] == EXIT_OK
 
 
@@ -361,13 +363,23 @@ def test_landau_seed_is_read_only_where_seed_applies(capsys, monkeypatch):
         (("baseline", "--name", "bianalytic-bounded"),
          "baseline bianalytic-bounded needs --lambda1, the conjugate-part bound >= 0\n"),
         (("baseline", "--name", "poly-modulus", "--m", "2"), "baseline poly-modulus needs --m (> 1) and -p\n"),
+        # this named theorems 1, 2, 5 and 6 for a run that gave no theorem at all
+        (("sharpness", "--lambda0", "2"), "--theorem is required\n"),
+        # one past the order cap: --orders 1e20 ended in an OverflowError traceback, and -p 10**9 ran on for
+        # the poly-modulus baseline
+        (("compare", "--orders", "2,1e20"), "--orders must be at most 1000, got '2,1e20'\n"),
+        (("radii", "--theorem", "3", "-p", "1001", "--ms", "2"), "--order must be at most 1000, got 1001\n"),
+        (("radii", "--theorem", "2", "--lambdas", ",".join(["0.5"] * 1000)),
+         "--lambdas must have at most 999 values, got 1000\n"),
+        (("baseline", "--name", "poly-modulus", "--m", "2", "-p", "1001"), "--order must be at most 1000, got 1001\n"),
     ],
     ids=["mc-samples-0", "mc-samples-negative", "seed-negative", "digits-negative", "boundary-samples-4",
          "grid-radial-4", "grid-angular-4", "margin-negative", "margin-nan", "grid-over-cap",
          "boundary-samples-over-cap", "mc-samples-over-cap", "tol-0", "tol-negative", "tol-nan",
          "landau-seed-negative", "orders-inf", "orders-nan", "digits-over-cap", "order-0", "theorem-3-needs-ms",
          "theorem-7-needs-mstars", "baseline-bianalytic-deriv-needs-lambda0",
-         "baseline-bianalytic-bounded-needs-lambda1", "baseline-poly-modulus-needs-p"],
+         "baseline-bianalytic-bounded-needs-lambda1", "baseline-poly-modulus-needs-p", "sharpness-needs-theorem",
+         "orders-over-cap", "order-over-cap", "lambdas-over-cap", "baseline-order-over-cap"],
 )
 def test_exit_2_names_the_sampling_flag(capsys, monkeypatch, argv, flag):
     # numpy's, format()'s or the checks' own message for these would name no flag; a leading NAME=value
@@ -641,6 +653,7 @@ SAMPLING_ENTRIES = [
         ("digits=-1", "digits must be a nonnegative integer, got -1"),
         ("digits=768", "digits must be at most 767, got 768"),
         ("order=0", "order must be a positive integer, got 0"),
+        ("order=1001", "order must be at most 1000, got 1001"),
         ("lambdas", "expected key=value, got 'lambdas'"),
         *SAMPLING_ENTRIES,
     ],
@@ -662,6 +675,13 @@ def test_config_entries_pass_the_flag_checks(capsys, tmp_path, command, entry, m
 def test_digits_flag_controls_precision(capsys):
     _, out, _ = run(capsys, "radii", *THM1, "--format", "json", "--digits", "4")
     assert json.loads(out)["rho"] == 0.2679
+
+
+def test_json_writer_refuses_a_type_it_has_no_form_for():
+    # a numpy bool once printed as the string "True"; the writer now fails instead of guessing
+    np = pytest.importorskip("numpy")
+    with pytest.raises(TypeError, match="numpy"):
+        cli._jsonable({"passed": np.bool_(True)}, 12)
 
 
 USAGE = json.loads((DATA / "cli_usage.json").read_text())

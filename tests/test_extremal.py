@@ -22,7 +22,6 @@ from polylandau import (
     collision_pair,
     jacobian,
     poly_eval,
-    poly_eval_array,
     real_profile,
     reversal_point,
     series_derivative,
@@ -31,6 +30,7 @@ from polylandau import (
 )
 from polylandau.radii import radii, univalence_margin
 from polylandau.extremal import AUDIT_RADIUS, BoundedRatio, extremal_fn
+import _oracles as reference
 from _oracles import deriv_lead_coeffs
 
 
@@ -157,10 +157,16 @@ def test_deriv_component_matches_50_digit_reference(lam):
 
 @pytest.mark.parametrize("lam", [1.0000001, 1.001, 1.2, 2.0, 6.0, 40.0, 1e3, 1e8])
 def test_one_point_evaluation_matches_the_array_path(lam):
-    # sharpness and collision_pair evaluate one real point at a time, and their output must not move
+    # sharpness and collision_pair evaluate one real point at a time, and their output must not move;
+    # the reference is the former one-point form, which rounds as numpy does on the real axis
     comp = bounded_deriv_component(lam)
     xs = [float(x) for x in np.linspace(-AUDIT_RADIUS, AUDIT_RADIUS, 401)]
-    assert [comp.value(complex(x)) for x in xs] == comp.value(np.array(xs, dtype=complex)).tolist()
+    on_axis = comp.value(np.array(xs, dtype=complex)).tolist()
+    assert on_axis == [reference.deriv_lead_value(lam, complex(x)) for x in xs]
+    for point in (xs, [complex(x) for x in xs]):
+        values = [comp.value(x) for x in point]
+        assert all(type(v) is complex for v in values)
+        assert values == on_axis
     pts = _deriv_lead_points(lam)
     values = comp.value(np.array(pts)).tolist()
     derivs = comp.derivative(np.array(pts)).tolist()
@@ -197,7 +203,7 @@ def test_modulus_witness_reaches_each_bound():
     grid = np.array(_audit_grid())
     F = extremal_fn(ModulusAll((2.0, 5.0)))
     for comp, m in zip(F.components, (2.0, 5.0)):
-        worst = np.max(np.abs(poly_eval_array(PolyAnalyticFn((comp,)), grid)))
+        worst = np.max(np.abs(poly_eval(PolyAnalyticFn((comp,)), grid)))
         assert worst >= 0.99 * m
 
 

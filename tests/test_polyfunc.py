@@ -14,16 +14,12 @@ from polylandau import (
     PolyAnalyticFn,
     TruncatedTaylorSeries,
     jacobian,
-    jacobian_array,
     logp_eval,
-    logp_eval_array,
     poly_eval,
-    poly_eval_array,
     wirtinger_z,
-    wirtinger_z_array,
     wirtinger_zbar,
-    wirtinger_zbar_array,
 )
+import _oracles as reference
 from _oracles import fd_wirtinger, fd_zbar_power
 
 
@@ -148,22 +144,41 @@ _disk_points = st.lists(
 
 
 @given(_log_parts, _disk_points)
-def test_array_eval_matches_scalar_oracle(F, zs):
+def test_array_eval_matches_the_point_reference(F, zs):
     pts = np.array(zs, dtype=complex)
-    assert poly_eval_array(F, pts).tolist() == [poly_eval(F, z) for z in zs]
+    assert poly_eval(F, pts).tolist() == [reference.poly_eval(F, z) for z in zs]
     f = LogPAnalyticFn(F)
     # np.exp and cmath.exp may round the last bit differently
-    for got, z in zip(logp_eval_array(f, pts).tolist(), zs):
-        want = logp_eval(f, z)
+    for got, z in zip(logp_eval(f, pts).tolist(), zs):
+        want = reference.logp_eval(f, z)
         assert abs(got - want) <= 1e-15 * abs(want)
 
 
 @given(_log_parts, _disk_points)
-def test_array_wirtinger_matches_scalar_oracle(F, zs):
+def test_array_wirtinger_matches_the_point_reference(F, zs):
     pts = np.array(zs, dtype=complex)
-    assert wirtinger_z_array(F, pts).tolist() == [wirtinger_z(F, z) for z in zs]
-    assert wirtinger_zbar_array(F, pts).tolist() == [wirtinger_zbar(F, z) for z in zs]
+    assert wirtinger_z(F, pts).tolist() == [reference.wirtinger_z(F, z) for z in zs]
+    assert wirtinger_zbar(F, pts).tolist() == [reference.wirtinger_zbar(F, z) for z in zs]
     # np.abs and abs may round the last bit differently, and squaring doubles that
-    for got, z in zip(jacobian_array(F, pts).tolist(), zs):
-        fz, fzb = abs(wirtinger_z(F, z)), abs(wirtinger_zbar(F, z))
-        assert abs(got - jacobian(F, z)) <= 1e-15 * (fz * fz + fzb * fzb)
+    for got, z in zip(jacobian(F, pts).tolist(), zs):
+        fz, fzb = abs(reference.wirtinger_z(F, z)), abs(reference.wirtinger_zbar(F, z))
+        assert abs(got - reference.jacobian(F, z)) <= 1e-15 * (fz * fz + fzb * fzb)
+
+
+@given(_log_parts, _disk_points)
+def test_a_point_gives_a_python_number_equal_to_the_array_entry(F, zs):
+    # a real point stays real inside the sums, and must still round as the complex one does
+    pts = np.array(zs, dtype=complex)
+    for fn in (poly_eval, wirtinger_z, wirtinger_zbar):
+        for z, want in zip(zs, fn(F, pts).tolist()):
+            for point in (z, z.real) if z.imag == 0.0 else (z,):
+                got = fn(F, point)
+                assert type(got) is complex
+                assert got == want
+    # abs and exp of a point and of an array may round the last bit differently
+    f = LogPAnalyticFn(F)
+    for z in zs:
+        assert type(jacobian(F, z)) is float
+        got = logp_eval(f, z)
+        assert type(got) is complex
+        assert abs(got - reference.logp_eval(f, z)) <= 1e-15 * abs(got)

@@ -9,8 +9,8 @@ from polylandau import (
     TruncatedTaylorSeries,
     series_derivative,
     series_eval,
-    series_eval_array,
 )
+import _oracles as reference
 from _oracles import deriv_lead_coeffs
 
 
@@ -82,19 +82,29 @@ _disk_points = st.lists(
 
 
 @given(_coeffs, _disk_points)
-def test_array_eval_matches_scalar_oracle_exactly(coeffs, zs):
+def test_array_eval_matches_the_point_reference_exactly(coeffs, zs):
     s = TruncatedTaylorSeries(tuple(coeffs))
-    assert series_eval_array(s, np.array(zs, dtype=complex)).tolist() == [series_eval(s, z) for z in zs]
+    assert series_eval(s, np.array(zs, dtype=complex)).tolist() == [reference.series_eval(s, z) for z in zs]
 
 
-def test_array_eval_matches_scalar_oracle_on_long_series():
+def test_array_eval_matches_the_point_reference_on_long_series():
     s = TruncatedTaylorSeries(deriv_lead_coeffs(1.001, 4096))
     rng = np.random.default_rng(0)
     zs = 0.999 * np.sqrt(rng.uniform(size=64)) * np.exp(2j * np.pi * rng.uniform(size=64))
-    assert series_eval_array(s, zs).tolist() == [series_eval(s, complex(z)) for z in zs]
+    assert series_eval(s, zs).tolist() == [reference.series_eval(s, complex(z)) for z in zs]
+
+
+@given(_coeffs, _disk_points)
+def test_a_point_gives_a_python_complex_equal_to_the_array_entry(coeffs, zs):
+    s = TruncatedTaylorSeries(tuple(coeffs))
+    for z, want in zip(zs, series_eval(s, np.array(zs, dtype=complex)).tolist()):
+        for point in (z, z.real) if z.imag == 0.0 else (z,):
+            got = series_eval(s, point)
+            assert type(got) is complex
+            assert got == want
 
 
 def test_array_eval_rejects_points_outside_disk():
     s = TruncatedTaylorSeries((0, 1))
     with pytest.raises(DomainError):
-        series_eval_array(s, np.array([0.5, 1.5j]))
+        series_eval(s, np.array([0.5, 1.5j]))
