@@ -50,7 +50,7 @@ enter through M = log(m*) + pi.
 
 Numerics
 --------
-Bisection only: the margins are strictly decreasing, which makes
+rho is plain bisection's root: the margins are strictly decreasing, which makes
 bisection unconditionally convergent.  It halves the bracket until its
 midpoint is no longer strictly inside it, that is until the float spacing
 is exhausted, so that the reported residual |m(rho)| stays far below the
@@ -60,6 +60,57 @@ about 250.  A modulus bound whose square overflows (M above about 1.34e154) is
 a ``DomainError``: the M r^2 terms of sigma would underflow at its root.
 The two terms of lead_s cancel to about r/2 while each has size L^2 r, so
 for small r/L they are summed analytically (``_lead_sigma``).
+
+*Replay.*  Bisection's path depends only on the computed sign of m at
+each midpoint, so ``_bisect_decreasing`` replays it in fewer evaluations
+when it is given a rounding bound err(r) >= |fl(m(r)) - m(r)| under which
+m - err and m + err are nonincreasing on the bracket.  A point a with
+fl(m(a)) > 2 err(a) then fixes the sign of every midpoint r <= a:
+
+    fl(m(r)) >= m(r) - err(r) >= m(a) - err(a) >= fl(m(a)) - 2 err(a) > 0,
+
+and a point b with fl(m(b)) < -2 err(b) fixes fl(m(r)) < 0 for every
+r >= b in the same way.  The loop stays bisection's; it takes the sign
+from position outside (a, b) and evaluates m only inside, so rho and
+``iterations`` are bisection's bit for bit.  ``_locate`` finds a and b
+with Illinois steps and a few probes around the first point inside the
+band |fl(m)| <= 2 err, in at most ``_LOCATE_CAP`` = 24 evaluations: a
+solve costs at most plain bisection's count plus 24, and typically
+about 23 margin calls where bisection makes about 58.
+
+*The bound* (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 3, with gamma_n = n u / (1 - n u) and u = 2^-53).  On the stored
+weights, each computed term of m is within gamma_11 of its exact value,
+relative to its magnitude: the excess term rounds in r^(k+1) (a libm
+pow, within one ulp, so two roundings), the product with g_k, the three
+operations of 2 - r + k(1 - r), whose parts are all nonnegative, the
+product and the quotient, and three for (1 - r)^2; a derivative or
+identity term rounds three times.  The derivative lead L (1 - L r)/(L - r)
+is within gamma_6 S_lead of its exact value, where
+S_lead = L (1 + L r)/(L - r) is the sum of the magnitudes inside it
+(S_lead = lead = 1 for the identity or a modulus lead).  Recursive
+summation of the lead and n terms adds gamma_n on the sum of magnitudes,
+so with T = lead - m >= 0 the sum of the subtracted terms
+
+    |fl(m(r)) - m(r)| <= gamma_(11+n) (S_lead(r) + T(r)).
+
+``_margin_error`` passes err = K u (S_lead + lead - fl(m)) with
+K = 12 + n: the count above 11 + n covers gamma's denominator, the
+rounding of err itself and its use of fl(m) for m.  Every subtracted
+term increases with r, the excess term being the derivative of
+g_k r^(k+2)/(1 - r), a series with nonnegative coefficients; so
+m - err = lead - K u S_lead - (1 + K u) T is nonincreasing, and
+m + err = lead + K u S_lead - (1 - K u) T is nonincreasing when
+(lead + K u S_lead)' = L (1 - L^2 + K u (1 + L^2))/(L - r)^2 <= 0, that
+is when K u (1 + L^2) < L^2 - 1.  Where that fails, L lies within a few
+thousand ulp of 1, and the solve passes no bound: plain bisection.
+
+``poly_modulus_baseline``'s margin is 1 - P with P = M Q/(1 - r)^2 >= 0
+increasing in r.  Its term r^k (1 + k - k r) cancels in 1 + k - k r,
+which is at least 1, so the term is within gamma_(k+5) of its value; Q is
+within gamma_(2p+3), P within gamma_(2p+8) and the margin within
+gamma_(2p+9) (1 + P).  It passes err = (2p + 10) u (2 - fl(m)), under
+which m - err and m + err are nonincreasing for every M.
 """
 
 from __future__ import annotations
@@ -71,6 +122,10 @@ from .errors import BracketError, DegenerateResultError, DomainError
 
 _CLAMP = 1.0 - 1e-9  # upper bracket for margins with a pole at r = 1
 _SERIES_X = 2.0**-8  # r/L below which lead_s is summed as a series
+_U = 2.0**-53  # unit roundoff of a double
+_TERM_OPS = 11  # roundings in the costliest margin term (module docstring, Numerics)
+_LOCATE_CAP = 24  # evaluations the locate phase may add to bisection's
+_GEOMETRIC = 16.0  # bracket ratio above which a stalled locate step bisects geometrically
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -241,12 +296,19 @@ univalence_margin_deriv = univalence_margin_normalized = univalence_margin
 univalence_margin_modulus = univalence_margin_mixed = univalence_margin
 
 
-def _bisect_decreasing(g, lo: float, hi: float):
+def _bisect_decreasing(g, lo: float, hi: float, err=None):
     """Bisection on a strictly decreasing g with g(lo) > 0 >= g(hi).
 
     Returns (root, iterations).  Bisects until the midpoint is no longer
     strictly inside the bracket, so every step shrinks it by at least one
     float; a bracket within [0, 1] takes at most 1074 steps.
+
+    ``err(r, g_r)`` is an optional rounding bound on g (module docstring,
+    Numerics).  With it, ``_locate`` proves points a <= b around the root
+    where g's computed sign is positive at every r <= a and negative at
+    every r >= b, and bisection takes those signs from position: it
+    evaluates g only at the midpoints inside (a, b), and returns the same
+    root and iterations as without the bound.
     """
     if not lo < hi:
         raise BracketError(f"empty bracket: lo = {lo!r}, hi = {hi!r}")
@@ -256,17 +318,106 @@ def _bisect_decreasing(g, lo: float, hi: float):
         raise BracketError(f"bracket violation: g({lo!r}) = {glo!r} must be positive")
     if ghi > 0.0:
         raise BracketError(f"bracket violation: g({hi!r}) = {ghi!r} must be <= 0")
+    a, b = (lo, hi) if err is None else _locate(g, err, lo, glo, hi, ghi)
     iterations = 0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # float spacing exhausted
-        if g(mid) > 0.0:
+        if mid <= a or (mid < b and g(mid) > 0.0):
             lo = mid
         else:
             hi = mid
         iterations += 1
     return 0.5 * (lo + hi), iterations
+
+
+def _locate(g, err, lo: float, glo: float, hi: float, ghi: float) -> tuple[float, float]:
+    """Points a <= b near the root of g with g(a) > 2 err(a) and g(b) < -2 err(b).
+
+    Illinois steps (Dowell and Jarratt, BIT 1971) shrink a bracket [x0, x1]
+    until a point lands inside the rounding band |g| <= 2 err.  The first
+    step, and each step after the same end has moved three times running,
+    bisects the bracket instead: geometrically when it spans more than a
+    factor ``_GEOMETRIC``, which reaches a root many decades below hi, and
+    arithmetically otherwise, which gets past the steep end next to a
+    pole.  Probes then step out from the point in the band on each side,
+    first by twice the band's half-width at the bracket's secant slope,
+    then four times as far after each probe that is still inside it.  Every evaluated point outside the band moves a
+    or b; lo and hi stand in for a side that was never proven.  At most
+    ``_LOCATE_CAP`` evaluations of g.
+    """
+    a, b = lo, hi
+    budget = _LOCATE_CAP
+
+    def inside_band(x: float, gx: float) -> bool:
+        nonlocal a, b
+        band = 2.0 * err(x, gx)
+        if gx > band:
+            a = max(a, x)
+        elif gx < -band:
+            b = min(b, x)
+        return -band <= gx <= band
+
+    x0, f0, y0, x1, f1, y1 = lo, glo, glo, hi, ghi, ghi  # f: Illinois-scaled values, y: computed values
+    hit = (hi, ghi) if inside_band(hi, ghi) else None
+    side, run = 0, 3  # the end that moved last and how many times running; 3 makes the first step bisect
+    while hit is None and budget:
+        bisect = run >= 3
+        if not bisect:
+            # step from the end nearer the root in value, so a huge |g| at the other end does not cancel x away
+            x = x0 + (x1 - x0) * (f0 / (f0 - f1)) if f0 < -f1 else x1 - (x1 - x0) * (f1 / (f1 - f0))
+        elif x0 > 0.0 and x1 > _GEOMETRIC * x0:
+            x = math.sqrt(x0) * math.sqrt(x1)
+        else:
+            x = 0.5 * (x0 + x1)
+        if not x0 < x < x1:
+            x = 0.5 * (x0 + x1)
+            if not x0 < x < x1:
+                break  # x0 and x1 are adjacent floats, both outside the band
+        gx = g(x)
+        budget -= 1
+        if inside_band(x, gx):
+            hit = (x, gx)
+        moved = 1 if gx > 0.0 else -1
+        run = 1 if bisect or moved != side else run + 1
+        side = moved
+        if moved > 0:
+            x0, f0, y0 = x, gx, gx
+            if run > 1:
+                f1 *= 0.5
+        else:
+            x1, f1, y1 = x, gx, gx
+            if run > 1:
+                f0 *= 0.5
+    if hit is None:
+        return a, b
+    x_hit, g_hit = hit
+    width = 2.0 * err(x_hit, g_hit) * (x1 - x0) / (y0 - y1)
+    for direction in (-1.0, 1.0):
+        step = 2.0 * width
+        while budget:
+            x = x_hit + direction * step
+            if x == x_hit:
+                x = math.nextafter(x_hit, direction * math.inf)
+            if not a < x < b:
+                break  # this side is proven closer in already
+            budget -= 1
+            if not inside_band(x, g(x)):
+                break
+            step = 4.0 * abs(x - x_hit)
+    return a, b
+
+
+def _margin_error(b: Profile):
+    """The rounding bound err(r, m(r)) of ``univalence_margin`` on b, or None where it cannot serve (Numerics)."""
+    k = (_TERM_OPS + len(b.deriv) + len(b.excess) + len(b.identity) + 1) * _U
+    lam = b.lead
+    if lam is None:
+        return lambda r, m: k * (2.0 - m)
+    if k * (1.0 + lam * lam) >= (lam - 1.0) * (lam + 1.0):  # (L - 1)(L + 1) keeps L^2 - 1 accurate near L = 1
+        return None  # m + err need not decrease
+    return lambda r, m: k * (2.0 * lam / (lam - r) - m)
 
 
 def _lead_sigma(r: float, lam: float) -> float:
@@ -323,7 +474,7 @@ def radii(b: Profile) -> RadiiResult:
                 # roundoff can leave it a few ulp positive, making hi itself the root
                 rho, iterations = hi, 0
             else:
-                rho, iterations = _bisect_decreasing(margin, 0.0, hi)
+                rho, iterations = _bisect_decreasing(margin, 0.0, hi, _margin_error(b))
         residual = abs(margin(rho))
     sigma = _sigma(rho, b)
     flags = () if sigma > 0.0 else ("degenerate-sigma",)
@@ -443,7 +594,8 @@ def poly_modulus_baseline(m: float, p: int) -> tuple[float, float]:
     def margin(r: float) -> float:
         return _poly_modulus_margin(r, m, p)
 
-    r3, _ = _bisect_decreasing(margin, 0.0, _CLAMP)
+    k = (2 * p + 10) * _U  # the rounding bound of the margin (module docstring, Numerics)
+    r3, _ = _bisect_decreasing(margin, 0.0, _CLAMP, lambda r, g: k * (2.0 - g))
     big_r3 = r3
     for k in range(1, p):
         big_r3 -= r3 ** (k + 1)

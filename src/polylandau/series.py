@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._lazy import lazy_numpy
 from .errors import DomainError
@@ -86,9 +87,14 @@ class TruncatedTaylorSeries:
         """The series at a point or at every point of an array; requires |z| <= 1."""
         return series_eval(self, z)
 
+    @cached_property
+    def _derivative_series(self) -> TruncatedTaylorSeries:
+        """The derivative series, built on first use; a frozen dataclass without slots keeps it in ``__dict__``."""
+        return series_derivative(self)
+
     def derivative(self, z):
         """The derivative series at a point or at every point of an array; requires |z| <= 1."""
-        return series_derivative(self).value(z)
+        return self._derivative_series.value(z)
 
 
 def series_eval(s: TruncatedTaylorSeries, z):

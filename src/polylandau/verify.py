@@ -1,10 +1,12 @@
 """Independent numerical checks for the radius computations.
 
 Everything here re-derives its verdict from function evaluations on
-grids or random samples; nothing consults the closed-form margin
-functions or root finders, so a bug there cannot vouch for itself.
-Only the ``Profile`` terms and the witnesses' audit radius are shared,
-as plain data.  Witness components are read through their
+grids or random samples; no check calls the root finders, and only
+``monotonicity_check`` reads a closed-form margin: ``cmd_verify`` runs it
+on ``univalence_margin``, so it tests the margin's own premise, that it
+decreases, and vouches for no radius.  The univalence and coverage
+checks read the witness alone.  Only the ``Profile`` terms and the
+witnesses' audit radius are shared, as plain data.  Witness components are read through their
 ``value`` and ``derivative`` alone, at 0 for the normalisation and on
 the audit grid for the bounds.  Every check evaluates its function once,
 on the whole array of its points, as ``fn(pts)``: a callable passed to a

@@ -7,7 +7,9 @@ grid scans.  Accuracy is modest (1e-6-ish) but independent.
 The references evaluate at one point in plain Python complex arithmetic:
 they are the package's former one-point functions, kept unchanged, and the
 package's evaluations, which take a point or an array through one path,
-must agree with them point by point.
+must agree with them point by point.  ``plain_bisect`` is the package's
+former root finder, plain bisection, which the replaying solver must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import cmath
 
 import numpy as np
 
-from polylandau.errors import DomainError
+from polylandau.errors import BracketError, DomainError
 
 
 def fd_wirtinger(fn, z: complex, h: float = 1e-6) -> tuple[complex, complex]:
@@ -168,3 +170,31 @@ def deriv_lead_value(lam: float, z: complex) -> complex:
             tail = tail * step + c
         return z - gap / lam * z * z * tail
     return lam * lam * z + lam * gap * complex(np.log(1.0 - x))
+
+
+def plain_bisect(g, lo: float, hi: float):
+    """Bisection on a strictly decreasing g with g(lo) > 0 >= g(hi).
+
+    Returns (root, iterations).  Bisects until the midpoint is no longer
+    strictly inside the bracket, so every step shrinks it by at least one
+    float; a bracket within [0, 1] takes at most 1074 steps.
+    """
+    if not lo < hi:
+        raise BracketError(f"empty bracket: lo = {lo!r}, hi = {hi!r}")
+    glo = g(lo)
+    ghi = g(hi)
+    if not glo > 0.0:
+        raise BracketError(f"bracket violation: g({lo!r}) = {glo!r} must be positive")
+    if ghi > 0.0:
+        raise BracketError(f"bracket violation: g({hi!r}) = {ghi!r} must be <= 0")
+    iterations = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # float spacing exhausted
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return 0.5 * (lo + hi), iterations

@@ -4,7 +4,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import mpmath
+from hypothesis import example, given, settings, strategies as st
 
 from polylandau import (
     BracketError,
@@ -24,8 +25,9 @@ from polylandau import (
     log_variant,
     poly_modulus_baseline,
 )
-from polylandau.radii import _bisect_decreasing, radii, univalence_margin
-from _oracles import scan_root
+from polylandau import radii as radii_module
+from polylandau.radii import _bisect_decreasing, _margin_error, radii, univalence_margin
+from _oracles import plain_bisect, scan_root
 
 
 def test_margins_are_one_at_zero():
@@ -273,3 +275,137 @@ def test_margin_monotonicity_random_profiles():
         xs = [i / 400 * (1.0 / b.lead) for i in range(401)]
         vals = [univalence_margin(x, b) for x in xs]
         assert all(a > bb for a, bb in zip(vals, vals[1:]))
+
+
+# Replaying bisection from a proven bracket.  Each example solves one profile of theorems 1-8 and the
+# poly-modulus baseline with the package's solver and with plain bisection, counting margin calls.
+# lam0 is the leading bound of whichever kind the theorem has (L0, M_0 or m*_0); the extras are the
+# higher derivative bounds L_k, or 1 + M_k and 1 + m*_k, so near-1 modulus bounds come from tiny extras.
+
+def _profile(theorem: int, lam0: float, extras: tuple[float, ...]):
+    above = tuple(1.0 + e for e in extras)
+    if theorem == 1:
+        return DerivAll(lam0, extras)
+    if theorem == 2:
+        return DerivNormalized(extras)
+    return ModulusAll((lam0, *above)) if theorem == 3 else MixedDerivModulus(lam0, above)
+
+
+def _solve_theorem(theorem: int, lam0: float, extras: tuple[float, ...]):
+    above = tuple(1.0 + e for e in extras)
+    if theorem == 7:
+        return log_modulus_radii((lam0, *above))
+    if theorem == 8:
+        return log_mixed_radii(lam0, above)
+    res = radii(_profile(theorem - 4 if theorem > 4 else theorem, lam0, extras))
+    return log_variant(res) if theorem > 4 else res
+
+
+def _outcome_and_calls(solve, solver):
+    """repr of solve()'s result or error and the margin evaluations it took, with _bisect_decreasing = solver.
+
+    ``plain_bisect`` takes no rounding bound, so it is passed none.
+    """
+    calls = [0]
+    if solver is plain_bisect:
+        solver = lambda g, lo, hi, err=None: plain_bisect(g, lo, hi)  # noqa: E731
+
+    def counted(margin):
+        def wrapper(*args):
+            calls[0] += 1
+            return margin(*args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radii_module, "_bisect_decreasing", solver)
+        mp.setattr(radii_module, "univalence_margin", counted(radii_module.univalence_margin))
+        mp.setattr(radii_module, "_poly_modulus_margin", counted(radii_module._poly_modulus_margin))
+        try:
+            outcome = repr(solve())
+        except (DomainError, DegenerateResultError) as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+    return outcome, calls[0]
+
+
+_lead_bounds = st.one_of(
+    st.floats(min_value=1.0 + 2.0**-52, max_value=8.0),
+    st.floats(min_value=8.0, max_value=1e100),
+    st.floats(min_value=1e-16, max_value=1e-5).map(lambda d: 1.0 + d),
+)
+_extra_bounds = st.one_of(
+    st.floats(min_value=0.0, max_value=4.0),
+    st.floats(min_value=0.0, max_value=1e150),
+    st.sampled_from([0.0, 1e-15, 2.0**-40]),
+)
+
+
+@given(st.integers(1, 8), _lead_bounds, st.lists(_extra_bounds, max_size=5).map(tuple))
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+@example(3, 1e60, ())  # the D1 ops
+@example(4, 2.0, (1e120,))
+@example(1, 1.0000001, (0.0,))  # D4
+@example(1, 1.0 + 2.0**-52, (0.5,))  # L0 too near 1 for a bound: plain bisection
+@example(1, 2.0, (1.0,))
+@example(3, 1.9711332477927126, ())  # a solver that drops the rounding band gets this root one ulp off
+@example(4, 1.466130122371673, (2.1505302365941086,))
+def test_replay_matches_plain_bisection(theorem, lam0, extras):
+    for solve in (lambda: _solve_theorem(theorem, lam0, extras), lambda: poly_modulus_baseline(lam0, 1 + len(extras))):
+        plain, plain_calls = _outcome_and_calls(solve, plain_bisect)
+        replayed, calls = _outcome_and_calls(solve, _bisect_decreasing)
+        assert replayed == plain
+        assert calls <= plain_calls + radii_module._LOCATE_CAP
+
+
+def test_replay_halves_margin_calls():
+    solve = lambda: radii(DerivAll(2.0, (1.0,)))  # noqa: E731
+    assert _outcome_and_calls(solve, plain_bisect)[1] == 57
+    assert _outcome_and_calls(solve, _bisect_decreasing)[1] <= 30
+
+
+def test_no_bound_where_lambda0_is_within_ulps_of_one():
+    assert _margin_error(DerivAll(1.0 + 2.0**-52, (0.5,))) is None
+    assert _margin_error(DerivAll(1.0000001, (0.0,))) is not None
+
+
+def _margin_50(r: float, b) -> mpmath.mpf:
+    """The margin's term formula in 50-digit arithmetic on the profile's stored weights."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        lam = b.lead
+        total = mpmath.mpf(1) if lam is None else lam * (1 - lam * r) / (lam - r)
+        for k, weight, _ in b.deriv:
+            total -= weight * r**k
+        for k, gap in b.excess:
+            total -= gap * r ** (k + 1) * (2 - r + k * (1 - r)) / (1 - r) ** 2
+        for k, weight in b.identity:
+            total -= weight * r**k
+        return +total
+
+
+def _poly_margin_50(r: float, m: float, p: int) -> mpmath.mpf:
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        total = r * (2 - r) + sum(r**k * (1 + k - k * r) for k in range(1, p))
+        return 1 - m * total / (1 - r) ** 2
+
+
+@given(st.integers(1, 4), _lead_bounds, st.lists(_extra_bounds, max_size=5).map(tuple), st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+@example(1, 2.0, (1.0,), 0.999)
+@example(3, 1.0 + 1e-15, (), 0.999999)
+def test_margin_rounding_bound_holds(theorem, lam0, extras, t):
+    try:
+        b = _profile(theorem, lam0, extras)
+    except DomainError:
+        return
+    hi = b.upper(radii_module._CLAMP)
+    r = t * hi
+    err = _margin_error(b)
+    if r < hi and err is not None:
+        m = univalence_margin(r, b)
+        assert abs(m - _margin_50(r, b)) <= err(r, m)
+    p = 1 + len(extras)
+    r = t * radii_module._CLAMP
+    m = radii_module._poly_modulus_margin(r, lam0, p)
+    assert abs(m - _poly_margin_50(r, lam0, p)) <= (2 * p + 10) * 2.0**-53 * (2.0 - m)

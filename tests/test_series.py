@@ -43,6 +43,22 @@ def test_derivative_coefficients():
     assert series_derivative(s).coeffs == (0j, 4 + 0j, 12 + 0j)
 
 
+def test_derivative_series_is_built_once(monkeypatch):
+    import polylandau.series as series_module
+
+    built = []
+    monkeypatch.setattr(series_module, "series_derivative", lambda s: built.append(s) or series_derivative(s))
+    s = TruncatedTaylorSeries((5, 0.25 - 1j, 2, 4))
+    zs = np.array([0.1, 0.5j, -0.3 + 0.2j])
+    point, array = s.derivative(0.5 + 0.25j), s.derivative(zs)
+    assert s.derivative(0.5 + 0.25j) == point
+    assert len(built) == 1
+    assert s == TruncatedTaylorSeries((5, 0.25 - 1j, 2, 4))  # the kept series is no field
+    exact = series_derivative(s)
+    assert point == series_eval(exact, 0.5 + 0.25j)
+    assert np.array_equal(array, series_eval(exact, zs))
+
+
 def test_series_needs_two_coefficients():
     with pytest.raises(DomainError):
         TruncatedTaylorSeries((1,))
