@@ -86,7 +86,7 @@ EXIT_USAGE = 2
 #: Most rows one table may have; a longer range is rejected before any row is built.
 MAX_TABLE_ROWS = 10**6
 #: Most nodes of a verify --grid, and most --boundary-samples and --mc-samples: verify's arrays grow with
-#: each, and the boundary crossing scan with the square of the boundary samples.
+#: each, and the boundary crossing scan with about m log m for m boundary samples.
 MAX_GRID_NODES = 2**20
 MAX_BOUNDARY_SAMPLES = 2**16
 MAX_MC_SAMPLES = 2**20

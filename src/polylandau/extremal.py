@@ -56,13 +56,34 @@ def _unit_gap(c: float, z):
 
 
 class _ClosedForm:
-    """A component built from no series terms.
+    """A component built from no series terms: ``Linear``, ``DerivLead`` and ``BoundedRatio``.
 
     The empty ``coeffs`` is read only by ``perfbench/trace_layers``; delete
     this class when the benchmark traces ``value`` instead (ROADMAP).
     """
 
     coeffs: ClassVar[tuple[complex, ...]] = ()
+
+
+@dataclass(frozen=True)
+class Linear(_ClosedForm):
+    """A(z) = c z: the identity (c = 1) and the extremal -L z of a higher derivative bound L.
+
+    Both forms are the Horner pass of the degree-1 series (0, c) and of its
+    derivative series (c, 0), written out, so they round as the series do,
+    bit for bit and signed zeros included: c + 0 z would give A' = -0 where
+    the series gives +0 when L = 0.  Neither checks |z| <= 1; the
+    functionals of ``polyfunc`` check their points once.
+    """
+
+    c: complex
+
+    def value(self, z):
+        c = self.c
+        return c * (z.real + 0j) + c * (1j * z.imag) + 0j
+
+    def derivative(self, z):
+        return 0j * (z.real + 0j) + 0j * (1j * z.imag) + self.c
 
 
 @dataclass(frozen=True)
@@ -142,11 +163,11 @@ def extremal_fn(b: Profile) -> PolyAnalyticFn:
         if kind == "deriv" and k == 0:
             comps.append(bounded_deriv_component(bound))
         elif kind == "deriv":
-            comps.append(TruncatedTaylorSeries((0j, complex(-bound))))
+            comps.append(Linear(complex(-bound)))
         elif kind == "modulus" and bound > 1.0:
             comps.append(BoundedRatio(bound))
         else:
-            comps.append(TruncatedTaylorSeries((0j, 1 + 0j)))
+            comps.append(Linear(1 + 0j))
     return PolyAnalyticFn.normalized(comps)
 
 

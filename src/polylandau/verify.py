@@ -16,11 +16,13 @@ Univalence is checked by degree theory, the argument principle for
 sense-preserving maps (Duren, *Harmonic Mappings in the Plane*, 2.3): a
 C^1 map with Jacobian |F_z|^2 - |F_zbar|^2 > 0 on a closed disk that takes
 the boundary circle to a simple closed curve is injective on the disk.
-``jacobian_grid_check`` tests the first condition on the polar grid and
-``boundary_simple_check`` the second on the sampled circle, each in
-about linear time in its samples.  ``univalence_grid_check``, the O(n^2) pairwise
-difference-quotient scan they replace, stays as a small-n oracle for the
-tests; it cannot fail a fold unless two nodes land on a colliding pair.
+``jacobian_grid_check`` tests the first condition on the polar grid, in
+linear time in its nodes, and ``boundary_simple_check`` the second on the
+sampled circle, in about m log m time for m samples: its crossing scan
+sweeps the image's edges sorted by their boxes.  ``univalence_grid_check``,
+the O(n^2) pairwise difference-quotient scan they replace, stays as a
+small-n oracle for the tests; it cannot fail a fold unless two nodes land
+on a colliding pair.
 
 All checks are necessary-condition tests: a pass means no counterexample
 was found at the sampled resolution, not a proof.  A failed report
@@ -42,7 +44,6 @@ from .series import TruncatedTaylorSeries
 np = lazy_numpy()
 
 _PAIR_BLOCK = 256
-_EDGE_CHUNK = 16  # edges per bounding box in the boundary crossing test
 
 
 @dataclass(frozen=True)
@@ -181,34 +182,33 @@ def _unit_scale(a: np.ndarray) -> np.ndarray:
 
 
 def _crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j of non-adjacent edges of the closed polygon v that cross.
+    """Index pairs i < j of non-adjacent edges of the closed polygon v that cross, ordered by i, then j.
 
-    Edge i runs from vertex i to vertex i + 1 (mod m).  Edges are taken in
-    chunks, and only the chunk pairs whose bounding boxes overlap are
-    tested edge by edge; two crossing edges always lie in such a pair.
+    Edge i runs from vertex i to vertex i + 1 (mod m).  Only the pairs
+    whose closed bounding boxes meet are tested: a sweep over the edges
+    sorted by left x (Shamos and Hoey, 1976) pairs each edge with the run
+    of later edges that start before its right end, and the y-ranges
+    prune that run.  Two crossing edges always have meeting boxes, and on
+    a curve each edge meets a few boxes, so the work is about m log m.
     A crossing through a vertex, or along a line two edges share, counts
     as none.
     """
     m = len(v)
     end = np.roll(v, -1)
     edge = end - v
-    starts = np.arange(0, m, _EDGE_CHUNK)
-    lo_x = np.minimum.reduceat(np.minimum(v.real, end.real), starts)
-    hi_x = np.maximum.reduceat(np.maximum(v.real, end.real), starts)
-    lo_y = np.minimum.reduceat(np.minimum(v.imag, end.imag), starts)
-    hi_y = np.maximum.reduceat(np.maximum(v.imag, end.imag), starts)
-    overlap = (
-        (lo_x[:, None] <= hi_x[None, :]) & (lo_x[None, :] <= hi_x[:, None])
-        & (lo_y[:, None] <= hi_y[None, :]) & (lo_y[None, :] <= hi_y[:, None])
-    )
-    first, second = np.nonzero(np.triu(overlap))
-    offsets = np.arange(_EDGE_CHUNK)
-    i, j = np.broadcast_arrays(
-        (starts[first][:, None] + offsets)[:, :, None],
-        (starts[second][:, None] + offsets)[:, None, :],
-    )
-    i, j = i.ravel(), j.ravel()
-    keep = (j < m) & (j - i >= 2) & ~((i == 0) & (j == m - 1))
+    lo_x, hi_x = np.minimum(v.real, end.real), np.maximum(v.real, end.real)
+    lo_y, hi_y = np.minimum(v.imag, end.imag), np.maximum(v.imag, end.imag)
+    order = np.argsort(lo_x)
+    # the edges at sorted positions p + 1 .. stop[p] - 1 start at or before edge order[p] ends
+    stop = np.searchsorted(lo_x[order], hi_x[order], side="right")
+    runs = stop - np.arange(1, m + 1)  # stop[p] > p: edge order[p] starts before it ends
+    first = np.repeat(np.arange(m), runs)
+    # within each run, the offset of every pair from the run's start
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(runs) - runs, runs)
+    e1, e2 = order[first], order[second]
+    meet = (lo_y[e1] <= hi_y[e2]) & (lo_y[e2] <= hi_y[e1])
+    i, j = np.minimum(e1, e2)[meet], np.maximum(e1, e2)[meet]
+    keep = (j - i >= 2) & ~((i == 0) & (j == m - 1))
     i, j = i[keep], j[keep]
 
     def turn(a, b):
@@ -219,7 +219,9 @@ def _crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     both = turn(ei, ej)
     start_j, start_i = turn(ei, d), turn(d, ej)  # vertex j seen from edge i, vertex i from edge j
     cross = (start_j * (start_j + both) < 0) & (start_i * (start_i - both) < 0)
-    return i[cross], j[cross]
+    i, j = i[cross], j[cross]
+    rank = np.lexsort((j, i))
+    return i[rank], j[rank]
 
 
 def boundary_simple_check(

@@ -9,7 +9,10 @@ they are the package's former one-point functions, kept unchanged, and the
 package's evaluations, which take a point or an array through one path,
 must agree with them point by point.  ``plain_bisect`` is the package's
 former root finder, plain bisection, which the replaying solver must
-match bit for bit.
+match bit for bit.  ``chunked_crossings`` is the package's former boundary
+crossing scan, over every edge pair of overlapping 16-edge chunks; the
+sweep that replaced it must find the same crossings among the edge pairs
+whose boxes meet.
 """
 
 from __future__ import annotations
@@ -198,3 +201,48 @@ def plain_bisect(g, lo: float, hi: float):
             hi = mid
         iterations += 1
     return 0.5 * (lo + hi), iterations
+
+
+_EDGE_CHUNK = 16  # edges per bounding box in chunked_crossings
+
+
+def chunked_crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of non-adjacent edges of the closed polygon v that cross.
+
+    Edge i runs from vertex i to vertex i + 1 (mod m).  Edges are taken in
+    chunks, and only the chunk pairs whose bounding boxes overlap are
+    tested edge by edge; two crossing edges always lie in such a pair.
+    A crossing through a vertex, or along a line two edges share, counts
+    as none.
+    """
+    m = len(v)
+    end = np.roll(v, -1)
+    edge = end - v
+    starts = np.arange(0, m, _EDGE_CHUNK)
+    lo_x = np.minimum.reduceat(np.minimum(v.real, end.real), starts)
+    hi_x = np.maximum.reduceat(np.maximum(v.real, end.real), starts)
+    lo_y = np.minimum.reduceat(np.minimum(v.imag, end.imag), starts)
+    hi_y = np.maximum.reduceat(np.maximum(v.imag, end.imag), starts)
+    overlap = (
+        (lo_x[:, None] <= hi_x[None, :]) & (lo_x[None, :] <= hi_x[:, None])
+        & (lo_y[:, None] <= hi_y[None, :]) & (lo_y[None, :] <= hi_y[:, None])
+    )
+    first, second = np.nonzero(np.triu(overlap))
+    offsets = np.arange(_EDGE_CHUNK)
+    i, j = np.broadcast_arrays(
+        (starts[first][:, None] + offsets)[:, :, None],
+        (starts[second][:, None] + offsets)[:, None, :],
+    )
+    i, j = i.ravel(), j.ravel()
+    keep = (j < m) & (j - i >= 2) & ~((i == 0) & (j == m - 1))
+    i, j = i[keep], j[keep]
+
+    def turn(a, b):
+        # Im(conj(a) b): positive when b points left of a
+        return a.real * b.imag - a.imag * b.real
+
+    ei, ej, d = edge[i], edge[j], v[j] - v[i]
+    both = turn(ei, ej)
+    start_j, start_i = turn(ei, d), turn(d, ej)  # vertex j seen from edge i, vertex i from edge j
+    cross = (start_j * (start_j + both) < 0) & (start_i * (start_i - both) < 0)
+    return i[cross], j[cross]

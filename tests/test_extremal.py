@@ -7,6 +7,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polylandau import (
     BracketError,
@@ -29,7 +30,7 @@ from polylandau import (
     unit_modulus_extremal_fn,
 )
 from polylandau.radii import radii, univalence_margin
-from polylandau.extremal import AUDIT_RADIUS, BoundedRatio, extremal_fn
+from polylandau.extremal import AUDIT_RADIUS, BoundedRatio, Linear, extremal_fn
 import _oracles as reference
 from _oracles import deriv_lead_coeffs
 
@@ -184,6 +185,41 @@ def test_classical_component_one_point_matches_the_array_path(m):
     for z, a, da in zip(pts, values, derivs):
         assert comp.value(z) == pytest.approx(a, rel=1e-15, abs=1e-15)
         assert comp.derivative(z) == pytest.approx(da, rel=1e-15, abs=1e-15)
+
+
+def _bits(values) -> bytes:
+    """The bytes of complex values, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+_LINEAR_COEFFS = [1 + 0j, complex(-0.5), complex(-2.0), complex(-1e150), complex(-0.0)]  # 1 and -L, L = 0 included
+_SIGNED = [0.0, -0.0, 1e-300, -1e-300, 0.25, -0.5, 0.7, -0.7]  # every pair lies in the unit disk
+
+
+@pytest.mark.parametrize("c", _LINEAR_COEFFS)
+def test_linear_component_rounds_as_the_degree_1_series(c):
+    comp, series = Linear(c), TruncatedTaylorSeries((0j, c))
+    points = _SIGNED + [complex(x, y) for x in _SIGNED for y in _SIGNED]
+    for form in ("value", "derivative"):
+        for z in points:
+            got = getattr(comp, form)(z)
+            assert type(got) is complex, (form, z)
+            assert _bits(got) == _bits(getattr(series, form)(z)), (form, z)
+        for arr in (np.array(points, dtype=complex), np.array(_SIGNED)):
+            assert _bits(getattr(comp, form)(arr)) == _bits(getattr(series, form)(arr)), form
+
+
+@given(st.sampled_from(_LINEAR_COEFFS), st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
+def test_linear_component_rounds_as_the_degree_1_series_anywhere_in_the_disk(c, x, y):
+    comp, series = Linear(c), TruncatedTaylorSeries((0j, c))
+    for z in (x, complex(x, y)):
+        assert _bits(comp.value(z)) == _bits(series.value(z))
+        assert _bits(comp.derivative(z)) == _bits(series.derivative(z))
+
+
+def test_extremal_fn_builds_degree_1_components_as_linear():
+    assert extremal_fn(DerivNormalized((0.0, 1.5))).components == (Linear(1 + 0j), Linear(complex(-0.0)), Linear(-1.5 + 0j))
+    assert extremal_fn(ModulusAll((1.0, 1.0))).components == (Linear(1 + 0j), Linear(1 + 0j))
 
 
 def test_deriv_component_is_normalized():

@@ -36,7 +36,9 @@ from polylandau import (
 )
 from polylandau.extremal import extremal_fn
 from polylandau.radii import radii, univalence_margin
-from polylandau.verify import _exp_disk_logs
+from polylandau.verify import _circle, _crossings, _exp_disk_logs, _unit_scale
+
+from _oracles import chunked_crossings
 
 
 B = DerivAll(2.0, (1.0,))
@@ -291,6 +293,93 @@ def test_degree_checks_fail_on_quadratic_collisions_the_scan_finds(c, angle, t):
     scan = univalence_grid_check(fn, 0.95, SMALL_GRID, extra_points=(z, w))
     if not scan.passed:
         assert not all(report.passed for report in _degree_checks(fn, 0.95, SMALL_GRID, 64))
+
+
+# The crossing scan against the chunked scan it replaced.  The sweep tests only the edge pairs whose
+# closed bounding boxes meet; the chunked scan tests every pair in overlapping chunks, so on
+# near-collinear or repeated vertices it can also report a rounded "crossing" of two edges with
+# disjoint boxes.  Restricted to meeting boxes the two sets agree on every polygon.
+
+def _boxes_meet(v: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    end = np.roll(v, -1)
+    lo_x, hi_x = np.minimum(v.real, end.real), np.maximum(v.real, end.real)
+    lo_y, hi_y = np.minimum(v.imag, end.imag), np.maximum(v.imag, end.imag)
+    return (lo_x[i] <= hi_x[j]) & (lo_x[j] <= hi_x[i]) & (lo_y[i] <= hi_y[j]) & (lo_y[j] <= hi_y[i])
+
+
+def _pairs(i: np.ndarray, j: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def _check_crossings_against_the_oracle(v: np.ndarray, exact: bool) -> None:
+    i, j = _crossings(v)
+    found = _pairs(i, j)
+    assert found == sorted(set(found)), "crossings must come ordered by i, then j, each once"
+    oi, oj = chunked_crossings(v)
+    meet = _boxes_meet(v, oi, oj)
+    assert set(found) == set(_pairs(oi[meet], oj[meet]))
+    if exact:
+        assert set(found) == set(_pairs(oi, oj))
+
+
+@st.composite
+def _polygons(draw):
+    """A closed polygon of 8-600 vertices, and whether the chunked scan must agree with the sweep exactly.
+
+    Random walks and star polygons are in general position; integer lattices, lines with 1e-17 noise
+    and repeated vertices are not.
+    """
+    kind = draw(st.sampled_from(("walk", "star", "lattice", "line", "repeated")))
+    m = draw(st.integers(8, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "walk":
+        v = np.cumsum(rng.normal(size=m) + 1j * rng.normal(size=m))
+    elif kind == "star":
+        step = draw(st.integers(1, m - 1))  # vertex k at angle 2 pi k step / m, on a slightly wobbly circle
+        v = (1.0 + 0.1 * rng.uniform(size=m)) * np.exp(2j * np.pi * step * np.arange(m) / m)
+    elif kind == "lattice":
+        v = (rng.integers(-3, 4, size=m) + 1j * rng.integers(-3, 4, size=m)).astype(complex)
+    elif kind == "line":
+        x = rng.uniform(-1.0, 1.0, size=m)
+        v = x + 1j * (draw(st.floats(-2.0, 2.0)) * x + 1e-17 * rng.normal(size=m))
+    else:
+        v = np.repeat(np.cumsum(rng.normal(size=m) + 1j * rng.normal(size=m)), rng.integers(1, 4, size=m))[:m]
+    return v, kind in ("walk", "star")
+
+
+@given(_polygons())
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+def test_crossings_match_the_chunked_scan_on_meeting_boxes(case):
+    v, exact = case
+    _check_crossings_against_the_oracle(v, exact)
+
+
+@pytest.mark.parametrize(
+    "b, is_log",
+    [(DerivNormalized((1.0,)), False), (DerivNormalized((1.0, 0.5)), True),
+     (ModulusAll((2.0, 2.0)), False), (ModulusAll((3.0, 1.5, 1.5)), True)],
+)
+@pytest.mark.parametrize("factor", [0.99, 1.5, 3.0])
+def test_crossings_match_the_chunked_scan_on_witness_images(b, is_log, factor):
+    # the boundary images verify-wide scans, inside rho and past the fold, where they cross themselves
+    F = extremal_fn(b)
+    target = LogPAnalyticFn(F) if is_log else F
+    r = min(factor * radii(b).rho, 0.999)
+    for samples in (64, 512, 600):
+        _check_crossings_against_the_oracle(_unit_scale(target(_circle(r, samples))), exact=True)
+
+
+def test_crossings_skip_a_rounded_crossing_of_disjoint_boxes():
+    # nearly one line: edge 4 (v4 to v5) lies right of x = -0.330435, edge 7 (v7 to v0) left of
+    # x = -0.330459, yet the chunked scan's turn test, rounded, finds them crossing
+    v = np.array([
+        -0.33045937737087616 - 0.09913781321126285j, -0.19286339386183138 - 0.05785901815854941j,
+        -0.040600324599537 - 0.012180097379861105j, -0.669059945247553 - 0.20071798357426587j,
+        -0.3286969516077578 - 0.09860908548232737j, -0.33043518041106323 - 0.09913055412331896j,
+        0.15618835375182294 + 0.046856506125546864j, -0.7259228120825072 - 0.21777684362475216j,
+    ])
+    assert (4, 7) in _pairs(*chunked_crossings(v))
+    assert _pairs(*_crossings(v)) == [(0, 4), (0, 5), (3, 7)]
 
 
 def test_coverage_identity_margin():
