@@ -2,8 +2,7 @@
 
 ``extremal_fn`` builds the witness of any profile from its terms, one
 closed-form component per term, each giving its value A(z) and
-derivative A'(z) over a node array; ``coeff_extremal_series`` is the one
-series kept, so the coefficient check has a map to inspect.
+derivative A'(z) over a node array.
 ``collision_pair`` reproduces the boundary-crossing argument that breaks
 univalence just past rho: the real-axis profile of the derivative-family
 extremal increases to sigma at rho and decreases afterwards, so a point
@@ -19,15 +18,12 @@ from typing import ClassVar
 
 from ._lazy import lazy_numpy
 from .errors import BracketError, DomainError
-from .polyfunc import PolyAnalyticFn, jacobian, poly_eval
+from .polyfunc import PolyAnalyticFn, _ufunc, jacobian, poly_eval
 from .radii import ModulusAll, Profile, _bisect_decreasing, _lead_bound, radii
-from .series import DEFAULT_DEGREE, TruncatedTaylorSeries, _ufunc
 
 np = lazy_numpy()
 
 _DEGENERATE_TOL = 1e-13
-#: Radius of the circle on which ``verify`` audits a witness's hypotheses.
-AUDIT_RADIUS = 1.0 - 1e-3
 _LEAD_TERMS = 60  # x^(n-2)/n for n <= 60 sums log(1 - x) to below 2^-53 relative for |x| < 1/2
 _LEAD_HORNER = tuple(1.0 / n for n in range(_LEAD_TERMS, 1, -1))  # 1/n, highest n first
 _REVERSAL_SAMPLES = 64  # points past rho at which reversal_point evaluates the Jacobian
@@ -179,43 +175,6 @@ def unit_modulus_extremal_fn(p: int) -> PolyAnalyticFn:
     if p < 1:
         raise DomainError(f"order must be a positive integer, got {p}")
     return extremal_fn(ModulusAll((1.0,) * p))
-
-
-def coeff_extremal_series(m: float, n: int) -> TruncatedTaylorSeries:
-    """Taylor series of the bounded map attaining the coefficient bound at z^n.
-
-    The expansion is z - (M - 1/M) z^n - sum_{j>=2} (M^2-1)/M^j z^((n-1)j+1);
-    coefficients decay like M^(1-j), so truncating at ``DEFAULT_DEGREE``
-    keeps the tail below 1e-15 on |z| <= 0.99 for M >= 2.
-    """
-    if not m > 1.0:
-        raise DomainError(f"the coefficient extremal needs a modulus bound M > 1, got {m!r}")
-    if n < 2:
-        raise DomainError(f"the coefficient extremal needs n >= 2, got {n}")
-    coeffs = [0j] * (DEFAULT_DEGREE + 1)
-    coeffs[1] = 1 + 0j
-    j = 1
-    power = m  # M^j
-    while (n - 1) * j + 1 <= DEFAULT_DEGREE:
-        idx = (n - 1) * j + 1
-        if j == 1:
-            coeffs[idx] = complex(-(m - 1.0 / m))
-        else:
-            coeffs[idx] = complex(-(m * m - 1.0) / power)
-        j += 1
-        power *= m
-    return TruncatedTaylorSeries(tuple(coeffs))
-
-
-def real_profile(x: float, b: Profile) -> float:
-    """Real-axis restriction of the deriv-family extremal.
-
-    Evaluates the witness itself, so it agrees with ``extremal_fn(b)`` on
-    real arguments exactly.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"profile argument must lie in [0, 1], got {x!r}")
-    return poly_eval(extremal_fn(b), x).real
 
 
 def collision_pair(b: Profile, r: float) -> tuple[float, float]:

@@ -16,7 +16,11 @@ Jacobian |F_z|^2 - |F_zbar|^2.
 
 ``poly_eval``, ``logp_eval``, the Wirtinger derivatives and ``jacobian``
 take a point and return a Python number, or take an array of points and
-return an array; both run the same arithmetic (see ``series``).
+return an array; both run the same arithmetic.  ``_require_in_disk``
+keeps a point a Python number, a real one real, and makes anything else
+a complex array; ``_cmul`` multiplies as Python multiplies two complex
+numbers, so a point and an array round alike; ``_ufunc`` applies a numpy
+function and hands a point back as a Python number.
 """
 
 from __future__ import annotations
@@ -26,9 +30,44 @@ from typing import Protocol
 
 from ._lazy import lazy_numpy
 from .errors import DomainError
-from .series import _cmul, _require_in_disk, _ufunc
 
 np = lazy_numpy()
+
+_DISK_SLACK = 1e-9  # tolerate boundary roundoff in |z| <= 1 checks
+
+
+def _require_in_disk(z):
+    """z as a Python float or complex when it is one number, else as a complex array; every |z| must be at most 1.
+
+    A real point stays real, so sums on the real axis run in real arithmetic,
+    which rounds there as complex arithmetic does.
+    """
+    if isinstance(z, (int, float, complex)):
+        z = complex(z) if isinstance(z, complex) else float(z)
+        worst = abs(z)
+    else:
+        z = np.asarray(z, dtype=complex)
+        worst = float(np.max(np.abs(z), initial=0.0))
+    if worst > 1.0 + _DISK_SLACK:
+        raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {worst!r}")
+    return z
+
+
+def _cmul(a, b):
+    """a * b at a point or elementwise, rounded as Python's complex product.
+
+    numpy's complex multiply may fuse a multiply with an add, which rounds
+    differently.  In a * Re(b) + a * (i Im(b)) each product has a factor
+    with a zero part, so it rounds once per component whether fused or
+    not, and the sum then rounds as Python's does.
+    """
+    return a * (b.real + 0j) + a * (1j * b.imag)
+
+
+def _ufunc(f, w):
+    """The numpy function f at w, a point or an array; a point's numpy scalar comes back as a Python number."""
+    out = f(w)
+    return out if out.ndim else out.item()
 
 
 class Component(Protocol):

@@ -17,7 +17,7 @@ validate the bounds and build it:
     bounds |A_k| <= M_k.  M_k = 1 is accepted and collapses the component
     to the identity.
 ``MixedDerivModulus(lam, ms)``, theorem 4
-    |A_0'| < L with L > 1 on the leading component, modulus bounds
+    |A_0'| < L0 with L0 > 1 on the leading component, modulus bounds
     M_k >= 1 on components 1..p-1, all components normalized.
 
 Term model
@@ -239,8 +239,8 @@ def ModulusAll(ms: tuple[float, ...]) -> Profile:
 
 
 def MixedDerivModulus(lam: float, ms: tuple[float, ...] = ()) -> Profile:
-    """Theorem 4: derivative bound L > 1 on A_0, modulus bounds M_k >= 1 on components 1..p-1."""
-    lead = _lead_bound(lam, "lambda")
+    """Theorem 4: derivative bound L0 > 1 on A_0, modulus bounds M_k >= 1 on components 1..p-1."""
+    lead = _lead_bound(lam, "lambda0")
     ms = _bound_tuple(ms, "modulus bound M_k", 1.0)
     return Profile.of(4, (("deriv", lead), *(("modulus", m) for m in ms)))
 
@@ -549,14 +549,17 @@ def classical_landau(m: float) -> tuple[float, float]:
 
 
 def bianalytic_deriv_baseline(lam1: float, lam2: float) -> tuple[float, float]:
-    """Prior sharp order-2 result under derivative bounds (L1 >= 0, L2 > 1)."""
+    """Prior sharp order-2 result under derivative bounds L1 >= 0 and L0 = lam2 > 1.
+
+    Errors name lam2 lambda0, as the CLI flag does.
+    """
     lam1 = _require_finite(lam1, "lambda1")
-    lam2 = _require_finite(lam2, "lambda2")
+    lam2 = _require_finite(lam2, "lambda0")
     if lam1 < 0.0:
         raise DomainError(f"lambda1 must be nonnegative, got {lam1!r}")
     if not lam2 > 1.0:
-        raise DomainError(f"lambda2 must exceed 1, got {lam2!r}")
-    _require_power_finite(lam2, "lambda2", 3)
+        raise DomainError(f"lambda0 must exceed 1, got {lam2!r}")
+    _require_power_finite(lam2, "lambda0", 3)
     # the smaller root of 2 L1 r^2 - u L2 r + L2 with u = 2 L1 + L2, divided through by u so no product overflows
     u = 2.0 * lam1 + lam2
     if not math.isfinite(u):
@@ -566,10 +569,13 @@ def bianalytic_deriv_baseline(lam1: float, lam2: float) -> tuple[float, float]:
 
 
 def bianalytic_bounded_baseline(lam: float) -> tuple[float, float]:
-    """Prior order-2 Schwarz-case result: r2 = 1 for L <= 1/2, else 1/(2L)."""
-    lam = _require_finite(lam, "lambda")
+    """Prior order-2 Schwarz-case result: r2 = 1 for L1 = lam <= 1/2, else 1/(2 L1).
+
+    Errors name lam lambda1, as the CLI flag does.
+    """
+    lam = _require_finite(lam, "lambda1")
     if lam < 0.0:
-        raise DomainError(f"lambda must be nonnegative, got {lam!r}")
+        raise DomainError(f"lambda1 must be nonnegative, got {lam!r}")
     r2 = 1.0 if lam <= 0.5 else 1.0 / (2.0 * lam)
     return r2, r2 - lam * r2 * r2
 

@@ -13,6 +13,11 @@ match bit for bit.  ``chunked_crossings`` is the package's former boundary
 crossing scan, over every edge pair of overlapping 16-edge chunks; the
 sweep that replaced it must find the same crossings among the edge pairs
 whose boxes meet.
+
+``coeff_extremal_series`` and ``coefficient_bound_check`` are the
+coefficient form of the modulus-bound extremal and the check of
+|c_n| <= M - 1/M on it: the classical closed form is tested against the
+series, and the acceptance ledger against the bound.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import cmath
 
 import numpy as np
 
+from polylandau import TruncatedTaylorSeries, VerificationReport
 from polylandau.errors import BracketError, DomainError
 
 
@@ -246,3 +252,68 @@ def chunked_crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     start_j, start_i = turn(ei, d), turn(d, ej)  # vertex j seen from edge i, vertex i from edge j
     cross = (start_j * (start_j + both) < 0) & (start_i * (start_i - both) < 0)
     return i[cross], j[cross]
+
+
+# --- the coefficient-bound extremal ------------------------------------------------------------
+
+#: Truncation degree of ``coeff_extremal_series``: its coefficients decay
+#: geometrically, leaving a tail below 1e-15 at |z| <= 0.99 for M >= 2.
+DEFAULT_DEGREE = 64
+
+
+def coeff_extremal_series(m: float, n: int) -> TruncatedTaylorSeries:
+    """Taylor series of the bounded map attaining the coefficient bound at z^n.
+
+    The expansion is z - (M - 1/M) z^n - sum_{j>=2} (M^2-1)/M^j z^((n-1)j+1);
+    coefficients decay like M^(1-j), so truncating at ``DEFAULT_DEGREE``
+    keeps the tail below 1e-15 on |z| <= 0.99 for M >= 2.
+    """
+    if not m > 1.0:
+        raise DomainError(f"the coefficient extremal needs a modulus bound M > 1, got {m!r}")
+    if n < 2:
+        raise DomainError(f"the coefficient extremal needs n >= 2, got {n}")
+    coeffs = [0j] * (DEFAULT_DEGREE + 1)
+    coeffs[1] = 1 + 0j
+    j = 1
+    power = m  # M^j
+    while (n - 1) * j + 1 <= DEFAULT_DEGREE:
+        idx = (n - 1) * j + 1
+        if j == 1:
+            coeffs[idx] = complex(-(m - 1.0 / m))
+        else:
+            coeffs[idx] = complex(-(m * m - 1.0) / power)
+        j += 1
+        power *= m
+    return TruncatedTaylorSeries(tuple(coeffs))
+
+
+def coefficient_bound_check(
+    series: TruncatedTaylorSeries,
+    m: float,
+    margin: float = 1e-9,
+) -> VerificationReport:
+    """Checks |c_n| <= M - 1/M for n >= 2 on a normalized bounded map's series."""
+    if not m >= 1.0:
+        raise DomainError(f"modulus bound must satisfy M >= 1, got {m!r}")
+    c = series.coeffs
+    if abs(c[0]) > 1e-12 or abs(c[1] - 1.0) > 1e-12:
+        raise DomainError("coefficient check needs a normalized series: c0 = 0, c1 = 1")
+    limit = m - 1.0 / m
+    worst = -np.inf
+    worst_n = 2
+    for n in range(2, len(c)):
+        excess = abs(c[n]) - limit
+        if excess > worst:
+            worst = excess
+            worst_n = n
+    if len(c) <= 2:
+        worst = -limit
+    measured = -worst
+    passed = bool(measured >= -margin)
+    return VerificationReport(
+        check_name="coefficient-bound",
+        passed=passed,
+        measured_margin=float(measured),
+        witness=None if passed else (complex(worst_n),),
+        note=f"limit M - 1/M = {limit:.12g}",
+    )

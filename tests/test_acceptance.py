@@ -19,8 +19,6 @@ from polylandau import (
     bianalytic_deriv_baseline,
     boundary_simple_check,
     classical_landau,
-    coeff_extremal_series,
-    coefficient_bound_check,
     collision_pair,
     exp_disk_check,
     jacobian_grid_check,
@@ -32,6 +30,8 @@ from polylandau import (
 from polylandau.extremal import extremal_fn
 from polylandau.radii import radii, univalence_margin
 from polylandau.cli import main
+
+from _oracles import coeff_extremal_series, coefficient_bound_check
 
 REFERENCE = DerivAll(2.0, (1.0,))
 

@@ -152,6 +152,25 @@ def test_exit_2_when_derivative_bound_cube_overflows(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("radii --theorem 4 --lambda0 0.5 --ms 2", "lambda0 must exceed 1 (strict derivative bound), got 0.5"),
+        ("radii --theorem 8 --lambda0 0.5 --mstars 2", "lambda0 must exceed 1 (strict derivative bound), got 0.5"),
+        ("radii --theorem 4 --lambda0 1e200 --ms 2", "lambda0 = 1e+200 is too large: lambda0**3 overflows a float"),
+        ("radii --theorem 4 --lambda0 inf --ms 2", "lambda0 must be finite"),
+        ("baseline --name bianalytic-deriv --lambda0 0.5", "lambda0 must exceed 1, got 0.5"),
+        ("baseline --name bianalytic-deriv --lambda0 1e200",
+         "lambda0 = 1e+200 is too large: lambda0**3 overflows a float"),
+        ("baseline --name bianalytic-deriv --lambda0 inf", "lambda0 must be finite"),
+        ("baseline --name bianalytic-bounded --lambda1 -1", "lambda1 must be nonnegative, got -1.0"),
+        ("baseline --name bianalytic-bounded --lambda1 inf", "lambda1 must be finite"),
+    ],
+)
+def test_exit_2_names_the_flag_the_user_typed(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (("radii", "--theorem", "2", "--lambdas", "1e308,1e308"), "lambda_1"),

@@ -19,20 +19,19 @@ from polylandau import (
     TruncatedTaylorSeries,
     bounded_deriv_component,
     classical_landau,
-    coeff_extremal_series,
     collision_pair,
     jacobian,
     poly_eval,
-    real_profile,
     reversal_point,
     series_derivative,
     series_eval,
     unit_modulus_extremal_fn,
 )
 from polylandau.radii import radii, univalence_margin
-from polylandau.extremal import AUDIT_RADIUS, BoundedRatio, Linear, extremal_fn
+from polylandau.extremal import BoundedRatio, Linear, extremal_fn
+from polylandau.verify import AUDIT_RADIUS
 import _oracles as reference
-from _oracles import deriv_lead_coeffs
+from _oracles import coeff_extremal_series, deriv_lead_coeffs
 
 
 B = DerivAll(2.0, (1.0,))
@@ -273,19 +272,24 @@ def test_coeff_series_exact_leading_gap_coefficient():
     assert s.coeffs[5] == pytest.approx(-0.75, abs=1e-15)
 
 
+def _real_profile(x: float, b) -> float:
+    """The witness of b on the real axis."""
+    return poly_eval(extremal_fn(b), x).real
+
+
 def test_real_profile_matches_complex_eval():
     F = extremal_fn(B)
     for x in (0.0, 0.1, 0.26, 0.5):
-        assert real_profile(x, B) == poly_eval(F, complex(x)).real
+        assert _real_profile(x, B) == poly_eval(F, complex(x)).real
 
 
 def _profile_slope(x: float, b, h: float = 1e-6) -> float:
-    return (real_profile(x + h, b) - real_profile(x - h, b)) / (2 * h)
+    return (_real_profile(x + h, b) - _real_profile(x - h, b)) / (2 * h)
 
 
 def test_real_profile_peaks_at_rho():
     res = radii(B)
-    assert real_profile(res.rho, B) == pytest.approx(res.sigma, abs=1e-12)
+    assert _real_profile(res.rho, B) == pytest.approx(res.sigma, abs=1e-12)
     assert _profile_slope(res.rho, B) == pytest.approx(0.0, abs=1e-8)
 
 
@@ -298,13 +302,6 @@ def test_profile_derivative_equals_univalence_margin():
         for i in range(1, 50):
             x = i / 50 * min(1.0, 1.0 / b.lead)
             assert _profile_slope(x, b) == pytest.approx(univalence_margin(x, b), abs=1e-8)
-
-
-def test_profile_domain_gate():
-    with pytest.raises(DomainError):
-        real_profile(1.5, B)
-    with pytest.raises(DomainError):
-        real_profile(-0.1, B)
 
 
 def test_collision_pair_straddles_rho():
@@ -321,7 +318,7 @@ def test_collision_pair_straddles_rho():
 
 def test_collision_pair_at_full_window():
     x1, x2 = collision_pair(B, 1.0)
-    assert abs(real_profile(x1, B) - real_profile(x2, B)) < 1e-12
+    assert abs(_real_profile(x1, B) - _real_profile(x2, B)) < 1e-12
 
 
 def test_collision_requires_room_past_rho():
@@ -340,7 +337,7 @@ def test_collision_pair_various_profiles():
         r = min(1.0, rho * 2.0)
         x1, x2 = collision_pair(b, r)
         assert x2 < rho < x1
-        assert abs(real_profile(x1, b) - real_profile(x2, b)) < 1e-12
+        assert abs(_real_profile(x1, b) - _real_profile(x2, b)) < 1e-12
 
 
 def test_reversal_point_lies_past_rho_with_negative_jacobian():

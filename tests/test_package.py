@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -36,6 +37,23 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(module_name)
         missing += [f"{module_name}.{name}" for name in names if not hasattr(module, name)]
     assert missing == []
+
+
+def _relative_imports(path: pathlib.Path) -> set[str]:
+    """The package modules that the module at path imports, wherever in it the import stands."""
+    tree = ast.parse(path.read_text())
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_import_graph():
+    # polyfunc evaluates and series only lays test oracles on top of it; verify re-checks the extremal
+    # witnesses, so it shares no code with the module that builds them
+    package = pathlib.Path(polylandau.__file__).resolve().parent
+    imports = {path.stem: _relative_imports(path) for path in package.glob("*.py")}
+    assert imports["polyfunc"] == {"_lazy", "errors"}
+    assert imports["series"] == {"errors", "polyfunc"}
+    assert sorted(name for name, used in imports.items() if "series" in used) == ["__init__"]
+    assert "extremal" not in imports["verify"]
 
 
 _SOLVER_CALLS = [

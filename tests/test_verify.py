@@ -21,10 +21,7 @@ from polylandau import (
     VerificationReport,
     boundary_simple_check,
     bounded_deriv_component,
-    coeff_extremal_series,
-    coefficient_bound_check,
     collision_pair,
-    deriv_bound_check,
     exp_disk_check,
     hypothesis_audit,
     jacobian_grid_check,
@@ -34,11 +31,11 @@ from polylandau import (
     unit_modulus_extremal_fn,
     univalence_grid_check,
 )
-from polylandau.extremal import extremal_fn
+from polylandau.extremal import DerivLead, Linear, extremal_fn
 from polylandau.radii import radii, univalence_margin
 from polylandau.verify import _circle, _crossings, _exp_disk_logs, _unit_scale
 
-from _oracles import chunked_crossings
+from _oracles import chunked_crossings, coeff_extremal_series, coefficient_bound_check
 
 
 B = DerivAll(2.0, (1.0,))
@@ -402,15 +399,29 @@ def test_coverage_requires_centered_map():
         schlicht_coverage_check(lambda z: z + 1.0, 0.5, 0.4)
 
 
-def test_deriv_bound_check_moebius_component():
-    comp = bounded_deriv_component(2.0)
-    report = deriv_bound_check(comp, 2.0, SMALL_GRID)
-    assert report.passed
-    # the identity series has derivative exactly 1, failing any bound below 1
-    ident = TruncatedTaylorSeries((0, 1))
-    report = deriv_bound_check(ident, 0.5, SMALL_GRID)
+def test_hypothesis_audit_checks_derivative_bounds():
+    b = DerivAll(2.0, (0.5,))
+    assert hypothesis_audit(extremal_fn(b), b, SMALL_GRID).passed
+    # -z has derivative of modulus exactly 1 against the bound 0.5
+    report = hypothesis_audit(PolyAnalyticFn((DerivLead(2.0), Linear(-1 + 0j))), b, SMALL_GRID)
     assert not report.passed
-    assert report.witness is not None
+    assert report.note == "component 1 derivative exceeds 0.5 by 0.5"
+
+
+class _NanSlope:
+    """A component that vanishes, with a NaN derivative everywhere."""
+
+    def value(self, z):
+        return 0j * z
+
+    def derivative(self, z):
+        return z * np.nan
+
+
+def test_hypothesis_audit_fails_a_nan_derivative():
+    report = hypothesis_audit(PolyAnalyticFn((DerivLead(2.0), _NanSlope())), DerivAll(2.0, (0.5,)), SMALL_GRID)
+    assert not report.passed
+    assert report.note == "component 1 derivative exceeds 0.5 by nan"
 
 
 def test_coefficient_bound_check_classical_series():
