@@ -9,10 +9,10 @@ Subcommands:
   sharpness   demonstrate univalence failing just past rho (theorems 1, 2, 5, 6)
   table       sweep one parameter over start:stop:step to CSV
 
-Profile flags are interpreted per theorem: --lambda0 is the leading
-derivative bound (theorems 1, 4, 5, 8), --lambdas the remaining
-derivative bounds (1, 2, 5, 6), --ms the modulus bounds (3, 4),
---mstars the factor modulus bounds (7, 8).  Lists are comma-separated;
+Profile flags are interpreted per theorem, which reads those that
+``_THEOREM_FLAGS`` lists: --lambda0 is the leading derivative bound,
+--lambdas the remaining derivative bounds, --ms the modulus bounds,
+--mstars the factor modulus bounds.  Lists are comma-separated;
 a single value broadcasts to the expected length.  Exit codes: 0 on
 success, 1 when a verification or improvement check fails, 2 on a
 usage or domain error.
@@ -28,8 +28,8 @@ every subcommand's parser from the same table, and argparse writes every help
 text and usage error.  The entries of a --config file are converted and
 checked through the same table.  Each record also holds its flag's fallback
 default and its bounds, which ``_resolve_config`` applies: a flag's value comes
-from argv, else the config file, else its environment variable, else the
-default, and an out-of-bounds value is an error that names where it came from.
+from argv, else the config file, else the default, and an out-of-bounds value is
+an error that names where it came from.
 
 Each subcommand builds its output once in all three forms, a JSON document,
 CSV rows and text lines, and ``_emit`` writes the one --format asks for; it is
@@ -42,7 +42,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from cmath import exp as cexp
 from collections.abc import Iterable
@@ -85,11 +84,10 @@ EXIT_USAGE = 2
 
 #: Most rows one table may have; a longer range is rejected before any row is built.
 MAX_TABLE_ROWS = 10**6
-#: Most nodes of a verify --grid, and most --boundary-samples and --mc-samples: verify's arrays grow with
-#: each, and the boundary crossing scan with about m log m for m boundary samples.
+#: Most nodes of a verify --grid, and most --boundary-samples: verify's arrays grow with each, and the
+#: boundary crossing scan with about m log m for m boundary samples.
 MAX_GRID_NODES = 2**20
 MAX_BOUNDARY_SAMPLES = 2**16
-MAX_MC_SAMPLES = 2**20
 #: Most --digits: no double has more significant digits, so every float prints exactly at this many.
 MAX_DIGITS = 767
 #: Most components of a profile or a baseline, -p and each --orders value.  verify evaluates every component at
@@ -99,7 +97,7 @@ MAX_ORDER = 1000
 
 _PROFILE_FLAGS = ("lambda0", "lambdas", "ms", "mstars")
 
-# which profile flags each theorem understands
+# the profile flags each theorem reads: --lambda0 where it has a derivative lead, then its list flag
 _THEOREM_FLAGS = {
     1: ("lambda0", "lambdas"),
     2: ("lambdas",),
@@ -121,9 +119,9 @@ _TYPE_WORDS = {int: "an integer", float: "a number"}
 class Flag:
     """One flag of a subcommand: ``argparse``'s ``add_argument`` terms, its fallback default and its bounds.
 
-    argparse never sees ``default``: it is the value a run takes when neither argv, a config entry
-    nor ``env`` gives one.  Each bound is a (test, words) pair: test(value) is false when the merged
-    value is out of bounds, and words ("must be at least 8") say what the value must be.
+    argparse never sees ``default``: it is the value a run takes when neither argv nor a config entry
+    gives one.  Each bound is a (test, words) pair: test(value) is false when the merged value is out
+    of bounds, and words ("must be at least 8") say what the value must be.
     """
 
     options: tuple[str, ...]
@@ -133,7 +131,6 @@ class Flag:
     default: object = None
     required: bool = False
     help: str | None = None
-    env: str | None = None  # environment variable read when neither argv nor the config file gives a value
     bounds: tuple = ()
 
     def convert(self, raw: str):
@@ -152,7 +149,7 @@ def _at_most(cap: int) -> tuple:
 
 
 _NONNEGATIVE_INT = ((lambda n: n >= 0, "must be a nonnegative integer"),)
-_FORMAT = Flag(("--format",), "output_format", choices=("json", "csv", "text"), default="text")
+_FORMAT = Flag(("--format",), "format", choices=("json", "csv", "text"), default="text")
 # every subcommand ends with --format and these
 _COMMON = (
     Flag(("--digits",), "digits", int, default=12, bounds=(*_NONNEGATIVE_INT, _at_most(MAX_DIGITS)),
@@ -191,15 +188,12 @@ _FLAGS: dict[str, tuple[Flag, ...]] = {
     ),
     "verify": (
         *_PROFILE,
-        Flag(("--seed",), "seed", int, default=0, env="LANDAU_SEED", bounds=_NONNEGATIVE_INT,
-             help="RNG seed (default env LANDAU_SEED or 0)"),
+        Flag(("--seed",), "seed", int, default=0, bounds=_NONNEGATIVE_INT, help="RNG seed (default 0)"),
         Flag(("--grid",), "grid", default="32x64", help="polar grid as RADIALxANGULAR (default 32x64)"),
         Flag(("--margin",), "margin", float, default=1e-9,
              bounds=((lambda x: x >= 0.0, "must be a nonnegative number"),), help="grid check margin (default 1e-9)"),
         Flag(("--boundary-samples",), "boundary_samples", int, default=512,
              bounds=((lambda n: n >= 8, "must be at least 8"), _at_most(MAX_BOUNDARY_SAMPLES))),
-        Flag(("--mc-samples",), "mc_samples", int, default=10000,
-             bounds=((lambda n: n >= 1, "must be a positive integer"), _at_most(MAX_MC_SAMPLES))),
         _FORMAT,
         *_COMMON,
     ),
@@ -214,9 +208,8 @@ _FLAGS: dict[str, tuple[Flag, ...]] = {
     "table": (*_PROFILE, replace(_FORMAT, default="csv"), *_COMMON),
 }
 _OPTIONS = {name: {option: f for f in flags for option in f.options} for name, flags in _FLAGS.items()}
-# config file key -> flag: any subcommand's dest (flags of one dest share type and choices), or "format"
+# config file key -> flag: any subcommand's dest (flags of one dest share type and choices)
 _CONFIG_KEYS = {f.dest: f for flags in _FLAGS.values() for f in flags if f.dest != "config"}
-_CONFIG_KEYS["format"] = _CONFIG_KEYS["output_format"]
 
 
 def _scan(argv: list[str]) -> dict[str, object] | None:
@@ -306,9 +299,9 @@ def _grid(raw: str, source: str) -> tuple[int, int]:
 
 def _resolve_config(flags: dict[str, object]) -> SimpleNamespace:
     """The run's parameters: each of the command's flags from argv (None where not given), else the config
-    file, else its environment variable, else its default, checked against its bounds.
+    file, else its default, checked against its bounds.
 
-    An error names where its value came from: the option, the variable, or the file, line and key.
+    An error names where its value came from: the option, or the file, line and key.
     """
     command = flags["command"]
     entries = _read_config_file(flags["config"]) if flags.get("config") else {}
@@ -316,16 +309,7 @@ def _resolve_config(flags: dict[str, object]) -> SimpleNamespace:
     for f in _FLAGS[command]:
         value, source = flags.get(f.dest), f.options[-1]
         if value is None:
-            if f.dest in entries:
-                value, source = entries[f.dest]
-            elif f.env and f.env in os.environ:
-                raw, source = os.environ[f.env], f.env
-                try:
-                    value = f.type(raw)
-                except ValueError:
-                    raise DomainError(f"{source} must be {_TYPE_WORDS[f.type]}, got {raw!r}") from None
-            else:
-                value = f.default
+            value, source = entries.get(f.dest, (f.default, source))
         for test, words in f.bounds:
             if value is not None and not test(value):
                 raise DomainError(f"{source} {words}, got {value!r}")
@@ -357,22 +341,6 @@ def _broadcast(values: list[float], count: int, flag: str) -> tuple[float, ...]:
     raise DomainError(f"{flag} expects {count} comma-separated values (or one to broadcast), got {len(values)}")
 
 
-def _reject_foreign_flags(cfg: SimpleNamespace) -> None:
-    allowed = _THEOREM_FLAGS[cfg.theorem]
-    for flag in _PROFILE_FLAGS:
-        if getattr(cfg, flag) is not None and flag not in allowed:
-            wanted = " and ".join(f"--{name}" for name in allowed)
-            raise DomainError(f"theorem {cfg.theorem} is parameterized by {wanted}; --{flag} does not apply")
-
-
-def _resolve_order(cfg: SimpleNamespace, listed: int | None, offset: int) -> int:
-    if cfg.order is not None:
-        return cfg.order
-    if listed is not None:
-        return listed + offset
-    return 1
-
-
 def _require_theorem(cfg: SimpleNamespace) -> int:
     if cfg.theorem is None:
         raise DomainError("--theorem is required")
@@ -387,28 +355,33 @@ def _read_profile(cfg: SimpleNamespace, swept: str | None = None) -> tuple[float
     table's swept flag counts as one value, read as NaN, which each row replaces.
     """
     t = _require_theorem(cfg)
-    _reject_foreign_flags(cfg)
-    base = t - 4 if t > 4 else t
+    allowed = _THEOREM_FLAGS[t]
+    for other in _PROFILE_FLAGS:
+        if getattr(cfg, other) is not None and other not in allowed:
+            wanted = " and ".join(f"--{name}" for name in allowed)
+            raise DomainError(f"theorem {t} is parameterized by {wanted}; --{other} does not apply")
 
+    lead = "lambda0" in allowed
     lam0 = None
-    if base in (1, 4):
+    if lead:
         if cfg.lambda0 is None:
             raise DomainError(f"theorem {t} needs --lambda0, the leading derivative bound above 1")
         lam0 = math.nan if swept == "lambda0" else _float(cfg.lambda0, "--lambda0")
 
-    name = "lambdas" if base < 3 else "ms" if t < 5 else "mstars"
+    name = allowed[-1]  # the list flag: derivative bounds (lambdas) or modulus bounds (ms, mstars)
+    modulus = name != "lambdas"
     flag, raw = f"--{name}", getattr(cfg, name)
-    if raw is None and base > 2:
+    if raw is None and modulus:
         what = {3: "the component modulus bounds", 7: "the factor modulus bounds above 1"}
         raise DomainError(f"theorem {t} needs {flag}, {what.get(t, 'the bounds on components 1..p-1')}")
     listed = None if raw is None else [math.nan] if name == swept else _float_list(raw, flag)
-    offset = 0 if base == 3 else 1
-    p = _resolve_order(cfg, None if listed is None else len(listed), offset)
+    offset = 0 if modulus and not lead else 1  # the list bounds every component, or all but the leading one
+    p = cfg.order if cfg.order is not None else 1 if listed is None else len(listed) + offset
     if p > MAX_ORDER:  # -p's own bound has held, so the list set the order
         raise DomainError(f"{flag} must have at most {MAX_ORDER - offset} values, got {len(listed)}")
-    if p < 2 and base == 4:
+    if p < 2 and lead and modulus:
         raise DomainError(f"theorem {t} needs at least two components, got order {p}")
-    if p == 1 and listed and base < 3:
+    if p == 1 and listed and not modulus:
         raise DomainError(f"theorem {t} with one component takes no {flag}")
     if p > 1 and listed is None:
         raise DomainError(f"theorem {t} with {p} components needs {flag} ({p - 1} values)")
@@ -461,9 +434,9 @@ def _emit(cfg: SimpleNamespace, doc: dict | None, rows: list[list[object]], line
 
     Floats print to --digits significant digits, rounded the same way in all three forms.
     """
-    if cfg.output_format == "json":
+    if cfg.format == "json":
         sys.stdout.write(json.dumps(_jsonable(doc, cfg.digits), indent=2) + "\n")
-    elif cfg.output_format == "csv":
+    elif cfg.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([_cell(v, cfg.digits) for v in row] for row in rows)
         sys.stdout.write(buf.getvalue())
@@ -548,7 +521,7 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
 
     if profile.lead is not None or profile.deriv or profile.excess or profile.identity:  # else the margin is constant
         hi = profile.upper(1.0 - 1e-6)
-        reports.append(monotonicity_check(lambda r: univalence_margin(r, profile), 0.0, hi, samples=1000))
+        reports.append(monotonicity_check(lambda r: univalence_margin(r, profile), 0.0, hi))
 
     target = witness if not is_log else LogPAnalyticFn(witness)
     reports.append(jacobian_grid_check(target, 0.99 * res.rho, grid))
@@ -559,7 +532,7 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
             schlicht_coverage_check(witness, res.rho, 0.99 * res.sigma, cfg.boundary_samples, cfg.margin)
         )
     if is_log and 0.0 < res.sigma < 1.0:
-        reports.append(exp_disk_check(res.sigma, cfg.mc_samples, cfg.seed))
+        reports.append(exp_disk_check(res.sigma, seed=cfg.seed))
 
     passed = all(r.passed for r in reports)
     checks = [
@@ -661,7 +634,7 @@ def _range_values(raw: str, flag: str) -> list[float]:
 
 def cmd_table(cfg: SimpleNamespace) -> int:
     t = _require_theorem(cfg)
-    if cfg.output_format != "csv":
+    if cfg.format != "csv":
         raise DomainError("table emits CSV only; drop --format or pass --format csv")
     swept = [flag for flag in _PROFILE_FLAGS if getattr(cfg, flag) is not None and ":" in getattr(cfg, flag)]
     if len(swept) != 1:

@@ -467,9 +467,11 @@ def radii(b: Profile) -> RadiiResult:
             rho, iterations = 1.0 / b.deriv[0][1], 0  # linear margin, so take the exact root
         else:
             hi = b.upper(_CLAMP)
-            if b.modulus and b.lead is not None and margin(hi) > 0.0:
+            ghi = 0.0 if b.lead is None else margin(hi)  # only a derivative lead can leave hi itself the root
+            if b.modulus and ghi > 0.0:
                 hi = 1.0 / b.lead  # the derivative factor vanishes here, forcing the margin nonpositive
-            if b.lead is not None and margin(hi) > 0.0:
+                ghi = margin(hi)
+            if ghi > 0.0:
                 # exactly zero there in exact arithmetic when no higher bound bites;
                 # roundoff can leave it a few ulp positive, making hi itself the root
                 rho, iterations = hi, 0

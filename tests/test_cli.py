@@ -325,29 +325,30 @@ def test_verify_log_theorem_runs_exp_disk(capsys):
     assert "exp-disk" in names
 
 
-def test_verify_seed_from_env(capsys, monkeypatch):
-    monkeypatch.setenv("LANDAU_SEED", "9")
-    _, out, _ = run(capsys, "verify", *THM1, "--format", "json")
-    assert json.loads(out)["seed"] == 9
-    # an explicit flag wins over the environment
-    _, out, _ = run(capsys, "verify", *THM1, "--seed", "3", "--format", "json")
+@pytest.mark.parametrize("value", ["9", "-3", "x"])
+def test_verify_seed_comes_from_no_environment_variable(capsys, monkeypatch, value):
+    # LANDAU_SEED once set the seed of a run that gave no --seed, or failed it when out of bounds; a seed now
+    # comes from argv or a config file
+    argv = ("verify", "--theorem", "5", *THM1[2:], "--grid", "8x16", "--format", "json")
+    plain = run(capsys, *argv)
+    monkeypatch.setenv("LANDAU_SEED", value)
+    assert run(capsys, *argv) == plain
+    assert json.loads(plain[1])["seed"] == 0
+    _, out, _ = run(capsys, *argv, "--seed", "3")
     assert json.loads(out)["seed"] == 3
 
 
-def test_landau_seed_is_read_only_where_seed_applies(capsys, monkeypatch):
-    # radii takes no seed; a bad value once failed it with int()'s message, naming no variable
-    monkeypatch.setenv("LANDAU_SEED", "x")
-    code, out, err = run(capsys, "radii", *THM1)
-    assert (code, err) == (EXIT_OK, "")
-    assert out.startswith("theorem 1\n")
-    assert run(capsys, "verify", *THM1) == (EXIT_USAGE, "", "error: LANDAU_SEED must be an integer, got 'x'\n")
+@pytest.mark.parametrize("value", ["10", "0", "-5", "1048577"])
+def test_verify_takes_no_mc_samples_flag(capsys, value):
+    # exp-disk draws its own default number of samples; 0, -5 and 1048577 were once refused by the flag's bounds
+    code, out, err = run(capsys, "verify", "--theorem", "1", "--lambda0", "2", "--mc-samples", value)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith(f"error: unrecognized arguments: --mc-samples {value}\n")
 
 
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (("verify", "--theorem", "5", "--lambda0", "2", "--mc-samples", "0"), "--mc-samples"),
-        (("verify", "--theorem", "5", "--lambda0", "2", "--mc-samples", "-5"), "--mc-samples"),
         (("verify", "--theorem", "5", "--lambda0", "2", "--seed", "-1"), "--seed"),
         (("radii", "--theorem", "1", "--lambda0", "2", "--digits", "-3"), "--digits"),
         (("verify", "--theorem", "1", "--lambda0", "2", "--boundary-samples", "4"), "--boundary-samples"),
@@ -360,15 +361,10 @@ def test_landau_seed_is_read_only_where_seed_applies(capsys, monkeypatch):
          "--grid must have at most 1048576 nodes, got 1024x1025"),
         (("verify", "--theorem", "1", "--lambda0", "2", "--boundary-samples", "65537"),
          "--boundary-samples must be at most 65536, got 65537"),
-        (("verify", "--theorem", "5", "--lambda0", "2", "--mc-samples", "1048577"),
-         "--mc-samples must be at most 1048576, got 1048577"),
         # these made the collision gate one that no input passes
         (("sharpness", "--theorem", "1", "--lambda0", "2", "--tol", "0"), "--tol must be a positive number, got 0.0"),
         (("sharpness", "--theorem", "1", "--lambda0", "2", "--tol=-1"), "--tol must be a positive number, got -1.0"),
         (("sharpness", "--theorem", "1", "--lambda0", "2", "--tol", "nan"), "--tol must be a positive number, got nan"),
-        # the value's source is named: this was "--seed must be ...", for a flag not given
-        (("LANDAU_SEED=-3", "verify", "--theorem", "1", "--lambda0", "2", "--grid", "8x16"),
-         "LANDAU_SEED must be a nonnegative integer, got -3"),
         # int() raised OverflowError on inf, a traceback, and named no flag on nan
         (("compare", "--orders", "inf"), "--orders expects positive integers, got 'inf'\n"),
         (("compare", "--orders", "nan"), "--orders expects positive integers, got 'nan'\n"),
@@ -392,20 +388,16 @@ def test_landau_seed_is_read_only_where_seed_applies(capsys, monkeypatch):
          "--lambdas must have at most 999 values, got 1000\n"),
         (("baseline", "--name", "poly-modulus", "--m", "2", "-p", "1001"), "--order must be at most 1000, got 1001\n"),
     ],
-    ids=["mc-samples-0", "mc-samples-negative", "seed-negative", "digits-negative", "boundary-samples-4",
-         "grid-radial-4", "grid-angular-4", "margin-negative", "margin-nan", "grid-over-cap",
-         "boundary-samples-over-cap", "mc-samples-over-cap", "tol-0", "tol-negative", "tol-nan",
-         "landau-seed-negative", "orders-inf", "orders-nan", "digits-over-cap", "order-0", "theorem-3-needs-ms",
+    ids=["seed-negative", "digits-negative", "boundary-samples-4", "grid-radial-4", "grid-angular-4",
+         "margin-negative", "margin-nan", "grid-over-cap", "boundary-samples-over-cap", "tol-0", "tol-negative",
+         "tol-nan", "orders-inf", "orders-nan", "digits-over-cap", "order-0", "theorem-3-needs-ms",
          "theorem-7-needs-mstars", "baseline-bianalytic-deriv-needs-lambda0",
          "baseline-bianalytic-bounded-needs-lambda1", "baseline-poly-modulus-needs-p", "sharpness-needs-theorem",
          "orders-over-cap", "order-over-cap", "lambdas-over-cap", "baseline-order-over-cap"],
 )
-def test_exit_2_names_the_sampling_flag(capsys, monkeypatch, argv, flag):
-    # numpy's, format()'s or the checks' own message for these would name no flag; a leading NAME=value
-    # sets an environment variable, as in a shell, and a message that ends in a newline is the whole line
-    if "=" in argv[0]:
-        monkeypatch.setenv(*argv[0].split("=", 1))
-        argv = argv[1:]
+def test_exit_2_names_the_sampling_flag(capsys, argv, flag):
+    # numpy's, format()'s or the checks' own message for these would name no flag; a message that ends in a
+    # newline is the whole line
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
@@ -640,19 +632,19 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert run(capsys, "table", "--config", str(cfg), "--lambda0", "1.5:2:0.25") == (EXIT_USAGE, "", message)
 
 
-def test_config_file_rejects_unknown_keys(capsys, tmp_path):
+# mc_samples named a removed verify flag, and output_format was a second key for format
+@pytest.mark.parametrize("entry", ["nonsense=1", "mc_samples=10", "output_format=json"])
+def test_config_file_rejects_unknown_keys(capsys, tmp_path, entry):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense=1\n")
+    cfg.write_text(f"{entry}\n")
     code, _, err = run(capsys, "radii", "--config", str(cfg), "--theorem", "1", "--lambda0", "2")
-    assert code == EXIT_USAGE
-    assert "nonsense" in err
+    assert (code, err) == (EXIT_USAGE, f"error: unknown config keys: {entry.partition('=')[0]}\n")
 
 
 # entries for verify's sampling flags out of their bounds, each once named as the flag
 SAMPLING_ENTRIES = [
     ("grid=4x4", "grid needs at least 8 radial and 8 angular samples, got 4x4"),
     ("grid=abc", "grid expects RADIALxANGULAR, got 'abc'"),
-    ("mc_samples=0", "mc_samples must be a positive integer, got 0"),
     ("boundary_samples=4", "boundary_samples must be at least 8, got 4"),
     ("margin=-1", "margin must be a nonnegative number, got -1.0"),
     ("seed=-3", "seed must be a nonnegative integer, got -3"),
@@ -737,7 +729,7 @@ FLAG_VALUES = {
     "lambdas": ["1", "0.5,0.25", "0:1:0.5", "-1"],
     "ms": ["2", "1.5,2", "1:2:0.5"],
     "mstars": ["2", "2,3"],
-    "output_format": ["json", "csv", "text", "xml"],
+    "format": ["json", "csv", "text", "xml"],
     "digits": ["4", "17", "1.5", "-3"],
     "config": ["missing.cfg"],
     "name": ["landau", "bianalytic-deriv", "poly-modulus", "bogus"],
@@ -748,7 +740,6 @@ FLAG_VALUES = {
     "grid": ["8x16", "4x4", "x"],
     "margin": ["0.1", "nan", "-1"],
     "boundary_samples": ["8", "64", "4"],
-    "mc_samples": ["10", "0"],
     "radius": ["0.5", "0.9", "2"],
     "tol": ["1e-10", "0"],
 }
@@ -784,6 +775,8 @@ def _argvs(draw):
 def test_flag_table_invariants():
     flags = [f for subcommand in cli._FLAGS.values() for f in subcommand]
     assert set(FLAG_VALUES) == {f.dest for f in flags}
+    # a config key is a flag's dest, and every flag but --config has one
+    assert set(cli._CONFIG_KEYS) == {f.dest for f in flags} - {"config"}
     # a config entry is converted by any one flag of its dest, so all flags of a dest must agree
     kinds = {(f.dest, f.type, f.choices) for f in flags}
     assert len(kinds) == len(FLAG_VALUES)

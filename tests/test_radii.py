@@ -363,6 +363,21 @@ def test_replay_halves_margin_calls():
     assert _outcome_and_calls(solve, _bisect_decreasing)[1] <= 30
 
 
+def test_margin_at_the_bracket_end_is_evaluated_once_before_the_solver():
+    # a derivative lead with modulus terms evaluated it once per check, then again as the solver's g(hi)
+    b = MixedDerivModulus(3.0, (2.0, 2.0))
+    points = []
+
+    def recorded(r, profile):
+        points.append(r)
+        return univalence_margin(r, profile)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radii_module, "univalence_margin", recorded)
+        radii(b)
+    assert points.count(1.0 / 3.0) == 2
+
+
 def test_no_bound_where_lambda0_is_within_ulps_of_one():
     assert _margin_error(DerivAll(1.0 + 2.0**-52, (0.5,))) is None
     assert _margin_error(DerivAll(1.0000001, (0.0,))) is not None
