@@ -65,16 +65,13 @@ from .radii import (
     log_variant,
     poly_modulus_baseline,
     radii,
-    univalence_margin,
 )
 from .verify import (
     GridSpec,
     VerificationReport,
     boundary_simple_check,
-    exp_disk_check,
     hypothesis_audit,
     jacobian_grid_check,
-    monotonicity_check,
     schlicht_coverage_check,
 )
 
@@ -188,7 +185,8 @@ _FLAGS: dict[str, tuple[Flag, ...]] = {
     ),
     "verify": (
         *_PROFILE,
-        Flag(("--seed",), "seed", int, default=0, bounds=_NONNEGATIVE_INT, help="RNG seed (default 0)"),
+        Flag(("--seed",), "seed", int, default=0, bounds=_NONNEGATIVE_INT,
+             help="echoed in the output; affects no check (default 0)"),
         Flag(("--grid",), "grid", default="32x64", help="polar grid as RADIALxANGULAR (default 32x64)"),
         Flag(("--margin",), "margin", float, default=1e-9,
              bounds=((lambda x: x >= 0.0, "must be a nonnegative number"),), help="grid check margin (default 1e-9)"),
@@ -519,20 +517,17 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
 
     reports: list[VerificationReport] = [hypothesis_audit(witness, profile, grid)]
 
-    if profile.lead is not None or profile.deriv or profile.excess or profile.identity:  # else the margin is constant
-        hi = profile.upper(1.0 - 1e-6)
-        reports.append(monotonicity_check(lambda r: univalence_margin(r, profile), 0.0, hi))
-
     target = witness if not is_log else LogPAnalyticFn(witness)
     reports.append(jacobian_grid_check(target, 0.99 * res.rho, grid))
     reports.append(boundary_simple_check(target, 0.99 * res.rho, cfg.boundary_samples))
 
     if res.sigma > 0.0:
-        reports.append(
-            schlicht_coverage_check(witness, res.rho, 0.99 * res.sigma, cfg.boundary_samples, cfg.margin)
-        )
-    if is_log and 0.0 < res.sigma < 1.0:
-        reports.append(exp_disk_check(res.sigma, seed=cfg.seed))
+        s = 0.99 * res.sigma
+        reports.append(schlicht_coverage_check(witness, res.rho, s, cfg.boundary_samples, cfg.margin))
+        if is_log:  # exp F covers the disk of radius sinh s about cosh s
+            reports.append(
+                schlicht_coverage_check(target, res.rho, math.sinh(s), cfg.boundary_samples, cfg.margin, math.cosh(s))
+            )
 
     passed = all(r.passed for r in reports)
     checks = [

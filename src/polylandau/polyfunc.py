@@ -14,13 +14,14 @@ come straight from the components; numerical differencing exists only as
 a test oracle.  Sense preservation is exposed through the sign of the
 Jacobian |F_z|^2 - |F_zbar|^2.
 
-``poly_eval``, ``logp_eval``, the Wirtinger derivatives and ``jacobian``
-take a point and return a Python number, or take an array of points and
-return an array; both run the same arithmetic.  ``_require_in_disk``
-keeps a point a Python number, a real one real, and makes anything else
-a complex array; ``_cmul`` multiplies as Python multiplies two complex
-numbers, so a point and an array round alike; ``_ufunc`` applies a numpy
-function and hands a point back as a Python number.
+``poly_eval``, ``logp_eval``, the Wirtinger derivatives, ``value_and_zbar``
+and ``jacobian`` take a point and return a Python number, or take an array
+of points and return an array; both run the same arithmetic.
+``_require_in_disk`` keeps a point a Python number, a real one real, and
+makes anything else a complex array; ``_cmul`` multiplies as Python
+multiplies two complex numbers, so a point and an array round alike;
+``_ufunc`` applies a numpy function and hands a point back as a Python
+number.
 """
 
 from __future__ import annotations
@@ -146,16 +147,28 @@ def wirtinger_z(F: PolyAnalyticFn, z):
     return _conj_sum(z, [comp.derivative(z) for comp in F.components])
 
 
-def wirtinger_zbar(F: PolyAnalyticFn, z):
-    """d/dzbar derivative: kills the analytic parts, lowers conj(z) powers."""
-    z = _require_in_disk(z)
+def _zbar_sum(z, higher: list):
+    """sum_k k conj(z)^(k-1) v_k over the values v_1, v_2, ... of the higher components at z."""
     zbar = z.conjugate()
     acc = 0j * z
     power = 1 + 0j  # conj(z)^(k-1), starting at k = 1
-    for k, comp in enumerate(F.components[1:], start=1):
-        acc = acc + _cmul(k * power, comp.value(z))
+    for k, v in enumerate(higher, start=1):
+        acc = acc + _cmul(k * power, v)
         power = _cmul(power, zbar)
     return acc
+
+
+def wirtinger_zbar(F: PolyAnalyticFn, z):
+    """d/dzbar derivative: kills the analytic parts, lowers conj(z) powers."""
+    z = _require_in_disk(z)
+    return _zbar_sum(z, [comp.value(z) for comp in F.components[1:]])
+
+
+def value_and_zbar(F: PolyAnalyticFn, z):
+    """F(z) and F_zbar(z) from one evaluation of each component, rounded as ``poly_eval`` and ``wirtinger_zbar``."""
+    z = _require_in_disk(z)
+    values = [comp.value(z) for comp in F.components]
+    return _conj_sum(z, values), _zbar_sum(z, values[1:])
 
 
 def jacobian(F: PolyAnalyticFn, z):

@@ -1,15 +1,17 @@
 """Independent numerical checks for the radius computations.
 
-Everything here re-derives its verdict from function evaluations on
-grids or random samples; no check calls the root finders, and only
-``monotonicity_check`` reads a closed-form margin: ``cmd_verify`` runs it
-on ``univalence_margin``, so it tests the margin's own premise, that it
-decreases, and vouches for no radius.  The univalence and coverage
-checks read the witness alone.  Only the ``Profile`` terms are shared,
-as plain data.  Witness components are read through their ``value`` and
-``derivative`` alone, at 0 for the normalisation and on the audit grid
-for the bounds.  Every check evaluates its function once, on the whole
-array of its points, as ``fn(pts)``: a callable passed to a check must
+Every check re-derives its verdict from function evaluations on grids
+or sampled circles; no check calls the root finders.  ``cmd_verify``
+runs the univalence and coverage checks, which read the witness alone:
+``schlicht_coverage_check`` tests F's covered disk and, for theorems
+5-8, exp F's.  ``monotonicity_check`` and ``exp_disk_check`` are library
+checks that no command runs: the first samples a closed-form margin and
+so vouches for no radius, and the second draws random points to test a
+lemma about exp, not the witness.  Only the ``Profile`` terms are
+shared, as plain data.  Witness components are read through their
+``value`` and ``derivative`` alone, at 0 for the normalisation and on
+the audit grid for the bounds.  Every check evaluates its function once,
+on the whole array of its points: a callable passed to a check must
 accept an array.
 
 Univalence is checked by degree theory, the argument principle for
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 
 from ._lazy import lazy_numpy
 from .errors import DomainError
-from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, wirtinger_z, wirtinger_zbar
+from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, value_and_zbar, wirtinger_z, wirtinger_zbar
 from .radii import Profile
 
 np = lazy_numpy()
@@ -245,10 +247,11 @@ def boundary_simple_check(
         raise DomainError(f"boundary check needs at least 8 samples, got {samples}")
     F = _derivatives_of(fn)
     pts = _circle(r, samples)
-    tangent = _unit_scale(1j * (pts * wirtinger_z(F, pts) - pts.conj() * wirtinger_zbar(F, pts)))
+    image, fzbar = value_and_zbar(F, pts)  # each component evaluated once for the image and F_zbar
+    tangent = _unit_scale(1j * (pts * wirtinger_z(F, pts) - pts.conj() * fzbar))
     turning = int(np.rint(np.sum(np.angle(np.roll(tangent, -1) * tangent.conj())) / (2.0 * np.pi)))
     stalls = int(np.count_nonzero(tangent == 0))
-    i, j = _crossings(_unit_scale(fn(pts)))
+    i, j = _crossings(_unit_scale(image if fn is F else np.exp(image)))
     problems = len(i) + abs(turning - 1) + stalls
     passed = problems == 0
     if len(i):
@@ -273,30 +276,41 @@ def schlicht_coverage_check(
     sigma: float,
     boundary_samples: int = 512,
     margin: float = 1e-9,
+    center: float = 0.0,
 ) -> VerificationReport:
-    """Checks the image of |z| < rho covers the disk of radius sigma.
+    """Checks the image of |z| < rho covers the disk of radius sigma about center.
 
-    For a univalent map with fn(0) = 0 the image boundary is the image of
-    the circle |z| = rho, so coverage holds iff min |fn| on that circle
-    is at least sigma.  Requires fn(0) = 0 up to 1e-12.
+    For a univalent map the image boundary is the image of the circle
+    |z| = rho, so the image covers a disk that holds fn(0) iff min
+    |fn - center| on that circle is at least sigma.  Center 0 is the
+    disk of F (``schlicht-coverage``), which requires fn(0) = 0 up to
+    1e-12.  Center cosh(s) and radius sinh(s) make the disk of exp F
+    (``exp-coverage``) for s > 0, which holds exp F(0) = 1 because
+    exp(-s) < 1 < exp(s); any other center requires fn(0) inside the disk.
     """
     if not (0.0 < rho and 0.0 < sigma):
         raise DomainError(f"coverage check needs rho > 0 and sigma > 0, got {rho!r}, {sigma!r}")
     pts = _circle(rho, boundary_samples)
-    vals = np.abs(fn(np.append(pts, 0j)))  # the origin last, in the same call
+    vals = np.abs(fn(np.append(pts, 0j)) - center)  # the origin last, in the same call
     origin = float(vals[-1])
-    if origin > 1e-12:
+    if center == 0.0 and origin > 1e-12:
         raise DomainError(f"coverage check needs fn(0) = 0, got |fn(0)| = {origin!r}")
+    if center != 0.0 and not origin < sigma:
+        raise DomainError(f"coverage check needs fn(0) inside the disk, got |fn(0) - {center!r}| = {origin!r}")
     vals = vals[:-1]
     k = int(np.argmin(vals))
     measured = float(vals[k]) - sigma
     passed = bool(measured >= -margin)
+    if center == 0.0:
+        name, note = "schlicht-coverage", f"min boundary modulus {float(vals[k]):.12g}"
+    else:
+        name, note = "exp-coverage", f"min boundary distance {float(vals[k]):.12g} to center {center:.12g}"
     return VerificationReport(
-        check_name="schlicht-coverage",
+        check_name=name,
         passed=passed,
         measured_margin=measured,
         witness=None if passed else (complex(pts[k]),),
-        note=f"min boundary modulus {float(vals[k]):.12g} against target {sigma:.12g}",
+        note=f"{note} against target {sigma:.12g}",
     )
 
 

@@ -10,10 +10,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polylandau import DerivAll, ModulusAll, log_bound_from_modulus
+from polylandau import DerivAll, ModulusAll, log_bound_from_modulus, monotonicity_check
 from polylandau import cli, extremal
 from polylandau.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from polylandau.radii import radii
+from polylandau.radii import radii, univalence_margin
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -282,7 +282,7 @@ def test_verify_passes_and_is_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["passed"] is True
     names = [c["name"] for c in doc["checks"]]
-    assert names == ["hypothesis-audit", "monotonicity", "jacobian-grid", "boundary-simple", "schlicht-coverage"]
+    assert names == ["hypothesis-audit", "jacobian-grid", "boundary-simple", "schlicht-coverage"]
 
 
 def test_verify_passes_lead_bound_near_one(capsys):
@@ -295,10 +295,13 @@ def test_verify_passes_lead_bound_near_one(capsys):
 @pytest.mark.parametrize("theorem", ["2", "6"])
 @pytest.mark.parametrize("lam", ["1e-14", "1e-320"])
 def test_verify_passes_margin_flatter_than_float_spacing(capsys, theorem, lam):
-    # 1 - 2 lam r drops by less than half an ulp of 1 per sample, so neighbouring samples tie
+    # 1 - 2 lam r drops by less than half an ulp of 1 per sample, so neighbouring samples tie; verify does
+    # not sample the margin, so the monotonicity check runs here on the profile that verify builds
     code, out, _ = run(capsys, "verify", "--theorem", theorem, "-p", "2", "--lambdas", lam)
     assert code == EXIT_OK
-    assert "PASS monotonicity" in out
+    assert out.endswith("all checks passed\n")
+    b = cli._build_profile(int(theorem), None, (float(lam),))
+    assert monotonicity_check(lambda r: univalence_margin(r, b), 0.0, b.upper(1.0 - 1e-6)).passed
 
 
 def test_verify_modulus_witness_is_near_its_fold(capsys):
@@ -318,11 +321,22 @@ def test_verify_forced_failure_exits_1(capsys):
     assert failed and all("witness" in c for c in failed)
 
 
-def test_verify_log_theorem_runs_exp_disk(capsys):
-    code, out, _ = run(capsys, "verify", "--theorem", "5", *THM1[2:], "--format", "json")
+@pytest.mark.parametrize(
+    "argv",
+    [("--theorem", "5", *THM1[2:]), ("--theorem", "6", "-p", "1")],
+    ids=["theorem-5", "theorem-6-sigma-1"],
+)
+def test_verify_log_theorem_runs_exp_coverage(capsys, argv):
+    # exp F's covered disk is checked for every sigma > 0; exp-disk, which it replaces, skipped sigma >= 1
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert code == EXIT_OK
-    names = [c["name"] for c in json.loads(out)["checks"]]
-    assert "exp-disk" in names
+    doc = json.loads(out)
+    assert [c["name"] for c in doc["checks"]] == [
+        "hypothesis-audit", "jacobian-grid", "boundary-simple", "schlicht-coverage", "exp-coverage"
+    ]
+    assert doc["checks"][-1]["passed"] is True
+    if argv[1] == "6":
+        assert doc["rho"] == doc["sigma"] == 1.0
 
 
 @pytest.mark.parametrize("value", ["9", "-3", "x"])

@@ -101,3 +101,24 @@ def test_solver_commands_run_without_loading_numpy():
     fresh = _fresh_python("-m", "polylandau.cli", *_VERIFY_CALL)
     assert doc["verify"] == [0, fresh.stdout]
     assert '"passed": true' in fresh.stdout
+
+
+_RANDOM_PROBE = """
+import contextlib, io, json, sys
+import polylandau.cli as cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "random": sorted(name for name in sys.modules if name.startswith("numpy.random"))}))
+"""
+
+
+def test_verify_of_log_theorems_does_not_import_numpy_random():
+    # no check draws random numbers, so even theorems 5-8, whose exp-disk check once did, leave numpy.random out
+    calls = [
+        ["verify", "--theorem", "5", "--lambda0", "2", "--grid", "8x16"],
+        ["verify", "--theorem", "7", "-p", "2", "--mstars", "3", "--grid", "8x16"],
+    ]
+    doc = json.loads(_fresh_python("-c", _RANDOM_PROBE, json.dumps(calls)).stdout)
+    assert doc == {"codes": [0, 0], "random": []}

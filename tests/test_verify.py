@@ -399,6 +399,26 @@ def test_coverage_requires_centered_map():
         schlicht_coverage_check(lambda z: z + 1.0, 0.5, 0.4)
 
 
+def test_exp_coverage_fails_past_the_sharp_witness():
+    # theorem 5 on DerivAll(2, (0.5,)): exp F reaches exp(s) at z = rho, the right end of the disk about
+    # cosh(s) of radius sinh(s) for s = min |F| on |z| = rho, so a disk for 1.02 s must fail there
+    b = DerivAll(2.0, (0.5,))
+    rho, F = radii(b).rho, extremal_fn(b)
+    pts = _circle(rho, 512)
+    s = float(np.min(np.abs(F(pts))))
+    assert schlicht_coverage_check(LogPAnalyticFn(F), rho, math.sinh(0.99 * s), center=math.cosh(0.99 * s)).passed
+    report = schlicht_coverage_check(LogPAnalyticFn(F), rho, math.sinh(1.02 * s), center=math.cosh(1.02 * s))
+    assert report.check_name == "exp-coverage"
+    assert not report.passed
+    assert report.measured_margin < -1e-3
+    assert abs(report.witness[0] - rho) <= abs(pts[1] - pts[0])
+
+
+def test_coverage_off_the_origin_requires_the_origin_image_inside():
+    with pytest.raises(DomainError, match="fn\\(0\\) inside the disk"):
+        schlicht_coverage_check(lambda z: z + 3.0, 0.5, 0.4, center=1.0)
+
+
 def test_hypothesis_audit_checks_derivative_bounds():
     b = DerivAll(2.0, (0.5,))
     assert hypothesis_audit(extremal_fn(b), b, SMALL_GRID).passed
