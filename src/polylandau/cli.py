@@ -48,6 +48,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
+from ._lazy import lazy_numpy
 from .errors import DomainError, PolyLandauError
 from .extremal import collision_pair, extremal_fn, reversal_point
 from .polyfunc import LogPAnalyticFn
@@ -70,10 +71,13 @@ from .verify import (
     GridSpec,
     VerificationReport,
     boundary_simple_check,
+    coverage_image,
     hypothesis_audit,
     jacobian_grid_check,
     schlicht_coverage_check,
 )
+
+np = lazy_numpy()
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -523,11 +527,10 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
 
     if res.sigma > 0.0:
         s = 0.99 * res.sigma
-        reports.append(schlicht_coverage_check(witness, res.rho, s, cfg.boundary_samples, cfg.margin))
-        if is_log:  # exp F covers the disk of radius sinh s about cosh s
-            reports.append(
-                schlicht_coverage_check(target, res.rho, math.sinh(s), cfg.boundary_samples, cfg.margin, math.cosh(s))
-            )
+        image = coverage_image(witness, res.rho, cfg.boundary_samples)
+        reports.append(schlicht_coverage_check(image, res.rho, s, cfg.margin))
+        if is_log:  # exp F, from the same values of F, covers the disk of radius sinh s about cosh s
+            reports.append(schlicht_coverage_check(np.exp(image), res.rho, math.sinh(s), cfg.margin, math.cosh(s)))
 
     passed = all(r.passed for r in reports)
     checks = [

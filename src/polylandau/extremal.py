@@ -99,11 +99,13 @@ class DerivLead(_ClosedForm):
         """A at a point or at every point of an array, each point taking the sum or the closed form.
 
         Both forms are weighted by 1 and 0 at each point, which is exact because both are finite on the
-        disk; a single point skips the form it does not take.
+        disk; a point, and an array whose points all take one form, skip the other form.
         """
         lam = self.lam
         x = z * (1.0 / lam)  # numpy divides z by L through the reciprocal 1/L, so a point does too
         near = abs(x) < 0.5  # one bool at a point, a bool array over an array
+        if not isinstance(near, bool) and (near.all() or not near.any()):
+            near = bool(near.all())  # one form for the whole array
         # (L - 1)(L + 1) keeps L - 1/L and L^3 - L accurate as L approaches 1
         gap = (lam - 1.0) * (lam + 1.0)
         series = closed = 0j

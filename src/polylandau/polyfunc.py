@@ -14,9 +14,14 @@ come straight from the components; numerical differencing exists only as
 a test oracle.  Sense preservation is exposed through the sign of the
 Jacobian |F_z|^2 - |F_zbar|^2.
 
-``poly_eval``, ``logp_eval``, the Wirtinger derivatives, ``value_and_zbar``
-and ``jacobian`` take a point and return a Python number, or take an array
-of points and return an array; both run the same arithmetic.
+``poly_eval``, ``logp_eval``, the Wirtinger derivatives, ``poly_jet`` and
+``jacobian`` take a point and return a Python number, or take an array of
+points and return an array; both run the same arithmetic.  ``poly_jet``
+returns F, F_z and F_zbar from one pass: the points are checked against
+the disk once, the powers of conj(z) are built once (``_conj_powers``),
+and each component's value and derivative are evaluated once.  The sums
+``_conj_sum`` and ``_zbar_sum`` read those powers, so ``poly_eval`` and
+the Wirtinger derivatives round as ``poly_jet`` does.
 ``_require_in_disk`` keeps a point a Python number, a real one real, and
 makes anything else a complex array; ``_cmul`` multiplies as Python
 multiplies two complex numbers, so a point and an array round alike;
@@ -126,54 +131,74 @@ class LogPAnalyticFn:
         return logp_eval(self, z)
 
 
-def _conj_sum(z, terms: list):
-    """sum_k conj(z)^k t_k over the terms t_0, t_1, ... at z; the k = 0 term is taken as it is."""
+def _conj_powers(z, count: int) -> list:
+    """[conj z, conj z^2, ...] up to conj z^(count - 1), and at least conj z; each power is the one before times conj z, by ``_cmul``."""
     zbar = z.conjugate()
-    acc, power = terms[0], zbar
-    for t in terms[1:]:
+    powers = [zbar]
+    for _ in range(count - 2):
+        powers.append(_cmul(powers[-1], zbar))
+    return powers
+
+
+def _conj_sum(terms: list, powers: list):
+    """sum_k conj(z)^k t_k over the terms t_0, t_1, ... and the powers conj z, conj z^2, ...; t_0 is taken as it is."""
+    acc = terms[0]
+    for t, power in zip(terms[1:], powers):
         acc = acc + _cmul(power, t)
-        power = _cmul(power, zbar)
+    return acc
+
+
+def _zbar_sum(z, higher: list, powers: list):
+    """sum_k k conj(z)^(k-1) v_k over the values v_1, v_2, ... of the higher components and the powers conj z, ....
+
+    v_1 is taken as it is; with no higher component the sum is 0 at z.
+    """
+    if not higher:
+        return 0j * z
+    acc = higher[0]
+    for k, (v, power) in enumerate(zip(higher[1:], powers), start=2):
+        acc = acc + _cmul(k * power, v)
     return acc
 
 
 def poly_eval(F: PolyAnalyticFn, z):
     z = _require_in_disk(z)
-    return _conj_sum(z, [comp.value(z) for comp in F.components])
+    return _conj_sum([comp.value(z) for comp in F.components], _conj_powers(z, F.order))
 
 
 def wirtinger_z(F: PolyAnalyticFn, z):
     """d/dz derivative: differentiates components, leaves conj(z)^k alone."""
     z = _require_in_disk(z)
-    return _conj_sum(z, [comp.derivative(z) for comp in F.components])
-
-
-def _zbar_sum(z, higher: list):
-    """sum_k k conj(z)^(k-1) v_k over the values v_1, v_2, ... of the higher components at z."""
-    zbar = z.conjugate()
-    acc = 0j * z
-    power = 1 + 0j  # conj(z)^(k-1), starting at k = 1
-    for k, v in enumerate(higher, start=1):
-        acc = acc + _cmul(k * power, v)
-        power = _cmul(power, zbar)
-    return acc
+    return _conj_sum([comp.derivative(z) for comp in F.components], _conj_powers(z, F.order))
 
 
 def wirtinger_zbar(F: PolyAnalyticFn, z):
     """d/dzbar derivative: kills the analytic parts, lowers conj(z) powers."""
     z = _require_in_disk(z)
-    return _zbar_sum(z, [comp.value(z) for comp in F.components[1:]])
+    return _zbar_sum(z, [comp.value(z) for comp in F.components[1:]], _conj_powers(z, F.order))
 
 
-def value_and_zbar(F: PolyAnalyticFn, z):
-    """F(z) and F_zbar(z) from one evaluation of each component, rounded as ``poly_eval`` and ``wirtinger_zbar``."""
+def poly_jet(F: PolyAnalyticFn, z, *, value: bool = True):
+    """F(z), F_z(z) and F_zbar(z) in one pass, rounded as ``poly_eval``, ``wirtinger_z`` and ``wirtinger_zbar``.
+
+    z is checked against the disk once, the powers of conj z are built
+    once, and each component's value and derivative are evaluated once.
+    With value false, F(z) comes back as None and the leading component's
+    value, which only F needs, is not evaluated.
+    """
     z = _require_in_disk(z)
-    values = [comp.value(z) for comp in F.components]
-    return _conj_sum(z, values), _zbar_sum(z, values[1:])
+    powers = _conj_powers(z, F.order)
+    fz = _conj_sum([comp.derivative(z) for comp in F.components], powers)  # the derivatives are freed here
+    lead, *higher = F.components
+    values = [comp.value(z) for comp in higher]
+    fzbar = _zbar_sum(z, values, powers)
+    return (_conj_sum([lead.value(z), *values], powers) if value else None), fz, fzbar
 
 
 def jacobian(F: PolyAnalyticFn, z):
     """|F_z|^2 - |F_zbar|^2; positive exactly where F is sense-preserving."""
-    fz, fzb = abs(wirtinger_z(F, z)), abs(wirtinger_zbar(F, z))
+    _, fz, fzb = poly_jet(F, z, value=False)
+    fz, fzb = abs(fz), abs(fzb)
     return fz * fz - fzb * fzb
 
 

@@ -10,9 +10,12 @@ so vouches for no radius, and the second draws random points to test a
 lemma about exp, not the witness.  Only the ``Profile`` terms are
 shared, as plain data.  Witness components are read through their
 ``value`` and ``derivative`` alone, at 0 for the normalisation and on
-the audit grid for the bounds.  Every check evaluates its function once,
-on the whole array of its points: a callable passed to a check must
-accept an array.
+the audit grid for the bounds.  Every check evaluates on the whole array
+of its points, so a callable passed to a check must accept an array.
+``jacobian_grid_check`` and ``boundary_simple_check`` take the values
+and derivatives they need from one ``poly_jet`` pass, and the two
+coverage checks share one evaluation of F (``coverage_image``): exp
+F's disk is checked on exp of F's values.
 
 Univalence is checked by degree theory, the argument principle for
 sense-preserving maps (Duren, *Harmonic Mappings in the Plane*, 2.3): a
@@ -33,18 +36,22 @@ always carries a concrete witness point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._lazy import lazy_numpy
 from .errors import DomainError
-from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, value_and_zbar, wirtinger_z, wirtinger_zbar
+from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, poly_jet
 from .radii import Profile
 
 np = lazy_numpy()
 
 #: Radius of the circle on which ``hypothesis_audit`` checks a witness's bounds.
 AUDIT_RADIUS = 1.0 - 1e-3
+#: Ulps of a derivative bound L that ``hypothesis_audit`` allows for rounding: on |z| <= ``AUDIT_RADIUS`` the
+#: lead's exact supremum lies about 5e-4 (L - 1) below L, which is under one ulp once L - 1 < 4e-13.
+_AUDIT_ULPS = 4
 _PAIR_BLOCK = 256
 
 
@@ -162,7 +169,8 @@ def jacobian_grid_check(
         raise DomainError(f"jacobian check needs r > 0, got {r!r}")
     F = _derivatives_of(fn)
     pts = _disk_grid(r, grid)
-    gaps = np.abs(wirtinger_z(F, pts)) - np.abs(wirtinger_zbar(F, pts))
+    _, fz, fzbar = poly_jet(F, pts, value=False)
+    gaps = np.abs(fz) - np.abs(fzbar)
     k = int(np.argmin(gaps))
     measured = float(gaps[k])
     passed = bool(measured >= grid.margin)
@@ -247,8 +255,8 @@ def boundary_simple_check(
         raise DomainError(f"boundary check needs at least 8 samples, got {samples}")
     F = _derivatives_of(fn)
     pts = _circle(r, samples)
-    image, fzbar = value_and_zbar(F, pts)  # each component evaluated once for the image and F_zbar
-    tangent = _unit_scale(1j * (pts * wirtinger_z(F, pts) - pts.conj() * fzbar))
+    image, fz, fzbar = poly_jet(F, pts)
+    tangent = _unit_scale(1j * (pts * fz - pts.conj() * fzbar))
     turning = int(np.rint(np.sum(np.angle(np.roll(tangent, -1) * tangent.conj())) / (2.0 * np.pi)))
     stalls = int(np.count_nonzero(tangent == 0))
     i, j = _crossings(_unit_scale(image if fn is F else np.exp(image)))
@@ -270,28 +278,37 @@ def boundary_simple_check(
     )
 
 
+def coverage_image(fn: Callable[[np.ndarray], np.ndarray], rho: float, samples: int = 512) -> np.ndarray:
+    """fn at ``samples`` equally spaced points of the circle |z| = rho and then at the origin, from one call.
+
+    This is the array ``schlicht_coverage_check`` reads.  exp of F's array
+    is exp F's, so F's disk and exp F's are checked on one evaluation of F.
+    """
+    return fn(np.append(_circle(rho, samples), 0j))
+
+
 def schlicht_coverage_check(
-    fn: Callable[[np.ndarray], np.ndarray],
+    image: np.ndarray,
     rho: float,
     sigma: float,
-    boundary_samples: int = 512,
     margin: float = 1e-9,
     center: float = 0.0,
 ) -> VerificationReport:
     """Checks the image of |z| < rho covers the disk of radius sigma about center.
 
-    For a univalent map the image boundary is the image of the circle
-    |z| = rho, so the image covers a disk that holds fn(0) iff min
-    |fn - center| on that circle is at least sigma.  Center 0 is the
-    disk of F (``schlicht-coverage``), which requires fn(0) = 0 up to
-    1e-12.  Center cosh(s) and radius sinh(s) make the disk of exp F
-    (``exp-coverage``) for s > 0, which holds exp F(0) = 1 because
-    exp(-s) < 1 < exp(s); any other center requires fn(0) inside the disk.
+    ``image`` holds a map fn's values on the circle |z| = rho and then at
+    the origin, as ``coverage_image`` returns them.  For a univalent map the
+    image boundary is the image of that circle, so the image covers a
+    disk that holds fn(0) iff min |fn - center| on the circle is at least
+    sigma.  Center 0 is the disk of F (``schlicht-coverage``), which
+    requires fn(0) = 0 up to 1e-12.  Center cosh(s) and radius sinh(s)
+    make the disk of exp F (``exp-coverage``) for s > 0, which holds
+    exp F(0) = 1 because exp(-s) < 1 < exp(s); any other center requires
+    fn(0) inside the disk.
     """
     if not (0.0 < rho and 0.0 < sigma):
         raise DomainError(f"coverage check needs rho > 0 and sigma > 0, got {rho!r}, {sigma!r}")
-    pts = _circle(rho, boundary_samples)
-    vals = np.abs(fn(np.append(pts, 0j)) - center)  # the origin last, in the same call
+    vals = np.abs(image - center)  # the origin last
     origin = float(vals[-1])
     if center == 0.0 and origin > 1e-12:
         raise DomainError(f"coverage check needs fn(0) = 0, got |fn(0)| = {origin!r}")
@@ -309,7 +326,7 @@ def schlicht_coverage_check(
         check_name=name,
         passed=passed,
         measured_margin=measured,
-        witness=None if passed else (complex(pts[k]),),
+        witness=None if passed else (complex(_circle(rho, len(vals))[k]),),
         note=f"{note} against target {sigma:.12g}",
     )
 
@@ -396,7 +413,8 @@ def hypothesis_audit(fn: PolyAnalyticFn, b: Profile, grid: GridSpec = GridSpec()
     Each component must vanish at 0, the leading component and every
     modulus-bounded one must have derivative 1 there, and each component
     must meet the bound of its term on the polar grid inside
-    |z| <= ``AUDIT_RADIUS``.  The identity lead is the Schwarz case
+    |z| <= ``AUDIT_RADIUS``: a modulus bound up to the grid margin, a
+    derivative bound up to ``_AUDIT_ULPS`` ulp of it.  The identity lead is the Schwarz case
     |A_0'| <= 1, which with A_0'(0) = 1 holds only for A_0(z) = z.
     """
     if fn.order != b.order:
@@ -418,7 +436,7 @@ def hypothesis_audit(fn: PolyAnalyticFn, b: Profile, grid: GridSpec = GridSpec()
                 problems.append(f"component {k} should vanish, max modulus {worst!r}")
         else:
             worst = float(np.max(np.abs(comp.derivative(pts))))
-            if not worst <= bound:  # a NaN derivative fails too
+            if not worst <= bound + _AUDIT_ULPS * math.ulp(bound):  # a NaN derivative fails too
                 problems.append(f"component {k} derivative exceeds {bound!r} by {worst - bound:.3g}")
     passed = not problems
     return VerificationReport(

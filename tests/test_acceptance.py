@@ -20,6 +20,7 @@ from polylandau import (
     boundary_simple_check,
     classical_landau,
     collision_pair,
+    coverage_image,
     exp_disk_check,
     jacobian_grid_check,
     log_deriv_radii,
@@ -89,8 +90,9 @@ def test_05_schlicht_radius_attained_and_covered():
     res = radii(REFERENCE)
     fn = extremal_fn(REFERENCE)
     assert abs(abs(fn(complex(res.rho))) - res.sigma) < 1e-9
-    assert schlicht_coverage_check(fn, res.rho, 0.99 * res.sigma).passed
-    assert not schlicht_coverage_check(fn, res.rho, 1.01 * res.sigma).passed
+    image = coverage_image(fn, res.rho)
+    assert schlicht_coverage_check(image, res.rho, 0.99 * res.sigma).passed
+    assert not schlicht_coverage_check(image, res.rho, 1.01 * res.sigma).passed
     assert time.monotonic() - start < 5.0
     _done(5, "schlicht-radius-attained-and-covered")
 

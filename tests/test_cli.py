@@ -1,5 +1,6 @@
 """Command-line interface: golden output, exit codes, determinism."""
 
+import collections
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polylandau import DerivAll, ModulusAll, log_bound_from_modulus, monotonicity_check
-from polylandau import cli, extremal
+from polylandau import cli, extremal, polyfunc
 from polylandau.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from polylandau.radii import radii, univalence_margin
 
@@ -283,6 +284,82 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert doc["passed"] is True
     names = [c["name"] for c in doc["checks"]]
     assert names == ["hypothesis-audit", "jacobian-grid", "boundary-simple", "schlicht-coverage"]
+
+
+@pytest.mark.parametrize("lam", ["1.0000000000000002", "1.0000000000001"])  # 1 + 2^-52 and 1 + 1e-13
+@pytest.mark.parametrize("theorem", ["1", "5"])
+def test_verify_passes_lead_bound_within_ulps_of_one(capsys, theorem, lam):
+    # the lead's derivative peaks on the audit grid within an ulp of L0, and rounding put it 2.22e-16 above
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--lambda0", lam)
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "PASS hypothesis-audit (margin = 0) all hypotheses hold at the sampled resolution"
+    assert out.endswith("all checks passed\n")
+
+
+def _verify_evaluations(monkeypatch, capsys, argv):
+    """Per check of one verify run: the witness's component calls by (index, method), and its passes.
+
+    A pass is one disk check of an evaluation in ``polyfunc``; calls after ``boundary-simple``
+    belong to the two coverage checks.
+    """
+    phase, witnesses = [None], []
+    calls, passes = collections.Counter(), collections.Counter()
+
+    def phased(name, check, after=None):
+        def run_check(*args, **kwargs):
+            phase[0] = name
+            try:
+                return check(*args, **kwargs)
+            finally:
+                phase[0] = after
+
+        return run_check
+
+    def built(b):
+        witnesses.append(extremal.extremal_fn(b))
+        return witnesses[-1]
+
+    monkeypatch.setattr(cli, "extremal_fn", built)
+    monkeypatch.setattr(cli, "jacobian_grid_check", phased("jacobian-grid", cli.jacobian_grid_check))
+    monkeypatch.setattr(cli, "boundary_simple_check", phased("boundary-simple", cli.boundary_simple_check, "coverage"))
+    require = polyfunc._require_in_disk
+
+    def counted_require(z):
+        passes[phase[0]] += 1
+        return require(z)
+
+    monkeypatch.setattr(polyfunc, "_require_in_disk", counted_require)
+    for cls in (extremal.Linear, extremal.DerivLead, extremal.BoundedRatio):
+        for method in ("value", "derivative"):
+            def counted(self, z, original=getattr(cls, method), method=method):
+                if phase[0] is not None:
+                    index = next(k for k, comp in enumerate(witnesses[0].components) if comp is self)
+                    calls[phase[0], index, method] += 1
+                return original(self, z)
+
+            monkeypatch.setattr(cls, method, counted)
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == EXIT_OK, out
+    return witnesses[0].order, calls, passes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--theorem", "7", "-p", "3", "--mstars", "3"), ("--theorem", "5", "-p", "3", "--lambda0", "1.05", "--lambdas", "0.5,0.25")],
+)
+def test_verify_evaluates_the_witness_once_per_point_set(monkeypatch, capsys, argv):
+    order, calls, passes = _verify_evaluations(monkeypatch, capsys, argv)
+    assert order == 3
+    checks = ("jacobian-grid", "boundary-simple", "coverage")
+    assert {check: passes[check] for check in checks} == dict.fromkeys(checks, 1)
+    for k in range(order):
+        # F_z needs every derivative, F_zbar the higher components' values; only F reads the lead's value
+        assert calls["jacobian-grid", k, "derivative"] == 1
+        assert calls["jacobian-grid", k, "value"] == (1 if k else 0)
+        assert calls["boundary-simple", k, "value"] == calls["boundary-simple", k, "derivative"] == 1
+        # exp-coverage reads exp of the values schlicht-coverage took
+        assert calls["coverage", k, "value"] == 1
+        assert calls["coverage", k, "derivative"] == 0
 
 
 def test_verify_passes_lead_bound_near_one(capsys):

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polylandau import (
     DomainError,
@@ -16,9 +16,12 @@ from polylandau import (
     jacobian,
     logp_eval,
     poly_eval,
+    poly_jet,
     wirtinger_z,
     wirtinger_zbar,
 )
+from polylandau.extremal import DerivLead, extremal_fn
+from polylandau.radii import DerivAll, DerivNormalized, MixedDerivModulus, ModulusAll
 import _oracles as reference
 from _oracles import fd_wirtinger, fd_zbar_power
 
@@ -182,3 +185,97 @@ def test_a_point_gives_a_python_number_equal_to_the_array_entry(F, zs):
         got = logp_eval(f, z)
         assert type(got) is complex
         assert abs(got - reference.logp_eval(f, z)) <= 1e-15 * abs(got)
+
+
+class _OnePointArray:
+    """A component read through its array path one point at a time, for the point references.
+
+    The closed-form components' own point path rounds numpy's complex division and product
+    differently (``tests/test_extremal.py`` bounds the gap), so this is how the references and
+    the one pass see the same component values.
+    """
+
+    def __init__(self, comp):
+        self.comp = comp
+
+    def value(self, z):
+        return self.comp.value(np.array([z])).tolist()[0]
+
+    def derivative(self, z):
+        return self.comp.derivative(np.array([z])).tolist()[0]
+
+
+@st.composite
+def _lead_points(draw, lam: float):
+    """Points of the disk all near (|z/L| < 1/2), all far, or mixed for the derivative lead of bound L < 2."""
+    kind = draw(st.sampled_from(["near", "far", "mixed"]))
+    on_axis = draw(st.booleans())
+    near = []
+    for i in range(draw(st.integers(2, 12))):
+        near.append(kind == "near" or (kind == "mixed" and i % 2 == 0))
+    pts = []
+    for is_near in near:
+        # 0.499 L and 0.501 L keep the rounded |z/L| off 1/2; L < 1.99 leaves room for far points
+        r = draw(st.floats(0.0, 0.499 * lam) if is_near else st.floats(0.501 * lam, 1.0))
+        t = draw(st.sampled_from([0.0, math.pi]) if on_axis else st.floats(0.0, 2.0 * math.pi))
+        pts.append(complex(r * math.cos(t), 0.0 if on_axis else r * math.sin(t)))
+    return kind, pts
+
+
+_bounds = st.lists(st.floats(0.0, 2.0), min_size=0, max_size=3)
+_moduli = st.lists(st.floats(1.0, 5.0), min_size=1, max_size=4)
+_leads = st.floats(1e-6, 0.99).map(lambda d: 1.0 + d)  # L0 from 1 + 1e-6 up to 1.99
+
+
+@st.composite
+def _witness_cases(draw):
+    """The closed-form witness of a theorem 1-4 profile and points grouped around its lead's switch."""
+    theorem = draw(st.integers(1, 4))
+    lam = draw(_leads)
+    if theorem == 1:
+        b = DerivAll(lam, tuple(draw(_bounds)))
+    elif theorem == 2:
+        b = DerivNormalized(tuple(draw(_bounds)))
+    elif theorem == 3:
+        b = ModulusAll(tuple(draw(_moduli)))
+    else:
+        b = MixedDerivModulus(lam, tuple(draw(_bounds.map(lambda vs: [1.0 + v for v in vs]))))
+    kind, pts = draw(_lead_points(lam))
+    return extremal_fn(b), lam, kind, pts
+
+
+@given(_witness_cases())
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+def test_one_pass_matches_the_separate_sums_and_the_point_references(case):
+    F, _, _, zs = case
+    pts = np.array(zs)
+    value, fz, fzbar = poly_jet(F, pts)
+    assert value.tolist() == poly_eval(F, pts).tolist()
+    assert fz.tolist() == wirtinger_z(F, pts).tolist()
+    assert fzbar.tolist() == wirtinger_zbar(F, pts).tolist()
+    none, fz_only, fzbar_only = poly_jet(F, pts, value=False)
+    assert none is None
+    assert fz_only.tolist() == fz.tolist() and fzbar_only.tolist() == fzbar.tolist()
+    G = PolyAnalyticFn(tuple(_OnePointArray(comp) for comp in F.components))
+    assert value.tolist() == [reference.poly_eval(G, z) for z in zs]
+    assert fz.tolist() == [reference.wirtinger_z(G, z) for z in zs]
+    assert fzbar.tolist() == [reference.wirtinger_zbar(G, z) for z in zs]
+    for z in zs:  # a point through the one pass: Python numbers, as the separate sums give them
+        got = poly_jet(F, z)
+        assert all(type(v) is complex for v in got)
+        assert got == (poly_eval(F, z), wirtinger_z(F, z), wirtinger_zbar(F, z))
+
+
+@given(_leads.flatmap(lambda lam: st.tuples(st.just(lam), _lead_points(lam))))
+@settings(deadline=None)
+def test_deriv_lead_value_takes_each_points_own_form_on_every_kind_of_array(case):
+    lam, (kind, zs) = case
+    lead = DerivLead(lam)
+    values = lead.value(np.array(zs)).tolist()
+    # a one-point array takes that point's form, as the point path does
+    assert values == [lead.value(np.array([z])).tolist()[0] for z in zs]
+    for z, got in zip(zs, values):
+        if z.imag == 0.0:  # on the real axis the point path rounds as numpy does
+            assert lead.value(z) == got == reference.deriv_lead_value(lam, z)
+        else:
+            assert abs(lead.value(z) - got) <= 1e-14 * (1.0 + abs(got))

@@ -22,6 +22,7 @@ from polylandau import (
     boundary_simple_check,
     bounded_deriv_component,
     collision_pair,
+    coverage_image,
     exp_disk_check,
     hypothesis_audit,
     jacobian_grid_check,
@@ -33,7 +34,7 @@ from polylandau import (
 )
 from polylandau.extremal import DerivLead, Linear, extremal_fn
 from polylandau.radii import radii, univalence_margin
-from polylandau.verify import _circle, _crossings, _exp_disk_logs, _unit_scale
+from polylandau.verify import AUDIT_RADIUS, _circle, _crossings, _disk_grid, _exp_disk_logs, _unit_scale
 
 from _oracles import chunked_crossings, coeff_extremal_series, coefficient_bound_check
 
@@ -380,7 +381,7 @@ def test_crossings_skip_a_rounded_crossing_of_disjoint_boxes():
 
 
 def test_coverage_identity_margin():
-    report = schlicht_coverage_check(lambda z: z, 0.5, 0.5)
+    report = schlicht_coverage_check(coverage_image(lambda z: z, 0.5), 0.5, 0.5)
     assert report.passed
     assert report.measured_margin == pytest.approx(0.0, abs=1e-12)
 
@@ -389,14 +390,14 @@ def test_coverage_fails_past_boundary():
     b = DerivNormalized((1.0,))
     F = extremal_fn(b)
     # sigma = 0.25 at rho = 0.5; asking for 1% more must fail
-    report = schlicht_coverage_check(F, 0.5, 0.25 * 1.01)
+    report = schlicht_coverage_check(coverage_image(F, 0.5), 0.5, 0.25 * 1.01)
     assert not report.passed
     assert report.witness is not None
 
 
 def test_coverage_requires_centered_map():
     with pytest.raises(DomainError):
-        schlicht_coverage_check(lambda z: z + 1.0, 0.5, 0.4)
+        schlicht_coverage_check(coverage_image(lambda z: z + 1.0, 0.5), 0.5, 0.4)
 
 
 def test_exp_coverage_fails_past_the_sharp_witness():
@@ -406,8 +407,9 @@ def test_exp_coverage_fails_past_the_sharp_witness():
     rho, F = radii(b).rho, extremal_fn(b)
     pts = _circle(rho, 512)
     s = float(np.min(np.abs(F(pts))))
-    assert schlicht_coverage_check(LogPAnalyticFn(F), rho, math.sinh(0.99 * s), center=math.cosh(0.99 * s)).passed
-    report = schlicht_coverage_check(LogPAnalyticFn(F), rho, math.sinh(1.02 * s), center=math.cosh(1.02 * s))
+    image = coverage_image(LogPAnalyticFn(F), rho)
+    assert schlicht_coverage_check(image, rho, math.sinh(0.99 * s), center=math.cosh(0.99 * s)).passed
+    report = schlicht_coverage_check(image, rho, math.sinh(1.02 * s), center=math.cosh(1.02 * s))
     assert report.check_name == "exp-coverage"
     assert not report.passed
     assert report.measured_margin < -1e-3
@@ -416,7 +418,23 @@ def test_exp_coverage_fails_past_the_sharp_witness():
 
 def test_coverage_off_the_origin_requires_the_origin_image_inside():
     with pytest.raises(DomainError, match="fn\\(0\\) inside the disk"):
-        schlicht_coverage_check(lambda z: z + 3.0, 0.5, 0.4, center=1.0)
+        schlicht_coverage_check(coverage_image(lambda z: z + 3.0, 0.5), 0.5, 0.4, center=1.0)
+
+
+@pytest.mark.parametrize("lam0", [1.0 + 2.0**-52, 1.0 + 1e-13])
+def test_hypothesis_audit_allows_ulps_of_a_derivative_bound_but_not_1e_12(lam0):
+    b = DerivAll(lam0, (0.5,))
+    assert hypothesis_audit(extremal_fn(b), b).passed
+    # a higher component 1e-12 above its bound, relative
+    report = hypothesis_audit(PolyAnalyticFn((DerivLead(lam0), Linear(complex(-0.5 * (1.0 + 1e-12))))), b)
+    assert not report.passed
+    assert report.note == "component 1 derivative exceeds 0.5 by 5e-13"
+    # a lead whose derivative passes L0 by more than 1e-12 relative on the audit grid
+    lead = DerivLead(lam0 * (1.0 + 2e-12))
+    assert float(np.max(np.abs(lead.derivative(_disk_grid(AUDIT_RADIUS, GridSpec()))))) > lam0 * (1.0 + 1e-12)
+    report = hypothesis_audit(PolyAnalyticFn((lead, Linear(-0.5 + 0j))), b)
+    assert not report.passed
+    assert report.note.startswith(f"component 0 derivative exceeds {lam0!r} by ")
 
 
 def test_hypothesis_audit_checks_derivative_bounds():
