@@ -561,7 +561,7 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
     witness = extremal_fn(profile)
     d = cfg.digits
     if cfg.theorem in (1, 5):
-        x1, x2 = collision_pair(profile, cfg.radius)
+        x1, x2 = collision_pair(witness, res.rho, cfg.radius)
         v1 = witness(x1)
         v2 = witness(x2)
         collision = abs(v1 - v2)
@@ -587,7 +587,7 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
             f"{'collision confirmed' if passed else 'collision NOT confirmed'} at tol {_cell(cfg.tol, d)}",
         ]
     else:
-        x, jac = reversal_point(profile, cfg.radius)
+        x, jac = reversal_point(witness, res.rho, cfg.radius)
         # the Jacobian of exp F is |exp F|^2 times F's
         exp_jac = abs(cexp(witness(x))) ** 2 * jac
         gate = jac if cfg.theorem == 2 else exp_jac

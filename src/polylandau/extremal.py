@@ -8,7 +8,8 @@ univalence just past rho: the real-axis profile of the derivative-family
 extremal increases to sigma at rho and decreases afterwards, so a point
 x1 slightly beyond rho shares its value with a mirror point x2 < rho.
 ``reversal_point`` shows the Schwarz-profile witness reversing sense just
-past rho: its Jacobian turns negative on the real axis there.
+past rho: its Jacobian turns negative on the real axis there.  Both take
+the witness and rho from their caller, which has solved and built them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import ClassVar
 from ._lazy import lazy_numpy
 from .errors import BracketError, DomainError
 from .polyfunc import PolyAnalyticFn, _ufunc, jacobian, poly_eval
-from .radii import ModulusAll, Profile, _bisect_decreasing, _lead_bound, radii
+from .radii import ModulusAll, Profile, _bisect_decreasing, _lead_bound
 
 np = lazy_numpy()
 
@@ -63,23 +64,21 @@ class _ClosedForm:
 
 @dataclass(frozen=True)
 class Linear(_ClosedForm):
-    """A(z) = c z: the identity (c = 1) and the extremal -L z of a higher derivative bound L.
+    """A(z) = c z and A'(z) = c: the identity (c = 1) and the extremal -L z of a higher derivative bound L.
 
-    Both forms are the Horner pass of the degree-1 series (0, c) and of its
-    derivative series (c, 0), written out, so they round as the series do,
-    bit for bit and signed zeros included: c + 0 z would give A' = -0 where
-    the series gives +0 when L = 0.  Neither checks |z| <= 1; the
-    functionals of ``polyfunc`` check their points once.
+    Im c = +0, so c z is exact in each part.  A' is c at every point, or
+    at every point of an array, and adding 0.0 makes its real part +0
+    when L = 0.  Neither checks |z| <= 1; the functionals of ``polyfunc``
+    check their points once.
     """
 
     c: complex
 
     def value(self, z):
-        c = self.c
-        return c * (z.real + 0j) + c * (1j * z.imag) + 0j
+        return self.c * z
 
     def derivative(self, z):
-        return 0j * (z.real + 0j) + 0j * (1j * z.imag) + self.c
+        return self.c + 0.0 * abs(z)
 
 
 @dataclass(frozen=True)
@@ -179,19 +178,19 @@ def unit_modulus_extremal_fn(p: int) -> PolyAnalyticFn:
     return extremal_fn(ModulusAll((1.0,) * p))
 
 
-def collision_pair(b: Profile, r: float) -> tuple[float, float]:
-    """Two abscissae x2 < rho < x1 < r where the extremal takes one value.
+def collision_pair(witness: PolyAnalyticFn, rho: float, r: float) -> tuple[float, float]:
+    """Two abscissae x2 < rho < x1 < r where the witness takes one value.
 
+    witness is ``extremal_fn`` of a derivative profile (theorems 1 and 5)
+    and rho that profile's univalence radius; both are taken as given.
     eps starts at half the distance from rho to r, capped at half the
     distance to the profile's second zero when r lies at or past that
     zero.  A bracket that still lands at the second zero within
     tolerance is degenerate; eps shrinks by half, at most ten times,
     before giving up.
     """
-    rho = radii(b).rho
     if not rho < r <= 1.0:
         raise DomainError(f"collision window needs rho < r <= 1; rho = {rho!r}, r = {r!r}")
-    witness = extremal_fn(b)  # built once for every bisection step
 
     def profile(x: float) -> float:
         return poly_eval(witness, x).real
@@ -219,20 +218,21 @@ def collision_pair(b: Profile, r: float) -> tuple[float, float]:
     return x1, x2
 
 
-def reversal_point(b: Profile, r: float) -> tuple[float, float]:
+def reversal_point(witness: PolyAnalyticFn, rho: float, r: float) -> tuple[float, float]:
     """A real x in (rho, r] where the witness reverses sense, and its Jacobian J(x).
 
+    witness is ``extremal_fn`` of a normalized profile (theorems 2 and 6)
+    and rho that profile's univalence radius; both are taken as given.
     x is the first of 64 equally spaced points past rho with
     J(x) < 0, or the point of least J when none is negative.  On the real
     axis the Schwarz-profile witness z - sum L_k conj(z)^k z has
     J = m(x) (1 + sum (k-1) L_k x^k) with m the univalence margin, so J
     turns negative right past rho.
     """
-    rho = radii(b).rho
     if not rho < r <= 1.0:
         raise DomainError(f"reversal window needs rho < r <= 1; rho = {rho!r}, r = {r!r}")
     xs = rho + (r - rho) * np.arange(1, _REVERSAL_SAMPLES + 1) / _REVERSAL_SAMPLES
-    jac = jacobian(extremal_fn(b), xs)
+    jac = jacobian(witness, xs)
     negative = np.flatnonzero(jac < 0.0)
     k = int(negative[0]) if len(negative) else int(np.argmin(jac))
     return float(xs[k]), float(jac[k])

@@ -14,14 +14,14 @@ come straight from the components; numerical differencing exists only as
 a test oracle.  Sense preservation is exposed through the sign of the
 Jacobian |F_z|^2 - |F_zbar|^2.
 
-``poly_eval``, ``logp_eval``, the Wirtinger derivatives, ``poly_jet`` and
-``jacobian`` take a point and return a Python number, or take an array of
-points and return an array; both run the same arithmetic.  ``poly_jet``
-returns F, F_z and F_zbar from one pass: the points are checked against
-the disk once, the powers of conj(z) are built once (``_conj_powers``),
-and each component's value and derivative are evaluated once.  The sums
-``_conj_sum`` and ``_zbar_sum`` read those powers, so ``poly_eval`` and
-the Wirtinger derivatives round as ``poly_jet`` does.
+``poly_eval``, ``logp_eval``, ``poly_jet`` and ``jacobian`` take a point
+and return a Python number, or take an array of points and return an
+array; both run the same arithmetic.  ``poly_jet`` is the one source of
+F_z and F_zbar: it returns F, F_z and F_zbar from one pass, in which the
+points are checked against the disk once, the powers of conj(z) are built
+once (``_conj_powers``), and each component's value and derivative are
+evaluated once.  The sums ``_conj_sum`` and ``_zbar_sum`` read those
+powers, so ``poly_eval`` rounds as ``poly_jet``'s F does.
 ``_require_in_disk`` keeps a point a Python number, a real one real, and
 makes anything else a complex array; ``_cmul`` multiplies as Python
 multiplies two complex numbers, so a point and an array round alike;
@@ -166,20 +166,8 @@ def poly_eval(F: PolyAnalyticFn, z):
     return _conj_sum([comp.value(z) for comp in F.components], _conj_powers(z, F.order))
 
 
-def wirtinger_z(F: PolyAnalyticFn, z):
-    """d/dz derivative: differentiates components, leaves conj(z)^k alone."""
-    z = _require_in_disk(z)
-    return _conj_sum([comp.derivative(z) for comp in F.components], _conj_powers(z, F.order))
-
-
-def wirtinger_zbar(F: PolyAnalyticFn, z):
-    """d/dzbar derivative: kills the analytic parts, lowers conj(z) powers."""
-    z = _require_in_disk(z)
-    return _zbar_sum(z, [comp.value(z) for comp in F.components[1:]], _conj_powers(z, F.order))
-
-
 def poly_jet(F: PolyAnalyticFn, z, *, value: bool = True):
-    """F(z), F_z(z) and F_zbar(z) in one pass, rounded as ``poly_eval``, ``wirtinger_z`` and ``wirtinger_zbar``.
+    """F(z), F_z(z) and F_zbar(z) in one pass; F rounds as ``poly_eval``.
 
     z is checked against the disk once, the powers of conj z are built
     once, and each component's value and derivative are evaluated once.

@@ -39,6 +39,9 @@ the excess sums over modulus terms (k = 0 for a modulus lead) and the
 lead has lead_m = L (1 - L r)/(L - r) and lead_s = L^2 r + (L^3 - L)
 log(1 - r/L); the identity and a modulus lead have lead_m = 1, lead_s = r.
 ``Profile.of`` computes these weights once, when the profile is built.
+It stores g as (M - 1)(M + 1)/M: M - 1/M cancels as M approaches 1, with
+a relative error near u/(M - 1), and at order 1 the root sits beside the
+pole at r = 1, where rho moves with g.
 
 The strictly decreasing margin m certifies injectivity of every
 admissible function on the disk of radius r while m(r) > 0, so the
@@ -176,7 +179,7 @@ class Profile:
     components: tuple[tuple[str, float], ...]
     lead: float | None  # L of a derivative lead, None for the identity or a modulus lead
     deriv: tuple[tuple[int, float, float], ...]  # (k, (k+1) L_k, L_k) for L_k > 0
-    excess: tuple[tuple[int, float], ...]  # (k, M_k - 1/M_k) for M_k > 1
+    excess: tuple[tuple[int, float], ...]  # (k, (M_k - 1)(M_k + 1)/M_k) for M_k > 1
     identity: tuple[tuple[int, float], ...]  # (k, k+1) for modulus components k >= 1
     modulus: bool  # a modulus term puts a (1 - r)^2 pole at r = 1
 
@@ -190,7 +193,7 @@ class Profile:
                 if k:
                     identity.append((k, k + 1.0))
                 if bound > 1.0:
-                    excess.append((k, bound - 1.0 / bound))
+                    excess.append((k, (bound - 1.0) * (bound + 1.0) / bound))
             elif kind == "deriv" and k and bound > 0.0:
                 weight = (k + 1) * bound
                 if not math.isfinite(weight):

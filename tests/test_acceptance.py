@@ -77,7 +77,7 @@ def test_04_extremal_univalence_and_collision():
     past = 1.01 * res.rho
     assert not all(r.passed for r in (jacobian_grid_check(fn, past, GridSpec(32, 64)), boundary_simple_check(fn, past)))
 
-    x1, x2 = collision_pair(REFERENCE, 0.5)
+    x1, x2 = collision_pair(fn, res.rho, 0.5)
     gap = abs(fn(complex(x1)) - fn(complex(x2)))
     assert x2 < res.rho < x1
     assert gap < 1e-10

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polylandau import DerivAll, ModulusAll, log_bound_from_modulus, monotonicity_check
+from polylandau import DerivAll, DerivNormalized, ModulusAll, log_bound_from_modulus, monotonicity_check
 from polylandau import cli, extremal, polyfunc
 from polylandau.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from polylandau.radii import radii, univalence_margin
@@ -534,6 +535,40 @@ def test_sharpness_caps_eps_at_the_second_zero_past_it(capsys, monkeypatch):
     assert (x1, x2) == (0.3953237879436488, 0.13736992373598944)
     assert x1 < 0.5 * (radii(DerivAll(2.0, (1.0,))).rho + 0.7)
     assert evaluations == 113
+
+
+@pytest.mark.parametrize(
+    "argv, profile",
+    [
+        ([*THM1, "-r", "0.5"], DerivAll(2.0, (1.0,))),
+        (["--theorem", "6", "-p", "3", "--lambdas", "1,0.5"], DerivNormalized((1.0, 0.5))),
+    ],
+    ids=["theorem-1-collision", "theorem-6-reversal"],
+)
+def test_sharpness_solves_once_and_builds_one_witness(capsys, monkeypatch, argv, profile):
+    # cmd_sharpness solves rho and builds the witness; collision_pair and reversal_point take both as given
+    radii_module = importlib.import_module("polylandau.radii")
+    margin, build = radii_module.univalence_margin, extremal.extremal_fn
+    margins, builds = [], []
+
+    def counted_margin(r, b):
+        margins.append(r)
+        return margin(r, b)
+
+    def counted_build(b):
+        builds.append(b)
+        return build(b)
+
+    monkeypatch.setattr(radii_module, "univalence_margin", counted_margin)
+    for module in (cli, extremal):
+        monkeypatch.setattr(module, "extremal_fn", counted_build)
+    code, out, _ = run(capsys, "sharpness", *argv, "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["passed"] is True
+    assert builds == [profile]
+    in_sharpness = len(margins)
+    margins.clear()
+    radii(profile)
+    assert in_sharpness == len(margins) > 0
 
 
 def test_sharpness_rejects_other_theorems(capsys):

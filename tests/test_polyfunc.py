@@ -17,8 +17,6 @@ from polylandau import (
     logp_eval,
     poly_eval,
     poly_jet,
-    wirtinger_z,
-    wirtinger_zbar,
 )
 from polylandau.extremal import DerivLead, extremal_fn
 from polylandau.radii import DerivAll, DerivNormalized, MixedDerivModulus, ModulusAll
@@ -50,9 +48,9 @@ def test_poly_eval_mixed_components():
 
 def test_wirtinger_structural_values():
     F = _schwarz_pair()
-    z = 0.5 + 0j
-    assert wirtinger_z(F, z) == pytest.approx(1 - 0.5, abs=1e-15)
-    assert wirtinger_zbar(F, z) == pytest.approx(-0.5, abs=1e-15)
+    _, fz, fzbar = poly_jet(F, 0.5 + 0j)
+    assert fz == pytest.approx(1 - 0.5, abs=1e-15)
+    assert fzbar == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_normalized_rejects_bad_leading_coefficient():
@@ -65,7 +63,7 @@ def test_normalized_rejects_bad_leading_coefficient():
 def test_analytic_function_has_zero_zbar_derivative():
     F = PolyAnalyticFn((TruncatedTaylorSeries((0, 1, 0.5, 0.25)),))
     for z in (0.1, 0.4j, -0.3 + 0.2j):
-        assert wirtinger_zbar(F, z) == 0
+        assert poly_jet(F, z)[2] == 0
 
 
 def test_wirtinger_matches_differencing_on_random_samples():
@@ -82,8 +80,9 @@ def test_wirtinger_matches_differencing_on_random_samples():
         z = complex(r * math.cos(t), r * math.sin(t))
         fd_z, fd_zb = fd_wirtinger(lambda w: poly_eval(F, w), z)
         scale = max(1.0, abs(fd_z), abs(fd_zb))
-        assert abs(fd_z - wirtinger_z(F, z)) < 1e-6 * scale
-        assert abs(fd_zb - wirtinger_zbar(F, z)) < 1e-6 * scale
+        _, fz, fzbar = poly_jet(F, z)
+        assert abs(fd_z - fz) < 1e-6 * scale
+        assert abs(fd_zb - fzbar) < 1e-6 * scale
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -160,8 +159,9 @@ def test_array_eval_matches_the_point_reference(F, zs):
 @given(_log_parts, _disk_points)
 def test_array_wirtinger_matches_the_point_reference(F, zs):
     pts = np.array(zs, dtype=complex)
-    assert wirtinger_z(F, pts).tolist() == [reference.wirtinger_z(F, z) for z in zs]
-    assert wirtinger_zbar(F, pts).tolist() == [reference.wirtinger_zbar(F, z) for z in zs]
+    _, fz, fzbar = poly_jet(F, pts)
+    assert fz.tolist() == [reference.wirtinger_z(F, z) for z in zs]
+    assert fzbar.tolist() == [reference.wirtinger_zbar(F, z) for z in zs]
     # np.abs and abs may round the last bit differently, and squaring doubles that
     for got, z in zip(jacobian(F, pts).tolist(), zs):
         fz, fzb = abs(reference.wirtinger_z(F, z)), abs(reference.wirtinger_zbar(F, z))
@@ -172,12 +172,13 @@ def test_array_wirtinger_matches_the_point_reference(F, zs):
 def test_a_point_gives_a_python_number_equal_to_the_array_entry(F, zs):
     # a real point stays real inside the sums, and must still round as the complex one does
     pts = np.array(zs, dtype=complex)
-    for fn in (poly_eval, wirtinger_z, wirtinger_zbar):
-        for z, want in zip(zs, fn(F, pts).tolist()):
-            for point in (z, z.real) if z.imag == 0.0 else (z,):
-                got = fn(F, point)
-                assert type(got) is complex
-                assert got == want
+    jet = list(zip(*(part.tolist() for part in poly_jet(F, pts))))
+    for z, want in zip(zs, jet):
+        for point in (z, z.real) if z.imag == 0.0 else (z,):
+            got = poly_jet(F, point)
+            assert all(type(v) is complex for v in got)
+            assert got == want
+            assert poly_eval(F, point) == want[0]
     # abs and exp of a point and of an array may round the last bit differently
     f = LogPAnalyticFn(F)
     for z in zs:
@@ -251,8 +252,6 @@ def test_one_pass_matches_the_separate_sums_and_the_point_references(case):
     pts = np.array(zs)
     value, fz, fzbar = poly_jet(F, pts)
     assert value.tolist() == poly_eval(F, pts).tolist()
-    assert fz.tolist() == wirtinger_z(F, pts).tolist()
-    assert fzbar.tolist() == wirtinger_zbar(F, pts).tolist()
     none, fz_only, fzbar_only = poly_jet(F, pts, value=False)
     assert none is None
     assert fz_only.tolist() == fz.tolist() and fzbar_only.tolist() == fzbar.tolist()
@@ -260,10 +259,10 @@ def test_one_pass_matches_the_separate_sums_and_the_point_references(case):
     assert value.tolist() == [reference.poly_eval(G, z) for z in zs]
     assert fz.tolist() == [reference.wirtinger_z(G, z) for z in zs]
     assert fzbar.tolist() == [reference.wirtinger_zbar(G, z) for z in zs]
-    for z in zs:  # a point through the one pass: Python numbers, as the separate sums give them
+    for z in zs:  # a point through the one pass: Python numbers, as the point references give them
         got = poly_jet(F, z)
         assert all(type(v) is complex for v in got)
-        assert got == (poly_eval(F, z), wirtinger_z(F, z), wirtinger_zbar(F, z))
+        assert got == (poly_eval(F, z), reference.wirtinger_z(F, z), reference.wirtinger_zbar(F, z))
 
 
 @given(_leads.flatmap(lambda lam: st.tuples(st.just(lam), _lead_points(lam))))

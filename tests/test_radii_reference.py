@@ -1,12 +1,13 @@
 """Radii checked against the benchmark's 50-digit mpmath reference."""
 
 import importlib.util
+import math
 import pathlib
 import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polylandau import (
     DerivAll,
@@ -113,3 +114,38 @@ def test_radii_match_50_digit_reference(case):
     assert res.theorem == theorem
     prof = reference.theorem_profile(theorem, **args)
     assert reference.check_radius(prof, res.rho, res.sigma, res.w, res.r, name=f"theorem {theorem}") == []
+
+
+_near_one = st.floats(min_value=-13.0, max_value=-1.0).map(lambda e: 1.0 + 10.0**e)  # 1 + 10^U(-13, -1)
+_modulus_near_one_or_not = st.one_of(st.just(1.0), _near_one, st.floats(min_value=1.0, max_value=10.0))
+
+
+@st.composite
+def _near_one_modulus_cases(draw):
+    """(theorem, flag values, whether to check the whole contract) with a modulus bound 1 + 10^U(-13, -1).
+
+    Theorem 3 at orders 1-4, or theorem 4 at orders 2-4, so that one bound is a modulus bound.
+    """
+    theorem = draw(st.sampled_from([3, 4]))
+    count = draw(st.integers(min_value=1, max_value=4 if theorem == 3 else 3))
+    ms = draw(st.lists(_modulus_near_one_or_not, min_size=count - 1, max_size=count - 1))
+    ms.insert(draw(st.integers(min_value=0, max_value=count - 1)), draw(_near_one))
+    args = {"ms": tuple(ms)}
+    if theorem == 4:
+        args["lambda0"] = draw(st.floats(min_value=1.01, max_value=10.0))
+    return theorem, args, False
+
+
+@given(_near_one_modulus_cases())
+@example((3, {"ms": (1.000001,)}, True))  # M - 1/M once put this rho 68 ulp off, with a 50-digit residual of 1.07e-11
+@settings(deadline=None)
+def test_rho_stays_within_4_ulp_of_the_root_near_unit_modulus_bounds(case):
+    # M - 1/M cancels as M approaches 1, and at order 1 the root sits beside the pole at r = 1, where rho
+    # moves with the weight; the steep margin there can still leave the residual above its contract (D4)
+    theorem, args, whole_contract = case
+    profile = ModulusAll(args["ms"]) if theorem == 3 else MixedDerivModulus(args["lambda0"], args["ms"])
+    res = radii(profile)
+    prof = reference.theorem_profile(theorem, **args)
+    assert abs(mpmath.mpf(res.rho) - reference.reference_rho(prof, res.rho)) <= 4 * math.ulp(res.rho)
+    if whole_contract:
+        assert reference.check_radius(prof, res.rho, res.sigma, name=f"theorem {theorem}") == []

@@ -80,9 +80,10 @@ def test_univalence_extremal_inside_rho_passes():
 
 def test_univalence_fails_on_injected_collision():
     # plant the collision pair as extra points: univalence must break
-    x1, x2 = collision_pair(B, 0.5)
+    F, rho = extremal_fn(B), radii(B).rho
+    x1, x2 = collision_pair(F, rho, 0.5)
     report = univalence_grid_check(
-        extremal_fn(B), 0.99 * radii(B).rho, SMALL_GRID,
+        F, 0.99 * rho, SMALL_GRID,
         extra_points=(complex(x1), complex(x2)),
     )
     assert not report.passed
@@ -273,8 +274,8 @@ def test_degree_checks_fail_wherever_the_pair_scan_finds_a_collision(lam0, lambd
     # the pair scan is the oracle: with the collision pair planted it reports a collision at |z| <= x1
     b = DerivAll(lam0, tuple(lambdas))
     rho = radii(b).rho
-    x1, x2 = collision_pair(b, min(1.0, 1.5 * rho))
     fn = extremal_fn(b)
+    x1, x2 = collision_pair(fn, rho, min(1.0, 1.5 * rho))
     scan = univalence_grid_check(fn, x1, SMALL_GRID, extra_points=(complex(x1), complex(x2)))
     if not scan.passed:
         assert not all(report.passed for report in _degree_checks(fn, x1, SMALL_GRID, 64))
