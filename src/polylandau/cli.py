@@ -59,6 +59,7 @@ from .radii import (
     ModulusAll,
     Profile,
     RadiiResult,
+    _Sweep,
     bianalytic_bounded_baseline,
     bianalytic_deriv_baseline,
     classical_landau,
@@ -398,8 +399,8 @@ def _build_profile(theorem: int, lam0: float | None, bounds: tuple[float, ...]) 
     return make(bounds) if lam0 is None else make(lam0, bounds)
 
 
-def _compute_radii(theorem: int, profile: Profile) -> RadiiResult:
-    res = radii(profile)
+def _compute_radii(theorem: int, profile: Profile, guess: tuple[float, float] | None = None) -> RadiiResult:
+    res = radii(profile, _guess=guess)
     return log_variant(res) if theorem >= 5 else res
 
 
@@ -643,9 +644,11 @@ def cmd_table(cfg: SimpleNamespace) -> int:
     is_log = t >= 5
     header = [flag, "rho", "sigma"] + (["w", "r"] if is_log else [])
     rows: list[list[object]] = []
+    sweep = _Sweep()  # each row's solve starts from the rows before it; no digit changes
     for value in values:
         point = (value, bounds) if flag == "lambda0" else (lam0, (value,) * len(bounds))
-        res = _compute_radii(t, _build_profile(t, *point))
+        res = _compute_radii(t, _build_profile(t, *point), sweep.guess)
+        sweep.solved(res.rho)
         row: list[object] = [value, res.rho, res.sigma]
         if is_log:
             row.extend([res.w, res.r])

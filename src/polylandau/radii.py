@@ -78,8 +78,29 @@ from position outside (a, b) and evaluates m only inside, so rho and
 ``iterations`` are bisection's bit for bit.  ``_locate`` finds a and b
 with Illinois steps and a few probes around the first point inside the
 band |fl(m)| <= 2 err, in at most ``_LOCATE_CAP`` = 24 evaluations: a
-solve costs at most plain bisection's count plus 24, and typically
-about 23 margin calls where bisection makes about 58.
+solve costs at most plain bisection's count plus 24.
+
+*Known values.*  The solver evaluates m at no point whose value it is
+given.  Every margin is exactly 1 at r = 0: each term vanishes there, and
+the derivative lead is L (1 - 0)/(L - 0) = L/L, which is exactly 1; so is
+``poly_modulus_baseline``'s.  ``radii`` hands over the m(hi) it computed
+to test hi for the root, and the loop hands back m(rho) when it
+evaluated m at rho, which then is the residual.  Over the rows of the
+solve-sweep benchmark's tables (seeds 1-4, 11,616 solves) a solve makes
+about 20 margin calls where bisection makes about 58.
+
+*Seeds.*  ``table`` rows solve one profile after another, each with a
+root close to the last.  ``_Sweep`` guesses the next root by linear
+extrapolation from the last two rows (row 2 takes row 1's rho), with the
+last guess's miss as the step; ``_locate`` probes the guess, then steps
+toward the root, four times further after each probe on the same side,
+until probes lie on both sides of it, and Illinois goes on from that
+bracket with a secant step.  The argument above holds for any a and b
+that pass the band test, however they were found, so a guess changes
+neither rho nor sigma, the residual or ``iterations``.  Every probe comes
+out of the same 24 evaluations, so a seeded solve, whatever its guess,
+still costs at most plain bisection's count plus 24.  On the same rows a
+seeded solve makes about 15 margin calls.
 
 *The bound* (Higham, *Accuracy and Stability of Numerical Algorithms*,
 ch. 3, with gamma_n = n u / (1 - n u) and u = 2^-53).  On the stored
@@ -119,7 +140,7 @@ which m - err and m + err are nonincreasing for every M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BracketError, DegenerateResultError, DomainError
 
@@ -129,6 +150,7 @@ _U = 2.0**-53  # unit roundoff of a double
 _TERM_OPS = 11  # roundings in the costliest margin term (module docstring, Numerics)
 _LOCATE_CAP = 24  # evaluations the locate phase may add to bisection's
 _GEOMETRIC = 16.0  # bracket ratio above which a stalled locate step bisects geometrically
+_SEED_STEP = 2.0**-7  # the step of a table's second row, relative to the first row's rho
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -299,7 +321,7 @@ univalence_margin_deriv = univalence_margin_normalized = univalence_margin
 univalence_margin_modulus = univalence_margin_mixed = univalence_margin
 
 
-def _bisect_decreasing(g, lo: float, hi: float, err=None):
+def _bisect_decreasing(g, lo: float, hi: float, err=None, known=None, guess=None):
     """Bisection on a strictly decreasing g with g(lo) > 0 >= g(hi).
 
     Returns (root, iterations).  Bisects until the midpoint is no longer
@@ -311,43 +333,64 @@ def _bisect_decreasing(g, lo: float, hi: float, err=None):
     where g's computed sign is positive at every r <= a and negative at
     every r >= b, and bisection takes those signs from position: it
     evaluates g only at the midpoints inside (a, b), and returns the same
-    root and iterations as without the bound.
+    root and iterations as without the bound.  ``guess`` = (x, step)
+    seeds ``_locate`` and changes neither.
+
+    ``known`` is an optional dict of values of g the caller has computed,
+    by point: g(lo) and g(hi) are read from it where present, and g(root)
+    is written into it when the loop evaluated g there.
     """
     if not lo < hi:
         raise BracketError(f"empty bracket: lo = {lo!r}, hi = {hi!r}")
-    glo = g(lo)
-    ghi = g(hi)
+    if known is None:
+        known = {}
+    glo = known[lo] if lo in known else g(lo)
+    ghi = known[hi] if hi in known else g(hi)
     if not glo > 0.0:
         raise BracketError(f"bracket violation: g({lo!r}) = {glo!r} must be positive")
     if ghi > 0.0:
         raise BracketError(f"bracket violation: g({hi!r}) = {ghi!r} must be <= 0")
-    a, b = (lo, hi) if err is None else _locate(g, err, lo, glo, hi, ghi)
+    a, b = (lo, hi) if err is None else _locate(g, err, lo, glo, hi, ghi, guess)
     iterations = 0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # float spacing exhausted
-        if mid <= a or (mid < b and g(mid) > 0.0):
-            lo = mid
+        if mid <= a:
+            lo, glo = mid, None  # None: the sign came from position, g was not evaluated
+        elif mid >= b:
+            hi, ghi = mid, None
         else:
-            hi = mid
+            gmid = g(mid)
+            if gmid > 0.0:
+                lo, glo = mid, gmid
+            else:
+                hi, ghi = mid, gmid
         iterations += 1
-    return 0.5 * (lo + hi), iterations
+    root = 0.5 * (lo + hi)  # lo or hi: no float lies between them
+    groot = glo if root == lo else ghi
+    if groot is not None:
+        known[root] = groot
+    return root, iterations
 
 
-def _locate(g, err, lo: float, glo: float, hi: float, ghi: float) -> tuple[float, float]:
+def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) -> tuple[float, float]:
     """Points a <= b near the root of g with g(a) > 2 err(a) and g(b) < -2 err(b).
 
-    Illinois steps (Dowell and Jarratt, BIT 1971) shrink a bracket [x0, x1]
-    until a point lands inside the rounding band |g| <= 2 err.  The first
-    step, and each step after the same end has moved three times running,
-    bisects the bracket instead: geometrically when it spans more than a
-    factor ``_GEOMETRIC``, which reaches a root many decades below hi, and
-    arithmetically otherwise, which gets past the steep end next to a
-    pole.  Probes then step out from the point in the band on each side,
-    first by twice the band's half-width at the bracket's secant slope,
-    then four times as far after each probe that is still inside it.  Every evaluated point outside the band moves a
-    or b; lo and hi stand in for a side that was never proven.  At most
+    A guess (x, step) is probed first: at x, then toward the root from the
+    last probe, step further and four times that after each probe on the
+    same side, until probes lie on both sides of the root.  Illinois steps
+    (Dowell and Jarratt, BIT 1971) then shrink the bracket [x0, x1] until a
+    point lands inside the rounding band |g| <= 2 err.  Unless probes
+    closed the bracket, the first step, and each step after the same end
+    has moved three times running, bisects it instead: geometrically when
+    it spans more than a factor ``_GEOMETRIC``, which reaches a root many
+    decades below hi, and arithmetically otherwise, which gets past the
+    steep end next to a pole.  Probes then step out from the point in the
+    band on each side, first by twice the band's half-width at the
+    bracket's secant slope, then four times as far after each probe that
+    is still inside it.  Every evaluated point outside the band moves a or
+    b; lo and hi stand in for a side that was never proven.  At most
     ``_LOCATE_CAP`` evaluations of g.
     """
     a, b = lo, hi
@@ -365,6 +408,25 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float) -> tuple[float
     x0, f0, y0, x1, f1, y1 = lo, glo, glo, hi, ghi, ghi  # f: Illinois-scaled values, y: computed values
     hit = (hi, ghi) if inside_band(hi, ghi) else None
     side, run = 0, 3  # the end that moved last and how many times running; 3 makes the first step bisect
+    if guess is not None and hit is None:
+        x, step = guess
+        probed = 0  # bit 1: x0 is a probe, bit 2: x1 is
+        while budget and x0 < x < x1:
+            gx = g(x)
+            budget -= 1
+            if inside_band(x, gx):
+                hit = (x, gx)
+                break
+            if gx > 0.0:
+                x0, f0, y0, probed = x, gx, gx, probed | 1
+                x += step
+            else:
+                x1, f1, y1, probed = x, gx, gx, probed | 2
+                x -= step
+            if probed == 3:
+                run = 0  # both ends are probes: Illinois goes on with a secant step
+                break
+            step *= 4.0
     while hit is None and budget:
         bisect = run >= 3
         if not bisect:
@@ -448,7 +510,7 @@ def _sigma(r: float, b: Profile) -> float:
     return total
 
 
-def radii(b: Profile) -> RadiiResult:
+def radii(b: Profile, _guess=None) -> RadiiResult:
     """Radii of any profile (theorems 1-4): rho is the zero of its margin, sigma = s(rho).
 
     The bracket is (0, 1/L] for a derivative lead and (0, 1] otherwise,
@@ -456,7 +518,8 @@ def radii(b: Profile) -> RadiiResult:
     skip the bisection: rho = 1 when the margin is 1 minus polynomial
     weights summing to at most 1 (the identity map, light Schwarz-case
     bounds), the exact root of a linear Schwarz-case margin, and rho = 1/L
-    when roundoff leaves the margin a few ulp positive there.
+    when roundoff leaves the margin a few ulp positive there.  ``_guess``
+    = (x, step) seeds the solve (``_Sweep``) and changes no result.
     """
 
     def margin(r: float) -> float:
@@ -466,6 +529,7 @@ def radii(b: Profile) -> RadiiResult:
     if plain and sum(w for _, w, _ in b.deriv) + sum(w for _, w in b.identity) <= 1.0:
         rho, iterations, residual = 1.0, 0, 0.0
     else:
+        known = {0.0: 1.0}  # every margin is exactly 1 at r = 0 (Numerics)
         if plain and not b.modulus and b.order == 2:
             rho, iterations = 1.0 / b.deriv[0][1], 0  # linear margin, so take the exact root
         else:
@@ -474,19 +538,35 @@ def radii(b: Profile) -> RadiiResult:
             if b.modulus and ghi > 0.0:
                 hi = 1.0 / b.lead  # the derivative factor vanishes here, forcing the margin nonpositive
                 ghi = margin(hi)
+            if b.lead is not None:
+                known[hi] = ghi
             if ghi > 0.0:
                 # exactly zero there in exact arithmetic when no higher bound bites;
                 # roundoff can leave it a few ulp positive, making hi itself the root
                 rho, iterations = hi, 0
             else:
-                rho, iterations = _bisect_decreasing(margin, 0.0, hi, _margin_error(b))
-        residual = abs(margin(rho))
+                rho, iterations = _bisect_decreasing(margin, 0.0, hi, _margin_error(b), known, _guess)
+        residual = abs(known[rho] if rho in known else margin(rho))
     sigma = _sigma(rho, b)
     flags = () if sigma > 0.0 else ("degenerate-sigma",)
     return RadiiResult(b.theorem, rho, sigma, residual, iterations, flags=flags)
 
 
 deriv_radii = normalized_radii = modulus_radii = mixed_radii = radii
+
+
+class _Sweep:
+    """The guesses that seed the solves of a table's rows, each from the rows before it (Numerics, *Seeds*)."""
+
+    def __init__(self):
+        self.guess = None  # (x, step) for the next row's solve; None for the first row
+        self._last = None  # the last row's rho
+
+    def solved(self, rho: float) -> None:
+        """Take the rho of the row just solved: row 2 is guessed at row 1's rho, a later row linearly from two."""
+        step = _SEED_STEP * rho if self.guess is None else abs(rho - self.guess[0])  # the miss of the last guess
+        self.guess = (rho if self._last is None else 2.0 * rho - self._last, step)
+        self._last = rho
 
 
 _LOG_IDS = {1: 5, 2: 6, 3: 7, 4: 8}
@@ -508,12 +588,8 @@ def log_variant(res: RadiiResult) -> RadiiResult:
     if res.sigma >= 1.0 and "sharpness-not-asserted" not in flags:
         flags = flags + ("sharpness-not-asserted",)
     theorem = _LOG_IDS.get(res.theorem, res.theorem)
-    return replace(
-        res,
-        theorem=theorem,
-        w=math.cosh(res.sigma),
-        r=math.sinh(res.sigma),
-        flags=flags,
+    return RadiiResult(
+        theorem, res.rho, res.sigma, res.residual, res.iterations, math.cosh(res.sigma), math.sinh(res.sigma), flags
     )
 
 
@@ -606,7 +682,7 @@ def poly_modulus_baseline(m: float, p: int) -> tuple[float, float]:
         return _poly_modulus_margin(r, m, p)
 
     k = (2 * p + 10) * _U  # the rounding bound of the margin (module docstring, Numerics)
-    r3, _ = _bisect_decreasing(margin, 0.0, _CLAMP, lambda r, g: k * (2.0 - g))
+    r3, _ = _bisect_decreasing(margin, 0.0, _CLAMP, lambda r, g: k * (2.0 - g), {0.0: 1.0})
     big_r3 = r3
     for k in range(1, p):
         big_r3 -= r3 ** (k + 1)

@@ -676,6 +676,58 @@ def test_table_golden_csv(capsys, theorem):
     assert out == (DATA / f"golden_table_thm{theorem}.csv").read_text()
 
 
+# each row's solve is seeded by the rows before it; the sweeps cover every theorem, --lambda0 rows, where
+# hi = 1/L0 moves with the row, theorem 2 crossing from the closed form rho = 1 into bisection (5 L_1 = 1 at
+# L_1 = 0.2) and modulus bounds near 1
+SEEDED_SWEEPS = [
+    "--theorem 1 -p 2 --lambda0 1.05:6:0.05 --lambdas 0.5",
+    "--theorem 1 --lambda0 1.0000001:1.001:0.00001",
+    "--theorem 2 -p 3 --lambdas 0.1:0.5:0.004",
+    "--theorem 3 -p 1 --ms 1:1.001:0.00001",
+    "--theorem 3 -p 3 --ms 1.000001:1.5:0.005",
+    "--theorem 4 -p 3 --lambda0 1.01:4:0.03 --ms 1.0001,2",
+    "--theorem 4 -p 2 --lambda0 2 --ms 1:1.0001:0.000001",
+    "--theorem 5 -p 3 --lambda0 2 --lambdas 0:2:0.02",
+    "--theorem 6 -p 2 --lambdas 0.1:0.5:0.004",
+    "--theorem 7 -p 2 --mstars 1.0000001:1.1:0.001",
+    "--theorem 8 -p 2 --lambda0 1.05:3:0.02 --mstars 1.5",
+]
+
+
+@pytest.mark.parametrize("sweep", SEEDED_SWEEPS)
+def test_table_rows_equal_their_solves_alone(capsys, sweep):
+    argv = sweep.split()
+    at = next(i for i, arg in enumerate(argv) if ":" in arg)
+    code, out, err = run(capsys, "table", *argv, "--digits", "17")
+    assert (code, err) == (EXIT_OK, "")
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert len(rows) > 40
+    for row in rows:
+        # 17 digits print every double exactly, so the comparison is bit for bit
+        alone = argv[:at] + [row[0]] + argv[at + 1:]
+        code, out, _ = run(capsys, "radii", *alone, "--digits", "17", "--format", "json")
+        doc = json.loads(out)
+        assert [float(cell) for cell in row[1:]] == [doc[key] for key in header[1:]], row[0]
+
+
+def test_table_rows_seed_each_other(capsys, monkeypatch):
+    calls = [0]
+
+    def counted(r, b):
+        calls[0] += 1
+        return univalence_margin(r, b)
+
+    monkeypatch.setattr(importlib.import_module("polylandau.radii"), "univalence_margin", counted)
+    code, out, _ = run(capsys, "table", "--theorem", "3", "-p", "2", "--ms", "2:20:0.1")
+    assert code == EXIT_OK
+    seeded, calls[0] = calls[0], 0
+    values = cli._range_values("2:20:0.1", "--ms")
+    assert len(values) == len(out.splitlines()) - 1 == 181
+    for m in values:
+        radii(ModulusAll((m, m)))
+    assert seeded <= 0.8 * calls[0]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

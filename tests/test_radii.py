@@ -304,11 +304,11 @@ def _solve_theorem(theorem: int, lam0: float, extras: tuple[float, ...]):
 def _outcome_and_calls(solve, solver):
     """repr of solve()'s result or error and the margin evaluations it took, with _bisect_decreasing = solver.
 
-    ``plain_bisect`` takes no rounding bound, so it is passed none.
+    ``plain_bisect`` takes no rounding bound, known values or guess, so it is passed none.
     """
     calls = [0]
     if solver is plain_bisect:
-        solver = lambda g, lo, hi, err=None: plain_bisect(g, lo, hi)  # noqa: E731
+        solver = lambda g, lo, hi, err=None, known=None, guess=None: plain_bisect(g, lo, hi)  # noqa: E731
 
     def counted(margin):
         def wrapper(*args):
@@ -364,7 +364,8 @@ def test_replay_halves_margin_calls():
 
 
 def test_margin_at_the_bracket_end_is_evaluated_once_before_the_solver():
-    # a derivative lead with modulus terms evaluated it once per check, then again as the solver's g(hi)
+    # a derivative lead with modulus terms evaluated it once per check, then again as the solver's g(hi);
+    # radii now hands its value to the solver
     b = MixedDerivModulus(3.0, (2.0, 2.0))
     points = []
 
@@ -375,7 +376,89 @@ def test_margin_at_the_bracket_end_is_evaluated_once_before_the_solver():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radii_module, "univalence_margin", recorded)
         radii(b)
-    assert points.count(1.0 / 3.0) == 2
+    assert points.count(1.0 / 3.0) == 1
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: radii(DerivAll(2.0, (1.0,))),
+        lambda: radii(DerivAll(1.0 + 2.0**-52, (0.5,))),  # no rounding bound: plain bisection
+        lambda: radii(DerivNormalized((1.0, 0.5))),
+        lambda: radii(ModulusAll((2.0, 2.0))),
+        lambda: radii(ModulusAll((1.000001,))),
+        lambda: radii(MixedDerivModulus(3.0, (2.0, 2.0))),
+        lambda: poly_modulus_baseline(2.0, 1),
+        lambda: poly_modulus_baseline(5.0, 4),
+    ],
+    ids=["thm1", "thm1-plain", "thm2", "thm3", "thm3-near-pole", "thm4", "baseline-p1", "baseline-p4"],
+)
+def test_no_solve_evaluates_the_margin_at_zero(solve):
+    # every margin is exactly 1 at r = 0, and the solver is told so
+    assert univalence_margin(0.0, MixedDerivModulus(3.0, (2.0, 2.0))) == 1.0
+    assert radii_module._poly_modulus_margin(0.0, 5.0, 4) == 1.0
+    points = []
+
+    def recorded(margin):
+        def wrapper(r, *args):
+            points.append(r)
+            return margin(r, *args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radii_module, "univalence_margin", recorded(univalence_margin))
+        mp.setattr(radii_module, "_poly_modulus_margin", recorded(radii_module._poly_modulus_margin))
+        solve()
+    assert points
+    assert 0.0 not in points
+
+
+def _seeded_profile(theorem: int, lam0: float, extras: tuple[float, ...]):
+    """The profile ``_solve_theorem`` solves; theorems 7 and 8 map their factor bounds to log bounds."""
+    above = tuple(1.0 + e for e in extras)
+    if theorem == 7:
+        return ModulusAll(tuple(log_bound_from_modulus(m) for m in (lam0, *above)))
+    if theorem == 8:
+        return MixedDerivModulus(lam0, tuple(log_bound_from_modulus(m) for m in above))
+    return _profile(theorem - 4 if theorem > 4 else theorem, lam0, extras)
+
+
+# a guess point near rho, as ("near", x / rho), or anywhere, as ("at", x)
+_guess_points = st.one_of(
+    st.builds(lambda e, sign: ("near", 1.0 + sign * 10.0**e), st.floats(-16.0, 0.0), st.sampled_from([-1.0, 1.0])),
+    st.builds(lambda x: ("at", x), st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, 1.0]))),
+)
+_guess_steps = st.one_of(st.floats(-20.0, 0.0).map(lambda e: 10.0**e), st.sampled_from([0.0, 5e-324]))
+
+
+@given(st.integers(1, 8), _lead_bounds, st.lists(_extra_bounds, max_size=5).map(tuple), _guess_points, _guess_steps)
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+@example(1, 2.0, (1.0,), ("near", 1.0 + 1e-6), 1e-6)
+@example(1, 2.0, (1.0,), ("at", 2.0), 1.0)  # past hi
+@example(3, 1.9711332477927126, (), ("near", 1.0 - 1e-16), 5e-324)
+@example(3, 1.0 + 1e-9, (), ("near", 1.0 + 1e-12), 0.0)  # beside the pole
+@example(2, 1.0, (1.0, 0.5), ("at", 0.0), 1e-20)
+# a locate that takes a probe inside the rounding band for a proven end gets this root wrong
+@example(4, 1.0065711143797678, (8.09268801993e-05,), ("near", 1.0 - 1e-16), 1e-12)
+def test_seeded_replay_matches_plain_bisection(theorem, lam0, extras, point, step):
+    """A guess (x, step) anywhere changes nothing but the margin calls, and adds at most the locate cap to them."""
+    try:
+        b = _seeded_profile(theorem, lam0, extras)
+    except DomainError:
+        return
+    kind, x = point
+    if kind == "near":
+        x *= radii(b).rho
+
+    def solve():
+        res = radii(b, _guess=(x, step))
+        return log_variant(res) if theorem > 4 else res
+
+    plain, plain_calls = _outcome_and_calls(solve, plain_bisect)
+    seeded, calls = _outcome_and_calls(solve, _bisect_decreasing)
+    assert seeded == plain
+    assert calls <= plain_calls + radii_module._LOCATE_CAP
 
 
 def test_no_bound_where_lambda0_is_within_ulps_of_one():
