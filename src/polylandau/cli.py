@@ -488,6 +488,8 @@ def cmd_baseline(cfg: SimpleNamespace) -> int:
 
 def cmd_compare(cfg: SimpleNamespace) -> int:
     ms = _float_list(cfg.ms, "--ms")
+    if not all(1.0 < m < math.inf for m in ms):  # false on nan
+        raise DomainError(f"--ms expects modulus bounds above 1, got {cfg.ms!r}")
     raw_orders = _float_list(cfg.orders, "--orders")
     if any(not v.is_integer() or v < 1 for v in raw_orders):  # is_integer is false on inf and nan
         raise DomainError(f"--orders expects positive integers, got {cfg.orders!r}")
@@ -567,21 +569,9 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
         v2 = witness(x2)
         collision = abs(v1 - v2)
         exp_collision = abs(cexp(v1) - cexp(v2))
-        gate = collision if cfg.theorem == 1 else exp_collision
-        passed = gate < cfg.tol
-        doc = {
-            "theorem": cfg.theorem,
-            "rho": res.rho,
-            "r": cfg.radius,
-            "x1": x1,
-            "x2": x2,
-            "collision": collision,
-            "exp_collision": exp_collision,
-            "tol": cfg.tol,
-            "passed": passed,
-        }
+        passed = (collision if cfg.theorem == 1 else exp_collision) < cfg.tol
+        found = {"x1": x1, "x2": x2, "collision": collision, "exp_collision": exp_collision, "tol": cfg.tol}
         lines = [
-            f"theorem {cfg.theorem}: rho = {_cell(res.rho, d)}",
             f"x1 = {_cell(x1, d)} (past rho), x2 = {_cell(x2, d)} (inside)",
             f"|F(x1) - F(x2)| = {_cell(collision, d)}",
             f"|exp F(x1) - exp F(x2)| = {_cell(exp_collision, d)}",
@@ -591,25 +581,16 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
         x, jac = reversal_point(witness, res.rho, cfg.radius)
         # the Jacobian of exp F is |exp F|^2 times F's
         exp_jac = abs(cexp(witness(x))) ** 2 * jac
-        gate = jac if cfg.theorem == 2 else exp_jac
-        passed = gate < 0.0
-        doc = {
-            "theorem": cfg.theorem,
-            "rho": res.rho,
-            "r": cfg.radius,
-            "x": x,
-            "jacobian": jac,
-            "exp_jacobian": exp_jac,
-            "passed": passed,
-        }
+        passed = (jac if cfg.theorem == 2 else exp_jac) < 0.0
+        found = {"x": x, "jacobian": jac, "exp_jacobian": exp_jac}
         lines = [
-            f"theorem {cfg.theorem}: rho = {_cell(res.rho, d)}",
             f"x = {_cell(x, d)} (past rho)",
             f"J F(x) = {_cell(jac, d)}",
             f"J exp F(x) = {_cell(exp_jac, d)}",
             f"{'sense reversal confirmed' if passed else 'sense reversal NOT confirmed'}: J < 0 past rho",
         ]
-    _emit(cfg, doc, [list(doc), list(doc.values())], lines)
+    doc = {"theorem": cfg.theorem, "rho": res.rho, "r": cfg.radius, **found, "passed": passed}
+    _emit(cfg, doc, [list(doc), list(doc.values())], [f"theorem {cfg.theorem}: rho = {_cell(res.rho, d)}", *lines])
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

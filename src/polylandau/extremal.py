@@ -200,7 +200,7 @@ def collision_pair(witness: PolyAnalyticFn, rho: float, r: float) -> tuple[float
     if profile(r) <= 0.0:
         # the profile decreases from sigma > 0 at rho, so r lies at or past its second zero and
         # the profile is nonpositive at 1; before that zero the cap could not bind
-        second_zero, _ = _bisect_decreasing(profile, rho, 1.0)
+        second_zero, _, _ = _bisect_decreasing(profile, rho, 1.0)
         eps = min(eps, 0.5 * (second_zero - rho))
     x1 = rho + eps
     gx1 = profile(x1)
@@ -214,7 +214,7 @@ def collision_pair(witness: PolyAnalyticFn, rho: float, r: float) -> tuple[float
         raise BracketError(
             f"collision bracket degenerate: g(x1) = {gx1!r} outside (0, {sigma!r}) with eps = {eps!r}"
         )
-    x2, _ = _bisect_decreasing(lambda x: gx1 - profile(x), 0.0, rho)
+    x2, _, _ = _bisect_decreasing(lambda x: gx1 - profile(x), 0.0, rho)
     return x1, x2
 
 

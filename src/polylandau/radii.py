@@ -25,19 +25,16 @@ Term model
 A profile is a leading term plus one term per higher component.  The
 leading term is a derivative bound L > 1, the identity, or a modulus
 bound M >= 1; each higher component has a derivative bound L_k >= 0 or a
-modulus bound M_k >= 1.  With g = M - 1/M, a modulus term is the identity
-term plus an excess term, so that
+modulus bound M_k >= 1.  A component c z adds linear terms, c = L_k for a
+derivative bound; with g = M - 1/M, a modulus component adds those of
+c = 1 plus an excess term, and a modulus lead (k = 0) the excess alone:
 
-    m(r) = lead_m(r) - sum (k+1) L_k r^k
-                     - sum g_k r^(k+1) (2 - r + k(1-r)) / (1-r)^2
-                     - sum (k+1) r^k
-    s(r) = lead_s(r) - sum L_k r^(k+1) - sum r^(k+1) - sum g_k r^(k+2) / (1-r)
+    m(r) = lead_m(r) - sum g_k r^(k+1) (2 - r + k(1-r)) / (1-r)^2 - sum (k+1) c_k r^k
+    s(r) = lead_s(r) - sum c_k r^(k+1) - sum g_k r^(k+2) / (1-r)
 
-summed in that order, where the first sums run over derivative terms,
-the excess sums over modulus terms (k = 0 for a modulus lead) and the
-(k+1) r^k and r^(k+1) sums over higher modulus components.  A derivative
-lead has lead_m = L (1 - L r)/(L - r) and lead_s = L^2 r + (L^3 - L)
-log(1 - r/L); the identity and a modulus lead have lead_m = 1, lead_s = r.
+summed in that order, each sum by increasing k.  A derivative lead has
+lead_m = L (1 - L r)/(L - r) and lead_s = L^2 r + (L^3 - L) log(1 - r/L);
+the identity and a modulus lead have lead_m = 1, lead_s = r.
 ``Profile.of`` computes these weights once, when the profile is built.
 It stores g as (M - 1)(M + 1)/M: M - 1/M cancels as M approaches 1, with
 a relative error near u/(M - 1), and at order 1 the root sits beside the
@@ -80,12 +77,13 @@ with Illinois steps and a few probes around the first point inside the
 band |fl(m)| <= 2 err, in at most ``_LOCATE_CAP`` = 24 evaluations: a
 solve costs at most plain bisection's count plus 24.
 
-*Known values.*  The solver evaluates m at no point whose value it is
-given.  Every margin is exactly 1 at r = 0: each term vanishes there, and
-the derivative lead is L (1 - 0)/(L - 0) = L/L, which is exactly 1; so is
-``poly_modulus_baseline``'s.  ``radii`` hands over the m(hi) it computed
-to test hi for the root, and the loop hands back m(rho) when it
-evaluated m at rho, which then is the residual.  Over the rows of the
+*Known values.*  Values of m are passed in and handed back, so the
+solver evaluates m at no point whose value it is given.  Every margin is
+exactly 1 at r = 0: each term vanishes there, and the derivative lead is
+L (1 - 0)/(L - 0) = L/L, which is exactly 1; so is
+``poly_modulus_baseline``'s.  ``radii`` passes that 1 and the m(hi) it
+computed to test hi for the root, and the solver hands back m(rho) when it
+evaluated m there, which then is the residual.  Over the rows of the
 solve-sweep benchmark's tables (seeds 1-4, 11,616 solves) a solve makes
 about 20 margin calls where bisection makes about 58.
 
@@ -108,8 +106,8 @@ weights, each computed term of m is within gamma_11 of its exact value,
 relative to its magnitude: the excess term rounds in r^(k+1) (a libm
 pow, within one ulp, so two roundings), the product with g_k, the three
 operations of 2 - r + k(1 - r), whose parts are all nonnegative, the
-product and the quotient, and three for (1 - r)^2; a derivative or
-identity term rounds three times.  The derivative lead L (1 - L r)/(L - r)
+product and the quotient, and three for (1 - r)^2; a linear term
+rounds three times.  The derivative lead L (1 - L r)/(L - r)
 is within gamma_6 S_lead of its exact value, where
 S_lead = L (1 + L r)/(L - r) is the sum of the magnitudes inside it
 (S_lead = lead = 1 for the identity or a modulus lead).  Recursive
@@ -151,6 +149,7 @@ _TERM_OPS = 11  # roundings in the costliest margin term (module docstring, Nume
 _LOCATE_CAP = 24  # evaluations the locate phase may add to bisection's
 _GEOMETRIC = 16.0  # bracket ratio above which a stalled locate step bisects geometrically
 _SEED_STEP = 2.0**-7  # the step of a table's second row, relative to the first row's rho
+_RESIDUAL_CONTRACT = 1e-12  # the |m(rho)| a result promises; a larger residual is flagged
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -200,35 +199,33 @@ class Profile:
     theorem: int  # 1..4; the log forms 5..8 reuse the profile of theorem - 4
     components: tuple[tuple[str, float], ...]
     lead: float | None  # L of a derivative lead, None for the identity or a modulus lead
-    deriv: tuple[tuple[int, float, float], ...]  # (k, (k+1) L_k, L_k) for L_k > 0
+    linear: tuple[tuple[int, float, float], ...]  # (k, (k+1) c, c): c = L_k > 0, or 1 for M_k with k >= 1
     excess: tuple[tuple[int, float], ...]  # (k, (M_k - 1)(M_k + 1)/M_k) for M_k > 1
-    identity: tuple[tuple[int, float], ...]  # (k, k+1) for modulus components k >= 1
     modulus: bool  # a modulus term puts a (1 - r)^2 pole at r = 1
 
     @classmethod
     def of(cls, theorem: int, components) -> Profile:
         components = tuple(components)
-        deriv, excess, identity = [], [], []
+        linear, excess = [], []
         for k, (kind, bound) in enumerate(components):
             if kind == "modulus":
                 _require_power_finite(bound, f"M_{k}", 2)
                 if k:
-                    identity.append((k, k + 1.0))
+                    linear.append((k, k + 1.0, 1.0))
                 if bound > 1.0:
                     excess.append((k, (bound - 1.0) * (bound + 1.0) / bound))
             elif kind == "deriv" and k and bound > 0.0:
                 weight = (k + 1) * bound
                 if not math.isfinite(weight):
                     raise DomainError(f"lambda_{k} = {bound!r} is too large: {k + 1} * lambda_{k} overflows a float")
-                deriv.append((k, weight, bound))
+                linear.append((k, weight, bound))
         lead_kind, lead_bound = components[0]
         return cls(
             theorem,
             components,
             lead_bound if lead_kind == "deriv" else None,
-            tuple(deriv),
+            tuple(linear),
             tuple(excess),
-            tuple(identity),
             any(kind == "modulus" for kind, _ in components),
         )
 
@@ -275,7 +272,9 @@ class RadiiResult:
     """One computed radius pair plus root-finding diagnostics.
 
     ``w`` and ``r`` are populated exactly for the log-variant theorems
-    (ids 5..8); ``flags`` records degenerate or weakened conclusions.
+    (ids 5..8); ``flags`` records degenerate or weakened conclusions:
+    ``degenerate-sigma``, ``residual-above-contract`` (|m(rho)| > 1e-12)
+    and ``sharpness-not-asserted``.
     """
 
     theorem: int | str
@@ -306,13 +305,11 @@ def univalence_margin(r, b: Profile):
         raise DomainError(f"margin argument must lie in [0, 1{')' if b.modulus else ']'}, got {r!r}")
     lam = b.lead
     total = 1.0 if lam is None else lam * (1.0 - lam * r) / (lam - r)
-    for k, weight, _ in b.deriv:
-        total -= weight * r**k
     if b.excess:
         denom = (1.0 - r) ** 2
         for k, gap in b.excess:
             total -= gap * r ** (k + 1) * (2.0 - r + k * (1.0 - r)) / denom
-    for k, weight in b.identity:
+    for k, weight, _ in b.linear:
         total -= weight * r**k
     return total
 
@@ -321,12 +318,13 @@ univalence_margin_deriv = univalence_margin_normalized = univalence_margin
 univalence_margin_modulus = univalence_margin_mixed = univalence_margin
 
 
-def _bisect_decreasing(g, lo: float, hi: float, err=None, known=None, guess=None):
+def _bisect_decreasing(g, lo: float, hi: float, err=None, glo=None, ghi=None, guess=None):
     """Bisection on a strictly decreasing g with g(lo) > 0 >= g(hi).
 
-    Returns (root, iterations).  Bisects until the midpoint is no longer
-    strictly inside the bracket, so every step shrinks it by at least one
-    float; a bracket within [0, 1] takes at most 1074 steps.
+    Returns (root, iterations, g(root) or None where g was not computed
+    there).  Bisects until the midpoint is no longer strictly inside the
+    bracket, so every step shrinks it by at least one float; a bracket
+    within [0, 1] takes at most 1074 steps.
 
     ``err(r, g_r)`` is an optional rounding bound on g (module docstring,
     Numerics).  With it, ``_locate`` proves points a <= b around the root
@@ -334,18 +332,15 @@ def _bisect_decreasing(g, lo: float, hi: float, err=None, known=None, guess=None
     every r >= b, and bisection takes those signs from position: it
     evaluates g only at the midpoints inside (a, b), and returns the same
     root and iterations as without the bound.  ``guess`` = (x, step)
-    seeds ``_locate`` and changes neither.
-
-    ``known`` is an optional dict of values of g the caller has computed,
-    by point: g(lo) and g(hi) are read from it where present, and g(root)
-    is written into it when the loop evaluated g there.
+    seeds ``_locate`` and changes neither.  ``glo`` and ``ghi`` are g(lo)
+    and g(hi) where the caller knows them; g is evaluated at neither then.
     """
     if not lo < hi:
         raise BracketError(f"empty bracket: lo = {lo!r}, hi = {hi!r}")
-    if known is None:
-        known = {}
-    glo = known[lo] if lo in known else g(lo)
-    ghi = known[hi] if hi in known else g(hi)
+    if glo is None:
+        glo = g(lo)
+    if ghi is None:
+        ghi = g(hi)
     if not glo > 0.0:
         raise BracketError(f"bracket violation: g({lo!r}) = {glo!r} must be positive")
     if ghi > 0.0:
@@ -368,10 +363,7 @@ def _bisect_decreasing(g, lo: float, hi: float, err=None, known=None, guess=None
                 hi, ghi = mid, gmid
         iterations += 1
     root = 0.5 * (lo + hi)  # lo or hi: no float lies between them
-    groot = glo if root == lo else ghi
-    if groot is not None:
-        known[root] = groot
-    return root, iterations
+    return root, iterations, glo if root == lo else ghi
 
 
 def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) -> tuple[float, float]:
@@ -476,7 +468,7 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) ->
 
 def _margin_error(b: Profile):
     """The rounding bound err(r, m(r)) of ``univalence_margin`` on b, or None where it cannot serve (Numerics)."""
-    k = (_TERM_OPS + len(b.deriv) + len(b.excess) + len(b.identity) + 1) * _U
+    k = (_TERM_OPS + len(b.linear) + len(b.excess) + 1) * _U
     lam = b.lead
     if lam is None:
         return lambda r, m: k * (2.0 - m)
@@ -501,10 +493,8 @@ def _lead_sigma(r: float, lam: float) -> float:
 
 def _sigma(r: float, b: Profile) -> float:
     total = r if b.lead is None else _lead_sigma(r, b.lead)
-    for k, _, lam in b.deriv:
-        total -= lam * r ** (k + 1)
-    for k, _ in b.identity:
-        total -= r ** (k + 1)
+    for k, _, c in b.linear:
+        total -= c * r ** (k + 1)
     for k, gap in b.excess:
         total -= gap * r ** (k + 2) / (1.0 - r)
     return total
@@ -526,29 +516,28 @@ def radii(b: Profile, _guess=None) -> RadiiResult:
         return univalence_margin(r, b)
 
     plain = b.lead is None and not b.excess
-    if plain and sum(w for _, w, _ in b.deriv) + sum(w for _, w in b.identity) <= 1.0:
-        rho, iterations, residual = 1.0, 0, 0.0
+    hi, ghi = b.upper(_CLAMP), None  # ghi = m(hi), which only a derivative lead can leave positive
+    if b.lead is not None:
+        ghi = margin(hi)
+        if b.modulus and ghi > 0.0:
+            hi = 1.0 / b.lead  # the derivative factor vanishes here, forcing the margin nonpositive
+            ghi = margin(hi)
+    if plain and sum(w for _, w, _ in b.linear) <= 1.0:
+        rho, iterations, grho = 1.0, 0, 0.0  # the margin stays positive inside the disk: no root to miss
+    elif plain and not b.modulus and b.order == 2:
+        rho, iterations, grho = 1.0 / b.linear[0][1], 0, None  # linear margin, so take the exact root
+    elif ghi is not None and ghi > 0.0:
+        # exactly zero there in exact arithmetic when no higher bound bites;
+        # roundoff can leave it a few ulp positive, making hi itself the root
+        rho, iterations, grho = hi, 0, ghi
     else:
-        known = {0.0: 1.0}  # every margin is exactly 1 at r = 0 (Numerics)
-        if plain and not b.modulus and b.order == 2:
-            rho, iterations = 1.0 / b.deriv[0][1], 0  # linear margin, so take the exact root
-        else:
-            hi = b.upper(_CLAMP)
-            ghi = 0.0 if b.lead is None else margin(hi)  # only a derivative lead can leave hi itself the root
-            if b.modulus and ghi > 0.0:
-                hi = 1.0 / b.lead  # the derivative factor vanishes here, forcing the margin nonpositive
-                ghi = margin(hi)
-            if b.lead is not None:
-                known[hi] = ghi
-            if ghi > 0.0:
-                # exactly zero there in exact arithmetic when no higher bound bites;
-                # roundoff can leave it a few ulp positive, making hi itself the root
-                rho, iterations = hi, 0
-            else:
-                rho, iterations = _bisect_decreasing(margin, 0.0, hi, _margin_error(b), known, _guess)
-        residual = abs(known[rho] if rho in known else margin(rho))
+        # every margin is exactly 1 at r = 0 (Numerics)
+        rho, iterations, grho = _bisect_decreasing(margin, 0.0, hi, _margin_error(b), 1.0, ghi, _guess)
+    residual = abs(margin(rho) if grho is None else grho)
     sigma = _sigma(rho, b)
     flags = () if sigma > 0.0 else ("degenerate-sigma",)
+    if residual > _RESIDUAL_CONTRACT:
+        flags += ("residual-above-contract",)
     return RadiiResult(b.theorem, rho, sigma, residual, iterations, flags=flags)
 
 
@@ -682,7 +671,7 @@ def poly_modulus_baseline(m: float, p: int) -> tuple[float, float]:
         return _poly_modulus_margin(r, m, p)
 
     k = (2 * p + 10) * _U  # the rounding bound of the margin (module docstring, Numerics)
-    r3, _ = _bisect_decreasing(margin, 0.0, _CLAMP, lambda r, g: k * (2.0 - g), {0.0: 1.0})
+    r3, _, _ = _bisect_decreasing(margin, 0.0, _CLAMP, lambda r, g: k * (2.0 - g), 1.0)
     big_r3 = r3
     for k in range(1, p):
         big_r3 -= r3 ** (k + 1)

@@ -460,6 +460,12 @@ def test_verify_takes_no_mc_samples_flag(capsys, value):
         # int() raised OverflowError on inf, a traceback, and named no flag on nan
         (("compare", "--orders", "inf"), "--orders expects positive integers, got 'inf'\n"),
         (("compare", "--orders", "nan"), "--orders expects positive integers, got 'nan'\n"),
+        # these named the baseline's M or the constructor's M_k, not --ms
+        (("compare", "--ms", "1"), "--ms expects modulus bounds above 1, got '1'\n"),
+        (("compare", "--ms", "0.5"), "--ms expects modulus bounds above 1, got '0.5'\n"),
+        (("compare", "--ms", "inf"), "--ms expects modulus bounds above 1, got 'inf'\n"),
+        (("compare", "--ms", "nan"), "--ms expects modulus bounds above 1, got 'nan'\n"),
+        (("compare", "--ms", "2,1"), "--ms expects modulus bounds above 1, got '2,1'\n"),
         # format() said "precision too big", naming no flag; 767 digits print every double exactly
         (("radii", "--theorem", "1", "--lambda0", "2", "--digits", "768"), "--digits must be at most 767, got 768\n"),
         (("radii", "--theorem", "1", "--lambda0", "2", "-p", "0"), "--order must be a positive integer, got 0\n"),
@@ -482,7 +488,8 @@ def test_verify_takes_no_mc_samples_flag(capsys, value):
     ],
     ids=["seed-negative", "digits-negative", "boundary-samples-4", "grid-radial-4", "grid-angular-4",
          "margin-negative", "margin-nan", "grid-over-cap", "boundary-samples-over-cap", "tol-0", "tol-negative",
-         "tol-nan", "orders-inf", "orders-nan", "digits-over-cap", "order-0", "theorem-3-needs-ms",
+         "tol-nan", "orders-inf", "orders-nan", "ms-1", "ms-0.5", "ms-inf", "ms-nan", "ms-2,1", "digits-over-cap",
+         "order-0", "theorem-3-needs-ms",
          "theorem-7-needs-mstars", "baseline-bianalytic-deriv-needs-lambda0",
          "baseline-bianalytic-bounded-needs-lambda1", "baseline-poly-modulus-needs-p", "sharpness-needs-theorem",
          "orders-over-cap", "order-over-cap", "lambdas-over-cap", "baseline-order-over-cap"],

@@ -59,7 +59,7 @@ def test_single_component_closed_form():
 
 
 def test_find_root_monotone_linear():
-    root, _ = _bisect_decreasing(lambda x: 0.5 - x, 0.0, 1.0)
+    root, _, _ = _bisect_decreasing(lambda x: 0.5 - x, 0.0, 1.0)
     assert root == pytest.approx(0.5, abs=1e-12)
 
 
@@ -304,11 +304,11 @@ def _solve_theorem(theorem: int, lam0: float, extras: tuple[float, ...]):
 def _outcome_and_calls(solve, solver):
     """repr of solve()'s result or error and the margin evaluations it took, with _bisect_decreasing = solver.
 
-    ``plain_bisect`` takes no rounding bound, known values or guess, so it is passed none.
+    ``plain_bisect`` takes no rounding bound, known values or guess, so it is passed none; it returns no g(root).
     """
     calls = [0]
     if solver is plain_bisect:
-        solver = lambda g, lo, hi, err=None, known=None, guess=None: plain_bisect(g, lo, hi)  # noqa: E731
+        solver = lambda g, lo, hi, err=None, glo=None, ghi=None, guess=None: (*plain_bisect(g, lo, hi), None)  # noqa: E731
 
     def counted(margin):
         def wrapper(*args):
@@ -472,11 +472,9 @@ def _margin_50(r: float, b) -> mpmath.mpf:
         r = mpmath.mpf(r)
         lam = b.lead
         total = mpmath.mpf(1) if lam is None else lam * (1 - lam * r) / (lam - r)
-        for k, weight, _ in b.deriv:
-            total -= weight * r**k
         for k, gap in b.excess:
             total -= gap * r ** (k + 1) * (2 - r + k * (1 - r)) / (1 - r) ** 2
-        for k, weight in b.identity:
+        for k, weight, _ in b.linear:
             total -= weight * r**k
         return +total
 

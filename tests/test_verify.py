@@ -570,9 +570,8 @@ def _term_sum(r, b):
     """Sum of the magnitudes of the margin's terms at r, which bounds the rounding of their sum."""
     lam = b.lead
     total = 1.0 if lam is None else abs(lam * (1.0 - lam * r) / (lam - r))
-    total += sum(weight * r**k for k, weight, _ in b.deriv)
     total += sum(gap * r ** (k + 1) * (2.0 - r + k * (1.0 - r)) / (1.0 - r) ** 2 for k, gap in b.excess)
-    return total + sum(weight * r**k for k, weight in b.identity)
+    return total + sum(weight * r**k for k, weight, _ in b.linear)
 
 
 _FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=60)
