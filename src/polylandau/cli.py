@@ -72,10 +72,10 @@ from .verify import (
     GridSpec,
     VerificationReport,
     boundary_simple_check,
-    coverage_image,
     hypothesis_audit,
     jacobian_grid_check,
     schlicht_coverage_check,
+    witness_pass,
 )
 
 np = lazy_numpy()
@@ -490,6 +490,8 @@ def cmd_compare(cfg: SimpleNamespace) -> int:
     ms = _float_list(cfg.ms, "--ms")
     if not all(1.0 < m < math.inf for m in ms):  # false on nan
         raise DomainError(f"--ms expects modulus bounds above 1, got {cfg.ms!r}")
+    if any(m * m == math.inf for m in ms):  # the baseline and the radii need M**2
+        raise DomainError(f"--ms is too large: M**2 overflows a float, got {cfg.ms!r}")
     raw_orders = _float_list(cfg.orders, "--orders")
     if any(not v.is_integer() or v < 1 for v in raw_orders):  # is_integer is false on inf and nan
         raise DomainError(f"--orders expects positive integers, got {cfg.orders!r}")
@@ -525,15 +527,18 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
     reports: list[VerificationReport] = [hypothesis_audit(witness, profile, grid)]
 
     target = witness if not is_log else LogPAnalyticFn(witness)
-    reports.append(jacobian_grid_check(target, 0.99 * res.rho, grid))
-    reports.append(boundary_simple_check(target, 0.99 * res.rho, cfg.boundary_samples))
+    # one evaluation of the witness serves the univalence checks at 0.99 rho and the coverage checks at rho
+    jet = witness_pass(target, 0.99 * res.rho, grid, cfg.boundary_samples, res.rho if res.sigma > 0.0 else None)
+    reports.append(jacobian_grid_check(jet))
+    reports.append(boundary_simple_check(jet))
 
     if res.sigma > 0.0:
         s = 0.99 * res.sigma
-        image = coverage_image(witness, res.rho, cfg.boundary_samples)
-        reports.append(schlicht_coverage_check(image, res.rho, s, cfg.margin))
+        image, origin = jet.coverage()
+        reports.append(schlicht_coverage_check(image, origin, res.rho, s, cfg.margin))
         if is_log:  # exp F, from the same values of F, covers the disk of radius sinh s about cosh s
-            reports.append(schlicht_coverage_check(np.exp(image), res.rho, math.sinh(s), cfg.margin, math.cosh(s)))
+            reports.append(schlicht_coverage_check(np.exp(image), np.exp(origin), res.rho, math.sinh(s), cfg.margin,
+                                                   math.cosh(s)))
 
     passed = all(r.passed for r in reports)
     checks = [

@@ -66,10 +66,10 @@ class _ClosedForm:
 class Linear(_ClosedForm):
     """A(z) = c z and A'(z) = c: the identity (c = 1) and the extremal -L z of a higher derivative bound L.
 
-    Im c = +0, so c z is exact in each part.  A' is c at every point, or
-    at every point of an array, and adding 0.0 makes its real part +0
-    when L = 0.  Neither checks |z| <= 1; the functionals of ``polyfunc``
-    check their points once.
+    Im c = +0, so c z is exact in each part.  A' is the one number c at a
+    point and for every point of an array, and adding 0.0 makes its real
+    part +0 when L = 0.  Neither checks |z| <= 1; the functionals of
+    ``polyfunc`` check their points once.
     """
 
     c: complex
@@ -78,7 +78,7 @@ class Linear(_ClosedForm):
         return self.c * z
 
     def derivative(self, z):
-        return self.c + 0.0 * abs(z)
+        return self.c + 0.0
 
 
 @dataclass(frozen=True)

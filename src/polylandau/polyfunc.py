@@ -18,10 +18,15 @@ Jacobian |F_z|^2 - |F_zbar|^2.
 and return a Python number, or take an array of points and return an
 array; both run the same arithmetic.  ``poly_jet`` is the one source of
 F_z and F_zbar: it returns F, F_z and F_zbar from one pass, in which the
-points are checked against the disk once, the powers of conj(z) are built
-once (``_conj_powers``), and each component's value and derivative are
-evaluated once.  The sums ``_conj_sum`` and ``_zbar_sum`` read those
-powers, so ``poly_eval`` rounds as ``poly_jet``'s F does.
+points are checked against the disk once, each power of conj(z) is built
+once (``_conj_powers`` yields them one at a time), and each component's
+value and derivative are evaluated once.  The derivatives may be taken on
+one slice of the points and F on another, so one pass serves checks on
+several point sets laid out in one array: ``verify.witness_pass`` lays
+out the Jacobian grid, the boundary circle and the coverage circle.  Each
+sum adds its terms in the order of the components, in place into the
+newest term (``_add_into``), so ``poly_eval`` rounds as ``poly_jet``'s F
+does, and no point's value depends on the points beside it.
 ``_require_in_disk`` keeps a point a Python number, a real one real, and
 makes anything else a complex array; ``_cmul`` multiplies as Python
 multiplies two complex numbers, so a point and an array round alike;
@@ -65,9 +70,12 @@ def _cmul(a, b):
     numpy's complex multiply may fuse a multiply with an add, which rounds
     differently.  In a * Re(b) + a * (i Im(b)) each product has a factor
     with a zero part, so it rounds once per component whether fused or
-    not, and the sum then rounds as Python's does.
+    not, and the sum then rounds as Python's does.  The second product is
+    added in place into the first.
     """
-    return a * (b.real + 0j) + a * (1j * b.imag)
+    out = a * (b.real + 0j)
+    out += a * (1j * b.imag)
+    return out
 
 
 def _ufunc(f, w):
@@ -77,7 +85,10 @@ def _ufunc(f, w):
 
 
 class Component(Protocol):
-    """An analytic component: A(z) and A'(z) at a point or at every point of an array."""
+    """An analytic component: A(z) and A'(z) at a point or at every point of an array.
+
+    A constant A' may come back as one number for every point of an array.
+    """
 
     def value(self, z): ...
 
@@ -131,56 +142,66 @@ class LogPAnalyticFn:
         return logp_eval(self, z)
 
 
-def _conj_powers(z, count: int) -> list:
-    """[conj z, conj z^2, ...] up to conj z^(count - 1), and at least conj z; each power is the one before times conj z, by ``_cmul``."""
+def _conj_powers(z, count: int):
+    """conj z, conj z^2, ... up to conj z^(count - 1), one at a time; each is the one before times conj z, by ``_cmul``."""
     zbar = z.conjugate()
-    powers = [zbar]
-    for _ in range(count - 2):
-        powers.append(_cmul(powers[-1], zbar))
-    return powers
+    power = None
+    for _ in range(count - 1):
+        power = zbar if power is None else _cmul(power, zbar)
+        yield power
 
 
-def _conj_sum(terms: list, powers: list):
-    """sum_k conj(z)^k t_k over the terms t_0, t_1, ... and the powers conj z, conj z^2, ...; t_0 is taken as it is."""
-    acc = terms[0]
-    for t, power in zip(terms[1:], powers):
-        acc = acc + _cmul(power, t)
-    return acc
+def _add_into(term, acc):
+    """acc + term, summed into term, which its caller has just made: no array is allocated."""
+    term += acc
+    return term
 
 
-def _zbar_sum(z, higher: list, powers: list):
-    """sum_k k conj(z)^(k-1) v_k over the values v_1, v_2, ... of the higher components and the powers conj z, ....
-
-    v_1 is taken as it is; with no higher component the sum is 0 at z.
-    """
-    if not higher:
-        return 0j * z
-    acc = higher[0]
-    for k, (v, power) in enumerate(zip(higher[1:], powers), start=2):
-        acc = acc + _cmul(k * power, v)
-    return acc
+def _part(a, part):
+    """a at the points that the slice part picks; a point, and every point (part None), as they are."""
+    return a if part is None else a[part]
 
 
 def poly_eval(F: PolyAnalyticFn, z):
     z = _require_in_disk(z)
-    return _conj_sum([comp.value(z) for comp in F.components], _conj_powers(z, F.order))
+    lead, *higher = F.components
+    acc = lead.value(z)
+    for comp, power in zip(higher, _conj_powers(z, F.order)):
+        acc = _add_into(_cmul(power, comp.value(z)), acc)
+    return acc
 
 
-def poly_jet(F: PolyAnalyticFn, z, *, value: bool = True):
-    """F(z), F_z(z) and F_zbar(z) in one pass; F rounds as ``poly_eval``.
+def poly_jet(F: PolyAnalyticFn, z, *, value=True, jet: slice | None = None):
+    """F, F_z and F_zbar in one pass; F rounds as ``poly_eval``.
 
-    z is checked against the disk once, the powers of conj z are built
-    once, and each component's value and derivative are evaluated once.
-    With value false, F(z) comes back as None and the leading component's
-    value, which only F needs, is not evaluated.
+    F_z and F_zbar are taken at the points z[jet], every point when jet is
+    None.  F is taken at every point (value True), at none (value False: F
+    comes back as None), or at the points z[value] of a slice.  z is
+    checked against the disk once, and each power of conj z is built once,
+    over every point.  Each component's derivative is evaluated once, at
+    z[jet], and its value once: a higher component's at every point, where
+    F_zbar and F share it, and the lead's only where F is taken.  Each sum
+    adds its terms in place as the components are read, so no list of
+    component arrays is kept.
     """
     z = _require_in_disk(z)
-    powers = _conj_powers(z, F.order)
-    fz = _conj_sum([comp.derivative(z) for comp in F.components], powers)  # the derivatives are freed here
+    part = None if value is True else value
     lead, *higher = F.components
-    values = [comp.value(z) for comp in higher]
-    fzbar = _zbar_sum(z, values, powers)
-    return (_conj_sum([lead.value(z), *values], powers) if value else None), fz, fzbar
+    at_jet = _part(z, jet)
+    fz = lead.derivative(at_jet)
+    f = None if value is False else lead.value(_part(z, part))
+    fzbar = 0j * at_jet if not higher else None
+    for k, (comp, power) in enumerate(zip(higher, _conj_powers(z, F.order)), start=1):
+        v = comp.value(z)
+        fz = _add_into(_cmul(_part(power, jet), comp.derivative(at_jet)), fz)
+        # F_zbar = A_1 + 2 conj z A_2 + 3 conj z^2 A_3 + ...: the power before this one
+        fzbar = _part(v, jet) if k == 1 else _add_into(_cmul(k * _part(below, jet), _part(v, jet)), fzbar)
+        if f is not None:
+            f = _add_into(_cmul(_part(power, part), _part(v, part)), f)
+        below = power
+    if not isinstance(z, (float, complex)) and np.ndim(fz) == 0:
+        fz = np.full(at_jet.shape, fz, dtype=complex)  # a lead of constant derivative with no component above it
+    return f, fz, fzbar
 
 
 def jacobian(F: PolyAnalyticFn, z):

@@ -12,9 +12,14 @@ shared, as plain data.  Witness components are read through their
 ``value`` and ``derivative`` alone, at 0 for the normalisation and on
 the audit grid for the bounds.  Every check evaluates on the whole array
 of its points, so a callable passed to a check must accept an array.
-``jacobian_grid_check`` and ``boundary_simple_check`` take the values
-and derivatives they need from one ``poly_jet`` pass, and the two
-coverage checks share one evaluation of F (``coverage_image``): exp
+
+Outside ``hypothesis_audit``, which keeps its own grid, ``cmd_verify``
+evaluates the witness once: ``witness_pass`` lays out the Jacobian grid,
+the boundary circle and the coverage circle as slices of one array and
+takes F_z and F_zbar on the grid and the boundary circle, and F on the
+two circles, from one ``poly_jet`` pass; F(0) is read as a point.
+``jacobian_grid_check``, ``boundary_simple_check`` and
+``schlicht_coverage_check`` only read their slices and report, and exp
 F's disk is checked on exp of F's values.
 
 Univalence is checked by degree theory, the argument principle for
@@ -42,7 +47,7 @@ from typing import Callable, Sequence
 
 from ._lazy import lazy_numpy
 from .errors import DomainError
-from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, poly_jet
+from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, poly_eval, poly_jet
 from .radii import Profile
 
 np = lazy_numpy()
@@ -154,32 +159,86 @@ def _derivatives_of(fn: PolyAnalyticFn | LogPAnalyticFn) -> PolyAnalyticFn:
     return fn.log_part if isinstance(fn, LogPAnalyticFn) else fn
 
 
-def jacobian_grid_check(
+@dataclass(frozen=True)
+class WitnessPass:
+    """A witness evaluated once over the Jacobian grid and the two circles that ``cmd_verify`` checks.
+
+    ``nodes`` lays the points out as slices of one array: the grid inside
+    |z| <= r, ``samples`` points of the boundary circle |z| = r, and, when
+    the pass has a coverage radius, as many of the coverage circle.
+    ``fz`` and ``fzbar`` hold F's Wirtinger derivatives on the grid and
+    the boundary circle, ``image`` F on the two circles, and ``origin``
+    F(0), read as a point.  For exp F (``log``) they are F's too.
+    """
+
+    nodes: np.ndarray
+    grid: GridSpec
+    samples: int
+    fz: np.ndarray
+    fzbar: np.ndarray
+    image: np.ndarray
+    origin: complex | None
+    log: bool
+
+    @property
+    def grid_size(self) -> int:
+        return self.grid.radial_count * self.grid.angular_count
+
+    def coverage(self) -> tuple[np.ndarray, complex]:
+        """F on the coverage circle and F(0), the values ``schlicht_coverage_check`` reads."""
+        if self.origin is None:
+            raise DomainError("this pass has no coverage circle")
+        return self.image[self.samples:], self.origin
+
+
+def witness_pass(
     fn: PolyAnalyticFn | LogPAnalyticFn,
     r: float,
     grid: GridSpec = GridSpec(),
-) -> VerificationReport:
-    """Sense preservation on the polar grid inside |z| <= r.
+    samples: int = 512,
+    rho: float | None = None,
+) -> WitnessPass:
+    """fn's ``WitnessPass`` from one ``poly_jet`` pass: the grid and the boundary circle at r, the coverage circle at rho.
+
+    Each component's derivative is evaluated once, over the grid and the
+    boundary circle, and its value once: a higher component's at every
+    point, the lead's on the two circles only.  F(0) is evaluated as a
+    point, so the origin never joins the lead's array.  rho None leaves
+    the coverage circle out.
+    """
+    if not 0.0 < r:
+        raise DomainError(f"univalence checks need r > 0, got {r!r}")
+    if samples < 8:
+        raise DomainError(f"boundary check needs at least 8 samples, got {samples}")
+    if rho is not None and not 0.0 < rho:
+        raise DomainError(f"coverage check needs rho > 0, got {rho!r}")
+    F = _derivatives_of(fn)
+    circle_radii = (r,) if rho is None else (r, rho)
+    nodes = np.concatenate([_disk_grid(r, grid), *(_circle(c, samples) for c in circle_radii)])
+    start = grid.radial_count * grid.angular_count
+    image, fz, fzbar = poly_jet(F, nodes, value=slice(start, None), jet=slice(start + samples))
+    origin = None if rho is None else poly_eval(F, 0j)
+    return WitnessPass(nodes, grid, samples, fz, fzbar, image, origin, fn is not F)
+
+
+def jacobian_grid_check(jet: WitnessPass) -> VerificationReport:
+    """Sense preservation on the pass's polar grid.
 
     Measures min |F_z| - |F_zbar| over the grid nodes; passes iff it is
     at least the grid margin.  For exp F it reads F's derivatives: the
     Jacobian of exp F is |exp F|^2 times F's, so its sign is F's.
     """
-    if not 0.0 < r:
-        raise DomainError(f"jacobian check needs r > 0, got {r!r}")
-    F = _derivatives_of(fn)
-    pts = _disk_grid(r, grid)
-    _, fz, fzbar = poly_jet(F, pts, value=False)
-    gaps = np.abs(fz) - np.abs(fzbar)
+    n = jet.grid_size
+    gaps = np.abs(jet.fz[:n]) - np.abs(jet.fzbar[:n])
     k = int(np.argmin(gaps))
     measured = float(gaps[k])
-    passed = bool(measured >= grid.margin)
+    passed = bool(measured >= jet.grid.margin)
     return VerificationReport(
         check_name="jacobian-grid",
         passed=passed,
         measured_margin=measured,
-        witness=None if passed else (complex(pts[k]),),
-        note=f"min |F_z| - |F_zbar| over {len(pts)} nodes",
+        witness=None if passed else (complex(jet.nodes[k]),),
+        note=f"min |F_z| - |F_zbar| over {n} nodes",
     )
 
 
@@ -234,32 +293,24 @@ def _crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[rank], j[rank]
 
 
-def boundary_simple_check(
-    fn: PolyAnalyticFn | LogPAnalyticFn,
-    r: float,
-    samples: int = 512,
-) -> VerificationReport:
-    """Checks the image of the circle |z| = r is a simple closed curve.
+def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
+    """Checks the image of the pass's boundary circle is a simple closed curve.
 
-    Two tests on ``samples`` equally spaced points of the circle: the
-    tangent i (z F_z - conj(z) F_zbar) of the image curve must turn
-    exactly once (Hopf's Umlaufsatz), which catches a fold between two
-    samples; and no two non-adjacent edges of the sampled image may
-    cross.  For exp F the tangent is exp F times F's, and exp F comes
-    back to its start, so the turn is counted on F's tangent and the
-    crossings on the image of exp F.  A zero tangent fails too.
+    Two tests on the circle's samples: the tangent
+    i (z F_z - conj(z) F_zbar) of the image curve must turn exactly once
+    (Hopf's Umlaufsatz), which catches a fold between two samples; and no
+    two non-adjacent edges of the sampled image may cross.  For exp F the
+    tangent is exp F times F's, and exp F comes back to its start, so the
+    turn is counted on F's tangent and the crossings on the image of
+    exp F.  A zero tangent fails too.
     """
-    if not 0.0 < r:
-        raise DomainError(f"boundary check needs r > 0, got {r!r}")
-    if samples < 8:
-        raise DomainError(f"boundary check needs at least 8 samples, got {samples}")
-    F = _derivatives_of(fn)
-    pts = _circle(r, samples)
-    image, fz, fzbar = poly_jet(F, pts)
+    n, samples = jet.grid_size, jet.samples
+    pts = jet.nodes[n:n + samples]
+    fz, fzbar, image = jet.fz[n:], jet.fzbar[n:], jet.image[:samples]
     tangent = _unit_scale(1j * (pts * fz - pts.conj() * fzbar))
     turning = int(np.rint(np.sum(np.angle(np.roll(tangent, -1) * tangent.conj())) / (2.0 * np.pi)))
     stalls = int(np.count_nonzero(tangent == 0))
-    i, j = _crossings(_unit_scale(image if fn is F else np.exp(image)))
+    i, j = _crossings(_unit_scale(np.exp(image) if jet.log else image))
     problems = len(i) + abs(turning - 1) + stalls
     passed = problems == 0
     if len(i):
@@ -278,17 +329,9 @@ def boundary_simple_check(
     )
 
 
-def coverage_image(fn: Callable[[np.ndarray], np.ndarray], rho: float, samples: int = 512) -> np.ndarray:
-    """fn at ``samples`` equally spaced points of the circle |z| = rho and then at the origin, from one call.
-
-    This is the array ``schlicht_coverage_check`` reads.  exp of F's array
-    is exp F's, so F's disk and exp F's are checked on one evaluation of F.
-    """
-    return fn(np.append(_circle(rho, samples), 0j))
-
-
 def schlicht_coverage_check(
     image: np.ndarray,
+    origin: complex,
     rho: float,
     sigma: float,
     margin: float = 1e-9,
@@ -296,25 +339,24 @@ def schlicht_coverage_check(
 ) -> VerificationReport:
     """Checks the image of |z| < rho covers the disk of radius sigma about center.
 
-    ``image`` holds a map fn's values on the circle |z| = rho and then at
-    the origin, as ``coverage_image`` returns them.  For a univalent map the
-    image boundary is the image of that circle, so the image covers a
-    disk that holds fn(0) iff min |fn - center| on the circle is at least
-    sigma.  Center 0 is the disk of F (``schlicht-coverage``), which
-    requires fn(0) = 0 up to 1e-12.  Center cosh(s) and radius sinh(s)
-    make the disk of exp F (``exp-coverage``) for s > 0, which holds
-    exp F(0) = 1 because exp(-s) < 1 < exp(s); any other center requires
-    fn(0) inside the disk.
+    ``image`` holds a map fn's values at equally spaced points of the
+    circle |z| = rho, as ``WitnessPass.coverage`` returns them, and
+    ``origin`` is fn(0).  For a univalent map the image boundary is the
+    image of that circle, so the image covers a disk that holds fn(0) iff
+    min |fn - center| on the circle is at least sigma.  Center 0 is the
+    disk of F (``schlicht-coverage``), which requires fn(0) = 0 up to
+    1e-12.  Center cosh(s) and radius sinh(s) make the disk of exp F
+    (``exp-coverage``) for s > 0, which holds exp F(0) = 1 because
+    exp(-s) < 1 < exp(s); any other center requires fn(0) inside the disk.
     """
     if not (0.0 < rho and 0.0 < sigma):
         raise DomainError(f"coverage check needs rho > 0 and sigma > 0, got {rho!r}, {sigma!r}")
-    vals = np.abs(image - center)  # the origin last
-    origin = float(vals[-1])
+    vals = np.abs(image - center)
+    origin = float(abs(origin - center))
     if center == 0.0 and origin > 1e-12:
         raise DomainError(f"coverage check needs fn(0) = 0, got |fn(0)| = {origin!r}")
     if center != 0.0 and not origin < sigma:
         raise DomainError(f"coverage check needs fn(0) inside the disk, got |fn(0) - {center!r}| = {origin!r}")
-    vals = vals[:-1]
     k = int(np.argmin(vals))
     measured = float(vals[k]) - sigma
     passed = bool(measured >= -margin)

@@ -20,13 +20,13 @@ from polylandau import (
     boundary_simple_check,
     classical_landau,
     collision_pair,
-    coverage_image,
     exp_disk_check,
     jacobian_grid_check,
     log_deriv_radii,
     monotonicity_check,
     poly_modulus_baseline,
     schlicht_coverage_check,
+    witness_pass,
 )
 from polylandau.extremal import extremal_fn
 from polylandau.radii import radii, univalence_margin
@@ -70,12 +70,12 @@ def test_04_extremal_univalence_and_collision():
     start = time.monotonic()
     res = radii(REFERENCE)
     fn = extremal_fn(REFERENCE)
-    inside = 0.99 * res.rho
-    for report in (jacobian_grid_check(fn, inside, GridSpec(32, 64)), boundary_simple_check(fn, inside)):
+    inside = witness_pass(fn, 0.99 * res.rho, GridSpec(32, 64))
+    for report in (jacobian_grid_check(inside), boundary_simple_check(inside)):
         assert report.passed, report.note
     # rho is sharp: 1% past it the witness stops preserving sense
-    past = 1.01 * res.rho
-    assert not all(r.passed for r in (jacobian_grid_check(fn, past, GridSpec(32, 64)), boundary_simple_check(fn, past)))
+    past = witness_pass(fn, 1.01 * res.rho, GridSpec(32, 64))
+    assert not all(r.passed for r in (jacobian_grid_check(past), boundary_simple_check(past)))
 
     x1, x2 = collision_pair(fn, res.rho, 0.5)
     gap = abs(fn(complex(x1)) - fn(complex(x2)))
@@ -90,9 +90,9 @@ def test_05_schlicht_radius_attained_and_covered():
     res = radii(REFERENCE)
     fn = extremal_fn(REFERENCE)
     assert abs(abs(fn(complex(res.rho))) - res.sigma) < 1e-9
-    image = coverage_image(fn, res.rho)
-    assert schlicht_coverage_check(image, res.rho, 0.99 * res.sigma).passed
-    assert not schlicht_coverage_check(image, res.rho, 1.01 * res.sigma).passed
+    image, origin = witness_pass(fn, 0.99 * res.rho, rho=res.rho).coverage()
+    assert schlicht_coverage_check(image, origin, res.rho, 0.99 * res.sigma).passed
+    assert not schlicht_coverage_check(image, origin, res.rho, 1.01 * res.sigma).passed
     assert time.monotonic() - start < 5.0
     _done(5, "schlicht-radius-attained-and-covered")
 

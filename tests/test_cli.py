@@ -298,35 +298,35 @@ def test_verify_passes_lead_bound_within_ulps_of_one(capsys, theorem, lam):
 
 
 def _verify_evaluations(monkeypatch, capsys, argv):
-    """Per check of one verify run: the witness's component calls by (index, method), and its passes.
+    """The witness's component calls in one verify run outside ``hypothesis-audit``, and its disk checks.
 
-    A pass is one disk check of an evaluation in ``polyfunc``; calls after ``boundary-simple``
-    belong to the two coverage checks.
+    ``calls`` counts (index, method, kind): kind "array" for a call on an array and "point at 0" or
+    "point" for a call at one point.  ``disk_checks`` counts the arrays that ``polyfunc`` checks
+    against the disk.  ``lead_origin`` is true when an array given to the lead's value holds 0.
     """
     phase, witnesses = [None], []
-    calls, passes = collections.Counter(), collections.Counter()
-
-    def phased(name, check, after=None):
-        def run_check(*args, **kwargs):
-            phase[0] = name
-            try:
-                return check(*args, **kwargs)
-            finally:
-                phase[0] = after
-
-        return run_check
+    calls, disk_checks, lead_origin = collections.Counter(), [0], [False]
 
     def built(b):
         witnesses.append(extremal.extremal_fn(b))
+        phase[0] = "checks"  # the normalisation checks of extremal_fn are not the op's checks
         return witnesses[-1]
 
+    def audited(*args, **kwargs):
+        phase[0] = None  # hypothesis-audit keeps its own grid
+        try:
+            return audit(*args, **kwargs)
+        finally:
+            phase[0] = "checks"
+
+    audit = cli.hypothesis_audit
     monkeypatch.setattr(cli, "extremal_fn", built)
-    monkeypatch.setattr(cli, "jacobian_grid_check", phased("jacobian-grid", cli.jacobian_grid_check))
-    monkeypatch.setattr(cli, "boundary_simple_check", phased("boundary-simple", cli.boundary_simple_check, "coverage"))
+    monkeypatch.setattr(cli, "hypothesis_audit", audited)
     require = polyfunc._require_in_disk
 
     def counted_require(z):
-        passes[phase[0]] += 1
+        if phase[0] is not None and not isinstance(z, (int, float, complex)):
+            disk_checks[0] += 1
         return require(z)
 
     monkeypatch.setattr(polyfunc, "_require_in_disk", counted_require)
@@ -335,32 +335,39 @@ def _verify_evaluations(monkeypatch, capsys, argv):
             def counted(self, z, original=getattr(cls, method), method=method):
                 if phase[0] is not None:
                     index = next(k for k, comp in enumerate(witnesses[0].components) if comp is self)
-                    calls[phase[0], index, method] += 1
+                    if isinstance(z, (int, float, complex)):
+                        kind = "point at 0" if z == 0 else "point"
+                    else:
+                        kind = "array"
+                        if index == 0 and method == "value" and (z == 0).any():
+                            lead_origin[0] = True
+                    calls[index, method, kind] += 1
                 return original(self, z)
 
             monkeypatch.setattr(cls, method, counted)
     code, out, _ = run(capsys, "verify", *argv)
     assert code == EXIT_OK, out
-    return witnesses[0].order, calls, passes
+    return witnesses[0].order, calls, disk_checks[0], lead_origin[0]
 
 
 @pytest.mark.parametrize(
     "argv",
-    [("--theorem", "7", "-p", "3", "--mstars", "3"), ("--theorem", "5", "-p", "3", "--lambda0", "1.05", "--lambdas", "0.5,0.25")],
+    [("--theorem", "7", "-p", "3", "--mstars", "3"), ("--theorem", "5", "-p", "3", "--lambda0", "1.05", "--lambdas", "0.5,0.25"),
+     ("--theorem", "4", "-p", "3", "--lambda0", "1.2", "--ms", "2,1.5"), ("--theorem", "1", "-p", "1", "--lambda0", "1.2")],
 )
-def test_verify_evaluates_the_witness_once_per_point_set(monkeypatch, capsys, argv):
-    order, calls, passes = _verify_evaluations(monkeypatch, capsys, argv)
-    assert order == 3
-    checks = ("jacobian-grid", "boundary-simple", "coverage")
-    assert {check: passes[check] for check in checks} == dict.fromkeys(checks, 1)
+def test_verify_evaluates_the_witness_once_per_op(monkeypatch, capsys, argv):
+    # one pass over the grid, the boundary circle and the coverage circle: every component's derivative
+    # and value see one array; the lead's value skips the grid, and F(0) is read as a point, so the
+    # lead never takes both of its forms only because the origin joined its circles
+    order, calls, disk_checks, lead_origin = _verify_evaluations(monkeypatch, capsys, argv)
+    assert disk_checks == 1
+    assert not lead_origin
+    # F(0), and for theorems 5-8 also exp F's check that F(0) = 0, read each value at the point 0
+    points_at_0 = 2 if int(argv[1]) >= 5 else 1
     for k in range(order):
-        # F_z needs every derivative, F_zbar the higher components' values; only F reads the lead's value
-        assert calls["jacobian-grid", k, "derivative"] == 1
-        assert calls["jacobian-grid", k, "value"] == (1 if k else 0)
-        assert calls["boundary-simple", k, "value"] == calls["boundary-simple", k, "derivative"] == 1
-        # exp-coverage reads exp of the values schlicht-coverage took
-        assert calls["coverage", k, "value"] == 1
-        assert calls["coverage", k, "derivative"] == 0
+        assert calls[k, "derivative", "array"] == calls[k, "value", "array"] == 1
+        assert calls[k, "value", "point at 0"] == points_at_0
+    assert sum(calls.values()) == 2 * order + points_at_0 * order
 
 
 def test_verify_passes_lead_bound_near_one(capsys):
@@ -466,6 +473,8 @@ def test_verify_takes_no_mc_samples_flag(capsys, value):
         (("compare", "--ms", "inf"), "--ms expects modulus bounds above 1, got 'inf'\n"),
         (("compare", "--ms", "nan"), "--ms expects modulus bounds above 1, got 'nan'\n"),
         (("compare", "--ms", "2,1"), "--ms expects modulus bounds above 1, got '2,1'\n"),
+        # this named the constructor's M_0, not --ms
+        (("compare", "--ms", "1e200"), "--ms is too large: M**2 overflows a float, got '1e200'\n"),
         # format() said "precision too big", naming no flag; 767 digits print every double exactly
         (("radii", "--theorem", "1", "--lambda0", "2", "--digits", "768"), "--digits must be at most 767, got 768\n"),
         (("radii", "--theorem", "1", "--lambda0", "2", "-p", "0"), "--order must be a positive integer, got 0\n"),
@@ -488,7 +497,8 @@ def test_verify_takes_no_mc_samples_flag(capsys, value):
     ],
     ids=["seed-negative", "digits-negative", "boundary-samples-4", "grid-radial-4", "grid-angular-4",
          "margin-negative", "margin-nan", "grid-over-cap", "boundary-samples-over-cap", "tol-0", "tol-negative",
-         "tol-nan", "orders-inf", "orders-nan", "ms-1", "ms-0.5", "ms-inf", "ms-nan", "ms-2,1", "digits-over-cap",
+         "tol-nan", "orders-inf", "orders-nan", "ms-1", "ms-0.5", "ms-inf", "ms-nan", "ms-2,1", "ms-square-overflows",
+         "digits-over-cap",
          "order-0", "theorem-3-needs-ms",
          "theorem-7-needs-mstars", "baseline-bianalytic-deriv-needs-lambda0",
          "baseline-bianalytic-bounded-needs-lambda1", "baseline-poly-modulus-needs-p", "sharpness-needs-theorem",

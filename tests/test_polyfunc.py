@@ -203,7 +203,7 @@ class _OnePointArray:
         return self.comp.value(np.array([z])).tolist()[0]
 
     def derivative(self, z):
-        return self.comp.derivative(np.array([z])).tolist()[0]
+        return np.broadcast_to(self.comp.derivative(np.array([z])), 1).tolist()[0]  # Linear's A' is one number
 
 
 @st.composite

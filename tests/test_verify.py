@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from polylandau import cli
 from polylandau import (
     DerivAll,
     DerivNormalized,
@@ -22,15 +23,17 @@ from polylandau import (
     boundary_simple_check,
     bounded_deriv_component,
     collision_pair,
-    coverage_image,
     exp_disk_check,
     hypothesis_audit,
     jacobian_grid_check,
     log_bound_from_modulus,
     monotonicity_check,
+    poly_eval,
+    poly_jet,
     schlicht_coverage_check,
     unit_modulus_extremal_fn,
     univalence_grid_check,
+    witness_pass,
 )
 from polylandau.extremal import DerivLead, Linear, extremal_fn
 from polylandau.radii import radii, univalence_margin
@@ -146,7 +149,8 @@ QUADRATIC = PolyAnalyticFn((TruncatedTaylorSeries((0, 1, 0.8)),))
 
 
 def _degree_checks(fn, r, grid=GridSpec(), samples=512):
-    return jacobian_grid_check(fn, r, grid), boundary_simple_check(fn, r, samples)
+    jet = witness_pass(fn, r, grid, samples)
+    return jacobian_grid_check(jet), boundary_simple_check(jet)
 
 
 def test_degree_checks_pass_on_the_identity():
@@ -175,7 +179,7 @@ def test_quadratic_fails_past_its_critical_point():
 def test_jacobian_check_fails_a_sense_reversing_map():
     # F = z + 2 conj(z) z has |F_zbar| = 2|z| > |F_z| = |1 + 2 conj(z)| near |z| = 0.9
     fn = PolyAnalyticFn((TruncatedTaylorSeries((0, 1)), TruncatedTaylorSeries((0, 2))))
-    report = jacobian_grid_check(fn, 0.9, SMALL_GRID)
+    report = jacobian_grid_check(witness_pass(fn, 0.9, SMALL_GRID))
     assert not report.passed
     assert report.measured_margin < 0.0
     assert abs(report.witness[0]) <= 0.9 + 1e-12
@@ -194,13 +198,17 @@ def test_boundary_check_counts_crossings_of_the_exp_image():
     assert abs(a) == pytest.approx(0.9) and abs(b) == pytest.approx(0.9)
 
 
-def test_degree_checks_validate_their_inputs():
-    with pytest.raises(DomainError):
-        jacobian_grid_check(IDENTITY, 0.0)
-    with pytest.raises(DomainError):
-        boundary_simple_check(IDENTITY, -1.0)
+def test_witness_pass_validates_its_inputs():
+    with pytest.raises(DomainError, match="r > 0"):
+        witness_pass(IDENTITY, 0.0)
+    with pytest.raises(DomainError, match="r > 0"):
+        witness_pass(IDENTITY, -1.0)
     with pytest.raises(DomainError, match="at least 8 samples"):
-        boundary_simple_check(IDENTITY, 0.5, samples=4)
+        witness_pass(IDENTITY, 0.5, samples=4)
+    with pytest.raises(DomainError, match="rho > 0"):
+        witness_pass(IDENTITY, 0.5, rho=0.0)
+    with pytest.raises(DomainError, match="no coverage circle"):
+        witness_pass(IDENTITY, 0.5).coverage()
 
 
 def test_boundary_check_is_scale_free():
@@ -209,7 +217,7 @@ def test_boundary_check_is_scale_free():
     rho, fn = radii(b).rho, extremal_fn(b)
     assert all(report.passed for report in _degree_checks(fn, 0.99 * rho))
     # the classical map folds at about 1.19 rho
-    assert not boundary_simple_check(fn, 1.2 * rho).passed
+    assert not boundary_simple_check(witness_pass(fn, 1.2 * rho)).passed
 
 
 @pytest.mark.parametrize(
@@ -233,10 +241,58 @@ def test_log_target_reads_the_derivatives_of_its_log_part():
     b = DerivAll(2.0, (1.0,))
     rho, F = radii(b).rho, extremal_fn(b)
     f = LogPAnalyticFn(F)
-    same = jacobian_grid_check(F, rho, SMALL_GRID).measured_margin
-    assert jacobian_grid_check(f, rho, SMALL_GRID).measured_margin == same
-    assert boundary_simple_check(f, 0.99 * rho).passed
-    assert not jacobian_grid_check(f, 1.01 * rho).passed
+    same = jacobian_grid_check(witness_pass(F, rho, SMALL_GRID)).measured_margin
+    assert jacobian_grid_check(witness_pass(f, rho, SMALL_GRID)).measured_margin == same
+    assert boundary_simple_check(witness_pass(f, 0.99 * rho)).passed
+    assert not jacobian_grid_check(witness_pass(f, 1.01 * rho)).passed
+
+
+@st.composite
+def _passes(draw):
+    """A theorem 1-8 witness at orders 1-6, as verify builds it, a grid and the radii of its two circles.
+
+    L0 reaches down to 1 + 1e-6; for a lead below 2 the circles may straddle |z| = L0/2, where
+    its value takes the series form on one circle and the logarithm form on the other.
+    """
+    theorem, order = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    base = (theorem - 1) % 4 + 1
+    lam0 = draw(st.one_of(st.floats(1e-6, 0.99), st.floats(0.99, 5.0)).map(lambda d: 1.0 + d))
+    count = order if base == 3 else order - 1  # theorems 3 and 7 bound the lead too
+    if base in (1, 2):
+        bounds = draw(st.lists(st.floats(0.0, 2.0), min_size=count, max_size=count))
+    elif theorem < 5:
+        bounds = draw(st.lists(st.floats(1.0, 5.0), min_size=count, max_size=count))
+    else:
+        bounds = draw(st.lists(st.floats(1.5, 20.0), min_size=count, max_size=count))
+    b = cli._build_profile(theorem, lam0 if base in (1, 4) else None, tuple(bounds))
+    F = extremal_fn(b)
+    if base in (1, 4) and lam0 < 2.0 and draw(st.booleans()):
+        r = 0.5 * lam0 * (1.0 - draw(st.floats(1e-9, 0.2)))
+        rho = min(1.0, 0.5 * lam0 * (1.0 + draw(st.floats(1e-9, 0.2))))
+    else:
+        r, rho = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 1.0))
+    grid = GridSpec(draw(st.integers(8, 12)), draw(st.integers(8, 16)))
+    return (LogPAnalyticFn(F) if theorem >= 5 else F), F, grid, draw(st.integers(8, 64)), r, rho
+
+
+@given(_passes())
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+def test_witness_pass_matches_the_separate_evaluations_bit_for_bit(case):
+    # one pass over the grid, the boundary circle and the coverage circle rounds every point as three
+    # separate evaluations do, signed zeros included: numpy's elementwise results do not depend on
+    # where a point sits in an array, and a lead whose circles straddle L0/2 weights its forms exactly
+    target, F, grid, samples, r, rho = case
+    jet = witness_pass(target, r, grid, samples, rho)
+    nodes, circle, circle_rho = _disk_grid(r, grid), _circle(r, samples), _circle(rho, samples)
+    _, fz_grid, fzbar_grid = poly_jet(F, nodes, value=False)
+    image, fz_circle, fzbar_circle = poly_jet(F, circle)
+    image_rho = poly_eval(F, circle_rho)
+    assert jet.nodes.tobytes() == np.concatenate([nodes, circle, circle_rho]).tobytes()
+    assert jet.fz.tobytes() == np.concatenate([fz_grid, fz_circle]).tobytes()
+    assert jet.fzbar.tobytes() == np.concatenate([fzbar_grid, fzbar_circle]).tobytes()
+    assert jet.image.tobytes() == np.concatenate([image, image_rho]).tobytes()
+    assert jet.coverage()[1] == poly_eval(F, 0j) == 0
+    assert jet.log == (target is not F)
 
 
 @st.composite
@@ -381,8 +437,13 @@ def test_crossings_skip_a_rounded_crossing_of_disjoint_boxes():
     assert _pairs(*_crossings(v)) == [(0, 4), (0, 5), (3, 7)]
 
 
+def _coverage(fn, rho, samples=512):
+    """fn on the circle |z| = rho and fn(0), the values ``schlicht_coverage_check`` reads."""
+    return fn(_circle(rho, samples)), fn(0j)
+
+
 def test_coverage_identity_margin():
-    report = schlicht_coverage_check(coverage_image(lambda z: z, 0.5), 0.5, 0.5)
+    report = schlicht_coverage_check(*_coverage(lambda z: z, 0.5), 0.5, 0.5)
     assert report.passed
     assert report.measured_margin == pytest.approx(0.0, abs=1e-12)
 
@@ -391,14 +452,14 @@ def test_coverage_fails_past_boundary():
     b = DerivNormalized((1.0,))
     F = extremal_fn(b)
     # sigma = 0.25 at rho = 0.5; asking for 1% more must fail
-    report = schlicht_coverage_check(coverage_image(F, 0.5), 0.5, 0.25 * 1.01)
+    report = schlicht_coverage_check(*witness_pass(F, 0.45, rho=0.5).coverage(), 0.5, 0.25 * 1.01)
     assert not report.passed
     assert report.witness is not None
 
 
 def test_coverage_requires_centered_map():
     with pytest.raises(DomainError):
-        schlicht_coverage_check(coverage_image(lambda z: z + 1.0, 0.5), 0.5, 0.4)
+        schlicht_coverage_check(*_coverage(lambda z: z + 1.0, 0.5), 0.5, 0.4)
 
 
 def test_exp_coverage_fails_past_the_sharp_witness():
@@ -408,9 +469,9 @@ def test_exp_coverage_fails_past_the_sharp_witness():
     rho, F = radii(b).rho, extremal_fn(b)
     pts = _circle(rho, 512)
     s = float(np.min(np.abs(F(pts))))
-    image = coverage_image(LogPAnalyticFn(F), rho)
-    assert schlicht_coverage_check(image, rho, math.sinh(0.99 * s), center=math.cosh(0.99 * s)).passed
-    report = schlicht_coverage_check(image, rho, math.sinh(1.02 * s), center=math.cosh(1.02 * s))
+    image, origin = _coverage(LogPAnalyticFn(F), rho)
+    assert schlicht_coverage_check(image, origin, rho, math.sinh(0.99 * s), center=math.cosh(0.99 * s)).passed
+    report = schlicht_coverage_check(image, origin, rho, math.sinh(1.02 * s), center=math.cosh(1.02 * s))
     assert report.check_name == "exp-coverage"
     assert not report.passed
     assert report.measured_margin < -1e-3
@@ -419,7 +480,7 @@ def test_exp_coverage_fails_past_the_sharp_witness():
 
 def test_coverage_off_the_origin_requires_the_origin_image_inside():
     with pytest.raises(DomainError, match="fn\\(0\\) inside the disk"):
-        schlicht_coverage_check(coverage_image(lambda z: z + 3.0, 0.5), 0.5, 0.4, center=1.0)
+        schlicht_coverage_check(*_coverage(lambda z: z + 3.0, 0.5), 0.5, 0.4, center=1.0)
 
 
 @pytest.mark.parametrize("lam0", [1.0 + 2.0**-52, 1.0 + 1e-13])
