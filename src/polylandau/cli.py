@@ -44,14 +44,13 @@ import json
 import math
 import sys
 from cmath import exp as cexp
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
-from ._lazy import lazy_numpy
+from . import extremal, polyfunc, verify  # lazy modules (_lazy): a solver command never executes them
+from ._lazy import lazy_module
 from .errors import DomainError, PolyLandauError
-from .extremal import collision_pair, extremal_fn, reversal_point
-from .polyfunc import LogPAnalyticFn
 from .radii import (
     DerivAll,
     DerivNormalized,
@@ -68,17 +67,8 @@ from .radii import (
     poly_modulus_baseline,
     radii,
 )
-from .verify import (
-    GridSpec,
-    VerificationReport,
-    boundary_simple_check,
-    hypothesis_audit,
-    jacobian_grid_check,
-    schlicht_coverage_check,
-    witness_pass,
-)
 
-np = lazy_numpy()
+np = lazy_module("numpy")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -117,23 +107,17 @@ _BASELINES = ("landau", "bianalytic-deriv", "bianalytic-bounded", "poly-modulus"
 _TYPE_WORDS = {int: "an integer", float: "a number"}
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(namedtuple("Flag", "options dest type choices default required help bounds",
+                      defaults=(None, None, None, False, None, ()))):
     """One flag of a subcommand: ``argparse``'s ``add_argument`` terms, its fallback default and its bounds.
 
-    argparse never sees ``default``: it is the value a run takes when neither argv nor a config entry
-    gives one.  Each bound is a (test, words) pair: test(value) is false when the merged value is out
-    of bounds, and words ("must be at least 8") say what the value must be.
+    ``type`` is int or float, or None to keep the string.  argparse never sees ``default``: it is the value
+    a run takes when neither argv nor a config entry gives one.  Each bound is a (test, words) pair:
+    test(value) is false when the merged value is out of bounds, and words ("must be at least 8") say what
+    the value must be.
     """
 
-    options: tuple[str, ...]
-    dest: str
-    type: type | None = None  # int or float; None keeps the string
-    choices: tuple | range | None = None
-    default: object = None
-    required: bool = False
-    help: str | None = None
-    bounds: tuple = ()
+    __slots__ = ()
 
     def convert(self, raw: str):
         """raw as argparse stores it; a ValueError says what the flag expects when its type or choices refuse raw."""
@@ -208,7 +192,7 @@ _FLAGS: dict[str, tuple[Flag, ...]] = {
         _FORMAT,
         *_COMMON,
     ),
-    "table": (*_PROFILE, replace(_FORMAT, default="csv"), *_COMMON),
+    "table": (*_PROFILE, _FORMAT._replace(default="csv"), *_COMMON),
 }
 _OPTIONS = {name: {option: f for f in flags for option in f.options} for name, flags in _FLAGS.items()}
 # config file key -> flag: any subcommand's dest (flags of one dest share type and choices)
@@ -520,25 +504,25 @@ def cmd_compare(cfg: SimpleNamespace) -> int:
 def cmd_verify(cfg: SimpleNamespace) -> int:
     profile = _build_profile(cfg.theorem, *_read_profile(cfg))
     res = _compute_radii(cfg.theorem, profile)
-    grid = GridSpec(cfg.radial_count, cfg.angular_count, cfg.margin)
-    witness = extremal_fn(profile)
+    grid = verify.GridSpec(cfg.radial_count, cfg.angular_count, cfg.margin)
+    witness = extremal.extremal_fn(profile)
     is_log = cfg.theorem >= 5
 
-    reports: list[VerificationReport] = [hypothesis_audit(witness, profile, grid)]
+    reports = [verify.hypothesis_audit(witness, profile, grid)]
 
-    target = witness if not is_log else LogPAnalyticFn(witness)
+    target = witness if not is_log else polyfunc.LogPAnalyticFn(witness)
     # one evaluation of the witness serves the univalence checks at 0.99 rho and the coverage checks at rho
-    jet = witness_pass(target, 0.99 * res.rho, grid, cfg.boundary_samples, res.rho if res.sigma > 0.0 else None)
-    reports.append(jacobian_grid_check(jet))
-    reports.append(boundary_simple_check(jet))
+    jet = verify.witness_pass(target, 0.99 * res.rho, grid, cfg.boundary_samples, res.rho if res.sigma > 0.0 else None)
+    reports.append(verify.jacobian_grid_check(jet))
+    reports.append(verify.boundary_simple_check(jet))
 
     if res.sigma > 0.0:
         s = 0.99 * res.sigma
         image, origin = jet.coverage()
-        reports.append(schlicht_coverage_check(image, origin, res.rho, s, cfg.margin))
+        reports.append(verify.schlicht_coverage_check(image, origin, res.rho, s, cfg.margin))
         if is_log:  # exp F, from the same values of F, covers the disk of radius sinh s about cosh s
-            reports.append(schlicht_coverage_check(np.exp(image), np.exp(origin), res.rho, math.sinh(s), cfg.margin,
-                                                   math.cosh(s)))
+            reports.append(verify.schlicht_coverage_check(np.exp(image), np.exp(origin), res.rho, math.sinh(s),
+                                                          cfg.margin, math.cosh(s)))
 
     passed = all(r.passed for r in reports)
     checks = [
@@ -566,10 +550,10 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
         raise DomainError("sharpness demonstration applies to theorems 1, 2, 5 and 6 only")
     profile = _build_profile(cfg.theorem, *_read_profile(cfg))
     res = radii(profile)
-    witness = extremal_fn(profile)
+    witness = extremal.extremal_fn(profile)
     d = cfg.digits
     if cfg.theorem in (1, 5):
-        x1, x2 = collision_pair(witness, res.rho, cfg.radius)
+        x1, x2 = extremal.collision_pair(witness, res.rho, cfg.radius)
         v1 = witness(x1)
         v2 = witness(x2)
         collision = abs(v1 - v2)
@@ -583,7 +567,7 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
             f"{'collision confirmed' if passed else 'collision NOT confirmed'} at tol {_cell(cfg.tol, d)}",
         ]
     else:
-        x, jac = reversal_point(witness, res.rho, cfg.radius)
+        x, jac = extremal.reversal_point(witness, res.rho, cfg.radius)
         # the Jacobian of exp F is |exp F|^2 times F's
         exp_jac = abs(cexp(witness(x))) ** 2 * jac
         passed = (jac if cfg.theorem == 2 else exp_jac) < 0.0

@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from ._lazy import lazy_numpy
+from ._lazy import lazy_module
 from .errors import BracketError, DomainError
 from .polyfunc import PolyAnalyticFn, _ufunc, jacobian, poly_eval
 from .radii import ModulusAll, Profile, _bisect_decreasing, _lead_bound
 
-np = lazy_numpy()
+np = lazy_module("numpy")
 
 _DEGENERATE_TOL = 1e-13
 _LEAD_TERMS = 60  # x^(n-2)/n for n <= 60 sums log(1 - x) to below 2^-53 relative for |x| < 1/2

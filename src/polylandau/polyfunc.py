@@ -39,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-from ._lazy import lazy_numpy
+from ._lazy import lazy_module
 from .errors import DomainError
 
-np = lazy_numpy()
+np = lazy_module("numpy")
 
 _DISK_SLACK = 1e-9  # tolerate boundary roundoff in |z| <= 1 checks
 

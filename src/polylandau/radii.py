@@ -43,7 +43,22 @@ pole at r = 1, where rho moves with g.
 The strictly decreasing margin m certifies injectivity of every
 admissible function on the disk of radius r while m(r) > 0, so the
 univalence radius rho is its unique zero; sigma = s(rho) is the matching
-boundary minimum-modulus bound.  The log-analytic-product variants
+boundary minimum-modulus bound.
+
+sigma is the integral of the margin.  Each term of s differentiates to
+the matching term of m:
+
+    (L^2 r + (L^3 - L) log(1 - r/L))' = L (1 - L r)/(L - r),
+    (c r^(k+1))' = (k+1) c r^k,
+    (g r^(k+2)/(1 - r))' = g r^(k+1) (k + 2 - (k+1) r)/(1 - r)^2,
+
+and k + 2 - (k+1) r = 2 - r + k(1 - r).  So s' = m and s(0) = 0, which
+gives sigma = integral of m(r) dr from 0 to rho.  m falls from 1 to 0
+on [0, rho], so 0 < sigma < rho for every profile, with sigma = rho only
+where m is 1 throughout: the identity, rho = sigma = 1.  A sigma <= 0
+(the ``degenerate-sigma`` flag) can come only from rounding.
+
+The log-analytic-product variants
 (theorem ids 5 through 8) keep the same rho and upgrade the covered disk
 to center cosh(sigma) and radius sinh(sigma); factor modulus bounds m*
 enter through M = log(m*) + pi.
@@ -59,7 +74,10 @@ bracket within [0, 1] takes at most 1074 halvings, a root near 1e-60
 about 250.  A modulus bound whose square overflows (M above about 1.34e154) is
 a ``DomainError``: the M r^2 terms of sigma would underflow at its root.
 The two terms of lead_s cancel to about r/2 while each has size L^2 r, so
-for small r/L they are summed analytically (``_lead_sigma``).
+for small r/L they are summed analytically (``_lead_sigma``).  A term
+c r^(k+1) of sigma has size about r/(k+1) at a root far below 1 even
+where r^(k+1) alone underflows, so ``_scaled_power`` raises r's mantissa
+to the power there and scales the product back by a power of two.
 
 *Replay.*  Bisection's path depends only on the computed sign of m at
 each midpoint, so ``_bisect_decreasing`` replays it in fewer evaluations
@@ -138,7 +156,7 @@ which m - err and m + err are nonincreasing for every M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BracketError, DegenerateResultError, DomainError
 
@@ -150,6 +168,7 @@ _LOCATE_CAP = 24  # evaluations the locate phase may add to bisection's
 _GEOMETRIC = 16.0  # bracket ratio above which a stalled locate step bisects geometrically
 _SEED_STEP = 2.0**-7  # the step of a table's second row, relative to the first row's rho
 _RESIDUAL_CONTRACT = 1e-12  # the |m(rho)| a result promises; a larger residual is flagged
+_TINY = 2.0**-1022  # the least normal double
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -184,24 +203,30 @@ def _bound_tuple(values, what: str, minimum: float) -> tuple[float, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(namedtuple("Profile", "theorem components lead linear excess modulus")):
     """A theorem's bounds as one (kind, bound) term per component, with their weights.
 
+    ``theorem`` is 1..4; the log forms 5..8 reuse the profile of theorem - 4.
     ``components[0]`` is the leading term: ("deriv", L), ("identity", 1.0)
     or ("modulus", M); each higher component is ("deriv", L_k) or
     ("modulus", M_k).  The other fields are the weights of the margin and
     sigma sums (module docstring), computed once by ``Profile.of``; zero
-    weights are left out.  The four constructors below validate a
-    theorem's bounds and are the only callers of ``Profile.of``.
+    weights are left out:
+
+    ``lead``
+        L of a derivative lead, None for the identity or a modulus lead.
+    ``linear``
+        (k, (k+1) c, c): c = L_k > 0, or 1 for M_k with k >= 1.
+    ``excess``
+        (k, (M_k - 1)(M_k + 1)/M_k) for M_k > 1.
+    ``modulus``
+        True when a modulus term puts a (1 - r)^2 pole at r = 1.
+
+    The four constructors below validate a theorem's bounds and are the
+    only callers of ``Profile.of``.
     """
 
-    theorem: int  # 1..4; the log forms 5..8 reuse the profile of theorem - 4
-    components: tuple[tuple[str, float], ...]
-    lead: float | None  # L of a derivative lead, None for the identity or a modulus lead
-    linear: tuple[tuple[int, float, float], ...]  # (k, (k+1) c, c): c = L_k > 0, or 1 for M_k with k >= 1
-    excess: tuple[tuple[int, float], ...]  # (k, (M_k - 1)(M_k + 1)/M_k) for M_k > 1
-    modulus: bool  # a modulus term puts a (1 - r)^2 pole at r = 1
+    __slots__ = ()
 
     @classmethod
     def of(cls, theorem: int, components) -> Profile:
@@ -267,24 +292,17 @@ def MixedDerivModulus(lam: float, ms: tuple[float, ...] = ()) -> Profile:
     return Profile.of(4, (("deriv", lead), *(("modulus", m) for m in ms)))
 
 
-@dataclass(frozen=True)
-class RadiiResult:
+class RadiiResult(namedtuple("RadiiResult", "theorem rho sigma residual iterations w r flags",
+                             defaults=(None, None, ()))):
     """One computed radius pair plus root-finding diagnostics.
 
-    ``w`` and ``r`` are populated exactly for the log-variant theorems
-    (ids 5..8); ``flags`` records degenerate or weakened conclusions:
-    ``degenerate-sigma``, ``residual-above-contract`` (|m(rho)| > 1e-12)
-    and ``sharpness-not-asserted``.
+    ``theorem`` is 1..8; ``w`` and ``r`` are populated exactly for the
+    log-variant theorems (ids 5..8); ``flags`` records degenerate or
+    weakened conclusions: ``degenerate-sigma``, ``residual-above-contract``
+    (|m(rho)| > 1e-12) and ``sharpness-not-asserted``.
     """
 
-    theorem: int | str
-    rho: float
-    sigma: float
-    residual: float
-    iterations: int
-    w: float | None = None
-    r: float | None = None
-    flags: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def univalence_margin(r, b: Profile):
@@ -491,12 +509,21 @@ def _lead_sigma(r: float, lam: float) -> float:
     return r - (lam - 1.0) * (lam + 1.0) / lam * r * r * tail
 
 
+def _scaled_power(c: float, r: float, n: int) -> float:
+    """c r^n; where r^n alone falls below the normal range, r's mantissa is raised to n and c r^n scaled back."""
+    power = r**n
+    if power >= _TINY:
+        return c * power
+    mantissa, exponent = math.frexp(r)  # mantissa**n >= 2^-n stays normal for every n <= MAX_ORDER + 1
+    return math.ldexp(c * mantissa**n, exponent * n)
+
+
 def _sigma(r: float, b: Profile) -> float:
     total = r if b.lead is None else _lead_sigma(r, b.lead)
     for k, _, c in b.linear:
-        total -= c * r ** (k + 1)
+        total -= _scaled_power(c, r, k + 1)
     for k, gap in b.excess:
-        total -= gap * r ** (k + 2) / (1.0 - r)
+        total -= _scaled_power(gap, r, k + 2) / (1.0 - r)
     return total
 
 

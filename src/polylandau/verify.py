@@ -45,12 +45,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._lazy import lazy_numpy
+from ._lazy import lazy_module
 from .errors import DomainError
 from .polyfunc import LogPAnalyticFn, PolyAnalyticFn, poly_eval, poly_jet
 from .radii import Profile
 
-np = lazy_numpy()
+np = lazy_module("numpy")
 
 #: Radius of the circle on which ``hypothesis_audit`` checks a witness's bounds.
 AUDIT_RADIUS = 1.0 - 1e-3

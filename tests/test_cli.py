@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polylandau import DerivAll, DerivNormalized, ModulusAll, log_bound_from_modulus, monotonicity_check
-from polylandau import cli, extremal, polyfunc
+from polylandau import cli, extremal, polyfunc, verify
 from polylandau.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from polylandau.radii import radii, univalence_margin
 
@@ -308,7 +308,7 @@ def _verify_evaluations(monkeypatch, capsys, argv):
     calls, disk_checks, lead_origin = collections.Counter(), [0], [False]
 
     def built(b):
-        witnesses.append(extremal.extremal_fn(b))
+        witnesses.append(build(b))
         phase[0] = "checks"  # the normalisation checks of extremal_fn are not the op's checks
         return witnesses[-1]
 
@@ -319,9 +319,9 @@ def _verify_evaluations(monkeypatch, capsys, argv):
         finally:
             phase[0] = "checks"
 
-    audit = cli.hypothesis_audit
-    monkeypatch.setattr(cli, "extremal_fn", built)
-    monkeypatch.setattr(cli, "hypothesis_audit", audited)
+    build, audit = extremal.extremal_fn, verify.hypothesis_audit
+    monkeypatch.setattr(cli.extremal, "extremal_fn", built)
+    monkeypatch.setattr(cli.verify, "hypothesis_audit", audited)
     require = polyfunc._require_in_disk
 
     def counted_require(z):
@@ -577,8 +577,7 @@ def test_sharpness_solves_once_and_builds_one_witness(capsys, monkeypatch, argv,
         return build(b)
 
     monkeypatch.setattr(radii_module, "univalence_margin", counted_margin)
-    for module in (cli, extremal):
-        monkeypatch.setattr(module, "extremal_fn", counted_build)
+    monkeypatch.setattr(cli.extremal, "extremal_fn", counted_build)  # cli calls it through its lazy module
     code, out, _ = run(capsys, "sharpness", *argv, "--format", "json")
     assert code == EXIT_OK and json.loads(out)["passed"] is True
     assert builds == [profile]

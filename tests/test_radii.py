@@ -5,7 +5,7 @@ import random
 
 import pytest
 import mpmath
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polylandau import (
     BracketError,
@@ -119,14 +119,30 @@ def test_modulus_single_trivial_component():
     assert (res.rho, res.sigma) == (1.0, 1.0)
 
 
-def test_modulus_degenerate_sigma_flagged():
-    # huge bounds push the root far left and the covered radius can stay positive;
-    # degenerate sigma only occurs with extreme profiles, so force one
-    res = radii(ModulusAll((1e6, 1e6, 1e6)))
-    if res.sigma <= 0.0:
-        assert "degenerate-sigma" in res.flags
-    else:
-        assert res.sigma > 0.0
+# sigma is the integral of the margin from 0 to rho, and the margin falls from 1 to 0 there (radii module
+# docstring), so 0 < sigma < rho on every profile but the identity, whose margin is 1 throughout
+_sigma_lead = st.one_of(st.floats(min_value=1.0 + 2.0**-40, max_value=8.0), st.floats(min_value=8.0, max_value=1e100))
+_sigma_deriv = st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)), max_size=5).map(tuple)
+_sigma_modulus = st.lists(st.one_of(st.just(1.0), st.floats(min_value=1.0 + 1e-9, max_value=1e6)),
+                          max_size=5).map(tuple)
+
+
+@given(
+    st.one_of(
+        st.builds(DerivAll, _sigma_lead, _sigma_deriv),
+        st.builds(DerivNormalized, _sigma_deriv),
+        st.builds(ModulusAll, _sigma_modulus.filter(len)),
+        st.builds(MixedDerivModulus, _sigma_lead, _sigma_modulus),
+    )
+)
+@settings(deadline=None)
+@example(ModulusAll((1e6, 1e6, 1e6)))
+@example(DerivNormalized((1e6,)))
+def test_sigma_lies_strictly_between_zero_and_rho(b):
+    assume(b.lead is not None or b.linear or b.excess)  # the identity: rho = sigma = 1
+    res = radii(b)
+    assert 0.0 < res.sigma < res.rho
+    assert "degenerate-sigma" not in res.flags
 
 
 def test_mixed_reduces_to_deriv_when_modulus_bounds_trivial():
@@ -149,17 +165,13 @@ def test_log_variant_fields_and_identity():
 
 def test_log_variant_rejects_nonpositive_sigma():
     base = radii(DerivAll(2.0, (1.0,)))
-    from dataclasses import replace
-
     with pytest.raises(DegenerateResultError):
-        log_variant(replace(base, sigma=-0.1))
+        log_variant(base._replace(sigma=-0.1))
 
 
 def test_log_variant_flags_large_sigma():
     base = radii(DerivAll(2.0, (1.0,)))
-    from dataclasses import replace
-
-    flagged = log_variant(replace(base, sigma=1.2))
+    flagged = log_variant(base._replace(sigma=1.2))
     assert "sharpness-not-asserted" in flagged.flags
 
 

@@ -1,6 +1,7 @@
 """Radii checked against the benchmark's 50-digit mpmath reference."""
 
 import importlib.util
+import json
 import math
 import pathlib
 import sys
@@ -21,6 +22,7 @@ from polylandau import (
     log_modulus_radii,
     poly_modulus_baseline,
 )
+from polylandau.cli import main
 from polylandau.radii import radii
 
 # the benchmark's 50-digit reference, written from the theorem statements apart from the program
@@ -149,3 +151,57 @@ def test_rho_stays_within_4_ulp_of_the_root_near_unit_modulus_bounds(case):
     assert abs(mpmath.mpf(res.rho) - reference.reference_rho(prof, res.rho)) <= 4 * math.ulp(res.rho)
     if whole_contract:
         assert reference.check_radius(prof, res.rho, res.sigma, name=f"theorem {theorem}") == []
+
+
+@pytest.mark.parametrize(
+    "argv, args",
+    [
+        (["--theorem", "2", "-p", "2", "--lambdas", "1e200"], {"lambdas": (1e200,)}),
+        (["--theorem", "1", "-p", "2", "--lambda0", "5e102", "--lambdas", "1e300"],
+         {"lambda0": 5e102, "lambdas": (1e300,)}),
+    ],
+)
+def test_sigma_keeps_precision_where_r_to_the_order_underflows(capsys, argv, args):
+    # rho is near 1/(2 lambda_1) and sigma = rho - lambda_1 rho^2 near rho/2, but rho^2 underflows: sigma once
+    # printed as rho itself.  450 digits carry the lead's two sigma terms, which cancel across about 206
+    # digits at L0 = 5e102, to a reference of 60 digits and more
+    assert main(["radii", *argv, "--digits", "17", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    prof = reference.theorem_profile(int(argv[1]), **args)
+    with mpmath.workdps(450):
+        rho = reference.solve_rho(prof)
+        sigma = prof.terms(rho).sigma
+        assert abs(mpmath.mpf(doc["rho"]) / rho - 1) <= 1e-15
+        assert abs(mpmath.mpf(doc["sigma"]) / sigma - 1) <= 1e-15
+        assert abs(sigma / rho - mpmath.mpf(1) / 2) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "profile, theorem, args",
+    [
+        (DerivAll(2.0, (1.0,)), 1, {"lambda0": 2.0, "lambdas": (1.0,)}),
+        (DerivAll(1.5, (0.3, 0.3)), 1, {"lambda0": 1.5, "lambdas": (0.3, 0.3)}),
+        (DerivAll(10.0), 1, {"lambda0": 10.0}),
+        (DerivAll(1.01, (0.5, 0.0, 2.0)), 1, {"lambda0": 1.01, "lambdas": (0.5, 0.0, 2.0)}),
+        (DerivNormalized((1.0,)), 2, {"lambdas": (1.0,)}),
+        (DerivNormalized((0.4,)), 2, {"lambdas": (0.4,)}),  # rho = 1, where the margin is still positive
+        (DerivNormalized((0.5, 0.25)), 2, {"lambdas": (0.5, 0.25)}),
+        (DerivNormalized((2.0, 2.0, 2.0)), 2, {"lambdas": (2.0, 2.0, 2.0)}),
+        (ModulusAll((2.0,)), 3, {"ms": (2.0,)}),
+        (ModulusAll((1.5, 1.0, 2.0)), 3, {"ms": (1.5, 1.0, 2.0)}),
+        (ModulusAll((1.2,) * 3), 3, {"ms": (1.2,) * 3}),
+        (ModulusAll((5.0, 5.0)), 3, {"ms": (5.0, 5.0)}),
+        (MixedDerivModulus(2.0, (1.5, 1.0)), 4, {"lambda0": 2.0, "ms": (1.5, 1.0)}),
+        (MixedDerivModulus(2.0, (2.0,)), 4, {"lambda0": 2.0, "ms": (2.0,)}),
+        (MixedDerivModulus(3.0, (1.5, 1.5)), 4, {"lambda0": 3.0, "ms": (1.5, 1.5)}),
+        (MixedDerivModulus(1.1, (1.0,)), 4, {"lambda0": 1.1, "ms": (1.0,)}),
+    ],
+)
+def test_sigma_is_the_integral_of_the_margin(profile, theorem, args):
+    # s' = m and s(0) = 0 (radii module docstring): quadrature of the reference's margin, which shares no
+    # code with the program's, gives the program's sigma at the program's rho
+    res = radii(profile)
+    margin = reference.theorem_profile(theorem, **args).margin
+    with mpmath.workdps(30):
+        integral = mpmath.quad(margin, [0, res.rho])
+    assert abs(res.sigma / integral - 1) <= 1e-12
