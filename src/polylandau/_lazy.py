@@ -23,10 +23,31 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import types
+
+
+class _LazyModule(types.ModuleType):
+    """A module whose code runs on the first read of any of its attributes; it is a plain module from then on.
+
+    Code that raises leaves the module lazy, so every later read runs it
+    again and raises again.  The import system reads ``__spec__`` of a
+    module it finds in ``sys.modules`` and drops any error that read
+    raises, so a module that stayed half-run after a failure would
+    surface as a misleading ImportError or AttributeError elsewhere.
+    """
+
+    def __getattribute__(self, attr):
+        self.__class__ = types.ModuleType  # stops this method: the code below reads attributes plainly
+        try:
+            self.__spec__.loader.exec_module(self)
+        except BaseException:
+            self.__class__ = _LazyModule
+            raise
+        return getattr(self, attr)
 
 
 def lazy_module(name: str):
-    """The module called name, executed on first attribute access (``importlib.util.LazyLoader``).
+    """The module called name, executed on first attribute access (``_LazyModule``).
 
     Returns the module already in ``sys.modules`` when there is one, so
     every caller shares one module.  A submodule's package must be
@@ -38,9 +59,7 @@ def lazy_module(name: str):
     spec = importlib.util.find_spec(name)
     if spec is None:
         raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
     module = importlib.util.module_from_spec(spec)
+    module.__class__ = _LazyModule
     sys.modules[name] = module
-    loader.exec_module(module)
     return module

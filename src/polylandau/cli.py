@@ -46,6 +46,7 @@ import sys
 from cmath import exp as cexp
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import chain
 from types import SimpleNamespace
 
 from . import extremal, polyfunc, verify  # lazy modules (_lazy): a solver command never executes them
@@ -538,9 +539,9 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
     doc = {"theorem": res.theorem, "seed": cfg.seed, "rho": res.rho, "sigma": res.sigma, "checks": checks,
            "passed": passed}
     header = ["name", "passed", "measured_margin", "note"]
-    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.check_name} (margin = {_cell(r.measured_margin, cfg.digits)}) "
-             f"{r.note}" for r in reports]
-    lines.append("all checks passed" if passed else "some checks FAILED")
+    # a generator, so that a report's line is formatted only when --format text asks for it
+    lines = chain((f"{'PASS' if r.passed else 'FAIL'} {r.check_name} (margin = {_cell(r.measured_margin, cfg.digits)}) "
+                   f"{r.note}" for r in reports), ["all checks passed" if passed else "some checks FAILED"])
     _emit(cfg, doc, [header, *([check[key] for key in header] for check in checks)], lines)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 

@@ -2,7 +2,9 @@
 
 ``extremal_fn`` builds the witness of any profile from its terms, one
 closed-form component per term, each giving its value A(z) and
-derivative A'(z) over a node array.
+derivative A'(z) over a node array.  A component writes only into arrays
+it has made, and no output aliases the array being read: the lead's
+series takes turns between two buffers of its own (``_lead_series``).
 ``collision_pair`` reproduces the boundary-crossing argument that breaks
 univalence just past rho: the real-axis profile of the derivative-family
 extremal increases to sigma at rho and decreases afterwards, so a point
@@ -50,6 +52,31 @@ def _unit_gap(c: float, z):
     numpy's complex division multiplies by a reciprocal, which can leave c/c != 1.
     """
     return (c - z.real) / c - 1j * (z.imag / c)
+
+
+def _lead_series(x):
+    """sum_{n>=2} x^(n-2)/n by Horner's rule from its highest term, at a point or at every point of an array.
+
+    At the point 0 the sum is its constant term 1/2, exactly as the loop
+    would leave it, so the loop is skipped.  An array's sum runs in two
+    buffers that take turns: each step multiplies the buffer it reads by x
+    into the other one and adds the coefficient there in place.  An
+    output never aliases the array being read: numpy's complex multiply
+    may round differently in place, which would let a point's sum depend
+    on the array around it.
+    """
+    if not isinstance(x, np.ndarray):
+        if x == 0:
+            return type(x)(0.5)  # 0.5 or (0.5+0j), as the loop leaves it at any signed zero
+        tail = 0.0
+        for c in _LEAD_HORNER:
+            tail = tail * x + c
+        return tail
+    tail, spare = np.zeros_like(x), np.empty_like(x)
+    for c in _LEAD_HORNER:
+        tail, spare = np.multiply(tail, x, out=spare), tail
+        tail += c
+    return tail
 
 
 class _ClosedForm:
@@ -109,10 +136,7 @@ class DerivLead(_ClosedForm):
         gap = (lam - 1.0) * (lam + 1.0)
         series = closed = 0j
         if near is not False:  # only a point away from 0 skips the sum
-            tail = 0.0
-            for c in _LEAD_HORNER:
-                tail = tail * x + c
-            series = z - gap / lam * z * z * tail
+            series = z - gap / lam * z * z * _lead_series(x)
         if near is not True:  # only a point near 0 skips the logarithm
             # 1 - x made complex: numpy's real logarithm rounds unlike its complex one on a real point
             closed = lam * lam * z + lam * gap * _ufunc(np.log, (1.0 + 0j) - x)
@@ -234,5 +258,5 @@ def reversal_point(witness: PolyAnalyticFn, rho: float, r: float) -> tuple[float
     xs = rho + (r - rho) * np.arange(1, _REVERSAL_SAMPLES + 1) / _REVERSAL_SAMPLES
     jac = jacobian(witness, xs)
     negative = np.flatnonzero(jac < 0.0)
-    k = int(negative[0]) if len(negative) else int(np.argmin(jac))
+    k = int(negative[0]) if len(negative) else int(jac.argmin())
     return float(xs[k]), float(jac[k])

@@ -26,7 +26,10 @@ several point sets laid out in one array: ``verify.witness_pass`` lays
 out the Jacobian grid, the boundary circle and the coverage circle.  Each
 sum adds its terms in the order of the components, in place into the
 newest term (``_add_into``), so ``poly_eval`` rounds as ``poly_jet``'s F
-does, and no point's value depends on the points beside it.
+does, and no point's value depends on the points beside it.  An output
+never aliases an array being read: a component returns new arrays and
+leaves its points alone, and ``_add_into`` writes only into a term its
+caller has just made, so every evaluation leaves its input unchanged.
 ``_require_in_disk`` keeps a point a Python number, a real one real, and
 makes anything else a complex array; ``_cmul`` multiplies as Python
 multiplies two complex numbers, so a point and an array round alike;
@@ -58,7 +61,7 @@ def _require_in_disk(z):
         worst = abs(z)
     else:
         z = np.asarray(z, dtype=complex)
-        worst = float(np.max(np.abs(z), initial=0.0))
+        worst = float(np.abs(z).max(initial=0.0))
     if worst > 1.0 + _DISK_SLACK:
         raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {worst!r}")
     return z

@@ -95,9 +95,13 @@ def _disk_grid(r: float, grid: GridSpec) -> np.ndarray:
     return pts.ravel()
 
 
-def _circle(r: float, samples: int) -> np.ndarray:
+def _unit_circle(samples: int) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(samples) / samples
-    return r * np.exp(1j * angles)
+    return np.exp(1j * angles)
+
+
+def _circle(r: float, samples: int) -> np.ndarray:
+    return r * _unit_circle(samples)
 
 
 def univalence_grid_check(
@@ -136,7 +140,7 @@ def univalence_grid_check(
             continue
         compared = True
         ratio = np.where(mask, dv / np.where(dz > 0, dz, 1.0), np.inf)
-        idx = np.unravel_index(np.argmin(ratio), ratio.shape)
+        idx = np.unravel_index(ratio.argmin(), ratio.shape)
         if ratio[idx] < best:
             best = float(ratio[idx])
             best_pair = (complex(pts[start + idx[0]]), complex(pts[start + idx[1]]))
@@ -214,7 +218,8 @@ def witness_pass(
         raise DomainError(f"coverage check needs rho > 0, got {rho!r}")
     F = _derivatives_of(fn)
     circle_radii = (r,) if rho is None else (r, rho)
-    nodes = np.concatenate([_disk_grid(r, grid), *(_circle(c, samples) for c in circle_radii)])
+    unit = _unit_circle(samples)  # both circles scale one unit circle, as ``_circle`` scales its own
+    nodes = np.concatenate([_disk_grid(r, grid), *(c * unit for c in circle_radii)])
     start = grid.radial_count * grid.angular_count
     image, fz, fzbar = poly_jet(F, nodes, value=slice(start, None), jet=slice(start + samples))
     origin = None if rho is None else poly_eval(F, 0j)
@@ -230,7 +235,7 @@ def jacobian_grid_check(jet: WitnessPass) -> VerificationReport:
     """
     n = jet.grid_size
     gaps = np.abs(jet.fz[:n]) - np.abs(jet.fzbar[:n])
-    k = int(np.argmin(gaps))
+    k = int(gaps.argmin())
     measured = float(gaps[k])
     passed = bool(measured >= jet.grid.margin)
     return VerificationReport(
@@ -247,7 +252,12 @@ def _unit_scale(a: np.ndarray) -> np.ndarray:
 
     The scaling is exact, and it keeps products of a tiny or huge a in range.
     """
-    return a * np.ldexp(1.0, -np.frexp(np.max(np.abs(a)))[1])
+    return a * np.ldexp(1.0, -np.frexp(np.abs(a).max())[1])
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """a[i + 1], wrapping to a[0] at the last i: each vertex's successor on a closed polygon."""
+    return np.concatenate((a[1:], a[:1]))
 
 
 def _crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +273,7 @@ def _crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     as none.
     """
     m = len(v)
-    end = np.roll(v, -1)
+    end = _next(v)
     edge = end - v
     lo_x, hi_x = np.minimum(v.real, end.real), np.maximum(v.real, end.real)
     lo_y, hi_y = np.minimum(v.imag, end.imag), np.maximum(v.imag, end.imag)
@@ -308,7 +318,7 @@ def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
     pts = jet.nodes[n:n + samples]
     fz, fzbar, image = jet.fz[n:], jet.fzbar[n:], jet.image[:samples]
     tangent = _unit_scale(1j * (pts * fz - pts.conj() * fzbar))
-    turning = int(np.rint(np.sum(np.angle(np.roll(tangent, -1) * tangent.conj())) / (2.0 * np.pi)))
+    turning = int(np.rint(np.angle(_next(tangent) * tangent.conj()).sum() / (2.0 * np.pi)))
     stalls = int(np.count_nonzero(tangent == 0))
     i, j = _crossings(_unit_scale(np.exp(image) if jet.log else image))
     problems = len(i) + abs(turning - 1) + stalls
@@ -316,7 +326,7 @@ def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
     if len(i):
         witness = (complex(pts[i[0]]), complex(pts[j[0]]))
     else:
-        witness = (complex(pts[int(np.argmin(np.abs(tangent)))]),)
+        witness = (complex(pts[int(np.abs(tangent).argmin())]),)
     note = f"turning number {turning}, {len(i)} crossing edge pairs over {samples} boundary samples"
     if stalls:
         note += f", {stalls} with a zero tangent"
@@ -357,7 +367,7 @@ def schlicht_coverage_check(
         raise DomainError(f"coverage check needs fn(0) = 0, got |fn(0)| = {origin!r}")
     if center != 0.0 and not origin < sigma:
         raise DomainError(f"coverage check needs fn(0) inside the disk, got |fn(0) - {center!r}| = {origin!r}")
-    k = int(np.argmin(vals))
+    k = int(vals.argmin())
     measured = float(vals[k]) - sigma
     passed = bool(measured >= -margin)
     if center == 0.0:
@@ -405,7 +415,7 @@ def exp_disk_check(sigma: float, samples: int = 10000, seed: int = 0) -> Verific
     if samples < 1:
         raise DomainError(f"exp-disk check needs at least 1 sample, got {samples}")
     x, y, logs = _exp_disk_logs(sigma, samples, seed)
-    k = int(np.argmax(logs))
+    k = int(logs.argmax())
     measured = sigma - float(logs[k])
     passed = bool(measured > 0.0)
     return VerificationReport(
@@ -437,7 +447,7 @@ def monotonicity_check(
     xs = np.linspace(lo, hi, samples)
     vals = np.broadcast_to(g(xs), xs.shape)  # a constant g may return one float
     drops = vals[:-1] - vals[1:]
-    k = int(np.argmin(drops))
+    k = int(drops.argmin())
     measured = float(drops[k])
     passed = bool(measured >= 0.0)
     return VerificationReport(
@@ -469,15 +479,15 @@ def hypothesis_audit(fn: PolyAnalyticFn, b: Profile, grid: GridSpec = GridSpec()
         if (k == 0 or kind == "modulus") and abs(comp.derivative(0j) - 1.0) > 1e-12:
             problems.append(f"component {k} linear coefficient is not 1")
         if kind == "modulus":
-            worst = float(np.max(np.abs(comp.value(pts))))
+            worst = float(np.abs(comp.value(pts)).max())
             if worst > bound + grid.margin:
                 problems.append(f"component {k} modulus exceeds {bound!r} by {worst - bound:.3g}")
         elif bound == 0.0:
-            worst = float(np.max(np.abs(comp.value(pts))))
+            worst = float(np.abs(comp.value(pts)).max())
             if worst > grid.margin:
                 problems.append(f"component {k} should vanish, max modulus {worst!r}")
         else:
-            worst = float(np.max(np.abs(comp.derivative(pts))))
+            worst = float(np.abs(comp.derivative(pts)).max())
             if not worst <= bound + _AUDIT_ULPS * math.ulp(bound):  # a NaN derivative fails too
                 problems.append(f"component {k} derivative exceeds {bound!r} by {worst - bound:.3g}")
     passed = not problems

@@ -172,3 +172,25 @@ def test_run_as_a_module_writes_nothing_to_stderr():
     run = _fresh_python("-W", "error", "-m", "polylandau.cli", *_SOLVER_CALLS[0])
     assert run.stderr == ""
     assert run.stdout.startswith("theorem 1\n")
+
+
+_NO_NUMPY_PROBE = """
+import json, sys
+sys.modules["numpy"] = None  # numpy cannot be imported
+import polylandau.verify
+raised = []
+for _ in range(2):
+    try:
+        polylandau.verify.witness_pass
+    except Exception as exc:
+        raised.append([type(exc).__name__, str(exc), getattr(exc, "name", None)])
+print(json.dumps(raised))
+"""
+
+
+def test_a_missing_numpy_is_named_on_every_read_of_a_module_that_needs_it():
+    # verify's "from .polyfunc import ..." makes the import system read polyfunc.__spec__, which runs polyfunc,
+    # and drop the error that run raises; polyfunc stays lazy after it, not half-run, so the next read raises
+    # again, and so does every later read of verify
+    raised = json.loads(_fresh_python("-c", _NO_NUMPY_PROBE).stdout)
+    assert raised == [["ModuleNotFoundError", "No module named 'numpy'", "numpy"]] * 2

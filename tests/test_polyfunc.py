@@ -17,9 +17,11 @@ from polylandau import (
     logp_eval,
     poly_eval,
     poly_jet,
+    witness_pass,
 )
-from polylandau.extremal import DerivLead, extremal_fn
+from polylandau.extremal import BoundedRatio, DerivLead, Linear, extremal_fn
 from polylandau.radii import DerivAll, DerivNormalized, MixedDerivModulus, ModulusAll
+from polylandau.verify import GridSpec
 import _oracles as reference
 from _oracles import fd_wirtinger, fd_zbar_power
 
@@ -278,3 +280,46 @@ def test_deriv_lead_value_takes_each_points_own_form_on_every_kind_of_array(case
             assert lead.value(z) == got == reference.deriv_lead_value(lam, z)
         else:
             assert abs(lead.value(z) - got) <= 1e-14 * (1.0 + abs(got))
+
+
+class _Watched:
+    """A component that keeps every array it is handed with a copy of it, to show that nothing writes into one."""
+
+    def __init__(self, comp):
+        self.comp, self.seen = comp, []
+
+    def _keep(self, z):
+        if isinstance(z, np.ndarray):
+            self.seen.append((z, z.copy()))
+        return z
+
+    def value(self, z):
+        return self.comp.value(self._keep(z))
+
+    def derivative(self, z):
+        return self.comp.derivative(self._keep(z))
+
+
+@given(_witness_cases())
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+def test_evaluations_leave_their_inputs_alone_and_the_lead_derivative_rounds_each_point_alone(case):
+    # an evaluation's output never aliases the array it reads: the lead sums its series in two buffers, and the
+    # functionals add in place only into arrays they have just made, so the points come back unchanged
+    F, lam, _, zs = case
+    pts = np.array(zs)
+    for comp in (*F.components, DerivLead(lam), BoundedRatio(1.0 + lam), Linear(complex(-lam)), Linear(1 + 0j)):
+        comp.value(pts)
+        comp.derivative(pts)
+        assert pts.tolist() == zs
+    for value, jet in ((True, None), (False, None), (slice(1, None), slice(-1))):
+        poly_jet(F, pts, value=value, jet=jet)
+        assert pts.tolist() == zs
+    # the one pass hands its components slices of one node array; at r < L/2 < rho the lead's two circles
+    # take its two forms
+    G = PolyAnalyticFn(tuple(_Watched(comp) for comp in F.components))
+    jet = witness_pass(G, 0.49 * lam, GridSpec(8, 8), 16, min(1.0, 0.51 * lam))
+    assert jet.nodes.tobytes() == witness_pass(F, 0.49 * lam, GridSpec(8, 8), 16, min(1.0, 0.51 * lam)).nodes.tobytes()
+    assert all(z.tobytes() == copy.tobytes() for comp in G.components for z, copy in comp.seen)
+    # the lead's derivative at every point of an array rounds as at that point alone, signed zeros included
+    lead = DerivLead(lam)
+    assert lead.derivative(pts).tobytes() == np.concatenate([lead.derivative(np.array([z])) for z in zs]).tobytes()
