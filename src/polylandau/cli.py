@@ -425,8 +425,14 @@ def _emit(cfg: SimpleNamespace, doc: dict | None, rows: list[list[object]], line
     if cfg.format == "json":
         sys.stdout.write(json.dumps(_jsonable(doc, cfg.digits), indent=2) + "\n")
     elif cfg.format == "csv":
+        digits, spec = cfg.digits, f".{cfg.digits}g"  # _cell's float format, built once for every cell
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([_cell(v, cfg.digits) for v in row] for row in rows)
+        writer = csv.writer(buf, lineterminator="\n")
+        for row in rows:
+            if all(type(v) is float for v in row):  # digits, signs, ".", "e", inf and nan need no quoting
+                buf.write(",".join([format(v, spec) for v in row]) + "\n")
+            else:
+                writer.writerow([_cell(v, digits) for v in row])
         sys.stdout.write(buf.getvalue())
     else:
         sys.stdout.write("".join(line + "\n" for line in lines))

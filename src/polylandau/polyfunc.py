@@ -62,7 +62,7 @@ def _require_in_disk(z):
     else:
         z = np.asarray(z, dtype=complex)
         worst = float(np.abs(z).max(initial=0.0))
-    if worst > 1.0 + _DISK_SLACK:
+    if not worst <= 1.0 + _DISK_SLACK:  # a NaN point fails too
         raise DomainError(f"evaluation point must satisfy |z| <= 1, got |z| = {worst!r}")
     return z
 

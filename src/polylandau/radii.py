@@ -90,15 +90,24 @@ fl(m(a)) > 2 err(a) then fixes the sign of every midpoint r <= a:
 and a point b with fl(m(b)) < -2 err(b) fixes fl(m(r)) < 0 for every
 r >= b in the same way.  The loop stays bisection's; it takes the sign
 from position outside (a, b) and evaluates m only inside, so rho and
-``iterations`` are bisection's bit for bit.  ``_locate`` finds a and b
+``iterations`` are bisection's bit for bit.  Most steps come before the
+first midpoint inside (a, b): over the rows of the solve-sweep
+benchmark's tables (seeds 1-4, 11,616 solves) a solve takes about 54
+steps, the first 45 of them positional, then 8 that evaluate m and 1
+more positional.  A tight loop replays that positional prefix, and the
+evaluating loop takes the rest.  ``_locate`` finds a and b
 with Illinois steps and a few probes around the first point inside the
 band |fl(m)| <= 2 err, in at most ``_LOCATE_CAP`` = 24 evaluations: a
 solve costs at most plain bisection's count plus 24.
 
-*Known values.*  Values of m are passed in and handed back, so the
-solver evaluates m at no point whose value it is given.  Every margin is
-exactly 1 at r = 0: each term vanishes there, and the derivative lead is
-L (1 - 0)/(L - 0) = L/L, which is exactly 1; so is
+*Known values.*  ``radii`` builds its margin once per profile
+(``_margin_of``): ``univalence_margin``'s operations in its order, so
+every value is bit for bit the same, without the per-call domain check.
+The solver evaluates m only on the bracket [0, hi], so ``radii``
+checks hi once per solve instead.  Values of m are passed in and handed
+back, so the solver evaluates m at no point whose value it is given.
+Every margin is exactly 1 at r = 0: each term vanishes there, and the
+derivative lead is L (1 - 0)/(L - 0) = L/L, which is exactly 1; so is
 ``poly_modulus_baseline``'s.  ``radii`` passes that 1 and the m(hi) it
 computed to test hi for the root, and the solver hands back m(rho) when it
 evaluated m there, which then is the residual.  Over the rows of the
@@ -157,6 +166,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import count
 
 from .errors import BracketError, DegenerateResultError, DomainError
 
@@ -178,13 +188,17 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
+def _power_overflows(value: float, what: str, n: int) -> DomainError:
+    return DomainError(f"{what} = {value!r} is too large: {what}**{n} overflows a float")
+
+
 def _require_power_finite(value: float, what: str, n: int) -> float:
     # sigma and the derivative extremal weight a logarithm by lam**3 - lam;
     # the modulus terms of sigma and the classical radii need M**2
     try:
         value**n
     except OverflowError:
-        raise DomainError(f"{what} = {value!r} is too large: {what}**{n} overflows a float") from None
+        raise _power_overflows(value, what, n) from None
     return value
 
 
@@ -196,7 +210,9 @@ def _lead_bound(value: float, what: str) -> float:
 
 
 def _bound_tuple(values, what: str, minimum: float) -> tuple[float, ...]:
-    out = tuple(_require_finite(v, what) for v in values)
+    out = tuple(map(float, values))
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"{what} must be finite")
     for v in out:
         if v < minimum:
             raise DomainError(f"every {what} must be >= {minimum:g}, got {v!r}")
@@ -231,10 +247,14 @@ class Profile(namedtuple("Profile", "theorem components lead linear excess modul
     @classmethod
     def of(cls, theorem: int, components) -> Profile:
         components = tuple(components)
-        linear, excess = [], []
+        linear, excess, modulus = [], [], False
         for k, (kind, bound) in enumerate(components):
             if kind == "modulus":
-                _require_power_finite(bound, f"M_{k}", 2)
+                modulus = True
+                try:
+                    bound**2
+                except OverflowError:
+                    raise _power_overflows(bound, f"M_{k}", 2) from None
                 if k:
                     linear.append((k, k + 1.0, 1.0))
                 if bound > 1.0:
@@ -251,7 +271,7 @@ class Profile(namedtuple("Profile", "theorem components lead linear excess modul
             lead_bound if lead_kind == "deriv" else None,
             tuple(linear),
             tuple(excess),
-            any(kind == "modulus" for kind, _ in components),
+            modulus,
         )
 
     @property
@@ -305,22 +325,28 @@ class RadiiResult(namedtuple("RadiiResult", "theorem rho sigma residual iteratio
     __slots__ = ()
 
 
+def _require_in_domain(r, b: Profile) -> None:
+    """A DomainError unless r, a float or every sample of an array, lies in [0, 1], or [0, 1) with a modulus term."""
+    try:
+        inside = 0.0 <= r < 1.0 if b.modulus else 0.0 <= r <= 1.0
+    except ValueError:  # an array, whose comparison has no single truth value: check its ends as scalars
+        _require_in_domain(float(r.min()), b)
+        _require_in_domain(float(r.max()), b)
+        return
+    if not inside:
+        raise DomainError(f"margin argument must lie in [0, 1{')' if b.modulus else ']'}, got {r!r}")
+
+
 def univalence_margin(r, b: Profile):
     """Margin of any profile; positive on [0, rho), zero at rho.
 
     r is a float or a float64 array, which gives the margin at each
     sample (a profile with no terms gives the float 1.0); an array's
     domain check reads its smallest and largest sample.  A modulus
-    term's (1-r)^2 pole keeps r < 1.
+    term's (1-r)^2 pole keeps r < 1.  The reference that ``_margin_of``
+    matches bit for bit.
     """
-    try:
-        inside = 0.0 <= r < 1.0 if b.modulus else 0.0 <= r <= 1.0
-    except ValueError:  # an array, whose comparison has no single truth value: check its ends as scalars
-        univalence_margin(float(r.min()), b)
-        univalence_margin(float(r.max()), b)
-        inside = True
-    if not inside:
-        raise DomainError(f"margin argument must lie in [0, 1{')' if b.modulus else ']'}, got {r!r}")
+    _require_in_domain(r, b)
     lam = b.lead
     total = 1.0 if lam is None else lam * (1.0 - lam * r) / (lam - r)
     if b.excess:
@@ -330,6 +356,29 @@ def univalence_margin(r, b: Profile):
     for k, weight, _ in b.linear:
         total -= weight * r**k
     return total
+
+
+def _margin_of(b: Profile):
+    """The solver's margin: ``univalence_margin`` on b as a function of a float r, built once per profile.
+
+    The same operations in the same order, so every value is bit for bit
+    ``univalence_margin``'s, without the domain check: ``radii`` checks the
+    bracket [0, hi] once instead, and the solver evaluates the margin only
+    inside it.
+    """
+    lam, excess, linear = b.lead, b.excess, b.linear
+
+    def margin(r: float) -> float:
+        total = 1.0 if lam is None else lam * (1.0 - lam * r) / (lam - r)
+        if excess:
+            denom = (1.0 - r) ** 2
+            for k, gap in excess:
+                total -= gap * r ** (k + 1) * (2.0 - r + k * (1.0 - r)) / denom
+        for k, weight, _ in linear:
+            total -= weight * r**k
+        return total
+
+    return margin
 
 
 univalence_margin_deriv = univalence_margin_normalized = univalence_margin
@@ -364,7 +413,23 @@ def _bisect_decreasing(g, lo: float, hi: float, err=None, glo=None, ghi=None, gu
     if ghi > 0.0:
         raise BracketError(f"bracket violation: g({hi!r}) = {ghi!r} must be <= 0")
     a, b = (lo, hi) if err is None else _locate(g, err, lo, glo, hi, ghi, guess)
-    iterations = 0
+    # The steps before the first midpoint inside (a, b) take their signs from position alone.  While a float
+    # lies inside (a, b) it lies strictly inside [lo, hi] too, so each step shrinks the bracket and a midpoint
+    # lands inside (a, b) at last; otherwise the loop below takes every step.
+    lo0, hi0, iterations = lo, hi, 0
+    if a < 0.5 * (a + b) < b:
+        for iterations in count():
+            mid = 0.5 * (lo + hi)
+            if mid <= a:
+                lo = mid
+            elif mid >= b:
+                hi = mid
+            else:
+                break
+    if lo != lo0:
+        glo = None
+    if hi != hi0:
+        ghi = None
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -403,20 +468,12 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) ->
     b; lo and hi stand in for a side that was never proven.  At most
     ``_LOCATE_CAP`` evaluations of g.
     """
+    # the band test runs inline wherever a point x is evaluated: gx above the band 2 err(x, gx) moves a, gx
+    # below it moves b, and gx inside it is the hit
     a, b = lo, hi
     budget = _LOCATE_CAP
-
-    def inside_band(x: float, gx: float) -> bool:
-        nonlocal a, b
-        band = 2.0 * err(x, gx)
-        if gx > band:
-            a = max(a, x)
-        elif gx < -band:
-            b = min(b, x)
-        return -band <= gx <= band
-
     x0, f0, y0, x1, f1, y1 = lo, glo, glo, hi, ghi, ghi  # f: Illinois-scaled values, y: computed values
-    hit = (hi, ghi) if inside_band(hi, ghi) else None
+    hit = (hi, ghi) if -2.0 * err(hi, ghi) <= ghi else None  # ghi <= 0 is never above the band; below it, b = hi
     side, run = 0, 3  # the end that moved last and how many times running; 3 makes the first step bisect
     if guess is not None and hit is None:
         x, step = guess
@@ -424,7 +481,12 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) ->
         while budget and x0 < x < x1:
             gx = g(x)
             budget -= 1
-            if inside_band(x, gx):
+            band = 2.0 * err(x, gx)
+            if gx > band:
+                a = max(a, x)
+            elif gx < -band:
+                b = min(b, x)
+            else:
                 hit = (x, gx)
                 break
             if gx > 0.0:
@@ -452,7 +514,12 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) ->
                 break  # x0 and x1 are adjacent floats, both outside the band
         gx = g(x)
         budget -= 1
-        if inside_band(x, gx):
+        band = 2.0 * err(x, gx)
+        if gx > band:
+            a = max(a, x)
+        elif gx < -band:
+            b = min(b, x)
+        else:
             hit = (x, gx)
         moved = 1 if gx > 0.0 else -1
         run = 1 if bisect or moved != side else run + 1
@@ -478,7 +545,13 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) ->
             if not a < x < b:
                 break  # this side is proven closer in already
             budget -= 1
-            if not inside_band(x, g(x)):
+            gx = g(x)
+            band = 2.0 * err(x, gx)
+            if gx > band:
+                a = max(a, x)
+                break
+            if gx < -band:
+                b = min(b, x)
                 break
             step = 4.0 * abs(x - x_hit)
     return a, b
@@ -538,16 +611,15 @@ def radii(b: Profile, _guess=None) -> RadiiResult:
     when roundoff leaves the margin a few ulp positive there.  ``_guess``
     = (x, step) seeds the solve (``_Sweep``) and changes no result.
     """
-
-    def margin(r: float) -> float:
-        return univalence_margin(r, b)
-
+    margin = _margin_of(b)
     plain = b.lead is None and not b.excess
     hi, ghi = b.upper(_CLAMP), None  # ghi = m(hi), which only a derivative lead can leave positive
+    _require_in_domain(hi, b)  # the margin is evaluated only on [0, hi]
     if b.lead is not None:
         ghi = margin(hi)
         if b.modulus and ghi > 0.0:
             hi = 1.0 / b.lead  # the derivative factor vanishes here, forcing the margin nonpositive
+            _require_in_domain(hi, b)
             ghi = margin(hi)
     if plain and sum(w for _, w, _ in b.linear) <= 1.0:
         rho, iterations, grho = 1.0, 0, 0.0  # the margin stays positive inside the disk: no root to miss

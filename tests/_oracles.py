@@ -14,6 +14,10 @@ crossing scan, over every edge pair of overlapping 16-edge chunks; the
 sweep that replaced it must find the same crossings among the edge pairs
 whose boxes meet.
 
+``record_solver_margins`` hooks the margin ``radii`` builds for each
+profile (``radii._margin_of``), so that a test sees every evaluation the
+solver makes.
+
 ``coeff_extremal_series`` and ``coefficient_bound_check`` are the
 coefficient form of the modulus-bound extremal and the check of
 |c_n| <= M - 1/M on it: the classical closed form is tested against the
@@ -27,6 +31,7 @@ import cmath
 import numpy as np
 
 from polylandau import TruncatedTaylorSeries, VerificationReport
+from polylandau import radii as radii_module
 from polylandau.errors import BracketError, DomainError
 
 
@@ -179,6 +184,22 @@ def deriv_lead_value(lam: float, z: complex) -> complex:
             tail = tail * step + c
         return z - gap / lam * z * z * tail
     return lam * lam * z + lam * gap * complex(np.log(1.0 - x))
+
+
+def record_solver_margins(monkeypatch, points: list) -> None:
+    """Append to points the r of every evaluation of the margins that ``radii`` builds while monkeypatch holds."""
+    factory = radii_module._margin_of
+
+    def recorded_factory(b):
+        margin = factory(b)
+
+        def recorded(r):
+            points.append(r)
+            return margin(r)
+
+        return recorded
+
+    monkeypatch.setattr(radii_module, "_margin_of", recorded_factory)
 
 
 def plain_bisect(g, lo: float, hi: float):

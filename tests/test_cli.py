@@ -2,7 +2,6 @@
 
 import collections
 import contextlib
-import importlib
 import io
 import json
 import math
@@ -16,6 +15,7 @@ from polylandau import DerivAll, DerivNormalized, ModulusAll, log_bound_from_mod
 from polylandau import cli, extremal, polyfunc, verify
 from polylandau.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from polylandau.radii import radii, univalence_margin
+from _oracles import record_solver_margins
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -564,19 +564,14 @@ def test_sharpness_caps_eps_at_the_second_zero_past_it(capsys, monkeypatch):
 )
 def test_sharpness_solves_once_and_builds_one_witness(capsys, monkeypatch, argv, profile):
     # cmd_sharpness solves rho and builds the witness; collision_pair and reversal_point take both as given
-    radii_module = importlib.import_module("polylandau.radii")
-    margin, build = radii_module.univalence_margin, extremal.extremal_fn
+    build = extremal.extremal_fn
     margins, builds = [], []
-
-    def counted_margin(r, b):
-        margins.append(r)
-        return margin(r, b)
 
     def counted_build(b):
         builds.append(b)
         return build(b)
 
-    monkeypatch.setattr(radii_module, "univalence_margin", counted_margin)
+    record_solver_margins(monkeypatch, margins)
     monkeypatch.setattr(cli.extremal, "extremal_fn", counted_build)  # cli calls it through its lazy module
     code, out, _ = run(capsys, "sharpness", *argv, "--format", "json")
     assert code == EXIT_OK and json.loads(out)["passed"] is True
@@ -692,6 +687,14 @@ def test_table_golden_csv(capsys, theorem):
     assert out == (DATA / f"golden_table_thm{theorem}.csv").read_text()
 
 
+@pytest.mark.parametrize("theorem", sorted(TABLE_GOLDEN))
+def test_table_golden_csv_at_17_digits(capsys, theorem):
+    # 17 digits print every double exactly, so these goldens pin each row's rho, sigma, w and r bit for bit
+    code, out, err = run(capsys, "table", *TABLE_GOLDEN[theorem], "--digits", "17")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (DATA / f"golden_table17_thm{theorem}.csv").read_text()
+
+
 # each row's solve is seeded by the rows before it; the sweeps cover every theorem, --lambda0 rows, where
 # hi = 1/L0 moves with the row, theorem 2 crossing from the closed form rho = 1 into bisection (5 L_1 = 1 at
 # L_1 = 0.2) and modulus bounds near 1
@@ -727,21 +730,17 @@ def test_table_rows_equal_their_solves_alone(capsys, sweep):
 
 
 def test_table_rows_seed_each_other(capsys, monkeypatch):
-    calls = [0]
-
-    def counted(r, b):
-        calls[0] += 1
-        return univalence_margin(r, b)
-
-    monkeypatch.setattr(importlib.import_module("polylandau.radii"), "univalence_margin", counted)
+    points = []
+    record_solver_margins(monkeypatch, points)
     code, out, _ = run(capsys, "table", "--theorem", "3", "-p", "2", "--ms", "2:20:0.1")
     assert code == EXIT_OK
-    seeded, calls[0] = calls[0], 0
+    seeded = len(points)
+    points.clear()
     values = cli._range_values("2:20:0.1", "--ms")
     assert len(values) == len(out.splitlines()) - 1 == 181
     for m in values:
         radii(ModulusAll((m, m)))
-    assert seeded <= 0.8 * calls[0]
+    assert 0 < seeded <= 0.8 * len(points)
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,20 @@ def test_poly_eval_rejects_points_outside_disk():
         poly_eval(_schwarz_pair(), 2.0)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda F: poly_eval(F, complex("nan")),
+        lambda F: poly_eval(F, np.array([0.1, np.nan])),
+        lambda F: jacobian(F, float("nan")),
+    ],
+    ids=["complex", "array", "jacobian"],
+)
+def test_nan_points_are_outside_the_disk(evaluate):
+    with pytest.raises(DomainError, match=r"\|z\| = nan"):
+        evaluate(_schwarz_pair())
+
+
 _component = st.lists(
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
     min_size=1,
