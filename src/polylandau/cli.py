@@ -427,12 +427,9 @@ def _emit(cfg: SimpleNamespace, doc: dict | None, rows: list[list[object]], line
     elif cfg.format == "csv":
         digits, spec = cfg.digits, f".{cfg.digits}g"  # _cell's float format, built once for every cell
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in rows:
-            if all(type(v) is float for v in row):  # digits, signs, ".", "e", inf and nan need no quoting
-                buf.write(",".join([format(v, spec) for v in row]) + "\n")
-            else:
-                writer.writerow([_cell(v, digits) for v in row])
+        csv.writer(buf, lineterminator="\n").writerows(
+            [format(v, spec) if type(v) is float else _cell(v, digits) for v in row] for row in rows
+        )
         sys.stdout.write(buf.getvalue())
     else:
         sys.stdout.write("".join(line + "\n" for line in lines))

@@ -101,10 +101,9 @@ band |fl(m)| <= 2 err, in at most ``_LOCATE_CAP`` = 24 evaluations: a
 solve costs at most plain bisection's count plus 24.
 
 *Known values.*  ``radii`` builds its margin once per profile
-(``_margin_of``): ``univalence_margin``'s operations in its order, so
-every value is bit for bit the same, without the per-call domain check.
-The solver evaluates m only on the bracket [0, hi], so ``radii``
-checks hi once per solve instead.  Values of m are passed in and handed
+(``_margin_of``, the one body of m, which ``univalence_margin`` calls
+after its per-call domain check).  The solver evaluates m only on the
+bracket [0, hi], so ``radii`` checks hi once per solve instead.  Values of m are passed in and handed
 back, so the solver evaluates m at no point whose value it is given.
 Every margin is exactly 1 at r = 0: each term vanishes there, and the
 derivative lead is L (1 - 0)/(L - 0) = L/L, which is exactly 1; so is
@@ -188,17 +187,13 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _power_overflows(value: float, what: str, n: int) -> DomainError:
-    return DomainError(f"{what} = {value!r} is too large: {what}**{n} overflows a float")
-
-
 def _require_power_finite(value: float, what: str, n: int) -> float:
     # sigma and the derivative extremal weight a logarithm by lam**3 - lam;
     # the modulus terms of sigma and the classical radii need M**2
     try:
         value**n
     except OverflowError:
-        raise _power_overflows(value, what, n) from None
+        raise DomainError(f"{what} = {value!r} is too large: {what}**{n} overflows a float") from None
     return value
 
 
@@ -251,10 +246,7 @@ class Profile(namedtuple("Profile", "theorem components lead linear excess modul
         for k, (kind, bound) in enumerate(components):
             if kind == "modulus":
                 modulus = True
-                try:
-                    bound**2
-                except OverflowError:
-                    raise _power_overflows(bound, f"M_{k}", 2) from None
+                _require_power_finite(bound, f"M_{k}", 2)
                 if k:
                     linear.append((k, k + 1.0, 1.0))
                 if bound > 1.0:
@@ -337,38 +329,16 @@ def _require_in_domain(r, b: Profile) -> None:
         raise DomainError(f"margin argument must lie in [0, 1{')' if b.modulus else ']'}, got {r!r}")
 
 
-def univalence_margin(r, b: Profile):
-    """Margin of any profile; positive on [0, rho), zero at rho.
-
-    r is a float or a float64 array, which gives the margin at each
-    sample (a profile with no terms gives the float 1.0); an array's
-    domain check reads its smallest and largest sample.  A modulus
-    term's (1-r)^2 pole keeps r < 1.  The reference that ``_margin_of``
-    matches bit for bit.
-    """
-    _require_in_domain(r, b)
-    lam = b.lead
-    total = 1.0 if lam is None else lam * (1.0 - lam * r) / (lam - r)
-    if b.excess:
-        denom = (1.0 - r) ** 2
-        for k, gap in b.excess:
-            total -= gap * r ** (k + 1) * (2.0 - r + k * (1.0 - r)) / denom
-    for k, weight, _ in b.linear:
-        total -= weight * r**k
-    return total
-
-
 def _margin_of(b: Profile):
-    """The solver's margin: ``univalence_margin`` on b as a function of a float r, built once per profile.
+    """The margin of b as a function of r, built once per profile, without a domain check.
 
-    The same operations in the same order, so every value is bit for bit
-    ``univalence_margin``'s, without the domain check: ``radii`` checks the
-    bracket [0, hi] once instead, and the solver evaluates the margin only
-    inside it.
+    ``radii`` solves with it and checks its bracket [0, hi] once per
+    solve, since the solver evaluates the margin only inside that bracket;
+    ``univalence_margin`` checks r and then calls it.
     """
     lam, excess, linear = b.lead, b.excess, b.linear
 
-    def margin(r: float) -> float:
+    def margin(r):
         total = 1.0 if lam is None else lam * (1.0 - lam * r) / (lam - r)
         if excess:
             denom = (1.0 - r) ** 2
@@ -379,6 +349,18 @@ def _margin_of(b: Profile):
         return total
 
     return margin
+
+
+def univalence_margin(r, b: Profile):
+    """Margin of any profile; positive on [0, rho), zero at rho.
+
+    r is a float or a float64 array, which gives the margin at each
+    sample (a profile with no terms gives the float 1.0); an array's
+    domain check reads its smallest and largest sample.  A modulus
+    term's (1-r)^2 pole keeps r < 1.
+    """
+    _require_in_domain(r, b)
+    return _margin_of(b)(r)
 
 
 univalence_margin_deriv = univalence_margin_normalized = univalence_margin
@@ -468,12 +450,20 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) ->
     b; lo and hi stand in for a side that was never proven.  At most
     ``_LOCATE_CAP`` evaluations of g.
     """
-    # the band test runs inline wherever a point x is evaluated: gx above the band 2 err(x, gx) moves a, gx
-    # below it moves b, and gx inside it is the hit
     a, b = lo, hi
     budget = _LOCATE_CAP
+
+    def inside_band(x: float, gx: float) -> bool:
+        nonlocal a, b
+        band = 2.0 * err(x, gx)
+        if gx > band:
+            a = max(a, x)
+        elif gx < -band:
+            b = min(b, x)
+        return -band <= gx <= band
+
     x0, f0, y0, x1, f1, y1 = lo, glo, glo, hi, ghi, ghi  # f: Illinois-scaled values, y: computed values
-    hit = (hi, ghi) if -2.0 * err(hi, ghi) <= ghi else None  # ghi <= 0 is never above the band; below it, b = hi
+    hit = (hi, ghi) if inside_band(hi, ghi) else None
     side, run = 0, 3  # the end that moved last and how many times running; 3 makes the first step bisect
     if guess is not None and hit is None:
         x, step = guess
@@ -481,12 +471,7 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) ->
         while budget and x0 < x < x1:
             gx = g(x)
             budget -= 1
-            band = 2.0 * err(x, gx)
-            if gx > band:
-                a = max(a, x)
-            elif gx < -band:
-                b = min(b, x)
-            else:
+            if inside_band(x, gx):
                 hit = (x, gx)
                 break
             if gx > 0.0:
@@ -514,12 +499,7 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) ->
                 break  # x0 and x1 are adjacent floats, both outside the band
         gx = g(x)
         budget -= 1
-        band = 2.0 * err(x, gx)
-        if gx > band:
-            a = max(a, x)
-        elif gx < -band:
-            b = min(b, x)
-        else:
+        if inside_band(x, gx):
             hit = (x, gx)
         moved = 1 if gx > 0.0 else -1
         run = 1 if bisect or moved != side else run + 1
@@ -545,13 +525,7 @@ def _locate(g, err, lo: float, glo: float, hi: float, ghi: float, guess=None) ->
             if not a < x < b:
                 break  # this side is proven closer in already
             budget -= 1
-            gx = g(x)
-            band = 2.0 * err(x, gx)
-            if gx > band:
-                a = max(a, x)
-                break
-            if gx < -band:
-                b = min(b, x)
+            if not inside_band(x, g(x)):
                 break
             step = 4.0 * abs(x - x_hit)
     return a, b

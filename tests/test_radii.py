@@ -2,7 +2,6 @@
 
 import math
 import random
-import struct
 
 import pytest
 import mpmath
@@ -27,7 +26,6 @@ from polylandau import (
     poly_modulus_baseline,
 )
 from polylandau import radii as radii_module
-from polylandau.cli import MAX_ORDER
 from polylandau.radii import _bisect_decreasing, _margin_error, radii, univalence_margin
 from _oracles import plain_bisect, record_solver_margins, scan_root
 
@@ -247,64 +245,6 @@ def test_margin_domain_gates():
         univalence_margin(-0.1, DerivAll(2.0, ()))
     with pytest.raises(DomainError):
         univalence_margin(1.0, ModulusAll((2.0,)))
-
-
-# bounds out to the edges of the valid domain: L0 up to where L0**3 overflows, L_k up to where (k+1) L_k does
-# at order MAX_ORDER, M_k up to where M_k**2 does, and modulus bounds within 1e-13 of 1
-_edge_leads = st.one_of(
-    st.floats(min_value=1.0 + 2.0**-52, max_value=8.0),
-    st.floats(min_value=8.0, max_value=5.6e102),
-    st.floats(min_value=-16.0, max_value=-1.0).map(lambda e: 1.0 + 10.0**e),
-)
-_edge_lambdas = st.one_of(
-    st.floats(min_value=0.0, max_value=4.0),
-    st.floats(min_value=0.0, max_value=1e305),
-    st.sampled_from([0.0, 5e-324, 2.0**-40]),
-)
-_edge_moduli = st.one_of(
-    st.floats(min_value=1.0, max_value=4.0),
-    st.floats(min_value=1.0, max_value=1.3e154),
-    st.floats(min_value=0.0, max_value=1e-13).map(lambda d: 1.0 + d),
-    st.just(1.0),
-)
-
-
-@st.composite
-def _margin_points(draw):
-    """A profile of theorems 1-4 at orders 1 to MAX_ORDER and a point r of [0, hi] or beside the pole at r = 1.
-
-    The order's bounds repeat a drawn list of up to six; a profile its constructor rejects is drawn again.
-    """
-    theorem = draw(st.integers(1, 4))
-    order = draw(st.integers(1, MAX_ORDER))
-    listed = draw(st.lists(_edge_moduli if theorem > 2 else _edge_lambdas, min_size=1, max_size=6))
-    bounds = tuple(listed[k % len(listed)] for k in range(order - (theorem != 3)))
-    try:
-        if theorem == 2:
-            b = DerivNormalized(bounds)
-        elif theorem == 3:
-            b = ModulusAll(bounds)
-        else:
-            b = (DerivAll if theorem == 1 else MixedDerivModulus)(draw(_edge_leads), bounds)
-    except DomainError:
-        assume(False)
-    hi = b.upper(radii_module._CLAMP)
-    points = [st.floats(min_value=0.0, max_value=1.0).map(lambda t: t * hi), st.sampled_from([0.0, hi])]
-    if b.modulus:  # the domain reaches past hi to the pole
-        points.append(st.floats(min_value=-16.0, max_value=-9.0).map(lambda e: 1.0 - 10.0**e))
-        points.append(st.integers(1, 2**20).map(lambda n: 1.0 - n * 2.0**-53))
-    return b, draw(st.one_of(points))
-
-
-@given(_margin_points())
-@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
-@example((ModulusAll((1.0 + 1e-13, 3.0, 1.5, 2.0)), 0.75))
-@example((DerivAll(2.0, (0.75, 0.5, 0.25)), 0.4))
-@example((MixedDerivModulus(1.0 + 2.0**-52, (1.0 + 5e-14, 1e150)), math.nextafter(1.0, 0.0)))
-def test_solver_margin_matches_univalence_margin_bit_for_bit(point):
-    b, r = point
-    solver_margin = radii_module._margin_of(b)(r)
-    assert struct.pack("<d", solver_margin) == struct.pack("<d", univalence_margin(r, b)), (b, r)
 
 
 _profiles = st.builds(
