@@ -84,8 +84,10 @@ MAX_BOUNDARY_SAMPLES = 2**16
 #: Most --digits: no double has more significant digits, so every float prints exactly at this many.
 MAX_DIGITS = 767
 #: Most components of a profile or a baseline, -p and each --orders value.  verify evaluates every component at
-#: every grid node, so its time grows with the order: a default verify at this cap takes 0.7-0.8 s on one core
-#: of an Intel Xeon, while -p 10**9 kept the poly-modulus baseline summing past a 5-s timeout.
+#: every grid node, so its time grows with the order: a default verify at this cap, `--theorem 3 -p 1000 --ms 2`
+#: or `--theorem 4 -p 1000 --lambda0 2 --ms 2`, takes 0.19-0.23 s per in-process call after the first on a
+#: 2-CPU Intel Xeon shared with other work, while -p 10**9 kept the poly-modulus baseline summing past a 5-s
+#: timeout.
 MAX_ORDER = 1000
 
 _PROFILE_FLAGS = ("lambda0", "lambdas", "ms", "mstars")

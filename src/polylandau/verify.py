@@ -28,15 +28,19 @@ C^1 map with Jacobian |F_z|^2 - |F_zbar|^2 > 0 on a closed disk that takes
 the boundary circle to a simple closed curve is injective on the disk.
 ``jacobian_grid_check`` tests the first condition on the polar grid, in
 linear time in its nodes, and ``boundary_simple_check`` the second on the
-sampled circle, in about m log m time for m samples: its crossing scan
-sweeps the image's edges sorted by their boxes.  ``univalence_grid_check``,
+sampled circle of m samples: in linear time when a one-pass certificate
+proves the image star-shaped about the image of 0, and otherwise in about
+m log m time, by a crossing scan that sweeps the image's edges sorted by
+their boxes.  ``univalence_grid_check``,
 the O(n^2) pairwise difference-quotient scan they replace, stays as a
 small-n oracle for the tests; it cannot fail a fold unless two nodes land
 on a colliding pair.
 
-All checks are necessary-condition tests: a pass means no counterexample
-was found at the sampled resolution, not a proof.  A failed report
-always carries a concrete witness point.
+All checks are sampled tests: a pass means no counterexample was found at
+the sampled resolution.  A boundary image that the certificate accepts is
+proven simple as a polygon through its samples; between the samples the
+check stays a sampled test, and the tangent's turning number covers folds
+there.  A failed report always carries a concrete witness point.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ AUDIT_RADIUS = 1.0 - 1e-3
 #: lead's exact supremum lies about 5e-4 (L - 1) below L, which is under one ulp once L - 1 < 4e-13.
 _AUDIT_ULPS = 4
 _PAIR_BLOCK = 256
+#: Least cross product of consecutive vertices, at unit scale, that ``_star_shaped`` accepts: 2^11 times the
+#: cross product's own rounding error there.
+_STAR_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -260,6 +267,45 @@ def _next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[1:], a[:1]))
 
 
+def _star_shaped(v: np.ndarray, centre: complex) -> bool:
+    """Whether the closed polygon v is certified star-shaped about centre, which makes it simple.
+
+    Star-shaped means that each vertex, seen from centre, lies strictly
+    counterclockwise of the one before it, and that the vertices go round
+    exactly once.  Then edge k lies in the sector, of angle under pi, between
+    the rays to vertices k and k + 1; the sectors tile the plane about centre,
+    and two non-adjacent edges lie in sectors that share only centre, which
+    no edge meets: the polygon is simple (Preparata and Shamos, *Computational
+    Geometry*, 1985).
+
+    v is translated by centre and scaled by a power of two, as
+    ``_unit_scale`` scales it, so a tiny or huge image keeps its products in
+    range.  At that scale each cross product Im(conj(w_k) w_{k+1}) of
+    consecutive vertices must exceed ``_STAR_MARGIN``.  Its rounding error,
+    one rounding each in the translation, the two products and their
+    difference, stays under 2^-51 there, so every exact cross product is
+    positive.  With every step a left turn of less than pi, the number of
+    turns is the number of steps from Im w < 0 to Im w >= 0, which reads only
+    signs and so is exact.  A polygon that fails either test is declined, and
+    a False says nothing about it.
+
+    The crossing sweep ``_crossings``, which rounds its own turn products,
+    should then find no pair either: two non-adjacent edges are separated on
+    both sides by at least one whole sector, whose triangle with centre has
+    an area of at least 2^-41 at unit scale, so the edges stay far apart
+    relative to the sweep's rounding, about 2^-50 at that scale.  This is an
+    estimate, not a proof, and a Hypothesis test checks it down to sectors
+    just above the margin.  A margin on the cross product's rounding
+    alone would not do: a sector much thinner than 2^-40 lets the sweep
+    report a crossing of the two edges beside it.
+    """
+    u = _unit_scale(v - centre)
+    w = _next(u)
+    if not (u.real * w.imag - u.imag * w.real > _STAR_MARGIN).all():
+        return False
+    return int(np.count_nonzero((u.imag < 0) & (w.imag >= 0))) == 1
+
+
 def _crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j of non-adjacent edges of the closed polygon v that cross, ordered by i, then j.
 
@@ -308,11 +354,17 @@ def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
 
     Two tests on the circle's samples: the tangent
     i (z F_z - conj(z) F_zbar) of the image curve must turn exactly once
-    (Hopf's Umlaufsatz), which catches a fold between two samples; and no
-    two non-adjacent edges of the sampled image may cross.  For exp F the
-    tangent is exp F times F's, and exp F comes back to its start, so the
-    turn is counted on F's tangent and the crossings on the image of
-    exp F.  A zero tangent fails too.
+    (Hopf's Umlaufsatz), which catches a fold between two samples; and the
+    polygon through the sampled image must be simple.  For exp F the tangent
+    is exp F times F's, and exp F comes back to its start, so the turn is
+    counted on F's tangent and the polygon is the image of exp F.  A zero
+    tangent fails too.
+
+    The polygon is first offered to ``_star_shaped``, about the image of 0 of
+    a normalised witness: 0 for F, 1 for exp F.  A polygon it accepts is
+    proven simple and has no crossing edge pairs.  Any other polygon goes to
+    the crossing sweep ``_crossings``, the only test that names a crossing
+    pair.  The report reads the same either way.
     """
     n, samples = jet.grid_size, jet.samples
     pts = jet.nodes[n:n + samples]
@@ -320,7 +372,8 @@ def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
     tangent = _unit_scale(1j * (pts * fz - pts.conj() * fzbar))
     turning = int(np.rint(np.angle(_next(tangent) * tangent.conj()).sum() / (2.0 * np.pi)))
     stalls = int(np.count_nonzero(tangent == 0))
-    i, j = _crossings(_unit_scale(np.exp(image) if jet.log else image))
+    curve, centre = (np.exp(image), 1.0) if jet.log else (image, 0.0)
+    i, j = ((), ()) if _star_shaped(curve, centre) else _crossings(_unit_scale(curve))
     problems = len(i) + abs(turning - 1) + stalls
     passed = problems == 0
     if len(i):

@@ -18,6 +18,10 @@ whose boxes meet.
 profile (``radii._margin_of``), so that a test sees every evaluation the
 solver makes.
 
+``Spirallike`` is the beta-spirallike map, a univalent component whose
+boundary images are simple but not star-shaped about 0, so that a boundary
+check on it runs the crossing sweep.
+
 ``coeff_extremal_series`` and ``coefficient_bound_check`` are the
 coefficient form of the modulus-bound extremal and the check of
 |c_n| <= M - 1/M on it: the classical closed form is tested against the
@@ -27,6 +31,7 @@ series, and the acceptance ledger against the bound.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -280,6 +285,24 @@ def chunked_crossings(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: Truncation degree of ``coeff_extremal_series``: its coefficients decay
 #: geometrically, leaving a tail below 1e-15 at |z| <= 0.99 for M >= 2.
 DEFAULT_DEGREE = 64
+
+
+class Spirallike:
+    """f(z) = z (1 - z)^(-2 e^{i beta} cos beta), at a point or at every point of an array.
+
+    For |beta| < pi/2 the map is beta-spirallike, hence univalent on the unit
+    disk, but not starlike: near beta = pi/2 the image of |z| = r spirals
+    about 0 and is not star-shaped about it.
+    """
+
+    def __init__(self, beta: float) -> None:
+        self.power = -2.0 * cmath.exp(1j * beta) * math.cos(beta)
+
+    def value(self, z):
+        return z * (1.0 - z) ** self.power
+
+    def derivative(self, z):
+        return (1.0 - z) ** (self.power - 1.0) * (1.0 - z - self.power * z)
 
 
 def coeff_extremal_series(m: float, n: int) -> TruncatedTaylorSeries:

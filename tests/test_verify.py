@@ -1,14 +1,16 @@
 """Oracle checks: they must pass on honest inputs and fail with witnesses."""
 
 import cmath
+import contextlib
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polylandau import cli
+from polylandau import cli, verify
 from polylandau import (
     DerivAll,
     DerivNormalized,
@@ -37,9 +39,18 @@ from polylandau import (
 )
 from polylandau.extremal import DerivLead, Linear, extremal_fn
 from polylandau.radii import radii, univalence_margin
-from polylandau.verify import AUDIT_RADIUS, _circle, _crossings, _disk_grid, _exp_disk_logs, _unit_scale
+from polylandau.verify import (
+    _STAR_MARGIN,
+    AUDIT_RADIUS,
+    _circle,
+    _crossings,
+    _disk_grid,
+    _exp_disk_logs,
+    _star_shaped,
+    _unit_scale,
+)
 
-from _oracles import chunked_crossings, coeff_extremal_series, coefficient_bound_check
+from _oracles import Spirallike, chunked_crossings, coeff_extremal_series, coefficient_bound_check
 
 
 B = DerivAll(2.0, (1.0,))
@@ -153,6 +164,19 @@ def _degree_checks(fn, r, grid=GridSpec(), samples=512):
     return jacobian_grid_check(jet), boundary_simple_check(jet)
 
 
+@contextlib.contextmanager
+def _sweeps():
+    """The vertex counts of the polygons the crossing sweep scans inside the block, in call order."""
+    calls = []
+
+    def spy(v):
+        calls.append(len(v))
+        return _crossings(v)
+
+    with mock.patch.object(verify, "_crossings", spy):
+        yield calls
+
+
 def test_degree_checks_pass_on_the_identity():
     jac, boundary = _degree_checks(IDENTITY, 0.9)
     assert jac.passed and jac.measured_margin == 1.0
@@ -190,10 +214,12 @@ def test_boundary_check_counts_crossings_of_the_exp_image():
     # the log part 4z stays a circle turning once, so only the crossing test sees exp wrap around
     target = LogPAnalyticFn(PolyAnalyticFn((TruncatedTaylorSeries((0, 4)),)))
     assert all(report.passed for report in _degree_checks(target, 0.75))
-    jac, boundary = _degree_checks(target, 0.9)
+    with _sweeps() as sweeps:
+        jac, boundary = _degree_checks(target, 0.9)
+    assert sweeps == [512]  # exp F winds twice about 1, so the star certificate declines and the sweep runs
     assert jac.passed
     assert not boundary.passed
-    assert boundary.note.startswith("turning number 1,")
+    assert boundary.note.startswith("turning number 1, 2 crossing edge pairs")
     a, b = boundary.witness
     assert abs(a) == pytest.approx(0.9) and abs(b) == pytest.approx(0.9)
 
@@ -232,9 +258,14 @@ def test_boundary_check_is_scale_free():
 def test_degree_checks_catch_a_radius_too_large(b, factor):
     # the pair scan passed every one of these at factor and beyond
     rho, fn = radii(b).rho, extremal_fn(b)
-    assert all(report.passed for report in _degree_checks(fn, 0.99 * rho))
-    failed = [report for report in _degree_checks(fn, factor * rho) if not report.passed]
+    with _sweeps() as sweeps:
+        assert all(report.passed for report in _degree_checks(fn, 0.99 * rho))
+        assert sweeps == []  # inside rho the image is star-shaped about 0, and the certificate proves it simple
+        failed = [report for report in _degree_checks(fn, factor * rho) if not report.passed]
     assert failed and all(report.witness for report in failed)
+    # a failed boundary check still comes from the sweep; where only the Jacobian fails (the first and third
+    # cases), the boundary image stays star-shaped
+    assert sweeps == ([512] if "boundary-simple" in {report.check_name for report in failed} else [])
 
 
 def test_log_target_reads_the_derivatives_of_its_log_part():
@@ -316,9 +347,12 @@ def test_degree_checks_pass_inside_rho_and_fail_past_it(case, eps):
     assume(rho < 1.0)
     F = extremal_fn(b)
     target = LogPAnalyticFn(F) if is_log else F
-    assert all(report.passed for report in _degree_checks(target, 0.99 * rho))
-    past = _degree_checks(target, min((1.0 + eps) * rho, 1.0))
-    assert not all(report.passed for report in past)
+    with _sweeps() as sweeps:
+        assert all(report.passed for report in _degree_checks(target, 0.99 * rho))
+        assert sweeps == []
+        jac, boundary = _degree_checks(target, min((1.0 + eps) * rho, 1.0))
+    assert not (jac.passed and boundary.passed)
+    assert boundary.passed or sweeps == [512]  # a boundary that fails past rho fails in the sweep
 
 
 @settings(max_examples=40, deadline=None)
@@ -435,6 +469,98 @@ def test_crossings_skip_a_rounded_crossing_of_disjoint_boxes():
     ])
     assert (4, 7) in _pairs(*chunked_crossings(v))
     assert _pairs(*_crossings(v)) == [(0, 4), (0, 5), (3, 7)]
+
+
+# The star certificate against the sweep.  The certificate only ever accepts a polygon, as simple; the
+# sweep must then find no crossing, and the polygon must wind once about the certificate's centre.
+
+@st.composite
+def _star_polygons(draw):
+    """A closed polygon, the centre it is drawn about, and its winding number about that centre.
+
+    "near-bound" polygons wind once, and their thinnest sectors have cross products just above
+    ``_STAR_MARGIN`` at unit scale.  "spike" polygons wind once, with three consecutive vertices within
+    1e-12 radians of one ray, two of them within 1e-8 of the centre: there the exact cross products are
+    positive but far below the margin, and the sweep's rounded predicate may report a crossing.
+    "winding" polygons turn left at every vertex and wind 2-5 times.  Each is scaled by 2^k for
+    |k| <= 996, radii from about 1e-300 to 1e300, and may be moved off the origin by up to about 1e6
+    times its radius.
+    """
+    kind = draw(st.sampled_from(("near-bound", "spike", "winding")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    winding = int(rng.integers(2, 6)) if kind == "winding" else 1
+    m = draw(st.integers(max(8, 3 * winding), 600))
+    rad = 0.5 + 0.49 * rng.uniform(size=m)
+    gaps = rng.uniform(0.5, 1.5, size=m)
+    if kind == "near-bound":
+        thin = rng.choice(m, size=int(rng.integers(1, m // 3 + 1)), replace=False)
+        room = _STAR_MARGIN * (1.0 + 10.0 ** rng.uniform(-3.0, 0.0, size=len(thin)))
+        gaps[thin] = np.arcsin(room / (rad[thin] * rad[(thin + 1) % m]))
+        rest = np.ones(m, dtype=bool)
+        rest[thin] = False
+        gaps[rest] *= (2.0 * np.pi - gaps[thin].sum()) / gaps[rest].sum()
+    else:
+        gaps *= 2.0 * np.pi * winding / gaps.sum()
+    angles = rng.uniform(0.0, 2.0 * np.pi) + np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    v = rad * np.exp(1j * angles)
+    if kind == "spike":  # vertices s - 1, s and s + 1 move to the ray through vertex s, or within 1e-12 of it
+        s, near = int(rng.integers(1, m - 1)), 10.0 ** rng.uniform(-12.0, -8.0)
+        turns = np.array([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -12.0, size=3)
+        v[s - 1:s + 2] = np.array([10.0 ** rng.uniform(-4.0, -1.0), near, near * rng.uniform(1.5, 5.0)]) * np.exp(
+            1j * (angles[s] + turns))
+    scale = 2.0 ** draw(st.integers(-996, 996))
+    centre = scale * complex(*rng.normal(size=2)) * 10.0 ** draw(st.floats(-3.0, 6.0)) if draw(st.booleans()) else 0j
+    return v * scale + centre, centre, winding
+
+
+def _winding(v: np.ndarray, centre: complex) -> int:
+    """The winding number of the closed polygon v about centre, from the sum of its vertex angles."""
+    u = _unit_scale(v - centre)
+    w = np.roll(u, -1)
+    return int(np.rint(np.arctan2(u.real * w.imag - u.imag * w.real, u.real * w.real + u.imag * w.imag).sum()
+                        / (2.0 * np.pi)))
+
+
+@given(st.one_of(_polygons().map(lambda case: (case[0], 0j, None)), _star_polygons()))
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+def test_star_certificate_never_hides_a_crossing_the_sweep_finds(case):
+    v, centre, winding = case
+    accepted = _star_shaped(v, centre)
+    if accepted:
+        assert _pairs(*_crossings(_unit_scale(v))) == []
+        assert _winding(v, centre) == 1
+    assert winding in (None, 1) or not accepted
+
+
+@pytest.mark.parametrize("centre", [0.0, 1.0])
+def test_star_certificate_accepts_only_above_its_margin(centre):
+    # at unit scale the cross product of 0.5 and 0.5 + i t is t/2 exactly, and 1 + u rounds back to u exactly
+    for t, accepted in ((2.0 * _STAR_MARGIN, False), (2.0 * _STAR_MARGIN * (1.0 + 2.0**-20), True)):
+        v = np.array([0.5, 0.5 + 1j * t, 0.5j, -0.5, -0.5j]) + centre
+        assert _star_shaped(v, centre) is accepted
+    assert _star_shaped(np.repeat(v, 2), centre) is False  # a repeated vertex has cross product 0
+    assert _star_shaped(np.concatenate((v, v)), centre) is False  # every cross product clears it, winding twice
+
+
+SPIRALLIKE = PolyAnalyticFn((Spirallike(1.2),))
+
+
+def test_spirallike_map_runs_the_sweep_and_passes():
+    # univalent but not starlike: its boundary image is simple, but not star-shaped about 0
+    with _sweeps() as sweeps:
+        jac, boundary = _degree_checks(SPIRALLIKE, 0.99)
+    assert sweeps == [512]
+    assert jac.passed and boundary.passed
+    assert boundary.note == "turning number 1, 0 crossing edge pairs over 512 boundary samples"
+
+
+@pytest.mark.parametrize("argv", [["--theorem", "2", "-p", "3", "--lambdas", "1,0.5"],
+                                  ["--theorem", "6", "-p", "3", "--lambdas", "1,0.5"]])
+def test_verify_witness_takes_the_star_certificate(argv, capsys):
+    with _sweeps() as sweeps:
+        assert cli.main(["verify", *argv, "--grid", "8x16"]) == 0
+    assert sweeps == []
+    assert "turning number 1, 0 crossing edge pairs over 512 boundary samples" in capsys.readouterr().out
 
 
 def _coverage(fn, rho, samples=512):
