@@ -137,10 +137,6 @@ class LogPAnalyticFn:
         if poly_eval(self.log_part, 0j) != 0:
             raise DomainError("log part must vanish at the origin so the product equals 1 there")
 
-    @property
-    def order(self) -> int:
-        return self.log_part.order
-
     def __call__(self, z):
         return logp_eval(self, z)
 

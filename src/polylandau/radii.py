@@ -77,7 +77,8 @@ The two terms of lead_s cancel to about r/2 while each has size L^2 r, so
 for small r/L they are summed analytically (``_lead_sigma``).  A term
 c r^(k+1) of sigma has size about r/(k+1) at a root far below 1 even
 where r^(k+1) alone underflows, so ``_scaled_power`` raises r's mantissa
-to the power there and scales the product back by a power of two.
+to the power there and scales the product back by a power of two.  The
+poly-modulus baseline's sigma takes its powers the same way.
 
 *Replay.*  Bisection's path depends only on the computed sign of m at
 each midpoint, so ``_bisect_decreasing`` replays it in fewer evaluations
@@ -747,7 +748,7 @@ def poly_modulus_baseline(m: float, p: int) -> tuple[float, float]:
     r3, _, _ = _bisect_decreasing(margin, 0.0, _CLAMP, lambda r, g: k * (2.0 - g), 1.0)
     big_r3 = r3
     for k in range(1, p):
-        big_r3 -= r3 ** (k + 1)
+        big_r3 -= _scaled_power(1.0, r3, k + 1)
     for k in range(p):
-        big_r3 -= m * r3 ** (k + 2) / (1.0 - r3)
+        big_r3 -= _scaled_power(m, r3, k + 2) / (1.0 - r3)
     return r3, big_r3

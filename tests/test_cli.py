@@ -377,6 +377,27 @@ def test_verify_passes_lead_bound_near_one(capsys):
     assert out.splitlines()[0].startswith("PASS hypothesis-audit")
 
 
+# extreme bounds, sigma = 1 (theorem 6 at p = 1), L0 = 1 + 2^-52, where the lead's derivative peaks within an ulp
+# of L0 on the audit grid, and the subnormal boundary images of --lambdas 8e307 (rho = 6.25e-309), whose
+# coordinates the star certificate multiplies
+QUIET_VERIFY = [
+    "--theorem 1 --lambda0 1.0000001 --lambdas 0", "--theorem 2 -p 3 --lambdas 1,0.5",
+    "--theorem 1 --lambda0 1.0000000000000002", "--theorem 5 --lambda0 1.0000000000000002",
+    "--theorem 3 -p 2 --ms 1e100", "--theorem 4 --lambda0 1.0000001 --ms 1e100",
+    "--theorem 5 --lambda0 1.0000001 --lambdas 0", "--theorem 6 -p 2 --lambdas 0.75", "--theorem 6 -p 1",
+    "--theorem 7 -p 2 --mstars 1e100", "--theorem 8 --lambda0 1.0000001 --mstars 1e100",
+    "--theorem 2 -p 2 --lambdas 8e307", "--theorem 6 -p 2 --lambdas 8e307",
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", QUIET_VERIFY)
+def test_verify_emits_no_warnings(capsys, argv):
+    # a numpy RuntimeWarning from the witness, a check or exp F raises here instead of passing unseen
+    code, _, err = run(capsys, "verify", *argv.split(), "--grid", "8x16")
+    assert (code, err) == (EXIT_OK, "")
+
+
 @pytest.mark.parametrize("theorem", ["2", "6"])
 @pytest.mark.parametrize("lam", ["1e-14", "1e-320"])
 def test_verify_passes_margin_flatter_than_float_spacing(capsys, theorem, lam):
@@ -449,6 +470,8 @@ def test_verify_takes_no_mc_samples_flag(capsys, value):
     "argv, flag",
     [
         (("verify", "--theorem", "5", "--lambda0", "2", "--seed", "-1"), "--seed"),
+        (("verify", "--theorem", "1", "--lambda0", "2", "--seed", "-1", "--grid", "8x16"),
+         "--seed must be a nonnegative integer, got -1\n"),
         (("radii", "--theorem", "1", "--lambda0", "2", "--digits", "-3"), "--digits"),
         (("verify", "--theorem", "1", "--lambda0", "2", "--boundary-samples", "4"), "--boundary-samples"),
         (("verify", "--theorem", "1", "--lambda0", "2", "--grid", "4x64"), "--grid"),
@@ -489,20 +512,20 @@ def test_verify_takes_no_mc_samples_flag(capsys, value):
         (("sharpness", "--lambda0", "2"), "--theorem is required\n"),
         # one past the order cap: --orders 1e20 ended in an OverflowError traceback, and -p 10**9 ran on for
         # the poly-modulus baseline
+        (("compare", "--orders", "1e20"), "--orders must be at most 1000, got '1e20'\n"),
         (("compare", "--orders", "2,1e20"), "--orders must be at most 1000, got '2,1e20'\n"),
         (("radii", "--theorem", "3", "-p", "1001", "--ms", "2"), "--order must be at most 1000, got 1001\n"),
         (("radii", "--theorem", "2", "--lambdas", ",".join(["0.5"] * 1000)),
          "--lambdas must have at most 999 values, got 1000\n"),
         (("baseline", "--name", "poly-modulus", "--m", "2", "-p", "1001"), "--order must be at most 1000, got 1001\n"),
     ],
-    ids=["seed-negative", "digits-negative", "boundary-samples-4", "grid-radial-4", "grid-angular-4",
-         "margin-negative", "margin-nan", "grid-over-cap", "boundary-samples-over-cap", "tol-0", "tol-negative",
-         "tol-nan", "orders-inf", "orders-nan", "ms-1", "ms-0.5", "ms-inf", "ms-nan", "ms-2,1", "ms-square-overflows",
-         "digits-over-cap",
-         "order-0", "theorem-3-needs-ms",
-         "theorem-7-needs-mstars", "baseline-bianalytic-deriv-needs-lambda0",
-         "baseline-bianalytic-bounded-needs-lambda1", "baseline-poly-modulus-needs-p", "sharpness-needs-theorem",
-         "orders-over-cap", "order-over-cap", "lambdas-over-cap", "baseline-order-over-cap"],
+    ids=["seed-negative", "seed-negative-on-a-grid", "digits-negative", "boundary-samples-4", "grid-radial-4",
+         "grid-angular-4", "margin-negative", "margin-nan", "grid-over-cap", "boundary-samples-over-cap", "tol-0",
+         "tol-negative", "tol-nan", "orders-inf", "orders-nan", "ms-1", "ms-0.5", "ms-inf", "ms-nan", "ms-2,1",
+         "ms-square-overflows", "digits-over-cap", "order-0", "theorem-3-needs-ms", "theorem-7-needs-mstars",
+         "baseline-bianalytic-deriv-needs-lambda0", "baseline-bianalytic-bounded-needs-lambda1",
+         "baseline-poly-modulus-needs-p", "sharpness-needs-theorem", "orders-1e20-over-cap", "orders-over-cap",
+         "order-over-cap", "lambdas-over-cap", "baseline-order-over-cap"],
 )
 def test_exit_2_names_the_sampling_flag(capsys, argv, flag):
     # numpy's, format()'s or the checks' own message for these would name no flag; a message that ends in a

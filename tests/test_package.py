@@ -91,7 +91,7 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(verify_call)
 print(json.dumps({"missing": missing, "codes": codes, "executed": executed, "numpy_parts": numpy_parts,
-                  "stdlib": stdlib, "verify": [code, out.getvalue()]}))
+                  "stdlib": stdlib, "verify": [code, out.getvalue()], "verify_argparse": "argparse" in sys.modules}))
 """
 
 
@@ -113,10 +113,12 @@ def test_solver_commands_run_without_loading_numpy():
                                "polylandau.radii"]
     assert doc["numpy_parts"] == []
     assert doc["stdlib"] == []
-    # verify then loads numpy on its first array and prints what a fresh run prints (check=True: exit 0)
+    # verify then loads numpy on its first array and prints what a fresh run prints (check=True: exit 0); like
+    # the solver commands it parses its flags without argparse, which only help and usage errors build
     fresh = _fresh_python("-m", "polylandau.cli", *_VERIFY_CALL)
     assert doc["verify"] == [0, fresh.stdout]
     assert '"passed": true' in fresh.stdout
+    assert doc["verify_argparse"] is False
 
 
 _RANDOM_PROBE = """

@@ -78,6 +78,17 @@ def test_huge_modulus_bounds_match_reference(m):
         assert abs(mpmath.mpf(got) - want) <= reference.FLOAT_TOL * want
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("m", [1.3e154, 1.34e154])
+def test_poly_modulus_baseline_sigma_keeps_precision_where_r3_squared_is_subnormal(m, p):
+    # r3 is near 1/(4M) at p >= 2, so r3^2 falls below the normal range: subtracting r3^(k+1) and M r3^(k+2)
+    # as computed once left sigma 1.3e-15 and 2e-15 relative off here
+    rho, sigma = poly_modulus_baseline(m, p)
+    with mpmath.workdps(450):
+        exact = reference.PolyModulusBaseline(m, p).terms(rho).sigma
+        assert abs(mpmath.mpf(sigma) / exact - 1) <= 4.5e-16
+
+
 _lead_bound = st.floats(min_value=1.001, max_value=50.0)
 _deriv_bound = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
 _modulus_or_one = st.one_of(st.just(1.0), st.floats(min_value=1.01, max_value=20.0))

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polylandau import cli, verify
 from polylandau import (
@@ -37,7 +37,7 @@ from polylandau import (
     univalence_grid_check,
     witness_pass,
 )
-from polylandau.extremal import DerivLead, Linear, extremal_fn
+from polylandau.extremal import BoundedRatio, DerivLead, Linear, extremal_fn
 from polylandau.radii import radii, univalence_margin
 from polylandau.verify import (
     _STAR_MARGIN,
@@ -45,7 +45,6 @@ from polylandau.verify import (
     _circle,
     _crossings,
     _disk_grid,
-    _exp_disk_logs,
     _star_shaped,
     _unit_scale,
 )
@@ -222,6 +221,14 @@ def test_boundary_check_counts_crossings_of_the_exp_image():
     assert boundary.note.startswith("turning number 1, 2 crossing edge pairs")
     a, b = boundary.witness
     assert abs(a) == pytest.approx(0.9) and abs(b) == pytest.approx(0.9)
+
+
+def test_boundary_check_fails_a_zero_tangent():
+    # F_z = 1 - 2z vanishes at the sample z = 0.5 itself, where the image curve stalls
+    fn = PolyAnalyticFn((TruncatedTaylorSeries((0, 1, -1.0)),))
+    report = boundary_simple_check(witness_pass(fn, 0.5, samples=64))
+    assert (report.passed, report.measured_margin, report.witness) == (False, -1.0, (0.5 + 0j,))
+    assert report.note == "turning number 1, 0 crossing edge pairs over 64 boundary samples, 1 with a zero tangent"
 
 
 def test_witness_pass_validates_its_inputs():
@@ -634,6 +641,26 @@ def test_hypothesis_audit_checks_derivative_bounds():
     assert report.note == "component 1 derivative exceeds 0.5 by 0.5"
 
 
+@pytest.mark.parametrize(
+    "components, b, note",
+    [
+        # a modulus component must have derivative 1 at 0: 2z fails that, and its bound 1.5 on the audit grid
+        ((Linear(1 + 0j), Linear(2 + 0j)), ModulusAll((1.5, 1.5)),
+         "component 1 linear coefficient is not 1; component 1 modulus exceeds 1.5 by 0.498"),
+        ((BoundedRatio(3.0),), ModulusAll((2.0,)), "component 0 modulus exceeds 2.0 by 0.996"),
+        # a zero derivative bound makes the component vanish identically
+        ((DerivLead(2.0), Linear(-0.5 + 0j)), DerivAll(2.0, (0.0,)),
+         "component 1 should vanish, max modulus 0.4995"),
+    ],
+    ids=["linear-coefficient", "modulus-bound", "zero-bound"],
+)
+def test_hypothesis_audit_names_each_violated_bound(components, b, note):
+    # a max modulus is matched to its leading digits: its last ones are those of libm's hypot
+    report = hypothesis_audit(PolyAnalyticFn(components), b, SMALL_GRID)
+    assert not report.passed
+    assert report.note.startswith(note)
+
+
 class _NanSlope:
     """A component that vanishes, with a NaN derivative everywhere."""
 
@@ -670,11 +697,18 @@ def test_coefficient_bound_check_requires_normalization():
         coefficient_bound_check(TruncatedTaylorSeries((0, 2)), 2.0)
 
 
-def test_exp_disk_containment():
-    for sigma in (0.1, 0.5, 0.9):
-        report = exp_disk_check(sigma, samples=4000, seed=0)
-        assert report.passed
-        assert report.measured_margin > 0.0
+# at 8.250140171882186e-176 every draw rounds to real part 1, and only its imaginary part is left of the disk
+@pytest.mark.parametrize("sigma", [8.250140171882186e-176, 0.1, 0.5, 0.9])
+def test_exp_disk_containment(sigma):
+    report = exp_disk_check(sigma, samples=4000, seed=0)
+    assert report.passed
+    assert report.measured_margin > 0.0
+
+
+def test_exp_disk_fails_where_every_draw_rounds_onto_the_edge():
+    # sinh(5e-324) u sin(t) rounds to 0 or to 5e-324 itself, so the farthest draw's logarithm has modulus sigma
+    report = exp_disk_check(5e-324, seed=0)
+    assert (report.passed, report.measured_margin, report.witness) == (False, 0.0, (1 - 5e-324j,))
 
 
 def test_exp_disk_rejects_bad_sigma():
@@ -682,29 +716,6 @@ def test_exp_disk_rejects_bad_sigma():
         exp_disk_check(0.0)
     with pytest.raises(DomainError):
         exp_disk_check(1.0)
-
-
-def _complex_exp_disk_logs(sigma, samples, seed):
-    """|log w| at exp_disk_check's draws by complex exp, log and abs: the reference for its real form."""
-    rng = np.random.default_rng(seed)
-    u = np.sqrt(rng.uniform(size=samples))
-    t = rng.uniform(0.0, 2.0 * np.pi, size=samples)
-    return np.abs(np.log(np.cosh(sigma) + np.sinh(sigma) * u * np.exp(1j * t)))
-
-
-@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
-@example(8.250140171882186e-176)  # squaring the parts of the logarithm unscaled underflows here
-@example(5e-324)
-@settings(max_examples=15, deadline=None)
-def test_exp_disk_real_form_matches_the_complex_form(sigma):
-    for seed in range(21):
-        logs = _complex_exp_disk_logs(sigma, 10000, seed)
-        k = int(np.argmax(logs))
-        assert int(np.argmax(_exp_disk_logs(sigma, 10000, seed)[2])) == k
-        report = exp_disk_check(sigma, seed=seed)
-        expected = sigma - float(logs[k])
-        assert report.passed == (expected > 0.0)
-        assert abs(report.measured_margin - expected) <= 1e-15
 
 
 def test_exp_disk_rejects_fewer_than_one_sample():
