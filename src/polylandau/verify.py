@@ -10,17 +10,18 @@ so vouches for no radius, and the second draws random points to test a
 lemma about exp, not the witness.  Only the ``Profile`` terms are
 shared, as plain data.  Witness components are read through their
 ``value`` and ``derivative`` alone, at 0 for the normalisation and on
-the audit grid for the bounds.  Every check evaluates on the whole array
+the audit circle for the bounds.  Every check evaluates on the whole array
 of its points, so a callable passed to a check must accept an array.
 
-Outside ``hypothesis_audit``, which keeps its own grid, ``cmd_verify``
+Outside ``hypothesis_audit``, which reads its own circle, ``cmd_verify``
 evaluates the witness once: ``witness_pass`` lays out the Jacobian grid,
 the boundary circle and the coverage circle as slices of one array and
 takes F_z and F_zbar on the grid and the boundary circle, and F on the
 two circles, from one ``poly_jet`` pass; F(0) is read as a point.
 ``jacobian_grid_check``, ``boundary_simple_check`` and
-``schlicht_coverage_check`` only read their slices and report, and exp
-F's disk is checked on exp of F's values.
+``schlicht_coverage_check`` only read their slices and report.  For exp F
+they read F's values and take exp F's image as expm1(F) = exp F - 1, which
+keeps full precision where F is tiny, so every curve lies about 0.
 
 Univalence is checked by degree theory, the argument principle for
 sense-preserving maps (Duren, *Harmonic Mappings in the Plane*, 2.3): a
@@ -267,31 +268,30 @@ def _next(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[1:], a[:1]))
 
 
-def _star_shaped(v: np.ndarray, centre: complex) -> bool:
-    """Whether the closed polygon v is certified star-shaped about centre, which makes it simple.
+def _star_shaped(v: np.ndarray) -> bool:
+    """Whether the closed polygon v is certified star-shaped about 0, which makes it simple.
 
-    Star-shaped means that each vertex, seen from centre, lies strictly
+    Star-shaped means that each vertex, seen from 0, lies strictly
     counterclockwise of the one before it, and that the vertices go round
     exactly once.  Then edge k lies in the sector, of angle under pi, between
-    the rays to vertices k and k + 1; the sectors tile the plane about centre,
-    and two non-adjacent edges lie in sectors that share only centre, which
+    the rays to vertices k and k + 1; the sectors tile the plane about 0,
+    and two non-adjacent edges lie in sectors that share only 0, which
     no edge meets: the polygon is simple (Preparata and Shamos, *Computational
     Geometry*, 1985).
 
-    v is translated by centre and scaled by a power of two, as
-    ``_unit_scale`` scales it, so a tiny or huge image keeps its products in
-    range.  At that scale each cross product Im(conj(w_k) w_{k+1}) of
-    consecutive vertices must exceed ``_STAR_MARGIN``.  Its rounding error,
-    one rounding each in the translation, the two products and their
-    difference, stays under 2^-51 there, so every exact cross product is
-    positive.  With every step a left turn of less than pi, the number of
-    turns is the number of steps from Im w < 0 to Im w >= 0, which reads only
-    signs and so is exact.  A polygon that fails either test is declined, and
-    a False says nothing about it.
+    v is scaled by a power of two, as ``_unit_scale`` scales it, so a tiny
+    or huge image keeps its products in range.  At that scale each cross
+    product Im(conj(w_k) w_{k+1}) of consecutive vertices must exceed
+    ``_STAR_MARGIN``.  Its rounding error, one rounding each in the two
+    products and their difference, stays under 2^-51 there, so every exact
+    cross product is positive.  With every step a left turn of less than pi,
+    the number of turns is the number of steps from Im w < 0 to Im w >= 0,
+    which reads only signs and so is exact.  A polygon that fails either
+    test is declined, and a False says nothing about it.
 
     The crossing sweep ``_crossings``, which rounds its own turn products,
     should then find no pair either: two non-adjacent edges are separated on
-    both sides by at least one whole sector, whose triangle with centre has
+    both sides by at least one whole sector, whose triangle with 0 has
     an area of at least 2^-41 at unit scale, so the edges stay far apart
     relative to the sweep's rounding, about 2^-50 at that scale.  This is an
     estimate, not a proof, and a Hypothesis test checks it down to sectors
@@ -299,7 +299,7 @@ def _star_shaped(v: np.ndarray, centre: complex) -> bool:
     alone would not do: a sector much thinner than 2^-40 lets the sweep
     report a crossing of the two edges beside it.
     """
-    u = _unit_scale(v - centre)
+    u = _unit_scale(v)
     w = _next(u)
     if not (u.real * w.imag - u.imag * w.real > _STAR_MARGIN).all():
         return False
@@ -357,12 +357,13 @@ def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
     (Hopf's Umlaufsatz), which catches a fold between two samples; and the
     polygon through the sampled image must be simple.  For exp F the tangent
     is exp F times F's, and exp F comes back to its start, so the turn is
-    counted on F's tangent and the polygon is the image of exp F.  A zero
-    tangent fails too.
+    counted on F's tangent and the polygon is the image of expm1(F), exp F's
+    moved by -1, which is simple exactly when exp F's is.  A zero tangent
+    fails too.
 
-    The polygon is first offered to ``_star_shaped``, about the image of 0 of
-    a normalised witness: 0 for F, 1 for exp F.  A polygon it accepts is
-    proven simple and has no crossing edge pairs.  Any other polygon goes to
+    The polygon is first offered to ``_star_shaped``, about 0, the image of 0
+    of a normalised witness under F and expm1(F) alike.  A polygon it accepts
+    is proven simple and has no crossing edge pairs.  Any other polygon goes to
     the crossing sweep ``_crossings``, the only test that names a crossing
     pair.  The report reads the same either way.
     """
@@ -372,8 +373,8 @@ def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
     tangent = _unit_scale(1j * (pts * fz - pts.conj() * fzbar))
     turning = int(np.rint(np.angle(_next(tangent) * tangent.conj()).sum() / (2.0 * np.pi)))
     stalls = int(np.count_nonzero(tangent == 0))
-    curve, centre = (np.exp(image), 1.0) if jet.log else (image, 0.0)
-    i, j = ((), ()) if _star_shaped(curve, centre) else _crossings(_unit_scale(curve))
+    curve = np.expm1(image) if jet.log else image
+    i, j = ((), ()) if _star_shaped(curve) else _crossings(_unit_scale(curve))
     problems = len(i) + abs(turning - 1) + stalls
     passed = problems == 0
     if len(i):
@@ -398,41 +399,39 @@ def schlicht_coverage_check(
     rho: float,
     sigma: float,
     margin: float = 1e-9,
-    center: float = 0.0,
+    log: bool = False,
 ) -> VerificationReport:
-    """Checks the image of |z| < rho covers the disk of radius sigma about center.
+    """Checks the image of |z| < rho under F, or under exp F when log, covers the disk that sigma gives.
 
-    ``image`` holds a map fn's values at equally spaced points of the
-    circle |z| = rho, as ``WitnessPass.coverage`` returns them, and
-    ``origin`` is fn(0).  For a univalent map the image boundary is the
-    image of that circle, so the image covers a disk that holds fn(0) iff
-    min |fn - center| on the circle is at least sigma.  Center 0 is the
-    disk of F (``schlicht-coverage``), which requires fn(0) = 0 up to
-    1e-12.  Center cosh(s) and radius sinh(s) make the disk of exp F
-    (``exp-coverage``) for s > 0, which holds exp F(0) = 1 because
-    exp(-s) < 1 < exp(s); any other center requires fn(0) inside the disk.
+    ``image`` holds F's values at equally spaced points of the circle
+    |z| = rho, as ``WitnessPass.coverage`` returns them, and ``origin`` is
+    F(0), which must be 0 up to 1e-12.  For a univalent map the image
+    boundary is the image of that circle, so the image covers a disk that
+    holds the image of 0 iff the circle's image keeps the disk's radius from
+    its centre.  F's disk (``schlicht-coverage``) is |w| < sigma.  exp F's
+    (``exp-coverage``) has centre cosh(sigma) and radius sinh(sigma), and holds
+    exp F(0) = 1.  It is read as |expm1(F) - c| with c = cosh(sigma) - 1
+    computed as 2 sinh(sigma/2)^2, so that nothing cancels where F is tiny.
     """
     if not (0.0 < rho and 0.0 < sigma):
         raise DomainError(f"coverage check needs rho > 0 and sigma > 0, got {rho!r}, {sigma!r}")
-    vals = np.abs(image - center)
-    origin = float(abs(origin - center))
-    if center == 0.0 and origin > 1e-12:
-        raise DomainError(f"coverage check needs fn(0) = 0, got |fn(0)| = {origin!r}")
-    if center != 0.0 and not origin < sigma:
-        raise DomainError(f"coverage check needs fn(0) inside the disk, got |fn(0) - {center!r}| = {origin!r}")
+    origin = float(abs(origin))
+    if origin > 1e-12:
+        raise DomainError(f"coverage check needs F(0) = 0, got |F(0)| = {origin!r}")
+    vals = np.abs(np.expm1(image) - 2.0 * math.sinh(0.5 * sigma) ** 2) if log else np.abs(image)
+    radius = math.sinh(sigma) if log else sigma
     k = int(vals.argmin())
-    measured = float(vals[k]) - sigma
+    least = float(vals[k])
+    measured = least - radius
     passed = bool(measured >= -margin)
-    if center == 0.0:
-        name, note = "schlicht-coverage", f"min boundary modulus {float(vals[k]):.12g}"
-    else:
-        name, note = "exp-coverage", f"min boundary distance {float(vals[k]):.12g} to center {center:.12g}"
+    note = (f"min boundary distance {least:.12g} to center {math.cosh(sigma):.12g}" if log
+            else f"min boundary modulus {least:.12g}")
     return VerificationReport(
-        check_name=name,
+        check_name="exp-coverage" if log else "schlicht-coverage",
         passed=passed,
         measured_margin=measured,
         witness=None if passed else (complex(_circle(rho, len(vals))[k]),),
-        note=f"{note} against target {sigma:.12g}",
+        note=f"{note} against target {radius:.12g}",
     )
 
 
@@ -501,14 +500,17 @@ def hypothesis_audit(fn: PolyAnalyticFn, b: Profile, grid: GridSpec = GridSpec()
 
     Each component must vanish at 0, the leading component and every
     modulus-bounded one must have derivative 1 there, and each component
-    must meet the bound of its term on the polar grid inside
-    |z| <= ``AUDIT_RADIUS``: a modulus bound up to the grid margin, a
-    derivative bound up to ``_AUDIT_ULPS`` ulp of it.  The identity lead is the Schwarz case
-    |A_0'| <= 1, which with A_0'(0) = 1 holds only for A_0(z) = z.
+    must meet the bound of its term on |z| = ``AUDIT_RADIUS``, at the grid's
+    ``angular_count`` points: a modulus bound up to the grid margin, a
+    derivative bound up to ``_AUDIT_ULPS`` ulp of it.  The circle suffices
+    for analytic components: by the maximum modulus principle the suprema of
+    |A_k| and |A_k'| on the disk lie on its circle.  A non-analytic
+    component would need the whole disk.  The identity lead is the Schwarz
+    case |A_0'| <= 1, which with A_0'(0) = 1 holds only for A_0(z) = z.
     """
     if fn.order != b.order:
         raise DomainError(f"profile expects order {b.order}, function has order {fn.order}")
-    pts = _disk_grid(AUDIT_RADIUS, grid)
+    pts = _circle(AUDIT_RADIUS, grid.angular_count)
     problems: list[str] = []
     for k, (comp, (kind, bound)) in enumerate(zip(fn.components, b.components)):
         if abs(comp.value(0j)) > 1e-12:

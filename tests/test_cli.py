@@ -290,7 +290,7 @@ def test_verify_passes_and_is_deterministic(capsys):
 @pytest.mark.parametrize("lam", ["1.0000000000000002", "1.0000000000001"])  # 1 + 2^-52 and 1 + 1e-13
 @pytest.mark.parametrize("theorem", ["1", "5"])
 def test_verify_passes_lead_bound_within_ulps_of_one(capsys, theorem, lam):
-    # the lead's derivative peaks on the audit grid within an ulp of L0, and rounding put it 2.22e-16 above
+    # the lead's derivative peaks on the audit circle within an ulp of L0, and rounding put it 2.22e-16 above
     code, out, _ = run(capsys, "verify", "--theorem", theorem, "--lambda0", lam)
     assert code == EXIT_OK
     assert out.splitlines()[0] == "PASS hypothesis-audit (margin = 0) all hypotheses hold at the sampled resolution"
@@ -313,7 +313,7 @@ def _verify_evaluations(monkeypatch, capsys, argv):
         return witnesses[-1]
 
     def audited(*args, **kwargs):
-        phase[0] = None  # hypothesis-audit keeps its own grid
+        phase[0] = None  # hypothesis-audit reads its own circle
         try:
             return audit(*args, **kwargs)
         finally:
@@ -378,7 +378,7 @@ def test_verify_passes_lead_bound_near_one(capsys):
 
 
 # extreme bounds, sigma = 1 (theorem 6 at p = 1), L0 = 1 + 2^-52, where the lead's derivative peaks within an ulp
-# of L0 on the audit grid, and the subnormal boundary images of --lambdas 8e307 (rho = 6.25e-309), whose
+# of L0 on the audit circle, and the subnormal boundary images of --lambdas 8e307 (rho = 6.25e-309), whose
 # coordinates the star certificate multiplies
 QUIET_VERIFY = [
     "--theorem 1 --lambda0 1.0000001 --lambdas 0", "--theorem 2 -p 3 --lambdas 1,0.5",

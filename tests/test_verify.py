@@ -2,6 +2,7 @@
 
 import cmath
 import contextlib
+import json
 import math
 import sys
 from unittest import mock
@@ -215,7 +216,7 @@ def test_boundary_check_counts_crossings_of_the_exp_image():
     assert all(report.passed for report in _degree_checks(target, 0.75))
     with _sweeps() as sweeps:
         jac, boundary = _degree_checks(target, 0.9)
-    assert sweeps == [512]  # exp F winds twice about 1, so the star certificate declines and the sweep runs
+    assert sweeps == [512]  # expm1(F) winds twice about 0, so the star certificate declines and the sweep runs
     assert jac.passed
     assert not boundary.passed
     assert boundary.note.startswith("turning number 1, 2 crossing edge pairs")
@@ -532,7 +533,7 @@ def _winding(v: np.ndarray, centre: complex) -> int:
 @settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
 def test_star_certificate_never_hides_a_crossing_the_sweep_finds(case):
     v, centre, winding = case
-    accepted = _star_shaped(v, centre)
+    accepted = _star_shaped(v - centre)
     if accepted:
         assert _pairs(*_crossings(_unit_scale(v))) == []
         assert _winding(v, centre) == 1
@@ -544,9 +545,9 @@ def test_star_certificate_accepts_only_above_its_margin(centre):
     # at unit scale the cross product of 0.5 and 0.5 + i t is t/2 exactly, and 1 + u rounds back to u exactly
     for t, accepted in ((2.0 * _STAR_MARGIN, False), (2.0 * _STAR_MARGIN * (1.0 + 2.0**-20), True)):
         v = np.array([0.5, 0.5 + 1j * t, 0.5j, -0.5, -0.5j]) + centre
-        assert _star_shaped(v, centre) is accepted
-    assert _star_shaped(np.repeat(v, 2), centre) is False  # a repeated vertex has cross product 0
-    assert _star_shaped(np.concatenate((v, v)), centre) is False  # every cross product clears it, winding twice
+        assert _star_shaped(v - centre) is accepted
+    assert _star_shaped(np.repeat(v, 2) - centre) is False  # a repeated vertex has cross product 0
+    assert _star_shaped(np.concatenate((v, v)) - centre) is False  # every cross product clears it, winding twice
 
 
 SPIRALLIKE = PolyAnalyticFn((Spirallike(1.2),))
@@ -561,13 +562,39 @@ def test_spirallike_map_runs_the_sweep_and_passes():
     assert boundary.note == "turning number 1, 0 crossing edge pairs over 512 boundary samples"
 
 
-@pytest.mark.parametrize("argv", [["--theorem", "2", "-p", "3", "--lambdas", "1,0.5"],
-                                  ["--theorem", "6", "-p", "3", "--lambdas", "1,0.5"]])
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "2", "-p", "3", "--lambdas", "1,0.5"],
+    ["--theorem", "6", "-p", "3", "--lambdas", "1,0.5"],
+    # exp F rounds onto the doubles next to 1 at these tiny radii, and expm1(F) keeps the image resolved
+    ["--theorem", "5", "-p", "2", "--lambda0", "1.1", "--lambdas", "1e15"],
+    ["--theorem", "5", "-p", "2", "--lambda0", "1.1", "--lambdas", "1e17"],
+    ["--theorem", "6", "-p", "2", "--lambdas", "8e307"],
+])
 def test_verify_witness_takes_the_star_certificate(argv, capsys):
     with _sweeps() as sweeps:
         assert cli.main(["verify", *argv, "--grid", "8x16"]) == 0
     assert sweeps == []
-    assert "turning number 1, 0 crossing edge pairs over 512 boundary samples" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "PASS boundary-simple (margin = 0) turning number 1, 0 crossing edge pairs over 512 boundary samples" in out
+
+
+def test_exp_coverage_reads_the_distance_of_a_tiny_image(capsys):
+    # at rho = 5e-18 exp F rounds to 1 at every sample; in expm1 coordinates the least distance from exp F's
+    # centre is that of F's least modulus, as it is exactly for exp F's disk about cosh(s) of radius sinh(s)
+    argv = ["verify", "--theorem", "5", "-p", "2", "--lambda0", "1.1", "--lambdas", "1e17", "--grid", "8x16",
+            "--format", "json", "--digits", "17"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    checks = {check["name"]: check for check in doc["checks"]}
+    s = 0.99 * doc["sigma"]
+    # each margin is the least distance minus the target, s for F's disk and sinh(s) for exp F's
+    least_f = checks["schlicht-coverage"]["measured_margin"] + s
+    least_exp = checks["exp-coverage"]["measured_margin"] + math.sinh(s)
+    assert least_exp == pytest.approx(least_f, rel=1e-15, abs=0.0)
+    assert least_f == pytest.approx(2.5e-18, rel=1e-3)
+    assert checks["exp-coverage"]["passed"]
+    assert checks["exp-coverage"]["measured_margin"] == pytest.approx(2.5e-20, rel=1e-2)
+    assert checks["exp-coverage"]["note"].split()[3] == checks["schlicht-coverage"]["note"].split()[3]
 
 
 def _coverage(fn, rho, samples=512):
@@ -590,9 +617,11 @@ def test_coverage_fails_past_boundary():
     assert report.witness is not None
 
 
-def test_coverage_requires_centered_map():
-    with pytest.raises(DomainError):
-        schlicht_coverage_check(*_coverage(lambda z: z + 1.0, 0.5), 0.5, 0.4)
+@pytest.mark.parametrize("log", [False, True])
+def test_coverage_requires_centered_map(log):
+    # one origin test covers both disks: exp F's is read about expm1(F(0)) = 0, as F's about F(0) = 0
+    with pytest.raises(DomainError, match="F\\(0\\) = 0"):
+        schlicht_coverage_check(*_coverage(lambda z: z + 1.0, 0.5), 0.5, 0.4, log=log)
 
 
 def test_exp_coverage_fails_past_the_sharp_witness():
@@ -602,18 +631,13 @@ def test_exp_coverage_fails_past_the_sharp_witness():
     rho, F = radii(b).rho, extremal_fn(b)
     pts = _circle(rho, 512)
     s = float(np.min(np.abs(F(pts))))
-    image, origin = _coverage(LogPAnalyticFn(F), rho)
-    assert schlicht_coverage_check(image, origin, rho, math.sinh(0.99 * s), center=math.cosh(0.99 * s)).passed
-    report = schlicht_coverage_check(image, origin, rho, math.sinh(1.02 * s), center=math.cosh(1.02 * s))
+    image, origin = _coverage(F, rho)
+    assert schlicht_coverage_check(image, origin, rho, 0.99 * s, log=True).passed
+    report = schlicht_coverage_check(image, origin, rho, 1.02 * s, log=True)
     assert report.check_name == "exp-coverage"
     assert not report.passed
     assert report.measured_margin < -1e-3
     assert abs(report.witness[0] - rho) <= abs(pts[1] - pts[0])
-
-
-def test_coverage_off_the_origin_requires_the_origin_image_inside():
-    with pytest.raises(DomainError, match="fn\\(0\\) inside the disk"):
-        schlicht_coverage_check(*_coverage(lambda z: z + 3.0, 0.5), 0.5, 0.4, center=1.0)
 
 
 @pytest.mark.parametrize("lam0", [1.0 + 2.0**-52, 1.0 + 1e-13])
@@ -624,9 +648,10 @@ def test_hypothesis_audit_allows_ulps_of_a_derivative_bound_but_not_1e_12(lam0):
     report = hypothesis_audit(PolyAnalyticFn((DerivLead(lam0), Linear(complex(-0.5 * (1.0 + 1e-12))))), b)
     assert not report.passed
     assert report.note == "component 1 derivative exceeds 0.5 by 5e-13"
-    # a lead whose derivative passes L0 by more than 1e-12 relative on the audit grid
+    # a lead whose derivative passes L0 by more than 1e-12 relative on the audit circle
     lead = DerivLead(lam0 * (1.0 + 2e-12))
-    assert float(np.max(np.abs(lead.derivative(_disk_grid(AUDIT_RADIUS, GridSpec()))))) > lam0 * (1.0 + 1e-12)
+    audit_circle = _circle(AUDIT_RADIUS, GridSpec().angular_count)
+    assert float(np.max(np.abs(lead.derivative(audit_circle)))) > lam0 * (1.0 + 1e-12)
     report = hypothesis_audit(PolyAnalyticFn((lead, Linear(-0.5 + 0j))), b)
     assert not report.passed
     assert report.note.startswith(f"component 0 derivative exceeds {lam0!r} by ")
@@ -644,7 +669,7 @@ def test_hypothesis_audit_checks_derivative_bounds():
 @pytest.mark.parametrize(
     "components, b, note",
     [
-        # a modulus component must have derivative 1 at 0: 2z fails that, and its bound 1.5 on the audit grid
+        # a modulus component must have derivative 1 at 0: 2z fails that, and its bound 1.5 on the audit circle
         ((Linear(1 + 0j), Linear(2 + 0j)), ModulusAll((1.5, 1.5)),
          "component 1 linear coefficient is not 1; component 1 modulus exceeds 1.5 by 0.498"),
         ((BoundedRatio(3.0),), ModulusAll((2.0,)), "component 0 modulus exceeds 2.0 by 0.996"),
