@@ -389,9 +389,7 @@ def _compute_radii(theorem: int, profile: Profile, guess: tuple[float, float] | 
 
 
 def _q(x: float, digits: int) -> float:
-    if x != x or x in (float("inf"), float("-inf")):
-        return x
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.{digits}g}")  # inf, -inf and nan print as names that float reads back
 
 
 def _jsonable(value, digits: int):
@@ -515,16 +513,15 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
 
     target = witness if not is_log else polyfunc.LogPAnalyticFn(witness)
     # one evaluation of the witness serves the univalence checks at 0.99 rho and the coverage checks at rho
-    jet = verify.witness_pass(target, 0.99 * res.rho, grid, cfg.boundary_samples, res.rho if res.sigma > 0.0 else None)
+    jet = verify.witness_pass(target, 0.99 * res.rho, grid, cfg.boundary_samples, res.rho)
     reports.append(verify.jacobian_grid_check(jet))
     reports.append(verify.boundary_simple_check(jet))
 
-    if res.sigma > 0.0:
-        s = 0.99 * res.sigma
-        image, origin = jet.coverage()
-        reports.append(verify.schlicht_coverage_check(image, origin, res.rho, s, cfg.margin))
-        if is_log:  # exp F, from the same values of F, covers the disk of radius sinh s about cosh s
-            reports.append(verify.schlicht_coverage_check(image, origin, res.rho, s, cfg.margin, log=True))
+    s = 0.99 * res.sigma  # sigma >= rho/2 > 0 (radii module docstring)
+    image, origin = jet.coverage()
+    reports.append(verify.schlicht_coverage_check(image, origin, res.rho, s, cfg.margin))
+    if is_log:  # exp F, from the same values of F, covers the disk of radius sinh s about cosh s
+        reports.append(verify.schlicht_coverage_check(image, origin, res.rho, s, cfg.margin, log=True))
 
     passed = all(r.passed for r in reports)
     checks = [
@@ -570,9 +567,9 @@ def cmd_sharpness(cfg: SimpleNamespace) -> int:
         ]
     else:
         x, jac = extremal.reversal_point(witness, res.rho, cfg.radius)
-        # the Jacobian of exp F is |exp F|^2 times F's
+        # the Jacobian of exp F is |exp F|^2 times F's, so it has J's sign even where |exp F|^2 underflows
         exp_jac = abs(cexp(witness(x))) ** 2 * jac
-        passed = (jac if cfg.theorem == 2 else exp_jac) < 0.0
+        passed = jac < 0.0
         found = {"x": x, "jacobian": jac, "exp_jacobian": exp_jac}
         lines = [
             f"x = {_cell(x, d)} (past rho)",

@@ -7,8 +7,9 @@ it has made, and no output aliases the array being read: the lead's
 series takes turns between two buffers of its own (``_lead_series``).
 ``collision_pair`` reproduces the boundary-crossing argument that breaks
 univalence just past rho: the real-axis profile of the derivative-family
-extremal increases to sigma at rho and decreases afterwards, so a point
-x1 slightly beyond rho shares its value with a mirror point x2 < rho.
+extremal is the concave integral s of the margin, rising to sigma at rho
+and falling after it, so a point x1 beyond rho shares its value with a
+mirror point x2 < rho.
 ``reversal_point`` shows the Schwarz-profile witness reversing sense just
 past rho: its Jacobian turns negative on the real axis there.  Both take
 the witness and rho from their caller, which has solved and built them.
@@ -26,7 +27,6 @@ from .radii import ModulusAll, Profile, _bisect_decreasing, _lead_bound
 
 np = lazy_module("numpy")
 
-_DEGENERATE_TOL = 1e-13
 _LEAD_TERMS = 60  # x^(n-2)/n for n <= 60 sums log(1 - x) to below 2^-53 relative for |x| < 1/2
 _LEAD_HORNER = tuple(1.0 / n for n in range(_LEAD_TERMS, 1, -1))  # 1/n, highest n first
 _REVERSAL_SAMPLES = 64  # points past rho at which reversal_point evaluates the Jacobian
@@ -207,11 +207,12 @@ def collision_pair(witness: PolyAnalyticFn, rho: float, r: float) -> tuple[float
 
     witness is ``extremal_fn`` of a derivative profile (theorems 1 and 5)
     and rho that profile's univalence radius; both are taken as given.
-    eps starts at half the distance from rho to r, capped at half the
-    distance to the profile's second zero when r lies at or past that
-    zero.  A bracket that still lands at the second zero within
-    tolerance is degenerate; eps shrinks by half, at most ten times,
-    before giving up.
+    x1 = rho + eps lies halfway from rho to r, or to the profile's second
+    zero when r lies at or past that zero.  The profile is the margin's
+    integral s, which is concave (``radii`` module docstring), so s(x1)
+    is at least the mean of sigma = s(rho) and s at the far end, which is
+    nonnegative: s(x1) >= sigma/2.  An s(x1) outside (0, sigma) can
+    come only from rounding and is a ``BracketError``.
     """
     if not rho < r <= 1.0:
         raise DomainError(f"collision window needs rho < r <= 1; rho = {rho!r}, r = {r!r}")
@@ -228,16 +229,8 @@ def collision_pair(witness: PolyAnalyticFn, rho: float, r: float) -> tuple[float
         eps = min(eps, 0.5 * (second_zero - rho))
     x1 = rho + eps
     gx1 = profile(x1)
-    for _ in range(10):
-        if gx1 > _DEGENERATE_TOL:
-            break
-        eps *= 0.5  # x1 fell at or past the second zero; pull it toward rho
-        x1 = rho + eps
-        gx1 = profile(x1)
-    if not _DEGENERATE_TOL < gx1 < sigma:
-        raise BracketError(
-            f"collision bracket degenerate: g(x1) = {gx1!r} outside (0, {sigma!r}) with eps = {eps!r}"
-        )
+    if not 0.0 < gx1 < sigma:
+        raise BracketError(f"collision bracket degenerate: g(x1) = {gx1!r} outside (0, {sigma!r}) with eps = {eps!r}")
     x2, _, _ = _bisect_decreasing(lambda x: gx1 - profile(x), 0.0, rho)
     return x1, x2
 

@@ -52,11 +52,24 @@ the matching term of m:
     (c r^(k+1))' = (k+1) c r^k,
     (g r^(k+2)/(1 - r))' = g r^(k+1) (k + 2 - (k+1) r)/(1 - r)^2,
 
-and k + 2 - (k+1) r = 2 - r + k(1 - r).  So s' = m and s(0) = 0, which
-gives sigma = integral of m(r) dr from 0 to rho.  m falls from 1 to 0
-on [0, rho], so 0 < sigma < rho for every profile, with sigma = rho only
-where m is 1 throughout: the identity, rho = sigma = 1.  A sigma <= 0
-(the ``degenerate-sigma`` flag) can come only from rounding.
+and k + 2 - (k+1) r = 2 - r + k(1 - r).  So s' = m and s(0) = 0.
+
+m is concave on [0, 1): every subtracted term is a power series with
+nonnegative coefficients, and the derivative lead has second derivative
+2 L (1 - L^2)/(L - r)^3 < 0.  With m(0) = 1 and m(rho) >= 0 this gives
+m(r) >= 1 - r/rho on [0, rho], so rho/2 <= sigma = integral of m from 0
+to rho <= rho, with sigma = rho only for the identity (m = 1), and s is
+concave.  Every lead is at most 1 and a modulus component k >= 1
+subtracts (k + 1) r^k, so m(clamp) < 0 below the pole: only a derivative
+lead at hi = 1/L can leave m(hi) > 0, by rounding.
+
+*Theorem 3 against the poly-modulus baseline* m_b, at equal bounds
+M_k = M.  M - g = 1/M and M (1 + k - k r) - g r (2 + k - r - k r) =
+M (k + 1)(1 - r)^2 + r (2 + k - r - k r)/M turn their difference into
+
+    (m_3 - m_b)(r) (1 - r)^2 = r(2 - r)/M + sum_{k=1}^{p-1} r^k ((M - 1)(k + 1)(1 - r)^2 + r(2 + k - r - k r)/M),
+
+positive on 0 < r < 1 for M >= 1; both margins fall, so rho_3 > r3.
 
 The log-analytic-product variants
 (theorem ids 5 through 8) keep the same rho and upgrade the covered disk
@@ -310,9 +323,10 @@ class RadiiResult(namedtuple("RadiiResult", "theorem rho sigma residual iteratio
     """One computed radius pair plus root-finding diagnostics.
 
     ``theorem`` is 1..8; ``w`` and ``r`` are populated exactly for the
-    log-variant theorems (ids 5..8); ``flags`` records degenerate or
-    weakened conclusions: ``degenerate-sigma``, ``residual-above-contract``
-    (|m(rho)| > 1e-12) and ``sharpness-not-asserted``.
+    log-variant theorems (ids 5..8); ``flags`` records weakened
+    conclusions: ``residual-above-contract`` (|m(rho)| > 1e-12) and
+    ``sharpness-not-asserted``.  rho/2 <= sigma <= rho (module docstring),
+    so no flag marks a sigma <= 0.
     """
 
     __slots__ = ()
@@ -588,14 +602,10 @@ def radii(b: Profile, _guess=None) -> RadiiResult:
     """
     margin = _margin_of(b)
     plain = b.lead is None and not b.excess
-    hi, ghi = b.upper(_CLAMP), None  # ghi = m(hi), which only a derivative lead can leave positive
+    hi = b.upper(_CLAMP)
     _require_in_domain(hi, b)  # the margin is evaluated only on [0, hi]
-    if b.lead is not None:
-        ghi = margin(hi)
-        if b.modulus and ghi > 0.0:
-            hi = 1.0 / b.lead  # the derivative factor vanishes here, forcing the margin nonpositive
-            _require_in_domain(hi, b)
-            ghi = margin(hi)
+    # m(hi), which only a derivative lead at hi = 1/L can leave positive (module docstring)
+    ghi = None if b.lead is None else margin(hi)
     if plain and sum(w for _, w, _ in b.linear) <= 1.0:
         rho, iterations, grho = 1.0, 0, 0.0  # the margin stays positive inside the disk: no root to miss
     elif plain and not b.modulus and b.order == 2:
@@ -608,11 +618,8 @@ def radii(b: Profile, _guess=None) -> RadiiResult:
         # every margin is exactly 1 at r = 0 (Numerics)
         rho, iterations, grho = _bisect_decreasing(margin, 0.0, hi, _margin_error(b), 1.0, ghi, _guess)
     residual = abs(margin(rho) if grho is None else grho)
-    sigma = _sigma(rho, b)
-    flags = () if sigma > 0.0 else ("degenerate-sigma",)
-    if residual > _RESIDUAL_CONTRACT:
-        flags += ("residual-above-contract",)
-    return RadiiResult(b.theorem, rho, sigma, residual, iterations, flags=flags)
+    flags = ("residual-above-contract",) if residual > _RESIDUAL_CONTRACT else ()
+    return RadiiResult(b.theorem, rho, _sigma(rho, b), residual, iterations, flags=flags)
 
 
 deriv_radii = normalized_radii = modulus_radii = mixed_radii = radii

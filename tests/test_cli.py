@@ -75,6 +75,15 @@ def test_radii_text_branch_case(capsys):
     assert "sigma = 0.6" in out
 
 
+def test_radii_takes_one_over_lambda0_as_the_root_beside_modulus_terms(capsys):
+    # at hi = 1/L0 the lead vanishes and rounding leaves the margin positive, so hi is the root; a modulus term
+    # keeps the margin negative at the clamp below its pole, so hi = 1/L0 whatever the clamp
+    code, out, _ = run(capsys, "radii", "--theorem", "4", "-p", "2", "--lambda0", "1e30", "--ms", "2")
+    lines = out.splitlines()
+    assert code == EXIT_OK
+    assert (lines[1], lines[4]) == ("rho = 1e-30", "iterations = 0")
+
+
 def test_radii_log_variant_emits_w_and_r(capsys):
     code, out, _ = run(capsys, "radii", "--theorem", "5", *THM1[2:], "--format", "json")
     assert code == EXIT_OK
@@ -433,7 +442,8 @@ def test_verify_forced_failure_exits_1(capsys):
     ids=["theorem-5", "theorem-6-sigma-1"],
 )
 def test_verify_log_theorem_runs_exp_coverage(capsys, argv):
-    # exp F's covered disk is checked for every sigma > 0; exp-disk, which it replaces, skipped sigma >= 1
+    # exp F's covered disk is checked on every profile, as sigma >= rho/2 > 0; exp-disk, which it replaces,
+    # skipped sigma >= 1
     code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert code == EXIT_OK
     doc = json.loads(out)
@@ -603,6 +613,30 @@ def test_sharpness_solves_once_and_builds_one_witness(capsys, monkeypatch, argv,
     margins.clear()
     radii(profile)
     assert in_sharpness == len(margins) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--theorem", "1", "-p", "1", "--lambda0", "1e13"),
+        ("--theorem", "5", "-p", "1", "--lambda0", "1e13"),
+        ("--theorem", "1", "-p", "2", "--lambda0", "2", "--lambdas", "1e14"),
+    ],
+    ids=["theorem-1-sigma-5e-14", "theorem-5-sigma-5e-14", "theorem-1-sigma-2.5e-15"],
+)
+def test_sharpness_collision_at_a_tiny_sigma(capsys, argv):
+    # the profile is concave, so x1 halfway to r keeps at least sigma/2; an absolute 1e-13 floor on the
+    # profile at x1 once made every sigma below it a "collision bracket degenerate" error
+    code, out, err = run(capsys, "sharpness", *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == "collision confirmed at tol 1e-10"
+
+
+def test_sharpness_theorem_6_gates_on_the_sign_of_j_where_exp_f_underflows(capsys):
+    # J exp F = |exp F|^2 J F: at x = 0.0156 F is about -24414, so |exp F|^2 underflows and J exp F prints -0
+    code, out, err = run(capsys, "sharpness", "--theorem", "6", "-p", "2", "--lambdas", "1e8")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[2:] == ["J F(x) = -3124999.98438", "J exp F(x) = -0", "sense reversal confirmed: J < 0 past rho"]
 
 
 def test_sharpness_rejects_other_theorems(capsys):
@@ -902,6 +936,9 @@ def test_config_entries_pass_the_flag_checks(capsys, tmp_path, command, entry, m
 def test_digits_flag_controls_precision(capsys):
     _, out, _ = run(capsys, "radii", *THM1, "--format", "json", "--digits", "4")
     assert json.loads(out)["rho"] == 0.2679
+    # rounding to digits goes through the float's text, and float reads "inf", "-inf" and "nan" back
+    doc = cli._jsonable({"margin": math.inf, "z": complex(-math.inf, math.nan)}, 4)
+    assert doc["margin"] == math.inf and doc["z"][0] == -math.inf and math.isnan(doc["z"][1])
 
 
 def test_json_writer_refuses_a_type_it_has_no_form_for():

@@ -12,6 +12,9 @@ Some draws are invalid (L0 = 1, m* = 1, theorems 4 and 8 at order 1, a
 weight that overflows); those must end in exit code 2 with one
 ``error:`` line.  ``verify`` must never exit 1: every draw's witness is
 admissible, so a failed check would be a false alarm.
+
+On the same draws every solved profile has rho/2 <= sigma <= rho, which
+the concave margin guarantees (``radii`` module docstring).
 """
 
 import contextlib
@@ -20,7 +23,8 @@ import json
 
 from hypothesis import example, given, settings, strategies as st
 
-from polylandau.cli import EXIT_OK, EXIT_USAGE, main
+from polylandau import PolyLandauError
+from polylandau.cli import EXIT_OK, EXIT_USAGE, _build_profile, _compute_radii, main
 
 
 def _pow10(e: float) -> float:
@@ -103,3 +107,18 @@ def test_every_valid_input_ends_in_a_result_or_a_named_error(profile):
         if argv[0] == "radii" and code == EXIT_OK:
             doc = json.loads(out)
             assert (doc["residual"] > 1e-12) == ("residual-above-contract" in doc["flags"]), argv
+
+
+@given(_profiles())
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+@example((2, 2, None, (2.0,)))  # a linear margin: sigma = rho/2 exactly
+@example((1, 1, 1e13, ()))  # sigma = rho/2 to rounding, rho = 1e-13
+@example((3, 1, None, (1.0,)))  # the identity: sigma = rho = 1
+def test_sigma_lies_between_half_rho_and_rho(profile):
+    # m is concave with m(0) = 1 and m(rho) >= 0, so 1 - r/rho <= m <= 1 on [0, rho]; 2^-50 allows a few ulp
+    theorem, _, lam0, bounds = profile
+    try:
+        res = _compute_radii(theorem, _build_profile(theorem, lam0, bounds))
+    except PolyLandauError:  # an invalid draw, which the CLI names (test above)
+        return
+    assert 0.5 * res.rho * (1.0 - 2.0**-50) <= res.sigma <= res.rho * (1.0 + 2.0**-50), (profile, res)

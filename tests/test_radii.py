@@ -26,6 +26,7 @@ from polylandau import (
     poly_modulus_baseline,
 )
 from polylandau import radii as radii_module
+from polylandau.cli import MAX_ORDER
 from polylandau.radii import _bisect_decreasing, _margin_error, radii, univalence_margin
 from _oracles import plain_bisect, record_solver_margins, scan_root
 
@@ -142,7 +143,6 @@ def test_sigma_lies_strictly_between_zero_and_rho(b):
     assume(b.lead is not None or b.linear or b.excess)  # the identity: rho = sigma = 1
     res = radii(b)
     assert 0.0 < res.sigma < res.rho
-    assert "degenerate-sigma" not in res.flags
 
 
 def test_mixed_reduces_to_deriv_when_modulus_bounds_trivial():
@@ -225,6 +225,65 @@ def test_poly_modulus_baseline_positive_radii():
     r3, big_r3 = poly_modulus_baseline(2.0, 2)
     assert 0.0 < r3 < 1.0
     assert 0.0 < big_r3 < r3
+
+
+# The paper's comparisons with prior work: theorem 3 against the poly-modulus baseline at equal bounds M (the gap
+# identity of the radii module docstring), and theorems 1 and 2 at order 2 against the bianalytic baselines
+_above_one = st.one_of(st.floats(-15.0, -1.0).map(lambda e: 1.0 + 10.0**e), st.floats(1.0, 10.0, exclude_min=True),
+                       st.floats(1.0, 150.0).map(lambda e: 10.0**e))
+
+
+def _modulus_gap_50(r: float, m: float, p: int) -> mpmath.mpf:
+    """(m_3 - m_b)(r) at equal bounds M = m, from the closed form in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        r, m = mpmath.mpf(r), mpmath.mpf(m)
+        total = r * (2 - r) / m
+        for k in range(1, p):
+            total += r**k * ((m - 1) * (k + 1) * (1 - r) ** 2 + r * (2 + k - r - k * r) / m)
+        return total / (1 - r) ** 2
+
+
+@given(_above_one, st.one_of(st.integers(1, 8), st.integers(1, MAX_ORDER)), st.floats(0.0, 1.0, exclude_max=True))
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+@example(2.0, 3, 0.5)
+@example(1e8, 1, 0.5)  # order 1 above M of about 5e7: the gap r(2 - r)/M/(1 - r)^2 is below the margins' rounding
+def test_theorem_3_margin_exceeds_the_poly_modulus_baseline_by_the_closed_form_gap(m, p, r):
+    b = ModulusAll((m,) * p)
+    err = _margin_error(b)
+    m3, mb = univalence_margin(r, b), radii_module._poly_modulus_margin(r, m, p)
+    # both margins' rounding bounds, g = (M - 1)(M + 1)/M stored within 4 roundings, and the subtraction
+    bound = err(r, m3) + 5 * 2.0**-53 * (1.0 - m3) + (2 * p + 10) * 2.0**-53 * (2.0 - mb) + 2.0**-53 * abs(m3 - mb)
+    assert abs((m3 - mb) - _modulus_gap_50(r, m, p)) <= bound
+    rho3, r3 = radii(b).rho, poly_modulus_baseline(m, p)[0]
+    above = math.nextafter(r3, 1.0)
+    m_above = univalence_margin(above, b)
+    if m_above > 2.0 * err(above, m_above):
+        assert rho3 > r3  # every midpoint up to the float after r3 takes a positive sign (Numerics, *Replay*)
+    else:
+        assert abs(rho3 - r3) <= 4 * math.ulp(r3)
+
+
+@given(st.one_of(st.floats(-15.0, -1.0).map(lambda e: 1.0 + 10.0**e), st.floats(1.0, 10.0, exclude_min=True),
+                 st.floats(1.0, 100.0).map(lambda e: 10.0**e)),
+       st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(-300.0, 2.0).map(lambda e: 10.0**e),
+                 st.floats(2.0, 150.0).map(lambda e: 10.0**e), st.just(5e-324)))
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+@example(2.0, 1.0)
+@example(1.000000523551015, 0.5048594855497011)  # beside the double root: the closed form is 160 ulp off
+def test_order_2_theorems_1_and_2_match_the_bianalytic_baselines(lam0, lam1):
+    r2 = bianalytic_bounded_baseline(lam1)[0]
+    assert abs(radii(DerivNormalized((lam1,))).rho - r2) <= 4 * math.ulp(r2)
+    r1 = bianalytic_deriv_baseline(lam1, lam0)[0]
+    # the root of 2 L1 r^2 - u L0 r + L0, u = 2 L1 + L0, is double where the discriminant d = 1 - 8 L1/(u^2 L0)
+    # vanishes (L0 = 1, L1 = 1/2): both the closed form's square root and the margin's slope at the root then lose
+    # a factor sqrt(d), which d = ((2 L1 - 1)^2 + e (4 L1^2 + 8 L1 + 3) + e^2 (4 L1 + 3) + e^3)/(u^2 L0), e = L0 - 1,
+    # gives without cancellation
+    with mpmath.workdps(50):
+        l0, l1 = mpmath.mpf(lam0), mpmath.mpf(lam1)
+        e = l0 - 1
+        d = ((2 * l1 - 1) ** 2 + e * (4 * l1**2 + 8 * l1 + 3) + e**2 * (4 * l1 + 3) + e**3) / ((2 * l1 + l0) ** 2 * l0)
+        slack = float(16 * 2**-53 * r1 / mpmath.sqrt(d))
+    assert abs(radii(DerivAll(lam0, (lam1,))).rho - r1) <= 4 * math.ulp(r1) + slack
 
 
 def test_profile_validation():
