@@ -34,14 +34,19 @@ an error that names where it came from.
 Each subcommand builds its output once in all three forms, a JSON document,
 CSV rows and text lines, and ``_emit`` writes the one --format asks for; it is
 the only writer to stdout outside argparse.
+
+``verify`` raises glibc's mmap and trim thresholds for its own process, so that each pass reuses the heap pages
+the one before it freed; the library functions leave malloc alone, and any other C library is left as it is.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import os
 import sys
 from cmath import exp as cexp
 from collections import namedtuple
@@ -502,7 +507,42 @@ def cmd_compare(cfg: SimpleNamespace) -> int:
     return EXIT_OK if all_positive else EXIT_CHECK_FAILED
 
 
+#: glibc's mallopt parameters and the values verify gives them: 32 MiB is glibc's own ceiling for its dynamic
+#: mmap threshold on 64-bit and exceeds verify's largest array at both caps, (2**20 + 2 * 2**16) nodes of 16 B,
+#: and the trim threshold is twice that, as glibc's dynamic rule sets it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2**20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+@functools.cache
+def _keep_heap_pages() -> None:
+    """Let this process's malloc keep the heap pages that a verify pass frees, where the C library is glibc.
+
+    Otherwise glibc trims the top of the heap once a pass frees its arrays, and the next pass faults the
+    pages in again.  Both thresholds are set, the mmap one first: a fixed trim threshold alone switches off
+    glibc's dynamic mmap threshold, so every array above 128 KiB would be mapped and faulted afresh.  Where
+    mallopt refuses the first value, glibc's defaults stay.  On any other C library nothing happens.
+    """
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", ()):
+        return
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except OSError:
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def cmd_verify(cfg: SimpleNamespace) -> int:
+    _keep_heap_pages()  # process-wide, so the CLI sets it and the library functions leave malloc alone
     profile = _build_profile(cfg.theorem, *_read_profile(cfg))
     res = _compute_radii(cfg.theorem, profile)
     grid = verify.GridSpec(cfg.radial_count, cfg.angular_count, cfg.margin)

@@ -711,11 +711,20 @@ def bianalytic_deriv_baseline(lam1: float, lam2: float) -> tuple[float, float]:
     if not lam2 > 1.0:
         raise DomainError(f"lambda0 must exceed 1, got {lam2!r}")
     _require_power_finite(lam2, "lambda0", 3)
-    # the smaller root of 2 L1 r^2 - u L2 r + L2 with u = 2 L1 + L2, divided through by u so no product overflows
+    # the smaller root 2/(u (1 + sqrt d)) of 2 L1 r^2 - u L2 r + L2, u = 2 L1 + L2, whose discriminant
+    # d = 1 - 8 L1/(u^2 L2) vanishes at the double root L2 = 1, L1 = 1/2.  With e = L2 - 1 > 0,
+    # u^2 L2 d = (2 L1 - 1)^2 + e (2 L1 + 1)(2 L1 + 3) + e^2 (4 L1 + 3) + e^3, a sum of nonnegative terms that
+    # does not cancel there.  Each term is divided by u before it grows, and r1 = 1/(u (1 + sqrt d)/2), which
+    # rounds as 2/(u (1 + sqrt d)) does, so no product overflows
     u = 2.0 * lam1 + lam2
     if not math.isfinite(u):
         raise DomainError(f"lambda1 = {lam1!r} is too large: 2 * lambda1 overflows a float")
-    r1 = 2.0 / (u * (1.0 + math.sqrt(1.0 - 8.0 * (lam1 / u) / lam2 / u)))
+    e = lam2 - 1.0
+    a = 2.0 * lam1 + 1.0
+    eu = e / u
+    d = (((2.0 * lam1 - 1.0) / u) ** 2 + eu * (a / u) * (2.0 * lam1 + 3.0) + eu * e * (2.0 * (a / u) + 1.0 / u)
+         + eu * eu * e) / lam2
+    r1 = 1.0 / (u * (0.5 * (1.0 + math.sqrt(d))))
     return r1, _lead_sigma(r1, lam2) - lam1 * r1 * r1
 
 

@@ -5,7 +5,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
+import platform
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -405,6 +409,68 @@ def test_verify_emits_no_warnings(capsys, argv):
     # a numpy RuntimeWarning from the witness, a check or exp F raises here instead of passing unseen
     code, _, err = run(capsys, "verify", *argv.split(), "--grid", "8x16")
     assert (code, err) == (EXIT_OK, "")
+
+
+# run in a fresh interpreter, whose heap no other test has grown: the minor page faults of three identical
+# verify calls, then of three 2-MiB arrays made and freed after them
+_FAULT_PROBE = """
+import contextlib, io, json, resource
+import polylandau.cli as cli
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+calls = []
+for _ in range(3):
+    before = faults()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--theorem", "3", "-p", "5", "--ms", "2,3,4,5,1.5", "--grid", "48x96"]) == 0
+    calls.append(faults() - before)
+import numpy as np
+arrays = []
+for _ in range(3):
+    before = faults()
+    a = np.ones(2**17, complex)
+    del a
+    arrays.append(faults() - before)
+print(json.dumps({"calls": calls, "arrays": arrays}))
+"""
+
+
+@pytest.fixture(scope="module")
+def verify_faults():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True,
+                           check=True, timeout=60)
+    return json.loads(probe.stdout)
+
+
+_GLIBC_ONLY = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the CLI tunes glibc's malloc only")
+
+
+@_GLIBC_ONLY
+def test_a_repeated_verify_call_reuses_its_heap_pages(verify_faults):
+    # under glibc's defaults the heap top that a pass freed is trimmed, and the third call faults 326-394 pages in
+    assert verify_faults["calls"][2] < 16, verify_faults["calls"]
+
+
+@_GLIBC_ONLY
+def test_verify_keeps_a_freed_2_mib_array_on_the_heap(verify_faults):
+    # only the first array faults its pages in.  Under glibc's defaults the second faults 480 of them again,
+    # and under a raised trim threshold alone, which switches off the dynamic mmap threshold, every array is
+    # mapped afresh: [513, 480, 0] and [513, 513, 513] pages
+    assert all(count < 16 for count in verify_faults["arrays"][1:]), verify_faults["arrays"]
+
+
+@pytest.mark.parametrize("libc", [
+    {"confstr_names": {}},  # a C library that does not know the name, such as musl or macOS's
+    {"confstr": mock.Mock(side_effect=OSError)},
+    {"confstr": mock.Mock(return_value=None)},
+    {"confstr": mock.Mock(return_value="musl 1.2.4")},
+])
+def test_the_heap_setting_leaves_any_other_c_library_alone(libc):
+    with mock.patch.multiple(os, **libc), mock.patch("ctypes.CDLL", side_effect=AssertionError("looked up mallopt")):
+        cli._keep_heap_pages.__wrapped__()  # past the once-per-process cache
 
 
 @pytest.mark.parametrize("theorem", ["2", "6"])

@@ -86,7 +86,7 @@ for argv in solver_calls:
 executed = sorted(name for name, module in sys.modules.items()
                   if name.startswith("polylandau") and type(module) is types.ModuleType)
 numpy_parts = sorted(name for name in sys.modules if name.startswith("numpy."))
-stdlib = sorted(name for name in ("argparse", "dataclasses", "inspect") if name in sys.modules)
+stdlib = sorted(name for name in ("argparse", "ctypes", "dataclasses", "inspect") if name in sys.modules)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(verify_call)
@@ -103,7 +103,8 @@ def _fresh_python(*args):
 def test_solver_commands_run_without_loading_numpy():
     # the tracer looks every LAYERS module up in sys.modules, so importing cli must register them all, yet
     # radii, table, compare and baseline execute the solver alone: numpy's own import waits for the first
-    # array, the verify modules for verify and sharpness, and dataclasses (which imports inspect) with them
+    # array, the verify modules for verify and sharpness, and dataclasses (which imports inspect) with them;
+    # ctypes waits for verify, which tunes glibc's malloc through it and whose numpy loads it anyway
     traced = sorted({module_name for module_name, _ in trace_layers.LAYERS.values()})
     probe = _fresh_python("-c", _IMPORT_PROBE, json.dumps([traced, _SOLVER_CALLS, _VERIFY_CALL]))
     doc = json.loads(probe.stdout)

@@ -269,20 +269,25 @@ def test_theorem_3_margin_exceeds_the_poly_modulus_baseline_by_the_closed_form_g
                  st.floats(2.0, 150.0).map(lambda e: 10.0**e), st.just(5e-324)))
 @settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
 @example(2.0, 1.0)
-@example(1.000000523551015, 0.5048594855497011)  # beside the double root: the closed form is 160 ulp off
+@example(1.000000523551015, 0.5048594855497011)  # beside the double root: 1 - 8 L1/(u^2 L0) loses 159 ulp of r1
+@example(2.0, 8e307)  # where u (1 + sqrt d) overflows: r1 is 6.25e-309, not 0
 def test_order_2_theorems_1_and_2_match_the_bianalytic_baselines(lam0, lam1):
     r2 = bianalytic_bounded_baseline(lam1)[0]
     assert abs(radii(DerivNormalized((lam1,))).rho - r2) <= 4 * math.ulp(r2)
     r1 = bianalytic_deriv_baseline(lam1, lam0)[0]
     # the root of 2 L1 r^2 - u L0 r + L0, u = 2 L1 + L0, is double where the discriminant d = 1 - 8 L1/(u^2 L0)
-    # vanishes (L0 = 1, L1 = 1/2): both the closed form's square root and the margin's slope at the root then lose
-    # a factor sqrt(d), which d = ((2 L1 - 1)^2 + e (4 L1^2 + 8 L1 + 3) + e^2 (4 L1 + 3) + e^3)/(u^2 L0), e = L0 - 1,
-    # gives without cancellation
+    # vanishes (L0 = 1, L1 = 1/2).  The baseline forms d without cancellation, as
+    # ((2 L1 - 1)^2 + e (4 L1^2 + 8 L1 + 3) + e^2 (4 L1 + 3) + e^3)/(u^2 L0) with e = L0 - 1, so r1 keeps its
+    # precision there.  The margin's slope at the root still loses a factor sqrt(d), so theorem 1's rho may lie
+    # that much further from r1
     with mpmath.workdps(50):
         l0, l1 = mpmath.mpf(lam0), mpmath.mpf(lam1)
         e = l0 - 1
-        d = ((2 * l1 - 1) ** 2 + e * (4 * l1**2 + 8 * l1 + 3) + e**2 * (4 * l1 + 3) + e**3) / ((2 * l1 + l0) ** 2 * l0)
+        u = 2 * l1 + l0
+        d = ((2 * l1 - 1) ** 2 + e * (4 * l1**2 + 8 * l1 + 3) + e**2 * (4 * l1 + 3) + e**3) / (u**2 * l0)
+        exact = 2 / (u * (1 + mpmath.sqrt(d)))
         slack = float(16 * 2**-53 * r1 / mpmath.sqrt(d))
+        assert abs(r1 - exact) <= 4 * math.ulp(r1)
     assert abs(radii(DerivAll(lam0, (lam1,))).rho - r1) <= 4 * math.ulp(r1) + slack
 
 
