@@ -558,10 +558,10 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
     reports.append(verify.boundary_simple_check(jet))
 
     s = 0.99 * res.sigma  # sigma >= rho/2 > 0 (radii module docstring)
-    image, origin = jet.coverage()
-    reports.append(verify.schlicht_coverage_check(image, origin, res.rho, s, cfg.margin))
+    coverage = jet.coverage()
+    reports.append(verify.schlicht_coverage_check(*coverage, res.rho, s, cfg.margin))
     if is_log:  # exp F, from the same values of F, covers the disk of radius sinh s about cosh s
-        reports.append(verify.schlicht_coverage_check(image, origin, res.rho, s, cfg.margin, log=True))
+        reports.append(verify.schlicht_coverage_check(*coverage, res.rho, s, cfg.margin, log=True))
 
     passed = all(r.passed for r in reports)
     checks = [

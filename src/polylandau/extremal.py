@@ -2,9 +2,11 @@
 
 ``extremal_fn`` builds the witness of any profile from its terms, one
 closed-form component per term, each giving its value A(z) and
-derivative A'(z) over a node array.  A component writes only into arrays
-it has made, and no output aliases the array being read: the lead's
-series takes turns between two buffers of its own (``_lead_series``).
+derivative A'(z) over a node array.  Every bound is real, so every
+component has real coefficients and declares ``real`` (``polyfunc``).  A
+component writes only into arrays it has made, and no output aliases the
+array being read: the lead's series takes turns between two buffers of
+its own (``_lead_series``).
 ``collision_pair`` reproduces the boundary-crossing argument that breaks
 univalence just past rho: the real-axis profile of the derivative-family
 extremal is the concave integral s of the margin, rising to sigma at rho
@@ -96,10 +98,15 @@ class Linear(_ClosedForm):
     Im c = +0, so c z is exact in each part.  A' is the one number c at a
     point and for every point of an array, and adding 0.0 makes its real
     part +0 when L = 0.  Neither checks |z| <= 1; the functionals of
-    ``polyfunc`` check their points once.
+    ``polyfunc`` check their points once.  ``real`` holds for a real c,
+    as for every extremal.
     """
 
     c: complex
+
+    @property
+    def real(self) -> bool:
+        return self.c.imag == 0.0
 
     def value(self, z):
         return self.c * z
@@ -120,6 +127,7 @@ class DerivLead(_ClosedForm):
     """
 
     lam: float
+    real: ClassVar[bool] = True
 
     def value(self, z):
         """A at a point or at every point of an array, each point taking the sum or the closed form.
@@ -157,6 +165,7 @@ class BoundedRatio(_ClosedForm):
     """
 
     m: float
+    real: ClassVar[bool] = True
 
     def value(self, z):
         return z * ((1.0 - self.m * z) / _unit_gap(self.m, z))

@@ -23,7 +23,18 @@ once (``_conj_powers`` yields them one at a time), and each component's
 value and derivative are evaluated once.  The derivatives may be taken on
 one slice of the points and F on another, so one pass serves checks on
 several point sets laid out in one array: ``verify.witness_pass`` lays
-out the Jacobian grid, the boundary circle and the coverage circle.  Each
+out the Jacobian grid, the boundary circle and the coverage circle.
+
+A component may declare ``real``: its Taylor coefficients are real, so
+A(conj z) = conj A(z) and A'(conj z) = conj A'(z).  ``PolyAnalyticFn.real``
+holds when every component declares it, and then F, F_z and F_zbar at
+conj z are the conjugates of their values at z, which lets
+``verify.witness_pass`` evaluate only the closed upper half of a set of
+points symmetric about the real axis.  A component without the
+declaration counts as not real.  For the extremal components the
+arithmetic below keeps that mirror exact: each value at conj z equals the
+conjugate of the value at z, and so has the same bits, except that a
+zero may differ in its sign.  At order 1 F_zbar is a +0 array.  Each
 sum adds its terms in the order of the components, in place into the
 newest term (``_add_into``), so ``poly_eval`` rounds as ``poly_jet``'s F
 does, and no point's value depends on the points beside it.  An output
@@ -91,6 +102,8 @@ class Component(Protocol):
     """An analytic component: A(z) and A'(z) at a point or at every point of an array.
 
     A constant A' may come back as one number for every point of an array.
+    A component with real Taylor coefficients may say so with a true
+    ``real`` attribute; one without it counts as not real.
     """
 
     def value(self, z): ...
@@ -111,6 +124,11 @@ class PolyAnalyticFn:
     @property
     def order(self) -> int:
         return len(self.components)
+
+    @property
+    def real(self) -> bool:
+        """Whether every component declares real coefficients, so that F(conj z) = conj F(z)."""
+        return all(getattr(comp, "real", False) for comp in self.components)
 
     def __call__(self, z):
         return poly_eval(self, z)
@@ -189,7 +207,8 @@ def poly_jet(F: PolyAnalyticFn, z, *, value=True, jet: slice | None = None):
     at_jet = _part(z, jet)
     fz = lead.derivative(at_jet)
     f = None if value is False else lead.value(_part(z, part))
-    fzbar = 0j * at_jet if not higher else None
+    if not higher:  # F_zbar = 0: a +0 at every point, whatever the sign of z
+        fzbar = 0j if isinstance(z, (float, complex)) else np.zeros(at_jet.shape, dtype=complex)
     for k, (comp, power) in enumerate(zip(higher, _conj_powers(z, F.order)), start=1):
         v = comp.value(z)
         fz = _add_into(_cmul(_part(power, jet), comp.derivative(at_jet)), fz)

@@ -35,6 +35,11 @@ class TruncatedTaylorSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def real(self) -> bool:
+        """Whether every coefficient is real, so that the series at conj z is the conjugate of its value at z."""
+        return all(c.imag == 0.0 for c in self.coeffs)
+
     def value(self, z):
         """The series at a point or at every point of an array; requires |z| <= 1."""
         return series_eval(self, z)

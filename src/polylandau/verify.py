@@ -23,6 +23,18 @@ two circles, from one ``poly_jet`` pass; F(0) is read as a point.
 they read F's values and take exp F's image as expm1(F) = exp F - 1, which
 keeps full precision where F is tiny, so every curve lies about 0.
 
+The grid and both circles are symmetric about the real axis by
+construction: a set of count angles from 0 computes its points at the
+angles in [0, pi], and point j > count/2 is defined as conj(point
+count - j) (``_mirror``).  Every witness that ``cmd_verify`` builds has
+real coefficients, since its bounds are real, so F, F_z and F_zbar at
+conj z are the conjugates of their values at z (``polyfunc``).  For
+such an F the pass evaluates the closed upper half only, about half the
+points: the Jacobian and coverage checks take their minima over it,
+since the lower half holds the same moduli, and the boundary check
+makes the circle whole by mirroring.  Any other F, such as a map with a
+complex coefficient, is evaluated on every point, through the same calls.
+
 Univalence is checked by degree theory, the argument principle for
 sense-preserving maps (Duren, *Harmonic Mappings in the Plane*, 2.3): a
 C^1 map with Jacobian |F_z|^2 - |F_zbar|^2 > 0 on a closed disk that takes
@@ -96,20 +108,36 @@ class VerificationReport:
             raise DomainError("a failed report must carry a witness")
 
 
-def _disk_grid(r: float, grid: GridSpec) -> np.ndarray:
+def _upper(count: int) -> int:
+    """How many of count equally spaced angles from 0 lie in [0, pi]: count // 2 + 1."""
+    return count // 2 + 1
+
+
+def _mirror(upper: np.ndarray, count: int) -> np.ndarray:
+    """The count points along axis 0 that start with upper, the first ``_upper(count)``.
+
+    Point j > count/2 is conj(point count - j), so the set is symmetric about the real axis, bit for bit.
+    """
+    return np.concatenate((upper, upper[count - len(upper):0:-1].conj()))
+
+
+def _half_circle(samples: int) -> np.ndarray:
+    """The points of samples equally spaced ones on the unit circle from 1 whose angles lie in [0, pi]."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(_upper(samples)) / samples))
+
+
+def _disk_grid(r: float, grid: GridSpec, full: bool = True) -> np.ndarray:
+    """The polar grid inside |z| <= r, angle by angle, each angle with its radial_count radii out to r.
+
+    With full False only the angles in [0, pi], a prefix of the full grid, which mirrors them (``_mirror``).
+    """
     radii = r * np.arange(1, grid.radial_count + 1) / grid.radial_count
-    angles = 2.0 * np.pi * np.arange(grid.angular_count) / grid.angular_count
-    pts = radii[:, None] * np.exp(1j * angles)[None, :]
-    return pts.ravel()
-
-
-def _unit_circle(samples: int) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(samples) / samples
-    return np.exp(1j * angles)
+    columns = _half_circle(grid.angular_count)[:, None] * radii[None, :]
+    return (_mirror(columns, grid.angular_count) if full else columns).ravel()
 
 
 def _circle(r: float, samples: int) -> np.ndarray:
-    return r * _unit_circle(samples)
+    return _mirror(r * _half_circle(samples), samples)
 
 
 def univalence_grid_check(
@@ -175,11 +203,14 @@ def _derivatives_of(fn: PolyAnalyticFn | LogPAnalyticFn) -> PolyAnalyticFn:
 class WitnessPass:
     """A witness evaluated once over the Jacobian grid and the two circles that ``cmd_verify`` checks.
 
-    ``nodes`` lays the points out as slices of one array: the grid inside
-    |z| <= r, ``samples`` points of the boundary circle |z| = r, and, when
-    the pass has a coverage radius, as many of the coverage circle.
-    ``fz`` and ``fzbar`` hold F's Wirtinger derivatives on the grid and
-    the boundary circle, ``image`` F on the two circles, and ``origin``
+    ``nodes`` lays the evaluated points out as slices of one array: the
+    grid inside |z| <= r, angle by angle, then the boundary circle |z| = r
+    and, when the pass has a coverage radius, the coverage circle, each
+    from the angle 0.  When ``mirrored``, F has real coefficients and the
+    pass holds only the closed upper half of each set, the angles in
+    [0, pi]; the rest mirrors it (``_mirror``).  Otherwise it holds every
+    point.  ``fz`` and ``fzbar`` hold F's Wirtinger derivatives on the grid
+    and the boundary circle, ``image`` F on the two circles, and ``origin``
     F(0), read as a point.  For exp F (``log``) they are F's too.
     """
 
@@ -191,16 +222,30 @@ class WitnessPass:
     image: np.ndarray
     origin: complex | None
     log: bool
+    mirrored: bool
 
     @property
     def grid_size(self) -> int:
         return self.grid.radial_count * self.grid.angular_count
 
-    def coverage(self) -> tuple[np.ndarray, complex]:
-        """F on the coverage circle and F(0), the values ``schlicht_coverage_check`` reads."""
+    def _held(self, count: int) -> int:
+        return _upper(count) if self.mirrored else count
+
+    @property
+    def grid_points(self) -> int:
+        """The grid nodes the pass holds: ``grid_size``, or its closed upper half when mirrored."""
+        return self.grid.radial_count * self._held(self.grid.angular_count)
+
+    @property
+    def circle_points(self) -> int:
+        """The points of each circle that the pass holds: ``samples``, or the first ``samples // 2 + 1``."""
+        return self._held(self.samples)
+
+    def coverage(self) -> tuple[np.ndarray, complex, int]:
+        """What ``schlicht_coverage_check`` reads: F on the pass's coverage-circle points, F(0) and ``samples``."""
         if self.origin is None:
             raise DomainError("this pass has no coverage circle")
-        return self.image[self.samples:], self.origin
+        return self.image[self.circle_points:], self.origin, self.samples
 
 
 def witness_pass(
@@ -212,10 +257,12 @@ def witness_pass(
 ) -> WitnessPass:
     """fn's ``WitnessPass`` from one ``poly_jet`` pass: the grid and the boundary circle at r, the coverage circle at rho.
 
-    Each component's derivative is evaluated once, over the grid and the
-    boundary circle, and its value once: a higher component's at every
-    point, the lead's on the two circles only.  F(0) is evaluated as a
-    point, so the origin never joins the lead's array.  rho None leaves
+    A real F (``PolyAnalyticFn.real``) is evaluated on the closed upper
+    half of every set only, about half the points; any other F on every
+    point.  Each component's derivative is evaluated once, over the grid
+    and the boundary circle, and its value once: a higher component's at
+    every point, the lead's on the two circles only.  F(0) is evaluated as
+    a point, so the origin never joins the lead's array.  rho None leaves
     the coverage circle out.
     """
     if not 0.0 < r:
@@ -225,13 +272,16 @@ def witness_pass(
     if rho is not None and not 0.0 < rho:
         raise DomainError(f"coverage check needs rho > 0, got {rho!r}")
     F = _derivatives_of(fn)
+    mirrored = F.real
     circle_radii = (r,) if rho is None else (r, rho)
-    unit = _unit_circle(samples)  # both circles scale one unit circle, as ``_circle`` scales its own
-    nodes = np.concatenate([_disk_grid(r, grid), *(c * unit for c in circle_radii)])
-    start = grid.radial_count * grid.angular_count
-    image, fz, fzbar = poly_jet(F, nodes, value=slice(start, None), jet=slice(start + samples))
+    half = _half_circle(samples)  # both circles scale one half circle, as ``_circle`` scales its own
+    circles = [c * half if mirrored else _mirror(c * half, samples) for c in circle_radii]
+    grid_nodes = _disk_grid(r, grid, full=not mirrored)
+    nodes = np.concatenate([grid_nodes, *circles])
+    start = len(grid_nodes)
+    image, fz, fzbar = poly_jet(F, nodes, value=slice(start, None), jet=slice(start + len(circles[0])))
     origin = None if rho is None else poly_eval(F, 0j)
-    return WitnessPass(nodes, grid, samples, fz, fzbar, image, origin, fn is not F)
+    return WitnessPass(nodes, grid, samples, fz, fzbar, image, origin, fn is not F, mirrored)
 
 
 def jacobian_grid_check(jet: WitnessPass) -> VerificationReport:
@@ -241,7 +291,7 @@ def jacobian_grid_check(jet: WitnessPass) -> VerificationReport:
     at least the grid margin.  For exp F it reads F's derivatives: the
     Jacobian of exp F is |exp F|^2 times F's, so its sign is F's.
     """
-    n = jet.grid_size
+    n = jet.grid_points  # a mirrored pass's other nodes hold the same moduli
     gaps = np.abs(jet.fz[:n]) - np.abs(jet.fzbar[:n])
     k = int(gaps.argmin())
     measured = float(gaps[k])
@@ -251,7 +301,7 @@ def jacobian_grid_check(jet: WitnessPass) -> VerificationReport:
         passed=passed,
         measured_margin=measured,
         witness=None if passed else (complex(jet.nodes[k]),),
-        note=f"min |F_z| - |F_zbar| over {n} nodes",
+        note=f"min |F_z| - |F_zbar| over {jet.grid_size} nodes",
     )
 
 
@@ -365,22 +415,26 @@ def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
     of a normalised witness under F and expm1(F) alike.  A polygon it accepts
     is proven simple and has no crossing edge pairs.  Any other polygon goes to
     the crossing sweep ``_crossings``, the only test that names a crossing
-    pair.  The report reads the same either way.
+    pair.  The report reads the same either way.  A mirrored pass's circle
+    is first made whole by ``_mirror``, so both tests see all its samples.
     """
-    n, samples = jet.grid_size, jet.samples
-    pts = jet.nodes[n:n + samples]
-    fz, fzbar, image = jet.fz[n:], jet.fzbar[n:], jet.image[:samples]
-    tangent = _unit_scale(1j * (pts * fz - pts.conj() * fzbar))
+    n, held, samples = jet.grid_points, jet.circle_points, jet.samples
+    pts, image = jet.nodes[n:n + held], jet.image[:held]
+    spin = pts * jet.fz[n:] - pts.conj() * jet.fzbar[n:]  # the tangent divided by i
+    if jet.mirrored:  # both take conjugate values at conjugate points
+        spin, image = _mirror(spin, samples), _mirror(image, samples)
+    tangent = _unit_scale(1j * spin)
     turning = int(np.rint(np.angle(_next(tangent) * tangent.conj()).sum() / (2.0 * np.pi)))
     stalls = int(np.count_nonzero(tangent == 0))
     curve = np.expm1(image) if jet.log else image
     i, j = ((), ()) if _star_shaped(curve) else _crossings(_unit_scale(curve))
     problems = len(i) + abs(turning - 1) + stalls
     passed = problems == 0
-    if len(i):
-        witness = (complex(pts[i[0]]), complex(pts[j[0]]))
-    else:
-        witness = (complex(pts[int(np.abs(tangent).argmin())]),)
+    witness = None
+    if not passed:
+        pts = _mirror(pts, samples) if jet.mirrored else pts
+        at = (i[0], j[0]) if len(i) else (np.abs(tangent).argmin(),)
+        witness = tuple(complex(pts[k]) for k in at)
     note = f"turning number {turning}, {len(i)} crossing edge pairs over {samples} boundary samples"
     if stalls:
         note += f", {stalls} with a zero tangent"
@@ -388,7 +442,7 @@ def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
         check_name="boundary-simple",
         passed=passed,
         measured_margin=float(-problems),
-        witness=None if passed else witness,
+        witness=witness,
         note=note,
     )
 
@@ -396,6 +450,7 @@ def boundary_simple_check(jet: WitnessPass) -> VerificationReport:
 def schlicht_coverage_check(
     image: np.ndarray,
     origin: complex,
+    samples: int,
     rho: float,
     sigma: float,
     margin: float = 1e-9,
@@ -403,9 +458,12 @@ def schlicht_coverage_check(
 ) -> VerificationReport:
     """Checks the image of |z| < rho under F, or under exp F when log, covers the disk that sigma gives.
 
-    ``image`` holds F's values at equally spaced points of the circle
-    |z| = rho, as ``WitnessPass.coverage`` returns them, and ``origin`` is
-    F(0), which must be 0 up to 1e-12.  For a univalent map the image
+    ``image`` holds F's values at ``samples`` equally spaced points of the
+    circle |z| = rho from the angle 0, or at the first ``samples // 2 + 1``
+    of them, the closed upper half, when F has real coefficients: the other
+    half then holds the conjugate values, of the same moduli.  ``origin``
+    is F(0), which must be 0 up to 1e-12.  ``WitnessPass.coverage`` returns
+    the three, in this order.  For a univalent map the image
     boundary is the image of that circle, so the image covers a disk that
     holds the image of 0 iff the circle's image keeps the disk's radius from
     its centre.  F's disk (``schlicht-coverage``) is |w| < sigma.  exp F's
@@ -415,6 +473,9 @@ def schlicht_coverage_check(
     """
     if not (0.0 < rho and 0.0 < sigma):
         raise DomainError(f"coverage check needs rho > 0 and sigma > 0, got {rho!r}, {sigma!r}")
+    if len(image) not in (samples, _upper(samples)):
+        raise DomainError(f"coverage check needs F at {samples} samples or their first {_upper(samples)}, "
+                          f"got {len(image)}")
     origin = float(abs(origin))
     if origin > 1e-12:
         raise DomainError(f"coverage check needs F(0) = 0, got |F(0)| = {origin!r}")
@@ -430,7 +491,7 @@ def schlicht_coverage_check(
         check_name="exp-coverage" if log else "schlicht-coverage",
         passed=passed,
         measured_margin=measured,
-        witness=None if passed else (complex(_circle(rho, len(vals))[k]),),
+        witness=None if passed else (complex(_circle(rho, samples)[k]),),
         note=f"{note} against target {radius:.12g}",
     )
 

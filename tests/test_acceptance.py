@@ -90,9 +90,9 @@ def test_05_schlicht_radius_attained_and_covered():
     res = radii(REFERENCE)
     fn = extremal_fn(REFERENCE)
     assert abs(abs(fn(complex(res.rho))) - res.sigma) < 1e-9
-    image, origin = witness_pass(fn, 0.99 * res.rho, rho=res.rho).coverage()
-    assert schlicht_coverage_check(image, origin, res.rho, 0.99 * res.sigma).passed
-    assert not schlicht_coverage_check(image, origin, res.rho, 1.01 * res.sigma).passed
+    coverage = witness_pass(fn, 0.99 * res.rho, rho=res.rho).coverage()
+    assert schlicht_coverage_check(*coverage, res.rho, 0.99 * res.sigma).passed
+    assert not schlicht_coverage_check(*coverage, res.rho, 1.01 * res.sigma).passed
     assert time.monotonic() - start < 5.0
     _done(5, "schlicht-radius-attained-and-covered")
 

@@ -39,7 +39,7 @@ def _scaled_result(field, factor):
         res = solve(*args, **kwargs)
         return res._replace(**{field: getattr(res, field) * factor})
 
-    return "radii", mutant
+    return lambda monkeypatch: monkeypatch.setattr(cli, "radii", mutant)
 
 
 def _scaled_log_r(factor):
@@ -50,21 +50,19 @@ def _scaled_log_r(factor):
         out = upgrade(res)
         return out._replace(r=out.r * factor)
 
-    return "log_variant", mutant
+    return lambda monkeypatch: monkeypatch.setattr(cli, "log_variant", mutant)
 
 
-def _profile_weights(linear=None, excess=None):
+def _profile_weights(linear=lambda b, *term: term, excess=lambda g: g):
     """A mutant of ``Profile.of`` whose linear weights (k, w, c) and excess weights (k, g) are rewritten."""
     build = Profile.of.__func__
 
     def mutant(cls, theorem, components):
         b = build(cls, theorem, components)
-        return b._replace(
-            linear=b.linear if linear is None else tuple(linear(b, *term) for term in b.linear),
-            excess=b.excess if excess is None else tuple((k, excess(g)) for k, g in b.excess),
-        )
+        return b._replace(linear=tuple(linear(b, *term) for term in b.linear),
+                          excess=tuple((k, excess(g)) for k, g in b.excess))
 
-    return classmethod(mutant)
+    return lambda monkeypatch: monkeypatch.setattr(Profile, "of", classmethod(mutant))
 
 
 def _derivative_weight(b, k, weight, bound):
@@ -72,41 +70,25 @@ def _derivative_weight(b, k, weight, bound):
     return (k, k * bound, bound) if b.components[k][0] == "deriv" else (k, weight, bound)
 
 
-def _apply(monkeypatch, mutant):
-    if mutant == "rho * 1.005":
-        monkeypatch.setattr(cli, *_scaled_result("rho", 1.005))
-    elif mutant == "rho * 1.05":
-        monkeypatch.setattr(cli, *_scaled_result("rho", 1.05))
-    elif mutant == "sigma * 1.005":
-        monkeypatch.setattr(cli, *_scaled_result("sigma", 1.005))
-    elif mutant == "sigma * 1.05":
-        monkeypatch.setattr(cli, *_scaled_result("sigma", 1.05))
-    elif mutant == "log_variant r * 1.5":
-        monkeypatch.setattr(cli, *_scaled_log_r(1.5))
-    elif mutant == "linear weight k L_k":
-        monkeypatch.setattr(Profile, "of", _profile_weights(linear=_derivative_weight))
-    elif mutant == "excess weight halved":
-        monkeypatch.setattr(Profile, "of", _profile_weights(excess=lambda g: 0.5 * g))
-    elif mutant == "m* -> log m* + 1":
-        monkeypatch.setattr(cli, "log_bound_from_modulus", lambda m_star: math.log(m_star) + 1.0)
-    else:
-        assert mutant == "none", mutant
+def _log_bound_without_pi(monkeypatch):
+    monkeypatch.setattr(cli, "log_bound_from_modulus", lambda m_star: math.log(m_star) + 1.0)
 
 
 JACOBIAN, BOUNDARY = "jacobian-grid", "boundary-simple"
 SCHLICHT, EXP = "schlicht-coverage", "exp-coverage"
 
-# mutant -> the recorded set of (theorem, failing check); ROADMAP Direction 25 names the rows that later work moves
+# mutant -> (its patch, the recorded set of (theorem, failing check)); ROADMAP Direction 25 names the rows that
+# later work moves
 MATRIX = {
-    "none": set(),
-    "rho * 1.005": set(),  # D10: the degree checks run at 0.99 rho
-    "rho * 1.05": {(t, JACOBIAN) for t in (1, 2, 5, 6)},
-    "sigma * 1.005": set(),  # D10: the coverage checks run at 0.99 sigma
-    "sigma * 1.05": {(t, SCHLICHT) for t in (1, 2, 5, 6)} | {(5, EXP), (6, EXP)},
-    "log_variant r * 1.5": set(),  # D20: verify never reads w or r
-    "linear weight k L_k": {(t, JACOBIAN) for t in (1, 2, 5, 6)},
-    "excess weight halved": {(7, JACOBIAN), (7, BOUNDARY)},
-    "m* -> log m* + 1": set(),  # D15: the witness and the audit read the same M
+    "none": (lambda monkeypatch: None, set()),
+    "rho * 1.005": (_scaled_result("rho", 1.005), set()),  # D10: the degree checks run at 0.99 rho
+    "rho * 1.05": (_scaled_result("rho", 1.05), {(t, JACOBIAN) for t in (1, 2, 5, 6)}),
+    "sigma * 1.005": (_scaled_result("sigma", 1.005), set()),  # D10: the coverage checks run at 0.99 sigma
+    "sigma * 1.05": (_scaled_result("sigma", 1.05), {(t, SCHLICHT) for t in (1, 2, 5, 6)} | {(5, EXP), (6, EXP)}),
+    "log_variant r * 1.5": (_scaled_log_r(1.5), set()),  # D20: verify never reads w or r
+    "linear weight k L_k": (_profile_weights(linear=_derivative_weight), {(t, JACOBIAN) for t in (1, 2, 5, 6)}),
+    "excess weight halved": (_profile_weights(excess=lambda g: 0.5 * g), {(7, JACOBIAN), (7, BOUNDARY)}),
+    "m* -> log m* + 1": (_log_bound_without_pi, set()),  # D15: the witness and the audit read the same M
 }
 
 
@@ -121,8 +103,9 @@ def _radii_outputs(capsys):
 
 @pytest.mark.parametrize("mutant", sorted(MATRIX))
 def test_verify_catches_the_recorded_faults(monkeypatch, capsys, mutant):
+    patch, recorded = MATRIX[mutant]
     honest = _radii_outputs(capsys)
-    _apply(monkeypatch, mutant)
+    patch(monkeypatch)
     assert (_radii_outputs(capsys) == honest) == (mutant == "none")  # every mutant moves some printed radius
     caught = set()
     for theorem, argv in ARGVS.items():
@@ -131,4 +114,4 @@ def test_verify_catches_the_recorded_faults(monkeypatch, capsys, mutant):
         failed = {(theorem, check["name"]) for check in doc["checks"] if not check["passed"]}
         assert code == (1 if failed else 0), (theorem, doc)
         caught |= failed
-    assert caught == MATRIX[mutant]
+    assert caught == recorded

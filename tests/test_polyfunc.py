@@ -21,7 +21,7 @@ from polylandau import (
 )
 from polylandau.extremal import BoundedRatio, DerivLead, Linear, extremal_fn
 from polylandau.radii import DerivAll, DerivNormalized, MixedDerivModulus, ModulusAll
-from polylandau.verify import GridSpec
+from polylandau.verify import GridSpec, _circle, _disk_grid
 import _oracles as reference
 from _oracles import fd_wirtinger, fd_zbar_power
 
@@ -329,11 +329,44 @@ def test_evaluations_leave_their_inputs_alone_and_the_lead_derivative_rounds_eac
         poly_jet(F, pts, value=value, jet=jet)
         assert pts.tolist() == zs
     # the one pass hands its components slices of one node array; at r < L/2 < rho the lead's two circles
-    # take its two forms
+    # take its two forms.  A watched component declares no real coefficients, so that pass holds every node,
+    # and the witness's own pass the closed upper half of each set, its first 5 of 8 angles and 9 of 16 samples
+    r, rho = 0.49 * lam, min(1.0, 0.51 * lam)
     G = PolyAnalyticFn(tuple(_Watched(comp) for comp in F.components))
-    jet = witness_pass(G, 0.49 * lam, GridSpec(8, 8), 16, min(1.0, 0.51 * lam))
-    assert jet.nodes.tobytes() == witness_pass(F, 0.49 * lam, GridSpec(8, 8), 16, min(1.0, 0.51 * lam)).nodes.tobytes()
+    jet = witness_pass(G, r, GridSpec(8, 8), 16, rho)
+    grid, circle, circle_rho = _disk_grid(r, GridSpec(8, 8)), _circle(r, 16), _circle(rho, 16)
+    assert jet.nodes.tobytes() == np.concatenate([grid, circle, circle_rho]).tobytes()
+    half = np.concatenate([grid[:5 * 8], circle[:9], circle_rho[:9]])
+    assert witness_pass(F, r, GridSpec(8, 8), 16, rho).nodes.tobytes() == half.tobytes()
     assert all(z.tobytes() == copy.tobytes() for comp in G.components for z, copy in comp.seen)
     # the lead's derivative at every point of an array rounds as at that point alone, signed zeros included
     lead = DerivLead(lam)
     assert lead.derivative(pts).tobytes() == np.concatenate([lead.derivative(np.array([z])) for z in zs]).tobytes()
+
+
+def test_components_declare_real_coefficients():
+    # every extremal has real coefficients; a component without the declaration counts as not real
+    real = [DerivLead(2.0), BoundedRatio(3.0), Linear(-0.5 + 0j), Linear(-0.0 + 0j),
+            TruncatedTaylorSeries((0, 1, 0.5))]
+    complex_ = [Linear(0.5j), Linear(1 + 1e-300j), TruncatedTaylorSeries((0, 1, 0.5 + 1e-300j)),
+                _Watched(DerivLead(2.0))]
+    assert all(comp.real is True for comp in real)
+    assert not any(getattr(comp, "real", False) for comp in complex_)
+    assert PolyAnalyticFn(tuple(real)).real
+    for comp in complex_:
+        assert not PolyAnalyticFn((*real, comp)).real
+    profiles = (DerivAll(2.0, (0.5, 0.0)), DerivNormalized((1.0,)), ModulusAll((1.0, 2.0)),
+                MixedDerivModulus(1.5, (3.0,)))
+    assert all(extremal_fn(b).real for b in profiles)
+
+
+@pytest.mark.parametrize("lead", [DerivLead(2.0), Linear(1 + 0j), BoundedRatio(3.0)])
+def test_order_1_zbar_derivative_is_a_positive_zero(lead):
+    # 0 times z would take the sign of Re z and Im z into its zero
+    pts = np.array([0.3 + 0.4j, -0.3 + 0.4j, -0.3 - 0.4j, 0.3 - 0.4j, -0.5, 0.0])
+    _, _, fzbar = poly_jet(PolyAnalyticFn((lead,)), pts)
+    assert fzbar.tobytes() == np.zeros(len(pts), dtype=complex).tobytes()
+    for z in (-0.5, -0.3 - 0.4j):
+        value = poly_jet(PolyAnalyticFn((lead,)), z)[2]
+        assert type(value) is complex
+        assert (math.copysign(1.0, value.real), math.copysign(1.0, value.imag)) == (1.0, 1.0)

@@ -48,6 +48,7 @@ from polylandau.verify import (
     _disk_grid,
     _star_shaped,
     _unit_scale,
+    _upper,
 )
 
 from _oracles import Spirallike, chunked_crossings, coeff_extremal_series, coefficient_bound_check
@@ -314,24 +315,119 @@ def _passes(draw):
     return (LogPAnalyticFn(F) if theorem >= 5 else F), F, grid, draw(st.integers(8, 64)), r, rho
 
 
-@given(_passes())
-@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
-def test_witness_pass_matches_the_separate_evaluations_bit_for_bit(case):
-    # one pass over the grid, the boundary circle and the coverage circle rounds every point as three
-    # separate evaluations do, signed zeros included: numpy's elementwise results do not depend on
-    # where a point sits in an array, and a lead whose circles straddle L0/2 weights its forms exactly
-    target, F, grid, samples, r, rho = case
-    jet = witness_pass(target, r, grid, samples, rho)
+def _full_pass(target, r, grid, samples, rho):
+    """The ``WitnessPass`` of target on every point, whatever its coefficients, from three separate evaluations."""
+    F = target.log_part if isinstance(target, LogPAnalyticFn) else target
     nodes, circle, circle_rho = _disk_grid(r, grid), _circle(r, samples), _circle(rho, samples)
     _, fz_grid, fzbar_grid = poly_jet(F, nodes, value=False)
     image, fz_circle, fzbar_circle = poly_jet(F, circle)
-    image_rho = poly_eval(F, circle_rho)
-    assert jet.nodes.tobytes() == np.concatenate([nodes, circle, circle_rho]).tobytes()
-    assert jet.fz.tobytes() == np.concatenate([fz_grid, fz_circle]).tobytes()
-    assert jet.fzbar.tobytes() == np.concatenate([fzbar_grid, fzbar_circle]).tobytes()
-    assert jet.image.tobytes() == np.concatenate([image, image_rho]).tobytes()
-    assert jet.coverage()[1] == poly_eval(F, 0j) == 0
-    assert jet.log == (target is not F)
+    return verify.WitnessPass(
+        np.concatenate([nodes, circle, circle_rho]), grid, samples, np.concatenate([fz_grid, fz_circle]),
+        np.concatenate([fzbar_grid, fzbar_circle]), np.concatenate([image, poly_eval(F, circle_rho)]),
+        poly_eval(F, 0j), target is not F, False,
+    )
+
+
+def _reports(jet, rho, sigma):
+    """Every report that ``cmd_verify`` makes from the pass, with coverage radii rho and sigma."""
+    coverage = [schlicht_coverage_check(*jet.coverage(), rho, sigma, log=log)
+                for log in ((False, True) if jet.log else (False,))]
+    return [jacobian_grid_check(jet), boundary_simple_check(jet), *coverage]
+
+
+def _upper_half(a, count, radial=1, bits=False):
+    """a on the closed upper half of a set of count angles from 0, with radial points to an angle.
+
+    Asserts first that the value at each angle j > count/2 is exactly the conjugate of the value at
+    count - j: bit for bit when bits, else the same number, so the same bits except that a zero may
+    differ in its sign.  No check reads that sign: the Jacobian and coverage checks read moduli, and the
+    boundary check compares its products with 0 and sums the turning angles, where a zero's sign would
+    matter only between two exactly opposite tangents.
+    """
+    by_angle = a.reshape(count, radial)
+    lower = np.arange(_upper(count), count)
+    mirror = by_angle[count - lower].conj()
+    assert (by_angle[lower].tobytes() == mirror.tobytes()) if bits else np.array_equal(by_angle[lower], mirror)
+    return by_angle[:_upper(count)].ravel()
+
+
+@given(_passes())
+@settings(deadline=None)  # max_examples from the profile: 2000 under --hypothesis-profile=ci
+def test_witness_pass_matches_the_separate_evaluations_bit_for_bit(case):
+    # the witness has real coefficients, so the pass evaluates the closed upper half of the grid and of the two
+    # circles only.  Evaluated separately on every point, F, F_z and F_zbar take conjugate values at conjugate
+    # points, and the pass rounds every point of the upper half as three separate evaluations do, signed zeros
+    # included: numpy's elementwise results do not depend on where a point sits in an array, and a lead whose
+    # circles straddle L0/2 weights its forms exactly.  So every report reads as on the full evaluation
+    target, F, grid, samples, r, rho = case
+    jet = witness_pass(target, r, grid, samples, rho)
+    full = _full_pass(target, r, grid, samples, rho)
+    n, R = grid.angular_count, grid.radial_count
+    g = n * R
+    nodes, circle, circle_rho = full.nodes[:g], full.nodes[g:g + samples], full.nodes[g + samples:]
+
+    def on_grid(a, bits=False):
+        return _upper_half(a, n, R, bits)
+
+    def on_circle(a, bits=False):
+        return _upper_half(a, samples, bits=bits)
+
+    # each node set is symmetric by construction, bit for bit, about its upper half at angles 2 pi j / count
+    radii = r * np.arange(1, R + 1) / R
+    assert on_grid(nodes, True).tobytes() == (np.exp(1j * (2.0 * np.pi * np.arange(n // 2 + 1) / n))[:, None]
+                                              * radii).tobytes()
+    upper = np.exp(1j * (2.0 * np.pi * np.arange(samples // 2 + 1) / samples))
+    assert on_circle(circle, True).tobytes() == (r * upper).tobytes()
+    assert on_circle(circle_rho, True).tobytes() == (rho * upper).tobytes()
+    assert jet.mirrored and F.real
+    assert jet.nodes.tobytes() == np.concatenate([on_grid(nodes), on_circle(circle), on_circle(circle_rho)]).tobytes()
+    assert jet.fz.tobytes() == np.concatenate([on_grid(full.fz[:g]), on_circle(full.fz[g:])]).tobytes()
+    assert jet.fzbar.tobytes() == np.concatenate([on_grid(full.fzbar[:g]), on_circle(full.fzbar[g:])]).tobytes()
+    image = np.concatenate([on_circle(full.image[:samples]), on_circle(full.image[samples:])])
+    assert jet.image.tobytes() == image.tobytes()
+    assert jet.coverage()[1] == full.origin == 0
+    assert jet.log == full.log == (target is not F)
+    assert _reports(jet, rho, 0.5 * rho) == _reports(full, rho, 0.5 * rho)
+
+
+COMPLEX_SERIES = PolyAnalyticFn((TruncatedTaylorSeries((0, 1, 0.25 + 0.25j)), Linear(-0.5 + 0j)))
+
+
+@pytest.mark.parametrize("samples", [511, 512])
+@pytest.mark.parametrize(
+    "target, r, rho, sigma",
+    [
+        (PolyAnalyticFn((Spirallike(1.2),)), 0.99, 0.9, 0.1),
+        (COMPLEX_SERIES, 0.5, 0.6, 0.2),
+        (LogPAnalyticFn(COMPLEX_SERIES), 0.5, 0.6, 0.2),
+    ],
+)
+def test_a_witness_without_real_coefficients_is_never_mirrored(target, r, rho, sigma, samples):
+    # neither map takes conjugate values at conjugate points, so a mirrored half would check another map
+    grid = GridSpec(12, 17)
+    jet = witness_pass(target, r, grid, samples, rho)
+    full = _full_pass(target, r, grid, samples, rho)
+    assert not jet.mirrored
+    for field in ("nodes", "fz", "fzbar", "image"):
+        assert getattr(jet, field).tobytes() == getattr(full, field).tobytes()
+    assert _reports(jet, rho, sigma) == _reports(full, rho, sigma)
+
+
+@pytest.mark.parametrize("radial, angular, samples", [(8, 8, 8), (9, 17, 33), (12, 16, 511), (48, 96, 512)])
+def test_poly_jet_sees_the_closed_upper_half_of_a_real_witness(radial, angular, samples):
+    # R (n // 2 + 1) grid nodes and m // 2 + 1 samples of each of the two circles, against R n + 2 m in full
+    seen = []
+
+    def spy(F, z, **kwargs):
+        seen.append(len(z))
+        return poly_jet(F, z, **kwargs)
+
+    grid = GridSpec(radial, angular)
+    F = extremal_fn(DerivAll(2.0, (0.5,)))
+    with mock.patch.object(verify, "poly_jet", spy):
+        witness_pass(F, 0.3, grid, samples, 0.35)
+        witness_pass(PolyAnalyticFn((Spirallike(1.2),)), 0.3, grid, samples, 0.35)
+    assert seen == [radial * (angular // 2 + 1) + 2 * (samples // 2 + 1), radial * angular + 2 * samples]
 
 
 @st.composite
@@ -598,8 +694,8 @@ def test_exp_coverage_reads_the_distance_of_a_tiny_image(capsys):
 
 
 def _coverage(fn, rho, samples=512):
-    """fn on the circle |z| = rho and fn(0), the values ``schlicht_coverage_check`` reads."""
-    return fn(_circle(rho, samples)), fn(0j)
+    """fn on the circle |z| = rho, fn(0) and the sample count, what ``schlicht_coverage_check`` reads."""
+    return fn(_circle(rho, samples)), fn(0j), samples
 
 
 def test_coverage_identity_margin():
@@ -611,10 +707,22 @@ def test_coverage_identity_margin():
 def test_coverage_fails_past_boundary():
     b = DerivNormalized((1.0,))
     F = extremal_fn(b)
-    # sigma = 0.25 at rho = 0.5; asking for 1% more must fail
-    report = schlicht_coverage_check(*witness_pass(F, 0.45, rho=0.5).coverage(), 0.5, 0.25 * 1.01)
+    # sigma = 0.25 at rho = 0.5; asking for 1% more must fail.  The pass holds the closed upper half of the
+    # circle, and the witness is the sample of least |F| on the whole circle
+    jet = witness_pass(F, 0.45, rho=0.5)
+    report = schlicht_coverage_check(*jet.coverage(), 0.5, 0.25 * 1.01)
+    assert jet.mirrored and len(jet.coverage()[0]) == 257
     assert not report.passed
-    assert report.witness is not None
+    circle = _circle(0.5, 512)
+    assert report.witness == (circle[int(np.abs(F(circle)).argmin())],)
+
+
+def test_coverage_needs_the_whole_circle_or_its_upper_half():
+    image, origin, samples = _coverage(lambda z: z, 0.5)
+    assert schlicht_coverage_check(image[:257], origin, samples, 0.5, 0.4).passed
+    for count in (256, 258, 511):
+        with pytest.raises(DomainError, match="F at 512 samples or their first 257, got"):
+            schlicht_coverage_check(image[:count], origin, samples, 0.5, 0.4)
 
 
 @pytest.mark.parametrize("log", [False, True])
@@ -631,9 +739,9 @@ def test_exp_coverage_fails_past_the_sharp_witness():
     rho, F = radii(b).rho, extremal_fn(b)
     pts = _circle(rho, 512)
     s = float(np.min(np.abs(F(pts))))
-    image, origin = _coverage(F, rho)
-    assert schlicht_coverage_check(image, origin, rho, 0.99 * s, log=True).passed
-    report = schlicht_coverage_check(image, origin, rho, 1.02 * s, log=True)
+    coverage = _coverage(F, rho)
+    assert schlicht_coverage_check(*coverage, rho, 0.99 * s, log=True).passed
+    report = schlicht_coverage_check(*coverage, rho, 1.02 * s, log=True)
     assert report.check_name == "exp-coverage"
     assert not report.passed
     assert report.measured_margin < -1e-3
