@@ -33,7 +33,11 @@ an error that names where it came from.
 
 Each subcommand builds its output once in all three forms, a JSON document,
 CSV rows and text lines, and ``_emit`` writes the one --format asks for; it is
-the only writer to stdout outside argparse.
+the only writer to stdout outside argparse.  The JSON form comes from one walk
+over the document (``_json_text``) that rounds each float to --digits and lays
+the document out byte for byte as ``json.dumps(doc, indent=2)`` does; that call
+would need a separate rounding pass first, and it indents only through the
+standard library's pure-Python encoder.
 
 ``verify`` raises glibc's mmap and trim thresholds for its own process, so that each pass reuses the heap pages
 the one before it freed; the library functions leave malloc alone, and any other C library is left as it is.
@@ -44,7 +48,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -52,6 +55,7 @@ from cmath import exp as cexp
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import extremal, polyfunc, verify  # lazy modules (_lazy): a solver command never executes them
@@ -397,17 +401,41 @@ def _q(x: float, digits: int) -> float:
     return float(f"{x:.{digits}g}")  # inf, -inf and nan print as names that float reads back
 
 
-def _jsonable(value, digits: int):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+def _json_text(value, digits: int, indent: str = "") -> str:
+    """value as ``json.dumps(value, indent=2)`` writes it, each float first rounded to digits by ``_q``.
+
+    indent is the nesting's own indentation, which the closing bracket of a container takes.  A complex is
+    the list of its two parts and a tuple a list.  Any other type, and a dict key that is not a str, is a
+    TypeError that names its type.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return _q(value, digits)
+        x = _q(value, digits)
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
     if isinstance(value, complex):
-        return [_q(value.real, digits), _q(value.imag, digits)]
+        value = [value.real, value.imag]
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _jsonable(v, digits) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, digits, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v, digits) for v in value]
+        if not value:
+            return "[]"
+        items = [_json_text(v, digits, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     kind = type(value)
     raise TypeError(f"no JSON form for a {kind.__module__}.{kind.__qualname__}")
 
@@ -425,7 +453,7 @@ def _emit(cfg: SimpleNamespace, doc: dict | None, rows: list[list[object]], line
     Floats print to --digits significant digits, rounded the same way in all three forms.
     """
     if cfg.format == "json":
-        sys.stdout.write(json.dumps(_jsonable(doc, cfg.digits), indent=2) + "\n")
+        sys.stdout.write(_json_text(doc, cfg.digits) + "\n")
     elif cfg.format == "csv":
         digits, spec = cfg.digits, f".{cfg.digits}g"  # _cell's float format, built once for every cell
         buf = io.StringIO()

@@ -13,11 +13,12 @@ shared, as plain data.  Witness components are read through their
 the audit circle for the bounds.  Every check evaluates on the whole array
 of its points, so a callable passed to a check must accept an array.
 
-Outside ``hypothesis_audit``, which reads its own circle, ``cmd_verify``
-evaluates the witness once: ``witness_pass`` lays out the Jacobian grid,
-the boundary circle and the coverage circle as slices of one array and
-takes F_z and F_zbar on the grid and the boundary circle, and F on the
-two circles, from one ``poly_jet`` pass; F(0) is read as a point.
+Besides ``hypothesis_audit``, which reads each component on the audit
+circle, ``cmd_verify`` evaluates the witness once: ``witness_pass`` lays
+out the Jacobian grid, the boundary circle and the coverage circle as
+slices of one array and takes F_z and F_zbar on the grid and the boundary
+circle, and F on the two circles, from one ``poly_jet`` pass; F(0) is
+read as a point.
 ``jacobian_grid_check``, ``boundary_simple_check`` and
 ``schlicht_coverage_check`` only read their slices and report.  For exp F
 they read F's values and take exp F's image as expm1(F) = exp F - 1, which
@@ -34,6 +35,10 @@ points: the Jacobian and coverage checks take their minima over it,
 since the lower half holds the same moduli, and the boundary check
 makes the circle whole by mirroring.  Any other F, such as a map with a
 complex coefficient, is evaluated on every point, through the same calls.
+``hypothesis_audit`` reads a component that declares real coefficients on
+the closed upper half of the audit circle, and any other on the whole
+circle.  The unit half circle of each count is computed once
+(``_half_circle``), so the audit circle and the grid of one run share it.
 
 Univalence is checked by degree theory, the argument principle for
 sense-preserving maps (Duren, *Harmonic Mappings in the Plane*, 2.3): a
@@ -58,6 +63,7 @@ there.  A failed report always carries a concrete witness point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -121,9 +127,15 @@ def _mirror(upper: np.ndarray, count: int) -> np.ndarray:
     return np.concatenate((upper, upper[count - len(upper):0:-1].conj()))
 
 
+@functools.lru_cache(maxsize=4)
 def _half_circle(samples: int) -> np.ndarray:
-    """The points of samples equally spaced ones on the unit circle from 1 whose angles lie in [0, pi]."""
-    return np.exp(1j * (2.0 * np.pi * np.arange(_upper(samples)) / samples))
+    """The points of samples equally spaced ones on the unit circle from 1 whose angles lie in [0, pi].
+
+    Computed once per count and read-only, so the audit circle, the grid and both circles of a pass share it.
+    """
+    half = np.exp(1j * (2.0 * np.pi * np.arange(_upper(samples)) / samples))
+    half.flags.writeable = False
+    return half
 
 
 def _disk_grid(r: float, grid: GridSpec, full: bool = True) -> np.ndarray:
@@ -563,7 +575,10 @@ def hypothesis_audit(fn: PolyAnalyticFn, b: Profile, grid: GridSpec = GridSpec()
     modulus-bounded one must have derivative 1 there, and each component
     must meet the bound of its term on |z| = ``AUDIT_RADIUS``, at the grid's
     ``angular_count`` points: a modulus bound up to the grid margin, a
-    derivative bound up to ``_AUDIT_ULPS`` ulp of it.  The circle suffices
+    derivative bound up to ``_AUDIT_ULPS`` ulp of it.  A component that
+    declares real coefficients is read on the closed upper half of those
+    points, where its conjugate values at the lower ones have the same
+    moduli, and any other on all of them.  The circle suffices
     for analytic components: by the maximum modulus principle the suprema of
     |A_k| and |A_k'| on the disk lie on its circle.  A non-analytic
     component would need the whole disk.  The identity lead is the Schwarz
@@ -571,9 +586,11 @@ def hypothesis_audit(fn: PolyAnalyticFn, b: Profile, grid: GridSpec = GridSpec()
     """
     if fn.order != b.order:
         raise DomainError(f"profile expects order {b.order}, function has order {fn.order}")
-    pts = _circle(AUDIT_RADIUS, grid.angular_count)
+    half = AUDIT_RADIUS * _half_circle(grid.angular_count)
+    whole = None if fn.real else _mirror(half, grid.angular_count)
     problems: list[str] = []
     for k, (comp, (kind, bound)) in enumerate(zip(fn.components, b.components)):
+        pts = half if getattr(comp, "real", False) else whole
         if abs(comp.value(0j)) > 1e-12:
             problems.append(f"component {k} does not vanish at 0")
         if (k == 0 or kind == "modulus") and abs(comp.derivative(0j) - 1.0) > 1e-12:

@@ -22,6 +22,10 @@ solver makes.
 boundary images are simple but not star-shaped about 0, so that a boundary
 check on it runs the crossing sweep.
 
+``jsonable`` is the package's former rounding pass over a JSON document,
+which ``json.dumps(..., indent=2)`` then laid out: the CLI's one-walk JSON
+writer must print what the two did.
+
 ``coeff_extremal_series`` and ``coefficient_bound_check`` are the
 coefficient form of the modulus-bound extremal and the check of
 |c_n| <= M - 1/M on it: the classical closed form is tested against the
@@ -103,6 +107,23 @@ def deriv_lead_coeffs(lam: float, degree: int) -> tuple[complex, ...]:
         coeffs.append(complex(-scale * power / n))
         power /= lam
     return tuple(coeffs)
+
+
+def jsonable(value, digits: int):
+    """value with every float rounded to digits significant digits through its text, a complex as the list of
+    its two parts and a tuple as a list; any other type than JSON's and these is a TypeError."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        return float(f"{value:.{digits}g}")  # inf, -inf and nan print as names that float reads back
+    if isinstance(value, complex):
+        return [jsonable(value.real, digits), jsonable(value.imag, digits)]
+    if isinstance(value, dict):
+        return {k: jsonable(v, digits) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v, digits) for v in value]
+    kind = type(value)
+    raise TypeError(f"no JSON form for a {kind.__module__}.{kind.__qualname__}")
 
 
 # --- one-point references ---------------------------------------------------------------------

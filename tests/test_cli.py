@@ -19,7 +19,7 @@ from polylandau import DerivAll, DerivNormalized, ModulusAll, log_bound_from_mod
 from polylandau import cli, extremal, polyfunc, verify
 from polylandau.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from polylandau.radii import radii, univalence_margin
-from _oracles import record_solver_margins
+from _oracles import jsonable, record_solver_margins
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -290,8 +290,12 @@ def test_compare_json(capsys):
 
 
 def test_verify_passes_and_is_deterministic(capsys):
+    # the second call reads the unit half circles that the first one computed
+    verify._half_circle.cache_clear()
     code1, out1, _ = run(capsys, "verify", *THM1, "--format", "json")
+    misses = verify._half_circle.cache_info().misses
     code2, out2, _ = run(capsys, "verify", *THM1, "--format", "json")
+    assert verify._half_circle.cache_info().misses == misses
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     doc = json.loads(out1)
@@ -1003,7 +1007,7 @@ def test_digits_flag_controls_precision(capsys):
     _, out, _ = run(capsys, "radii", *THM1, "--format", "json", "--digits", "4")
     assert json.loads(out)["rho"] == 0.2679
     # rounding to digits goes through the float's text, and float reads "inf", "-inf" and "nan" back
-    doc = cli._jsonable({"margin": math.inf, "z": complex(-math.inf, math.nan)}, 4)
+    doc = json.loads(cli._json_text({"margin": math.inf, "z": complex(-math.inf, math.nan)}, 4))
     assert doc["margin"] == math.inf and doc["z"][0] == -math.inf and math.isnan(doc["z"][1])
 
 
@@ -1011,7 +1015,30 @@ def test_json_writer_refuses_a_type_it_has_no_form_for():
     # a numpy bool once printed as the string "True"; the writer now fails instead of guessing
     np = pytest.importorskip("numpy")
     with pytest.raises(TypeError, match="numpy"):
-        cli._jsonable({"passed": np.bool_(True)}, 12)
+        cli._json_text({"passed": np.bool_(True)}, 12)
+
+
+# every type a document may hold: ints out to 1e20, every float (subnormals, +-0.0, +-inf and nan among them),
+# complex values, and strings with quotes, backslashes, control, non-ASCII and astral characters
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(), st.complex_numbers(allow_nan=True), st.text()
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda items: st.one_of(
+        st.lists(items, max_size=4), st.tuples(items, items), st.dictionaries(st.text(), items, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@given(doc=_JSON_DOCS, digits=st.integers(0, cli.MAX_DIGITS))
+@example(doc={"": [], "q\"\\\n\x00\u00e9\U0001f600": {}, "z": (-0.0, 1e308, 5e-324, complex(math.nan, -math.inf))},
+         digits=0)
+@example(doc=[True, False, 1, 0, None, 10**20, ()], digits=cli.MAX_DIGITS)
+def test_json_writer_matches_json_dumps_of_the_rounded_document(doc, digits):
+    # the one walk rounds as the former rounding pass did and lays the document out as json.dumps(indent=2)
+    assert cli._json_text(doc, digits) == json.dumps(jsonable(doc, digits), indent=2)
 
 
 USAGE = json.loads((DATA / "cli_usage.json").read_text())

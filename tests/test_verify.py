@@ -810,6 +810,34 @@ def test_hypothesis_audit_fails_a_nan_derivative():
     assert report.note == "component 1 derivative exceeds 0.5 by nan"
 
 
+_LOWER_PEAK = TruncatedTaylorSeries((0, 1, 0.5j))
+
+
+@pytest.mark.parametrize(
+    "components, b, note",
+    [
+        ((_LOWER_PEAK,), ModulusAll((1.3,)), "component 0 modulus exceeds 1.3 by 0.198"),
+        ((_LOWER_PEAK,), DerivAll(1.7, ()), "component 0 derivative exceeds 1.7 by 0.299"),
+        ((DerivLead(2.0), _LOWER_PEAK), DerivAll(2.0, (1.7,)), "component 1 derivative exceeds 1.7 by 0.299"),
+    ],
+    ids=["modulus", "lead-derivative", "beside-a-real-lead"],
+)
+def test_hypothesis_audit_reads_a_component_without_real_coefficients_on_the_whole_circle(components, b, note):
+    # z + 0.5i z^2 and its derivative 1 + iz peak at -i r, below the real axis: on the closed upper half of the
+    # circle |z| = r they stay under r sqrt(1 + r^2/4) < 1.3 and sqrt(1 + r^2) < 1.7, inside both bounds
+    assert not _LOWER_PEAK.real
+    report = hypothesis_audit(PolyAnalyticFn(components), b, SMALL_GRID)
+    assert not report.passed
+    assert report.note == note
+
+
+def test_half_circle_is_computed_once_per_count_and_read_only():
+    half = verify._half_circle(16)
+    assert verify._half_circle(16) is half
+    with pytest.raises(ValueError, match="read-only"):
+        half[1] = 0.0
+
+
 def test_coefficient_bound_check_classical_series():
     s = coeff_extremal_series(2.0, 2)
     report = coefficient_bound_check(s, 2.0)
