@@ -37,8 +37,7 @@ makes the circle whole by mirroring.  Any other F, such as a map with a
 complex coefficient, is evaluated on every point, through the same calls.
 ``hypothesis_audit`` reads a component that declares real coefficients on
 the closed upper half of the audit circle, and any other on the whole
-circle.  The unit half circle of each count is computed once
-(``_half_circle``), so the audit circle and the grid of one run share it.
+circle.
 
 Univalence is checked by degree theory, the argument principle for
 sense-preserving maps (Duren, *Harmonic Mappings in the Plane*, 2.3): a
@@ -63,7 +62,6 @@ there.  A failed report always carries a concrete witness point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -127,15 +125,9 @@ def _mirror(upper: np.ndarray, count: int) -> np.ndarray:
     return np.concatenate((upper, upper[count - len(upper):0:-1].conj()))
 
 
-@functools.lru_cache(maxsize=4)
 def _half_circle(samples: int) -> np.ndarray:
-    """The points of samples equally spaced ones on the unit circle from 1 whose angles lie in [0, pi].
-
-    Computed once per count and read-only, so the audit circle, the grid and both circles of a pass share it.
-    """
-    half = np.exp(1j * (2.0 * np.pi * np.arange(_upper(samples)) / samples))
-    half.flags.writeable = False
-    return half
+    """The points of samples equally spaced ones on the unit circle from 1 whose angles lie in [0, pi]."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(_upper(samples)) / samples))
 
 
 def _disk_grid(r: float, grid: GridSpec, full: bool = True) -> np.ndarray:

@@ -831,13 +831,6 @@ def test_hypothesis_audit_reads_a_component_without_real_coefficients_on_the_who
     assert report.note == note
 
 
-def test_half_circle_is_computed_once_per_count_and_read_only():
-    half = verify._half_circle(16)
-    assert verify._half_circle(16) is half
-    with pytest.raises(ValueError, match="read-only"):
-        half[1] = 0.0
-
-
 def test_coefficient_bound_check_classical_series():
     s = coeff_extremal_series(2.0, 2)
     report = coefficient_bound_check(s, 2.0)
